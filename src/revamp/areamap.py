@@ -43,6 +43,7 @@ from .lutmap import (LUT_REF, PI_REF, LutGraph, cover_klut, min_dev,
                      storage_capacity)
 from .netlist import CONST0, MAJ, LogicNetwork, NetlistError, levels
 from .reports import MappingReport
+from .simulator import PIPELINE_FILL
 
 E0, E1, E2 = 0, 1, 2  # working rows: staging, xor scratch, accumulators
 
@@ -511,7 +512,7 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         s_d=s_d, w_d=w_d,
         i_apply=builder.i_apply, i_read=builder.i_read,
         i_total=len(program.instructions),
-        cycles=len(program.instructions) + 2,
+        cycles=len(program.instructions) + PIPELINE_FILL,
     )
     return program, report
 
@@ -645,7 +646,7 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         s_d=config.s_d, w_d=2,
         i_apply=builder.i_apply, i_read=builder.i_read,
         i_total=len(program.instructions),
-        cycles=len(program.instructions) + 2,
+        cycles=len(program.instructions) + PIPELINE_FILL,
         devices_used=len(builder.touched),
         device_bound=2 * (k + 1),
     )

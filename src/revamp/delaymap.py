@@ -16,8 +16,13 @@ The crossbar width is fixed, the word count is an output.  Four phases:
    wordline and bitline operands must sit in the same word.  Operand pairs
    open blocks; blocks merge when they share an input value (keeping one
    copy) or when their hosts compute together under a shared wordline
-   (keeping both host copies), never beyond the word width.  Negated copies
-   of internal values get a single plain instance to be copied from.
+   (keeping both host copies), never beyond the word width.  One pair
+   merges at a time, and the scan restarts after each merge: input merges
+   come before host merges, the newest block is tried first, and it joins
+   its newest older partner that fits.  Indexes from input value and from
+   wordline key to blocks limit each scan to the pairs that share one.
+   Negated copies of internal values get a single plain instance to be
+   copied from.
 
 3. *Packing.*  Blocks are first-fit packed into words (a classic 2-factor
    approximation of the bin-packing optimum, checked in tests against an
@@ -39,6 +44,7 @@ from .areamap import ProgramBuilder
 from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .netlist import CONST0, MAJ, PI, Edge, LogicNetwork, NetlistError, levels
 from .reports import MappingReport
+from .simulator import PIPELINE_FILL
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ class BlockElement:
                               self.value.node, self.tag)
 
 
-@dataclass
+@dataclass(eq=False)
 class Block:
     id: int
     elements: list[BlockElement] = field(default_factory=list)
@@ -239,75 +245,88 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
         new_block(spawned)
         sites.setdefault(nid, []).append(Site(nid, el, wl_item, bl_el))
 
-    def i_keys(block):
-        return {el.value for el in block.elements if el.tag == "i"}
-
-    def try_input_merge(a: Block, b: Block) -> bool:
-        shared = i_keys(a) & i_keys(b)
-        if not shared:
-            return False
-        moved = [el for el in b.elements
-                 if not (el.tag == "i" and el.value in shared)]
-        if len(a.elements) + len(moved) > w_d:
-            return False
-        survivors = {el.value: el for el in a.elements if el.tag == "i"}
-        for el in b.elements:
-            if el.tag == "i" and el.value in shared:
-                el.merged_into = survivors[el.value]
-        a.elements.extend(moved)
-        blocks.remove(b)
-        return True
-
     def wl_key(site: Site):
         w = site.wl
         return w if isinstance(w, tuple) else id(w.resolve())
 
-    def try_host_merge(a: Block, b: Block, lvl: int) -> bool:
-        def level_tops(block):
-            return [el.chain[-1] for el in block.elements
-                    if el.chain and lv[el.chain[-1]] == lvl]
-
-        ta, tb = level_tops(a), level_tops(b)
-        if not ta or not tb:
-            return False
-        keys_a = {wl_key(s) for n in ta for s in sites.get(n, [])
-                  if s.host_el in a.elements}
-        keys_b = {wl_key(s) for n in tb for s in sites.get(n, [])
-                  if s.host_el in b.elements}
-        if not (keys_a & keys_b):
-            return False
-        shared = i_keys(a) & i_keys(b)
-        moved = [el for el in b.elements
-                 if not (el.tag == "i" and el.value in shared)]
-        if len(a.elements) + len(moved) > w_d:
-            return False
-        survivors = {el.value: el for el in a.elements if el.tag == "i"}
-        for el in b.elements:
-            if el.tag == "i" and el.value in shared:
-                el.merged_into = survivors[el.value]
-        a.elements.extend(moved)
-        blocks.remove(b)
-        return True
+    def host_keys(block, lvl):
+        # wordline keys of the sites this block hosts at the level
+        tops = [el.chain[-1] for el in block.elements
+                if el.chain and lv[el.chain[-1]] == lvl]
+        if not tops:
+            return set()
+        member = {id(el) for el in block.elements}
+        return {wl_key(s) for n in tops for s in sites.get(n, [])
+                if id(s.host_el) in member}
 
     def merge(lvl: int | None = None):
-        # newest pairs first: freshly spawned same-level operand blocks fold
-        # together before being pushed into older storage blocks
-        changed = True
-        while changed:
-            changed = False
-            order = sorted(((i, j) for i in range(len(blocks))
-                            for j in range(i + 1, len(blocks))),
-                           key=lambda p: (-blocks[p[1]].id, -blocks[p[0]].id))
-            for i, j in order:
-                if try_input_merge(blocks[i], blocks[j]):
-                    changed = True
-                    break
-            if changed or lvl is None:
-                continue
-            for i, j in order:
-                if try_host_merge(blocks[i], blocks[j], lvl):
-                    changed = True
-                    break
+        """Fold blocks together until no pair merges.
+
+        Each round folds one pair and the next round rescans from scratch.
+        Input merges come before host merges: a host merge is tried only
+        when no input merge fits, and only below the outputs (``lvl``
+        given).  Within each kind the newest block ``b`` is tried first,
+        against its older partners ``a`` newest first; a partner qualifies
+        by sharing an input value with ``b`` (input merge) or, for a host
+        merge, a wordline key among the sites both host at ``lvl``.  The
+        first partner that fits the word takes ``b`` in.
+
+        Indexes from input value and from wordline key to the blocks
+        holding it limit a round to the P pairs that share a key: with B
+        blocks a round costs O(B + P log P) set operations and capacity
+        tests, where scoring every pair would cost O(B^2 log B).  The input
+        index is updated in place after each merge.  The host index is
+        rebuilt, in time linear in elements and sites, whenever the input
+        phase finds nothing, because an input merge changes which element
+        ``resolve()`` returns and with it the keys of sites hosted in other
+        blocks.
+        """
+        ivals = {b: {el.value for el in b.elements if el.tag == "i"}
+                 for b in blocks}
+        holders: dict[ValueRef, set[Block]] = {}
+        for b, vals in ivals.items():
+            for v in vals:
+                holders.setdefault(v, set()).add(b)
+
+        def absorb(a: Block, b: Block) -> bool:
+            # fold b into a, keeping a's copy of each shared input value
+            shared = ivals[a] & ivals[b]
+            moved = [el for el in b.elements
+                     if not (el.tag == "i" and el.value in shared)]
+            if len(a.elements) + len(moved) > w_d:
+                return False
+            survivors = {el.value: el for el in a.elements if el.tag == "i"}
+            for el in b.elements:
+                if el.tag == "i" and el.value in shared:
+                    el.merged_into = survivors[el.value]
+            a.elements.extend(moved)
+            blocks.remove(b)
+            for v in ivals.pop(b):
+                holders[v].discard(b)
+                holders[v].add(a)
+                ivals[a].add(v)
+            return True
+
+        def first_fit(keys: dict, index: dict) -> bool:
+            for b in reversed(blocks):
+                partners = {a for k in keys[b] for a in index[k]
+                            if a.id < b.id}
+                for a in sorted(partners, key=lambda a: -a.id):
+                    if absorb(a, b):
+                        return True
+            return False
+
+        def host_merge() -> bool:
+            keys = {b: host_keys(b, lvl) for b in blocks}
+            index: dict = {}
+            for b, ks in keys.items():
+                for k in ks:
+                    index.setdefault(k, set()).add(b)
+            return first_fit(keys, index)
+
+        while first_fit(ivals, holders) \
+                or (lvl is not None and host_merge()):
+            pass
 
     output_elements = []
     for e, _name in zip(mig.outputs, mig.output_names):
@@ -524,14 +543,14 @@ def report_delay_stats(builder: ProgramBuilder, mig: LogicNetwork,
     occupied = sum(len(b) for b in formation.blocks)
     total = packing.n_words * w_d
     i_total = len(builder.instructions)
-    cycles = i_total + 2
+    cycles = i_total + PIPELINE_FILL
     d_p_star = 9 * n_maj
     return MappingReport(
         flow="delay",
         num_pis=mig.num_pis,
         n_maj=n_maj,
         levels=max((levels(mig)[e.target] for e in mig.outputs), default=0),
-        s_d=packing.n_words, w_d=w_d,
+        s_d=builder.config.s_d, w_d=w_d,
         i_apply=builder.i_apply, i_read=builder.i_read, i_total=i_total,
         cycles=cycles,
         n_blocks=len(formation.blocks),

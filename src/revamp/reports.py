@@ -16,7 +16,7 @@ class MappingReport:
     n_lut: int | None = None
     levels: int | None = None
     min_dev: int | None = None
-    # crossbar geometry (s_d of the delay flow counts packed storage words)
+    # crossbar geometry of the emitted program
     s_d: int = 0
     w_d: int = 0
     # instruction statistics

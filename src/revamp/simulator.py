@@ -214,8 +214,3 @@ def run(program: Program, inputs=(), record_trace: bool = False,
                               % (program.num_pis, len(masks)))
     return run_vectors(program, masks, 1, record_trace=record_trace,
                        record_state=record_state)
-
-
-def read_results(state: MachineState, program: Program) -> dict[str, int]:
-    return {name: state.dcm[w][b]
-            for name, (w, b) in program.result_locations.items()}

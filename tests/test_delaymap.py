@@ -1,10 +1,13 @@
+import hashlib
 import random
+import time
 
 from conftest import example_mig
-from revamp.circuits import full_adder, ripple_adder
+from revamp.circuits import (comparator, full_adder, multiplier, parity,
+                             ripple_adder)
 from revamp.delaymap import (ValueRef, assign_roles, form_blocks,
                              gen_program_delay, map_delay, pack_blocks)
-from revamp.isa import format_asm
+from revamp.isa import format_asm, write_program
 from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
                             pi_patterns, random_aig, random_mig)
 from revamp.simulator import run_vectors
@@ -191,7 +194,8 @@ def test_reference_instruction_sequence_and_states():
     assert applies[2].post == [s4, c, s2]
     assert state.dcm[2][0] == s4
     assert program.result_locations["s4"] == (2, 0)
-    assert report.s_d == 3 and abs(report.w_util - 88.8) < 0.1
+    # three block words plus the scratch word that stages b and c
+    assert report.s_d == 4 and abs(report.w_util - 88.8) < 0.1
     assert report.i_total == len(program.instructions)
     assert report.cycles == report.i_total + 2
 
@@ -260,3 +264,75 @@ def test_word_capacity_never_exceeded():
             formation = form_blocks(mig, roles, w_d)
             packing = pack_blocks(formation.blocks, w_d)
             assert all(n <= w_d for n in packing.occupancy.values())
+
+
+# digests of the containers emitted before block merging used indexes
+PINNED_PROGRAMS = [
+    ("add8", lambda: ripple_adder(8),
+     "c01dbefea4d25a147f98485bf9c7850d14c53c6c0e41813f0d610d8fa5c8df53"),
+    ("mult3", lambda: multiplier(3),
+     "3f340a1b58d6c033f3f2417cdbf0baac727ba11dbec20ba06667c499c82cc58f"),
+    ("cmp8", lambda: comparator(8),
+     "22e7802dd2afc020d7306b45dd6531b57d75974b868c22b26fab4f2cda48f9da"),
+    ("parity16", lambda: parity(16),
+     "5a3ddc22cd7e774c8ee9a98a762b98f03d3c74019511697bdc3ff8d363b706a3"),
+    ("rand16", lambda: random_aig(16, 200, seed=3, num_outputs=6),
+     "e12d5fb305c570306da4ba20278d27155b371cc79c491e012fecdc1bf179a5d1"),
+]
+
+
+def test_delay_programs_byte_identical():
+    for name, build, digest in PINNED_PROGRAMS:
+        program, _ = map_delay(aig_to_mig(build()), 32)
+        got = hashlib.sha256(write_program(program)).hexdigest()
+        assert got == digest, name
+
+
+def _block_tags(formation):
+    return [(b.id, " ".join(("!" if el.value.negated else "")
+                            + str(el.value.node) + el.tag
+                            for el in b.elements))
+            for b in formation.blocks]
+
+
+def test_block_lists_on_random_migs():
+    """Merge order pinned on networks that need input and host merges."""
+    pinned = {
+        (3, 3): [(1, "!10h"), (2, "!11h"), (3, "!7h !5h !5h"), (5, "4i 3i"),
+                 (7, "0h 2i 0h"), (9, "4h"), (10, "1i !4i 4i"),
+                 (12, "!1i 2i")],
+        (3, 4): [(1, "!10h"), (2, "!11h"), (3, "!7h !5h !5h"),
+                 (5, "4i 3i 1i !4i"), (7, "0h 2i 0h !1i"), (9, "4h")],
+        (3, 8): [(1, "!10h"), (2, "!11h"), (3, "!7h !5h !5h"),
+                 (5, "4i 3i 1i !4i"), (7, "0h 2i 0h !1i 4h")],
+        (11, 3): [(1, "!12h"), (2, "!11h"), (3, "!8h"), (4, "!4i 1i 1h"),
+                  (6, "!5h"), (7, "0h 4h"), (8, "!9i 3i 4i"), (9, "1h 2i"),
+                  (12, "0i 4i"), (13, "!3i 3i")],
+        (11, 4): [(1, "!12h"), (2, "!11h"), (3, "!8h"),
+                  (4, "!4i 1i 1h 2i"), (6, "!5h"), (7, "0h 4h"),
+                  (8, "!9i 3i 4i !3i"), (12, "0i 4i")],
+        (11, 8): [(1, "!12h"), (2, "!11h"), (3, "!8h"),
+                  (4, "!4i 1i 1h 2i"), (6, "!5h"), (7, "0h 4h"),
+                  (8, "!9i 3i 4i !3i 0i")],
+    }
+    for (seed, w_d), expected in pinned.items():
+        mig = random_mig(5, 8, seed=seed, num_outputs=2)
+        formation = form_blocks(mig, assign_roles(mig), w_d)
+        assert _block_tags(formation) == expected, (seed, w_d)
+
+
+def test_delay_flow_scales_to_mult8_and_add32():
+    for net, budget in ((multiplier(8), 3.0), (ripple_adder(32), None)):
+        mig = aig_to_mig(net)
+        t0 = time.perf_counter()
+        program, report = map_delay(mig, 32)
+        elapsed = time.perf_counter() - t0
+        if budget is not None:
+            assert elapsed < budget, "mapping took %.2f s" % elapsed
+        if mig.num_pis <= 16:
+            res = check_equivalence(mig, program)
+        else:
+            res = check_equivalence(mig, program, mode="random", seed=1,
+                                    n=10000)
+        assert res.ok, res.counterexample
+        assert report.s_d == program.config.s_d
