@@ -92,9 +92,11 @@ class ProgramBuilder:
         self._dmr_loaded = True
 
     def _pairs(self, wires: dict[int, int]) -> tuple[BitlinePair, ...]:
-        return tuple(BitlinePair(True, wires[j]) if j in wires
-                     else BitlinePair(False, 0)
-                     for j in range(self.config.w_d))
+        lay = self.config.layout
+        pairs = [lay.nop_pair] * self.config.w_d
+        for j, val in wires.items():
+            pairs[j] = lay.valid_pairs[val]
+        return tuple(pairs)
 
     def apply_from_dmr(self, w: int, mode: WsMode, wires: dict[int, int],
                        wb: int = 0):

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 import time
 
 from . import circuits
@@ -22,7 +23,7 @@ from .delaymap import map_delay
 from .isa import format_asm, read_program, write_program
 from .lutmap import cover_klut, feasible, lut_graph_to_dict, min_dev
 from .netlist import (aig_to_mig, normalize_mig, parse_aiger, parse_mig,
-                      serialize_mig)
+                      serialize_aig, serialize_mig)
 from .reports import BENCH_COLUMNS, BenchRow
 from .simulator import grid_dump, run
 from .verifier import check_equivalence
@@ -220,27 +221,7 @@ def _bench_job(spec):
                     time.monotonic() - t0)
 
 
-def cmd_bench(args):
-    corpus = args.corpus or os.environ.get(CORPUS_ENV)
-    rows_out = []
-    files = []
-    if corpus:
-        for fn in sorted(os.listdir(corpus)):
-            if fn.endswith((".aag", ".mig")):
-                files.append((os.path.splitext(fn)[0],
-                              os.path.join(corpus, fn)))
-    if not files and args.builtin:
-        import tempfile
-
-        from .netlist import serialize_aig
-        tmp = tempfile.mkdtemp(prefix="revamp-corpus-")
-        for name, net in circuits.default_corpus():
-            path = os.path.join(tmp, name + (".mig" if net.kind == "mig"
-                                             else ".aag"))
-            _write(path, serialize_mig(net) if net.kind == "mig"
-                   else serialize_aig(net))
-            files.append((name, path))
-
+def _run_bench_jobs(files, args) -> list[BenchRow]:
     jobs = []
     for name, path in files:
         for flow in args.flow:
@@ -271,6 +252,29 @@ def cmd_bench(args):
     else:
         for job in jobs:
             results.append(_bench_job(job))
+    return results
+
+
+def cmd_bench(args):
+    corpus = args.corpus or os.environ.get(CORPUS_ENV)
+    files = []
+    if corpus:
+        for fn in sorted(os.listdir(corpus)):
+            if fn.endswith((".aag", ".mig")):
+                files.append((os.path.splitext(fn)[0],
+                              os.path.join(corpus, fn)))
+    if not files and args.builtin:
+        # the jobs read the corpus files, so the directory outlives them
+        with tempfile.TemporaryDirectory(prefix="revamp-corpus-") as tmp:
+            for name, net in circuits.default_corpus():
+                path = os.path.join(tmp, name + (".mig" if net.kind == "mig"
+                                                 else ".aag"))
+                _write(path, serialize_mig(net) if net.kind == "mig"
+                       else serialize_aig(net))
+                files.append((name, path))
+            results = _run_bench_jobs(files, args)
+    else:
+        results = _run_bench_jobs(files, args)
 
     results.sort(key=lambda r: (r.benchmark, r.flow, r.k or 0, r.s_d, r.w_d))
     dicts = [r.to_dict() for r in results]

@@ -16,6 +16,18 @@ the right up to the instruction-memory word width):
 ceil(log2(w_D)) bits.  ``ws`` selects the wordline input: 00 drives logic 0,
 01 drives logic 1, 11 drives bit ``wb`` of the selected source; 10 is
 invalid.  A pair with v=0 leaves its bitline's device untouched.
+
+The codec is table driven.  Each geometry computes a :class:`CodecLayout`
+once, cached on its :class:`CrossbarConfig`: the padding of both
+instructions, the shift of every field and a table from each ``(v val)``
+code to one shared :class:`BitlinePair`, so a field is one shift and mask
+and equal pairs are one object.  :func:`read_program` keeps a per-call memo
+from instruction bytes to the decoded (immutable) instruction, so each
+distinct word is decoded and checked once and repeats share its object.
+The table has ``2**(1 + bit_bits)`` entries, so a container header is
+untrusted until bounded: the instruction table must fit in the bytes that
+follow it before any instruction is decoded or any table is built, and an
+empty program builds none.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 MAGIC = b"RVMP"
 
@@ -114,6 +127,11 @@ class CrossbarConfig:
     def bit_bits(self) -> int:
         return _clog2(self.w_d)
 
+    @cached_property
+    def layout(self) -> CodecLayout:
+        """Codec field layout and interned pairs, built on first use."""
+        return CodecLayout(self)
+
 
 def instruction_lengths(config) -> tuple[int, int]:
     """Bit lengths (read, apply) of the two instructions for a geometry."""
@@ -147,75 +165,95 @@ def validate_instruction(instr: Instruction, config: CrossbarConfig):
 
 # -- binary codec ------------------------------------------------------------
 
+# wordline select modes by their 2-bit code; code 10 is invalid
+_WS_MODES = (WsMode.ZERO, WsMode.ONE, None, WsMode.FROM_SOURCE)
+
+
+class CodecLayout:
+    """Field positions of both instructions for one geometry.
+
+    ``pairs`` maps each ``(v val)`` code, ``v << bit_bits | val``, to one
+    shared :class:`BitlinePair`, or to ``None`` when ``val >= w_D``.  The
+    table has ``2**(1 + bit_bits)`` entries, fewer than ``4 * w_D``.
+    ``valid_pairs[val]`` and ``nop_pair`` are entries of the same table.
+    """
+
+    def __init__(self, config: CrossbarConfig):
+        sw, bw = config.word_bits, config.bit_bits
+        il_read, il_apply = instruction_lengths(config)
+        self.s_d, self.w_d = config.s_d, config.w_d
+        self.word_bits, self.bit_bits = sw, bw
+        self.opcode_shift = config.w_i - 1
+        # the address field sits right after the opcode in both instructions
+        self.read_pad = config.w_i - il_read
+        self.read_pad_mask = (1 << self.read_pad) - 1
+        self.word_mask = (1 << sw) - 1
+        # opcode | w | s | ws | wb, the fixed head of an Apply
+        self.head_shift = config.w_i - (4 + sw + bw)
+        self.bit_mask = (1 << bw) - 1
+        self.apply_pad = config.w_i - il_apply
+        self.apply_pad_mask = (1 << self.apply_pad) - 1
+        self.pair_bits = 1 + bw
+        self.pair_mask = (1 << self.pair_bits) - 1
+        self.pair_shifts = tuple(self.apply_pad + (config.w_d - 1 - j)
+                                 * self.pair_bits for j in range(config.w_d))
+        self.valid_bit = 1 << bw
+        self.pairs = tuple(
+            BitlinePair(bool(code >> bw), code & self.bit_mask)
+            if code & self.bit_mask < config.w_d else None
+            for code in range(1 << self.pair_bits))
+        self.valid_pairs = self.pairs[self.valid_bit:
+                                      self.valid_bit + config.w_d]
+        self.nop_pair = self.pairs[0]
+
+
 def encode(instr: Instruction, config: CrossbarConfig) -> int:
     """Pack an instruction into a w_I-bit word (returned as an int)."""
     validate_instruction(instr, config)
-    sw, bw = config.word_bits, config.bit_bits
-    bits = 0
-    used = 0
+    return _pack(instr, config.layout)
 
-    def put(value, width):
-        nonlocal bits, used
-        bits = (bits << width) | (value & ((1 << width) - 1))
-        used += width
 
+def _pack(instr: Instruction, lay: CodecLayout) -> int:
+    """Pack an instruction that has passed :func:`validate_instruction`."""
     if isinstance(instr, ReadInstr):
-        put(0, 1)
-        put(instr.w, sw)
-    else:
-        put(1, 1)
-        put(instr.w, sw)
-        put(instr.source, 1)
-        put(int(instr.ws.mode), 2)
-        put(instr.ws.wb, bw)
-        for p in instr.pairs:
-            put(1 if p.valid else 0, 1)
-            put(p.val, bw)
-    if used > config.w_i:
-        raise IsaError("instruction longer than w_I")
-    return bits << (config.w_i - used)
+        return instr.w << lay.read_pad
+    ws = instr.ws
+    word = (((((1 << lay.word_bits | instr.w) << 1 | instr.source) << 2
+              | ws.mode) << lay.bit_bits) | ws.wb)
+    pair_bits, valid_bit = lay.pair_bits, lay.valid_bit
+    for p in instr.pairs:
+        word = word << pair_bits | (valid_bit if p.valid else 0) | p.val
+    return word << lay.apply_pad
 
 
 def decode(word: int, config: CrossbarConfig) -> Instruction:
     """Inverse of :func:`encode`; rejects bad ws codes and dirty padding."""
     if word < 0 or word >> config.w_i:
         raise DecodeError("word wider than w_I")
-    sw, bw = config.word_bits, config.bit_bits
-    pos = config.w_i
-
-    def take(width):
-        nonlocal pos
-        pos -= width
-        if pos < 0:
-            raise DecodeError("truncated instruction")
-        return (word >> pos) & ((1 << width) - 1)
-
-    opcode = take(1)
-    w = take(sw)
-    if w >= config.s_d:
+    lay = config.layout
+    w = (word >> lay.read_pad) & lay.word_mask
+    if w >= lay.s_d:
         raise DecodeError("address %d out of range" % w)
-    if opcode == 0:
-        if word & ((1 << pos) - 1):
+    if not word >> lay.opcode_shift:
+        if word & lay.read_pad_mask:
             raise DecodeError("nonzero padding after read")
         return ReadInstr(w)
-    source = take(1)
-    ws_code = take(2)
-    if ws_code == 0b10:
+    head = word >> lay.head_shift
+    mode = _WS_MODES[(head >> lay.bit_bits) & 0b11]
+    if mode is None:
         raise DecodeError("wordline select code 10 is invalid")
-    wb = take(bw)
-    if wb >= config.w_d:
+    wb = head & lay.bit_mask
+    if wb >= lay.w_d:
         raise DecodeError("wb %d out of range" % wb)
-    pairs = []
-    for _ in range(config.w_d):
-        v = take(1)
-        val = take(bw)
-        if val >= config.w_d:
-            raise DecodeError("val %d out of range" % val)
-        pairs.append(BitlinePair(bool(v), val))
-    if pos and word & ((1 << pos) - 1):
+    table, mask = lay.pairs, lay.pair_mask
+    pairs = tuple(table[(word >> s) & mask] for s in lay.pair_shifts)
+    if not all(pairs):  # a pair is None where its val is out of range
+        val = (word >> lay.pair_shifts[pairs.index(None)]) & lay.bit_mask
+        raise DecodeError("val %d out of range" % val)
+    if word & lay.apply_pad_mask:
         raise DecodeError("nonzero padding after apply")
-    return ApplyInstr(w, source, WordlineSelect(WsMode(ws_code), wb),
-                      tuple(pairs))
+    return ApplyInstr(w, (head >> (lay.bit_bits + 2)) & 1,
+                      WordlineSelect(mode, wb), pairs)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -287,11 +325,14 @@ class Program:
     num_pis: int = 0
 
     def validate(self):
+        checked = set()  # ids of instructions seen; instructions are immutable
         for i, instr in enumerate(self.instructions):
-            try:
-                validate_instruction(instr, self.config)
-            except IsaError as exc:
-                raise IsaError("instruction %d: %s" % (i, exc)) from None
+            if id(instr) not in checked:
+                try:
+                    validate_instruction(instr, self.config)
+                except IsaError as exc:
+                    raise IsaError("instruction %d: %s" % (i, exc)) from None
+                checked.add(id(instr))
             if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR:
                 if i not in self.pir_schedule:
                     raise IsaError("instruction %d sources the PIR but has "
@@ -328,8 +369,10 @@ def write_program(program: Program) -> bytes:
            struct.pack("<5I", cfg.s_d, cfg.w_d, cfg.s_i, cfg.w_i,
                        program.num_pis),
            struct.pack("<I", len(program.instructions))]
-    for instr in program.instructions:
-        out.append(encode(instr, cfg).to_bytes(nbytes, "big"))
+    if program.instructions:  # an empty program needs no codec table
+        lay = cfg.layout
+        out.extend(_pack(instr, lay).to_bytes(nbytes, "big")
+                   for instr in program.instructions)
     sched = sorted(program.pir_schedule.items())
     out.append(struct.pack("<I", len(sched)))
     for idx, slots in sched:
@@ -350,6 +393,7 @@ def read_program(data: bytes) -> Program:
 
 
 def _read_program(data: bytes) -> Program:
+    data = bytes(data)  # slices of it key the decode memo
     if data[:4] != MAGIC:
         raise IsaError("bad magic, not a program container")
     off = 4
@@ -359,11 +403,20 @@ def _read_program(data: bytes) -> Program:
     (count,) = struct.unpack_from("<I", data, off)
     off += 4
     nbytes = (w_i + 7) // 8
+    end = off + count * nbytes
+    if end > len(data):
+        raise IsaError("%d instructions of %d bytes overrun the container"
+                       % (count, nbytes))
+    # the check above bounds w_I, and with it the codec layout, by the data
+    memo = {}
     instrs = []
-    for _ in range(count):
-        word = int.from_bytes(data[off:off + nbytes], "big")
-        off += nbytes
-        instrs.append(decode(word, cfg))
+    for start in range(off, end, nbytes):
+        raw = data[start:start + nbytes]
+        instr = memo.get(raw)
+        if instr is None:
+            instr = memo[raw] = decode(int.from_bytes(raw, "big"), cfg)
+        instrs.append(instr)
+    off = end
     (n_sched,) = struct.unpack_from("<I", data, off)
     off += 4
     sched = {}
@@ -379,11 +432,17 @@ def _read_program(data: bytes) -> Program:
     for _ in range(n_res):
         (nlen,) = struct.unpack_from("<H", data, off)
         off += 2
-        name = data[off:off + nlen].decode("utf-8")
+        try:
+            name = data[off:off + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise IsaError("result name is not valid utf-8") from None
         off += nlen
         w, b = struct.unpack_from("<2I", data, off)
         off += 8
         results[name] = (w, b)
+    if off != len(data):
+        raise IsaError("%d trailing bytes after the result table"
+                       % (len(data) - off))
     prog = Program(cfg, instrs, sched, results, num_pis)
     prog.validate()
     return prog

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,12 +9,15 @@ from revamp.areamap import (E2, InfeasibleMapping, ProgramBuilder,
                             gen_cube_program, gen_esop_program,
                             gen_xor_reduction, map_area, map_lut_graph,
                             map_minimal, schedule_luts, xor_reduce)
-from revamp.circuits import full_adder, ripple_adder, two_bit_xor
+from revamp.circuits import (comparator, full_adder, multiplier, parity,
+                             ripple_adder, two_bit_xor)
 from revamp.esop import Cube, EsopCover, Literal, extract_esop
-from revamp.isa import SRC_PIR, ApplyInstr, CrossbarConfig, WsMode
+from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, WsMode,
+                        read_program, write_program)
 from revamp.lutmap import Lut, LutGraph, assign_levels, cover_klut, min_dev
-from revamp.netlist import (MAJ, Edge, LogicNetwork, normalize_mig,
-                            pi_patterns, random_aig)
+from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
+                            normalize_mig, pi_patterns, random_aig,
+                            random_mig)
 from revamp.simulator import run, run_vectors
 from revamp.verifier import check_equivalence, replay_safety
 
@@ -360,3 +364,72 @@ def test_map_minimal_requires_tree():
     from revamp.netlist import NetlistError
     with pytest.raises(NetlistError):
         map_minimal(net)
+
+
+# -- byte identity ---------------------------------------------------------------
+
+# digests of the containers emitted by the bit-by-bit codec
+PINNED_AREA_PROGRAMS = [
+    ("add8", lambda: ripple_adder(8), {
+        (256, 32): "c4712642b464b4052d8f0f807be076fe"
+                   "6157752c1e971c40bb8575e9cfd9aeec",
+        (16, 16): "e4a35c89c707edf1d227c92f6fc38449"
+                  "68341231ca8c1b1fd50f3b284ed0406a"}),
+    ("mult4", lambda: multiplier(4), {
+        (256, 32): "192e3bf36cafcfcb061fce4c8ed504d4"
+                   "56e41604d3691e913f9321dd1bff4175",
+        (16, 16): "8f310d72346f71e580d869d524fb390b"
+                  "4b0e1d4101e53663708a615e77a23439"}),
+    ("cmp8", lambda: comparator(8), {
+        (256, 32): "439e1538ced4c38e8f31102456c866f1"
+                   "14367e846239a782fe582d41b98db78a",
+        (16, 16): "33ad60465fada3b72273fe20289d0fd4"
+                  "20ed087a1f34e388d6b85b944a3b26e7"}),
+    ("rand16", lambda: random_aig(16, 120, seed=5, num_outputs=4), {
+        (256, 32): "588f507acb87132d013ee4eee6ebf336"
+                   "cf431d13bc24bb3aa6c9266d2fab600a",
+        (16, 16): "31ad20343bc2b15fa6e64bcd8a9b9f1f"
+                  "c03b45634e0f3355982c242ef1734a46"}),
+]
+
+PINNED_MINIMAL_PROGRAMS = [
+    ("parity8", lambda: aig_to_mig(parity(8)),
+     "d4928222d4c78711ae6b9d72b8f0fc4a2b4d4d245e2c614f49fa7906d2faf50d"),
+    ("randmig", lambda: random_mig(8, 20, seed=4),
+     "c70a17ce9b32f6332f5552a59adc1715eca99897cbe55a673c7d93edae1793d7"),
+]
+
+
+def _digest_and_reread(program):
+    data = write_program(program)
+    back = read_program(data)
+    assert back.instructions == program.instructions
+    # equal decoded words are one shared object
+    assert len({id(i) for i in back.instructions}) == len(
+        set(program.instructions))
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_area_programs_byte_identical():
+    for name, build, digests in PINNED_AREA_PROGRAMS:
+        for (s_d, w_d), digest in digests.items():
+            program, _ = map_area(build(), 4, s_d, w_d)
+            assert _digest_and_reread(program) == digest, (name, s_d, w_d)
+
+
+def test_minimal_programs_byte_identical():
+    for name, build, digest in PINNED_MINIMAL_PROGRAMS:
+        program, _ = map_minimal(normalize_mig(build()))
+        assert _digest_and_reread(program) == digest, name
+
+
+def test_builder_pairs_are_interned():
+    cfg = CrossbarConfig(8, 5)
+    builder = ProgramBuilder(cfg, 2)
+    pairs = builder._pairs({1: 4, 3: 0})
+    assert [(p.valid, p.val) for p in pairs] == [
+        (False, 0), (True, 4), (False, 0), (True, 0), (False, 0)]
+    lay = cfg.layout
+    assert pairs[0] is pairs[2] is lay.nop_pair
+    assert pairs[1] is lay.valid_pairs[4] is lay.pairs[lay.valid_bit | 4]
+    assert pairs[3] is builder._pairs({3: 0})[3]

@@ -1,5 +1,6 @@
 import csv
 import json
+import tempfile
 
 import pytest
 
@@ -184,3 +185,14 @@ def test_bench_fixed_budget_sweep(tmp_path, capsys):
     assert geometry == {(16, 4), (8, 8), (4, 16)}
     assert all(r["verified"] == "True" for r in rows
                if r["status"] == "ok")
+
+
+def test_bench_builtin_removes_its_corpus_directory(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    rc = main(["bench", "--builtin", "--flow", "delay", "--cols", "8"])
+    assert rc == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert rows and all(r["verified"] == "True" for r in rows)
+    assert not list(tmp_path.glob("revamp-corpus-*"))

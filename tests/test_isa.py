@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -7,7 +8,7 @@ from revamp.isa import (SRC_DMR, SRC_PIR, ApplyInstr, BitlinePair,
                         CrossbarConfig, DecodeError, IsaError, ReadInstr,
                         WordlineSelect, WsMode, decode, encode, format_asm,
                         instruction_lengths, parse_asm, parse_asm_line,
-                        read_program, write_program)
+                        read_program, validate_instruction, write_program)
 
 
 def test_instruction_lengths_reference_points():
@@ -64,6 +65,135 @@ def test_codec_roundtrip_non_power_of_two():
         assert decode(encode(instr, cfg), cfg) == instr
 
 
+# -- bit-by-bit reference codec ------------------------------------------------
+#
+# The codec as first written, one field at a time through put/take closures.
+# The table-driven codec must agree with it on every word.
+
+def _oracle_encode(instr, config):
+    validate_instruction(instr, config)
+    sw, bw = config.word_bits, config.bit_bits
+    bits = 0
+    used = 0
+
+    def put(value, width):
+        nonlocal bits, used
+        bits = (bits << width) | (value & ((1 << width) - 1))
+        used += width
+
+    if isinstance(instr, ReadInstr):
+        put(0, 1)
+        put(instr.w, sw)
+    else:
+        put(1, 1)
+        put(instr.w, sw)
+        put(instr.source, 1)
+        put(int(instr.ws.mode), 2)
+        put(instr.ws.wb, bw)
+        for p in instr.pairs:
+            put(1 if p.valid else 0, 1)
+            put(p.val, bw)
+    if used > config.w_i:
+        raise IsaError("instruction longer than w_I")
+    return bits << (config.w_i - used)
+
+
+def _oracle_decode(word, config):
+    if word < 0 or word >> config.w_i:
+        raise DecodeError("word wider than w_I")
+    sw, bw = config.word_bits, config.bit_bits
+    pos = config.w_i
+
+    def take(width):
+        nonlocal pos
+        pos -= width
+        if pos < 0:
+            raise DecodeError("truncated instruction")
+        return (word >> pos) & ((1 << width) - 1)
+
+    opcode = take(1)
+    w = take(sw)
+    if w >= config.s_d:
+        raise DecodeError("address %d out of range" % w)
+    if opcode == 0:
+        if word & ((1 << pos) - 1):
+            raise DecodeError("nonzero padding after read")
+        return ReadInstr(w)
+    source = take(1)
+    ws_code = take(2)
+    if ws_code == 0b10:
+        raise DecodeError("wordline select code 10 is invalid")
+    wb = take(bw)
+    if wb >= config.w_d:
+        raise DecodeError("wb %d out of range" % wb)
+    pairs = []
+    for _ in range(config.w_d):
+        v = take(1)
+        val = take(bw)
+        if val >= config.w_d:
+            raise DecodeError("val %d out of range" % val)
+        pairs.append(BitlinePair(bool(v), val))
+    if pos and word & ((1 << pos) - 1):
+        raise DecodeError("nonzero padding after apply")
+    return ApplyInstr(w, source, WordlineSelect(WsMode(ws_code), wb),
+                      tuple(pairs))
+
+
+def _outcome(fn, word, cfg):
+    try:
+        return fn(word, cfg)
+    except DecodeError as exc:
+        return "DecodeError: %s" % exc
+
+
+def _fuzz_words(rng, cfg, n):
+    """Raw, valid, bit-flipped and padding-cleared words, some too wide."""
+    il_read, il_apply = instruction_lengths(cfg)
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            yield rng.getrandbits(cfg.w_i + (i % 8 == 0))
+        elif kind == 1:
+            yield _oracle_encode(_random_instruction(rng, cfg), cfg)
+        elif kind == 2:
+            word = _oracle_encode(_random_instruction(rng, cfg), cfg)
+            for _ in range(rng.randint(1, 3)):
+                word ^= 1 << rng.randrange(cfg.w_i)
+            yield word
+        else:
+            length = il_apply if rng.random() < 0.5 else il_read
+            word = rng.getrandbits(length - 1)
+            if length == il_apply:
+                word |= 1 << (length - 1)
+            yield word << (cfg.w_i - length)
+
+
+CODEC_GEOMETRIES = [(1, 2, None), (3, 3, None), (8, 4, None), (5, 32, None),
+                    (64, 16, None), (64, 64, None), (6, 5, 40)]
+
+
+@pytest.mark.parametrize("s_d,w_d,w_i", CODEC_GEOMETRIES)
+def test_decode_matches_bitwise_reference(s_d, w_d, w_i):
+    cfg = CrossbarConfig(s_d, w_d, w_i=w_i)
+    rng = random.Random(77 * s_d + w_d)
+    kinds = set()
+    for word in _fuzz_words(rng, cfg, 20000):
+        want = _outcome(_oracle_decode, word, cfg)
+        assert _outcome(decode, word, cfg) == want, hex(word)
+        kinds.add(want.split(" ")[1] if isinstance(want, str)
+                  else type(want).__name__)
+    assert {"ReadInstr", "ApplyInstr"} <= kinds
+
+
+@pytest.mark.parametrize("s_d,w_d,w_i", CODEC_GEOMETRIES)
+def test_encode_matches_bitwise_reference(s_d, w_d, w_i):
+    cfg = CrossbarConfig(s_d, w_d, w_i=w_i)
+    rng = random.Random(91 * s_d + w_d)
+    for _ in range(2000):
+        instr = _random_instruction(rng, cfg)
+        assert encode(instr, cfg) == _oracle_encode(instr, cfg)
+
+
 def test_decode_rejects_bad_ws():
     cfg = CrossbarConfig(4, 2)
     instr = ApplyInstr(1, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
@@ -111,6 +241,57 @@ def test_container_roundtrip():
     assert again.result_locations == prog.result_locations
     assert again.num_pis == prog.num_pis
     assert again.config.s_d == 3 and again.config.w_d == 2
+
+
+def test_container_shares_repeated_instructions():
+    prog = two_bit_xor_program()
+    assert prog.instructions[2] == prog.instructions[7]
+    again = read_program(write_program(prog))
+    assert again.instructions == prog.instructions
+    assert again.instructions[2] is again.instructions[7]
+    assert len({id(i) for i in again.instructions}) == len(
+        set(prog.instructions))
+
+
+# header: magic, S_D w_D S_I w_I num_pis, instruction count
+_W_I_OFFSET, _COUNT_OFFSET = 16, 24
+
+
+def _with_header(data, offset, value):
+    return data[:offset] + struct.pack("<I", value) + data[offset + 4:]
+
+
+def test_container_rejects_instructions_past_the_end():
+    data = write_program(two_bit_xor_program())
+    with pytest.raises(IsaError, match="overrun"):
+        read_program(data[:_COUNT_OFFSET + 4 + 8 * 2 - 1])
+    with pytest.raises(IsaError, match="overrun"):
+        read_program(_with_header(data, _COUNT_OFFSET, len(data)))
+    # a w_I far wider than the container is refused before any decoding
+    with pytest.raises(IsaError, match="overrun"):
+        read_program(_with_header(data, _W_I_OFFSET, 2**32 - 1))
+
+
+def test_container_builds_no_codec_table_without_instructions():
+    """An empty program's header is not bounded by any instruction bytes."""
+    header = struct.pack("<5I", 3, 2**20, 1, 2**32 - 1, 0)
+    data = b"RVMP" + header + struct.pack("<3I", 0, 0, 0)
+    prog = read_program(data)
+    assert prog.instructions == [] and prog.config.w_d == 2**20
+    assert "layout" not in vars(prog.config)
+
+
+def test_container_rejects_bad_result_name():
+    data = write_program(two_bit_xor_program())
+    at = data.index(b"x0")
+    with pytest.raises(IsaError, match="utf-8"):
+        read_program(data[:at] + b"\xff" + data[at + 1:])
+
+
+def test_container_rejects_trailing_bytes():
+    data = write_program(two_bit_xor_program())
+    with pytest.raises(IsaError, match="trailing"):
+        read_program(data + b"\0")
 
 
 def test_program_validation_catches_missing_schedule():
