@@ -8,6 +8,7 @@ Subpackages:
 * ``simulator`` -- bit-exact machine model with pipeline timing
 * ``lutmap``    -- k-input LUT covering and device-demand sizing
 * ``esop``      -- exclusive sum-of-products extraction and evaluation
+* ``codegen``   -- the program builder and instruction/cycle counts
 * ``areamap``   -- area-constrained flow and the depth-bounded mapper
 * ``delaymap``  -- delay-focused flow (roles, blocks, packing, codegen)
 * ``verifier``  -- equivalence, exact bin packing, schedule replay

@@ -29,21 +29,21 @@ The same working-area machinery implements the depth-bounded mapper
 (``map_minimal``): a single-output fanout-free MIG of depth k is evaluated
 with at most 2(k+1) devices on a two-bitline crossbar, one operand row per
 tree level plus an inverter/host row.
+
+Both mappers emit through ``codegen.ProgramBuilder``, as the delay flow does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .codegen import ProgramBuilder
 from .esop import Cube, EsopCover, extract_esop
-from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR, ApplyInstr,
-                  BitlinePair, CrossbarConfig, Program, ReadInstr,
-                  WordlineSelect, WsMode)
+from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .lutmap import (LUT_REF, PI_REF, LutGraph, cover_klut, min_dev,
                      storage_capacity)
 from .netlist import CONST0, MAJ, LogicNetwork, NetlistError, levels
 from .reports import MappingReport
-from .simulator import PIPELINE_FILL
 
 E0, E1, E2 = 0, 1, 2  # working rows: staging, xor scratch, accumulators
 
@@ -54,93 +54,6 @@ class InfeasibleMapping(RuntimeError):
                          % (needed, capacity))
         self.needed = needed
         self.capacity = capacity
-
-
-# -- instruction emission -------------------------------------------------------
-
-class ProgramBuilder:
-    """Accumulates instructions, PIR slot schedules and result locations.
-
-    Tracks which word the data register currently mirrors so redundant
-    readouts are skipped; a write to the mirrored word forces a re-read.
-    """
-
-    def __init__(self, config: CrossbarConfig, num_pis: int):
-        self.config = config
-        self.num_pis = num_pis
-        self.instructions = []
-        self.pir_schedule = {}
-        self.result_locations = {}
-        self.touched = set()
-        self.maj_applies = 0
-        self._dmr_word = None  # word a Read would be redundant for
-        self._dmr_loaded = False
-
-    @property
-    def i_read(self):
-        return sum(1 for i in self.instructions if isinstance(i, ReadInstr))
-
-    @property
-    def i_apply(self):
-        return len(self.instructions) - self.i_read
-
-    def read(self, w: int):
-        if self._dmr_word == w:
-            return
-        self.instructions.append(ReadInstr(w))
-        self._dmr_word = w
-        self._dmr_loaded = True
-
-    def _pairs(self, wires: dict[int, int]) -> tuple[BitlinePair, ...]:
-        lay = self.config.layout
-        pairs = [lay.nop_pair] * self.config.w_d
-        for j, val in wires.items():
-            pairs[j] = lay.valid_pairs[val]
-        return tuple(pairs)
-
-    def apply_from_dmr(self, w: int, mode: WsMode, wires: dict[int, int],
-                       wb: int = 0):
-        if not self._dmr_loaded:
-            raise RuntimeError("apply from DMR before any readout")
-        instr = ApplyInstr(w, SRC_DMR, WordlineSelect(mode, wb),
-                           self._pairs(wires))
-        self.instructions.append(instr)
-        self.touched.update((w, j) for j in wires)
-        if w == self._dmr_word:
-            self._dmr_word = None
-
-    def apply_from_pir(self, w: int, mode: WsMode, wires: dict[int, int]):
-        """Apply with PIR wires given as slot codes (PI index or constant)."""
-        slots = [SLOT_CONST0] * self.config.w_d
-        position = {}
-        wire_vals = {}
-        for j in sorted(wires):
-            code = wires[j]
-            if code not in position:
-                if len(position) >= self.config.w_d:
-                    raise RuntimeError("more distinct PIR wires than lines")
-                position[code] = len(position)
-                slots[position[code]] = code
-            wire_vals[j] = position[code]
-        idx = len(self.instructions)
-        instr = ApplyInstr(w, SRC_PIR, WordlineSelect(mode, 0),
-                           self._pairs(wire_vals))
-        self.instructions.append(instr)
-        self.pir_schedule[idx] = tuple(slots)
-        self.touched.update((w, j) for j in wires)
-        if w == self._dmr_word:
-            self._dmr_word = None
-
-    def reset_bits(self, w: int, bits):
-        bits = [b for b in bits]
-        if bits:
-            self.apply_from_pir(w, WsMode.ZERO, {b: SLOT_CONST1 for b in bits})
-
-    def finish(self) -> Program:
-        prog = Program(self.config, self.instructions, self.pir_schedule,
-                       self.result_locations, self.num_pis)
-        prog.validate()
-        return prog
 
 
 # -- operand sources ---------------------------------------------------------------
@@ -328,26 +241,7 @@ def write_back(builder: ProgramBuilder, result_bit: int, word: int, bit: int,
     builder.reset_bits(E2, [result_bit])
 
 
-# -- standalone entry points used by tests and the verifier ---------------------
-
-def gen_cube_program(cover: EsopCover, sources: list[VarSource],
-                     config: CrossbarConfig):
-    """Instructions computing the cover's cubes on e2 (no reduction)."""
-    if len(cover.cubes) > config.w_d:
-        raise ValueError("batch wider than the bitline count; use "
-                         "gen_esop_program for iterated covers")
-    builder = ProgramBuilder(config, _num_pir_vars(sources))
-    compute_cube_batch(builder, cover.cubes, list(range(len(cover.cubes))),
-                       sources)
-    return builder
-
-
-def gen_xor_reduction(bits: list[int], config: CrossbarConfig,
-                      num_pis: int = 0):
-    builder = ProgramBuilder(config, num_pis)
-    result = xor_reduce(builder, bits)
-    return builder, result
-
+# -- standalone cover program ------------------------------------------------------
 
 def gen_esop_program(cover: EsopCover, config: CrossbarConfig,
                      sources: list[VarSource] | None = None
@@ -512,9 +406,7 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         levels=max((l.level for l in graph.luts), default=0),
         min_dev=min_dev(graph),
         s_d=s_d, w_d=w_d,
-        i_apply=builder.i_apply, i_read=builder.i_read,
-        i_total=len(program.instructions),
-        cycles=len(program.instructions) + PIPELINE_FILL,
+        **builder.counts(),
     )
     return program, report
 
@@ -533,12 +425,7 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         raise NetlistError("map_minimal expects a MIG")
     if len(mig.outputs) != 1:
         raise NetlistError("map_minimal maps single-output networks")
-    refs = [0] * len(mig.nodes)
-    for n in mig.nodes:
-        for e in n.fanins:
-            refs[e.target] += 1
-    for e in mig.outputs:
-        refs[e.target] += 1
+    refs = mig.fanout_counts()
     for i, n in enumerate(mig.nodes):
         if n.kind == MAJ and refs[i] > 1:
             raise NetlistError("map_minimal needs a fanout-free MIG; "
@@ -620,7 +507,6 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         store_operand(host, False, word, bit)
         builder.read(row)
         builder.apply_from_dmr(word, WsMode.FROM_SOURCE, {bit: 0}, wb=1)
-        builder.maj_applies += 1
         builder.reset_bits(row, [0, 1])
 
     out_name = mig.output_names[0]
@@ -646,9 +532,7 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         n_maj=n_maj,
         levels=k,
         s_d=config.s_d, w_d=2,
-        i_apply=builder.i_apply, i_read=builder.i_read,
-        i_total=len(program.instructions),
-        cycles=len(program.instructions) + PIPELINE_FILL,
+        **builder.counts(),
         devices_used=len(builder.touched),
         device_bound=2 * (k + 1),
     )

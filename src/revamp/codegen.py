@@ -1,0 +1,96 @@
+"""Program construction shared by the area, depth-bounded and delay flows.
+
+Every flow emits the same two-instruction program through one
+:class:`ProgramBuilder`, and reads its instruction counts and cycle count
+from the same place.  The builder does not validate what it builds: the
+program is checked where it is encoded (``isa.write_program``) or executed
+(``simulator.run_vectors``).
+"""
+
+from __future__ import annotations
+
+from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR, ApplyInstr,
+                  BitlinePair, CrossbarConfig, Program, ReadInstr,
+                  WordlineSelect, WsMode)
+from .simulator import PIPELINE_FILL
+
+
+class ProgramBuilder:
+    """Accumulates instructions, PIR slot schedules and result locations.
+
+    Tracks which word the data register currently mirrors so redundant
+    readouts are skipped; a write to the mirrored word forces a re-read.
+    """
+
+    def __init__(self, config: CrossbarConfig, num_pis: int):
+        self.config = config
+        self.num_pis = num_pis
+        self.instructions = []
+        self.pir_schedule = {}
+        self.result_locations = {}
+        self.touched = set()
+        self._dmr_word = None  # word a Read would be redundant for
+        self._dmr_loaded = False
+
+    def counts(self) -> dict[str, int]:
+        """Instruction mix and cycle count, keyed as in ``MappingReport``."""
+        i_total = len(self.instructions)
+        i_read = sum(1 for i in self.instructions if isinstance(i, ReadInstr))
+        return {"i_apply": i_total - i_read, "i_read": i_read,
+                "i_total": i_total, "cycles": i_total + PIPELINE_FILL}
+
+    def read(self, w: int):
+        if self._dmr_word == w:
+            return
+        self.instructions.append(ReadInstr(w))
+        self._dmr_word = w
+        self._dmr_loaded = True
+
+    def _pairs(self, wires: dict[int, int]) -> tuple[BitlinePair, ...]:
+        lay = self.config.layout
+        pairs = [lay.nop_pair] * self.config.w_d
+        for j, val in wires.items():
+            pairs[j] = lay.valid_pairs[val]
+        return tuple(pairs)
+
+    def apply_from_dmr(self, w: int, mode: WsMode, wires: dict[int, int],
+                       wb: int = 0):
+        if not self._dmr_loaded:
+            raise RuntimeError("apply from DMR before any readout")
+        instr = ApplyInstr(w, SRC_DMR, WordlineSelect(mode, wb),
+                           self._pairs(wires))
+        self.instructions.append(instr)
+        self.touched.update((w, j) for j in wires)
+        if w == self._dmr_word:
+            self._dmr_word = None
+
+    def apply_from_pir(self, w: int, mode: WsMode, wires: dict[int, int]):
+        """Apply with PIR wires given as slot codes (PI index or constant)."""
+        slots = [SLOT_CONST0] * self.config.w_d
+        position = {}
+        wire_vals = {}
+        for j in sorted(wires):
+            code = wires[j]
+            if code not in position:
+                if len(position) >= self.config.w_d:
+                    raise RuntimeError("more distinct PIR wires than lines")
+                position[code] = len(position)
+                slots[position[code]] = code
+            wire_vals[j] = position[code]
+        idx = len(self.instructions)
+        instr = ApplyInstr(w, SRC_PIR, WordlineSelect(mode, 0),
+                           self._pairs(wire_vals))
+        self.instructions.append(instr)
+        self.pir_schedule[idx] = tuple(slots)
+        self.touched.update((w, j) for j in wires)
+        if w == self._dmr_word:
+            self._dmr_word = None
+
+    def reset_bits(self, w: int, bits):
+        bits = list(bits)
+        if bits:
+            self.apply_from_pir(w, WsMode.ZERO, {b: SLOT_CONST1 for b in bits})
+
+    def finish(self) -> Program:
+        return Program(self.config, self.instructions, self.pir_schedule,
+                       self.result_locations, self.num_pis)

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .areamap import ProgramBuilder
+from .codegen import ProgramBuilder
 from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .netlist import CONST0, MAJ, PI, Edge, LogicNetwork, NetlistError, levels
 from .reports import MappingReport
-from .simulator import PIPELINE_FILL
 
 
 @dataclass(frozen=True)
@@ -510,7 +509,6 @@ def gen_program_delay(mig: LogicNetwork, roles, formation: BlockFormation,
             else:
                 builder.apply_from_dmr(host_w, WsMode.FROM_SOURCE, wires,
                                        wb=wl_b)
-            builder.maj_applies += 1
 
         # negated copies of this level's values, written through the bitline
         copies = []
@@ -542,8 +540,7 @@ def report_delay_stats(builder: ProgramBuilder, mig: LogicNetwork,
     w_d = packing.w_d
     occupied = sum(len(b) for b in formation.blocks)
     total = packing.n_words * w_d
-    i_total = len(builder.instructions)
-    cycles = i_total + PIPELINE_FILL
+    counts = builder.counts()
     d_p_star = 9 * n_maj
     return MappingReport(
         flow="delay",
@@ -551,12 +548,11 @@ def report_delay_stats(builder: ProgramBuilder, mig: LogicNetwork,
         n_maj=n_maj,
         levels=max((levels(mig)[e.target] for e in mig.outputs), default=0),
         s_d=builder.config.s_d, w_d=w_d,
-        i_apply=builder.i_apply, i_read=builder.i_read, i_total=i_total,
-        cycles=cycles,
+        **counts,
         n_blocks=len(formation.blocks),
         w_util=100.0 * occupied / total if total else 100.0,
         d_p_star=d_p_star,
-        speedup=d_p_star / cycles if cycles else None,
+        speedup=d_p_star / counts["cycles"],
     )
 
 

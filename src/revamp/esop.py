@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .netlist import pi_patterns
+
 
 class EsopError(ValueError):
     pass
@@ -91,14 +93,25 @@ def eval_esop(cover: EsopCover, assignment) -> int:
 
 
 def cover_truth_table(cover: EsopCover) -> int:
-    """Packed truth table of a cover (bit k = value under assignment k)."""
-    n_vec = 1 << cover.arity
+    """Packed truth table of a cover (bit k = value under assignment k).
+
+    Each cube is the AND of its literals' input patterns.  A literal on a
+    variable at or beyond ``arity`` is 0 under every assignment, so a
+    positive one zeroes the cube and a negative one drops out.
+    """
+    pats = pi_patterns(cover.arity)
+    full = (1 << (1 << cover.arity)) - 1
     tt = 0
     for c in cover.cubes:
-        cube_tt = 0
-        for k in range(n_vec):
-            cube_tt |= c.evaluate(k) << k
-        tt ^= cube_tt
+        if c.pos >> cover.arity:
+            continue
+        term = full
+        for v, pat in enumerate(pats):
+            if (c.pos >> v) & 1:
+                term &= pat
+            elif (c.neg >> v) & 1:
+                term &= ~pat
+        tt ^= term
     return tt
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .netlist import AND, CONST0, PI, LogicNetwork, NetlistError
+from .netlist import (AND, CONST0, PI, LogicNetwork, NetlistError, gate_mask,
+                      pi_patterns)
 
 # LUT inputs are tagged references: ("pi", pi_index) or ("lut", lut_id).
 PI_REF = "pi"
@@ -53,35 +54,24 @@ def lut_truth_table(lut: Lut) -> list[int]:
 
 def _cone_tt(network: LogicNetwork, root: int, leaves: list[int]) -> int:
     """Packed truth table of the cone under ``root`` over the given leaves."""
-    n_leaves = len(leaves)
-    full = (1 << (1 << n_leaves)) - 1
-    masks = {}
-    for i, leaf in enumerate(leaves):
-        block = (1 << (1 << i)) - 1
-        pat = 0
-        for start in range(1 << i, 1 << n_leaves, 1 << (i + 1)):
-            pat |= block << start
-        masks[leaf] = pat
-
-    def value(nid: int) -> int:
-        if nid in masks:
-            return masks[nid]
+    full = (1 << (1 << len(leaves))) - 1
+    vals = dict(zip(leaves, pi_patterns(len(leaves))))
+    stack = [root]  # explicit post-order: a deep cone must not recurse
+    while stack:
+        nid = stack[-1]
+        if nid in vals:
+            stack.pop()
+            continue
         node = network.nodes[nid]
-        if node.kind == CONST0:
-            v = 0
-        elif node.kind == PI:
+        if node.kind == PI:
             raise NetlistError("cone leaked past a primary input")
-        else:
-            ops = [value(e.target) ^ (full if e.inverted else 0)
-                   for e in node.fanins]
-            if node.kind == AND:
-                v = ops[0] & ops[1]
-            else:
-                v = (ops[0] & ops[1]) | (ops[0] & ops[2]) | (ops[1] & ops[2])
-        masks[nid] = v
-        return v
-
-    return value(root)
+        pending = [e.target for e in node.fanins if e.target not in vals]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        vals[nid] = gate_mask(node, vals, full)
+    return vals[root]
 
 
 def _grow_cut(network: LogicNetwork, root: int, k: int,
@@ -121,6 +111,7 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
         raise NetlistError("cover_klut expects an AIG")
     if not 2 <= k <= 16:
         raise NetlistError("k must be in 2..16")
+    nodes = network.nodes
     fanout = network.fanout_counts()
     pi_of = {nid: i for i, nid in enumerate(network.pis)}
 
@@ -128,20 +119,32 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
     lut_of: dict[int, int] = {}  # and-node id -> lut id
 
     def ensure_lut(root: int) -> int:
-        if root in lut_of:
-            return lut_of[root]
-        cut = _grow_cut(network, root, k, fanout)
-        tt = _cone_tt(network, root, cut)
-        refs = []
-        for leaf in cut:
-            if network.nodes[leaf].kind == PI:
-                refs.append((PI_REF, pi_of[leaf]))
-            else:
-                refs.append((LUT_REF, ensure_lut(leaf)))
-        lid = len(graph.luts)
-        graph.luts.append(Lut(lid, tuple(refs), tt))
-        lut_of[root] = lid
-        return lid
+        """LUT of ``root``, creating the LUTs under it first (post-order)."""
+        # explicit stack, so that a deep network does not recurse; an entry
+        # carries its cut once the leaves above it have been pushed
+        stack = [(root, None)]
+        while stack:
+            nid, cut = stack.pop()
+            if nid in lut_of:
+                continue
+            if cut is None:
+                cut = _grow_cut(network, nid, k, fanout)
+                stack.append((nid, cut))
+                for leaf in reversed(cut):  # first leaf on top
+                    if leaf not in lut_of and nodes[leaf].kind != PI:
+                        stack.append((leaf, None))
+                continue
+            refs = []
+            for leaf in cut:
+                if nodes[leaf].kind == PI:
+                    refs.append((PI_REF, pi_of[leaf]))
+                else:
+                    refs.append((LUT_REF, lut_of[leaf]))
+            lid = len(graph.luts)
+            graph.luts.append(Lut(lid, tuple(refs),
+                                  _cone_tt(network, nid, cut)))
+            lut_of[nid] = lid
+        return lut_of[root]
 
     # one LUT per output edge; a complemented edge folds into the root LUT
     # itself when the root only feeds that output, otherwise it gets an
@@ -216,16 +219,8 @@ def evaluate_lut_graph_masks(graph: LutGraph, pi_masks: list[int],
 
 
 def lut_graph_truth_tables(graph: LutGraph) -> list[int]:
-    n = graph.num_pis
-    full = (1 << (1 << n)) - 1
-    pats = []
-    for i in range(n):
-        block = (1 << (1 << i)) - 1
-        pat = 0
-        for start in range(1 << i, 1 << n, 1 << (i + 1)):
-            pat |= block << start
-        pats.append(pat)
-    return evaluate_lut_graph_masks(graph, pats, full)
+    full = (1 << (1 << graph.num_pis)) - 1
+    return evaluate_lut_graph_masks(graph, pi_patterns(graph.num_pis), full)
 
 
 # -- sizing -----------------------------------------------------------------------
@@ -247,11 +242,6 @@ def transient_nodes(graph: LutGraph, level: int) -> set[int]:
     return out
 
 
-def level_population(graph: LutGraph, level: int) -> int:
-    at_level = sum(1 for l in graph.luts if l.level == level)
-    return at_level + len(transient_nodes(graph, level))
-
-
 def min_dev(graph: LutGraph) -> int:
     """Device demand: worst sum of two adjacent level populations.
 
@@ -262,19 +252,19 @@ def min_dev(graph: LutGraph) -> int:
     output below the pair of levels stays live as well unless it is already
     counted as a transient.
     """
-    if not graph.luts:
-        return 0
-    l_max = max(l.level for l in graph.luts)
-    pops = [level_population(graph, l) for l in range(l_max + 1)]
-    pops[0] = 0
+    l_max = max((l.level for l in graph.luts), default=0)
     if l_max == 0:
         return 0
+    transients = [transient_nodes(graph, l) for l in range(l_max + 1)]
+    pops = [len(t) for t in transients]
+    for lut in graph.luts:
+        pops[lut.level] += 1
+    pops[0] = 0
     outputs = set(graph.outputs)
     best = 0
     for l in range(l_max):
         held = sum(1 for o in outputs
-                   if graph.luts[o].level < l
-                   and o not in transient_nodes(graph, l))
+                   if graph.luts[o].level < l and o not in transients[l])
         best = max(best, pops[l] + pops[l + 1] + held)
     return best
 

@@ -9,7 +9,9 @@ This module also provides the brute-force functional oracle (``evaluate`` /
 ``truth_table``) used by every other part of the mapper to prove equivalence.
 Truth tables are bit-parallel: all assignments are evaluated at once on
 Python integers, bit k of a table is the value under assignment k, and bit i
-of k is the value of primary input i.
+of k is the value of primary input i.  ``pi_patterns`` builds those input
+patterns and ``gate_mask`` evaluates one gate; the LUT-cover and ESOP oracles
+use the same two.
 """
 
 from __future__ import annotations
@@ -157,8 +159,20 @@ def depth(network: LogicNetwork) -> int:
 
 # -- evaluation ------------------------------------------------------------
 
-def _maj3(a, b, c):
-    return (a & b) | (a & c) | (b & c)
+def gate_mask(node: Node, vals, full: int) -> int:
+    """Mask of an AND, MAJ or CONST0 node given its fanins' masks.
+
+    ``vals`` maps node ids to masks (a list or a dict); ``full`` is the
+    all-ones mask for the vector width.
+    """
+    ops = [vals[e.target] ^ full if e.inverted else vals[e.target]
+           for e in node.fanins]
+    if node.kind == AND:
+        return ops[0] & ops[1]
+    if node.kind == MAJ:
+        a, b, c = ops
+        return (a & b) | (a & c) | (b & c)
+    return 0
 
 
 def evaluate_masks(network: LogicNetwork, pi_masks: list[int], full: int) -> list[int]:
@@ -172,14 +186,8 @@ def evaluate_masks(network: LogicNetwork, pi_masks: list[int], full: int) -> lis
     for i, n in enumerate(network.nodes):
         if n.kind == PI:
             vals[i] = next(it) & full
-        elif n.kind == CONST0:
-            vals[i] = 0
         else:
-            ops = [vals[e.target] ^ (full if e.inverted else 0) for e in n.fanins]
-            if n.kind == AND:
-                vals[i] = ops[0] & ops[1]
-            else:
-                vals[i] = _maj3(ops[0], ops[1], ops[2])
+            vals[i] = gate_mask(n, vals, full)
     return [(vals[e.target] ^ (full if e.inverted else 0)) & full
             for e in network.outputs]
 
@@ -198,36 +206,32 @@ def pi_patterns(num_pis: int) -> list[int]:
     n_vec = 1 << num_pis
     pats = []
     for i in range(num_pis):
-        block = (1 << (1 << i)) - 1
-        pat = 0
+        pat = ((1 << (1 << i)) - 1) << (1 << i)  # one period: 0s, then 1s
         period = 1 << (i + 1)
-        for start in range(1 << i, n_vec, period):
-            pat |= block << start
+        while period < n_vec:  # double the pattern up to 2^num_pis bits
+            pat |= pat << period
+            period <<= 1
         pats.append(pat)
     return pats
-
-
-def truth_table(network: LogicNetwork, max_pis: int = 16) -> list[list[int]]:
-    """Exhaustive truth table, one bit list of length 2^num_pis per output."""
-    k = network.num_pis
-    if k > max_pis:
-        raise NetlistError(
-            "truth_table refused: %d PIs exceeds the %d-PI bound; "
-            "use randomized checking (verifier.check_equivalence random mode)"
-            % (k, max_pis))
-    n_vec = 1 << k
-    full = (1 << n_vec) - 1
-    masks = evaluate_masks(network, pi_patterns(k), full)
-    return [[(m >> v) & 1 for v in range(n_vec)] for m in masks]
 
 
 def truth_table_ints(network: LogicNetwork, max_pis: int = 16) -> list[int]:
     """Truth tables as packed integers (bit k = value under assignment k)."""
     k = network.num_pis
     if k > max_pis:
-        raise NetlistError("too many PIs for exhaustive table: %d" % k)
+        raise NetlistError(
+            "truth_table refused: %d PIs exceeds the %d-PI bound; "
+            "use randomized checking (verifier.check_equivalence random mode)"
+            % (k, max_pis))
     full = (1 << (1 << k)) - 1
     return evaluate_masks(network, pi_patterns(k), full)
+
+
+def truth_table(network: LogicNetwork, max_pis: int = 16) -> list[list[int]]:
+    """Exhaustive truth table, one bit list of length 2^num_pis per output."""
+    n_vec = 1 << network.num_pis
+    return [[(m >> v) & 1 for v in range(n_vec)]
+            for m in truth_table_ints(network, max_pis)]
 
 
 # -- AIG <-> MIG -----------------------------------------------------------
@@ -328,16 +332,6 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
         else:
             out.add_output(Edge(leaf(e.target), e.inverted), name)
     return out
-
-
-def structurally_equal(a: LogicNetwork, b: LogicNetwork) -> bool:
-    """Same shape up to node names: kinds, fanin edges and outputs match."""
-    if a.kind != b.kind or len(a.nodes) != len(b.nodes):
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if na.kind != nb.kind or na.fanins != nb.fanins:
-            return False
-    return a.outputs == b.outputs
 
 
 # -- ASCII AIGER -------------------------------------------------------------

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from revamp.areamap import (E2, InfeasibleMapping, ProgramBuilder,
-                            PirVar, StoredVar, compute_cube_batch,
-                            gen_cube_program, gen_esop_program,
-                            gen_xor_reduction, map_area, map_lut_graph,
-                            map_minimal, schedule_luts, xor_reduce)
+from revamp.areamap import (E2, InfeasibleMapping, PirVar, StoredVar,
+                            compute_cube_batch, gen_esop_program, map_area,
+                            map_lut_graph, map_minimal, schedule_luts,
+                            xor_reduce)
 from revamp.circuits import (comparator, full_adder, multiplier, parity,
                              ripple_adder, two_bit_xor)
+from revamp.codegen import ProgramBuilder
 from revamp.esop import Cube, EsopCover, Literal, extract_esop
 from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, WsMode,
                         read_program, write_program)
@@ -149,7 +149,8 @@ def test_single_positive_cube():
     cfg = CrossbarConfig(3, 2)
     cover = EsopCover([Cube.from_literals([Literal(0, False),
                                            Literal(1, False)])], 2)
-    builder = gen_cube_program(cover, [PirVar(0), PirVar(1)], cfg)
+    builder = ProgramBuilder(cfg, 2)
+    compute_cube_batch(builder, cover.cubes, [0], [PirVar(0), PirVar(1)])
     from revamp.isa import Program
     prog = Program(cfg, builder.instructions, builder.pir_schedule, {}, 2)
     for a, b in itertools.product((0, 1), repeat=2):
@@ -160,7 +161,8 @@ def test_single_positive_cube():
 def test_empty_cube_is_single_set_instruction():
     cfg = CrossbarConfig(3, 2)
     cover = EsopCover([Cube()], 0)
-    builder = gen_cube_program(cover, [], cfg)
+    builder = ProgramBuilder(cfg, 0)
+    compute_cube_batch(builder, cover.cubes, [0], [])
     assert len(builder.instructions) == 1
     instr = builder.instructions[0]
     assert isinstance(instr, ApplyInstr)
@@ -200,7 +202,8 @@ def test_xor_reduction_tree():
 
 def test_xor_reduction_four_terms_two_rounds():
     cfg = CrossbarConfig(3, 4)
-    builder, result = gen_xor_reduction([0, 1, 2, 3], cfg)
+    builder = ProgramBuilder(cfg, 0)
+    result = xor_reduce(builder, [0, 1, 2, 3])
     # two rounds of twelve instructions each; pairs share instructions
     assert len(builder.instructions) == 24
     assert result == 0

@@ -95,3 +95,27 @@ def test_pla_rejects_bad_rows():
 def test_extraction_bound():
     with pytest.raises(EsopError):
         extract_esop(0, 17)
+
+
+def test_cover_truth_table_matches_eval_esop():
+    """The mask-based table agrees with per-assignment evaluation, including
+    literals on variables at or beyond the arity (a positive one zeroes the
+    cube, a negative one always holds)."""
+    rng = random.Random(31)
+    for trial in range(400):
+        arity = rng.randrange(0, 8)
+        cubes = []
+        for _ in range(rng.randrange(0, 10)):
+            pos = neg = 0
+            for v in range(arity + 2):
+                pick = rng.randrange(4)
+                if pick == 1:
+                    pos |= 1 << v
+                elif pick == 2:
+                    neg |= 1 << v
+            cubes.append(Cube(pos, neg))
+        cover = EsopCover(cubes, arity)
+        want = 0
+        for k in range(1 << arity):
+            want |= eval_esop(cover, k) << k
+        assert cover_truth_table(cover) == want, "trial %d" % trial

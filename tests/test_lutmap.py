@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from revamp.circuits import full_adder, ripple_adder
-from revamp.lutmap import (Lut, LutGraph, assign_levels, cover_klut, feasible,
+from revamp.circuits import AigBuilder, full_adder, parity, ripple_adder
+from revamp.lutmap import (Lut, LutGraph, _cone_tt, _grow_cut, assign_levels,
+                           cover_klut, evaluate_lut_graph_masks, feasible,
                            lut_graph_truth_tables, lut_truth_table, min_dev,
                            transient_nodes)
-from revamp.netlist import (AND, Edge, LogicNetwork, parse_aiger, random_aig,
-                            truth_table_ints)
+from revamp.netlist import (AND, Edge, LogicNetwork, evaluate_masks,
+                            parse_aiger, random_aig, truth_table_ints)
 
 
 def test_trivial_cover_one_lut_per_and():
@@ -221,3 +222,64 @@ def test_feasibility_gate_boundary():
     assert feasible(graph, 4, 2)        # capacity (4-3)*2 = 2: equality holds
     assert not feasible(graph, 4, 1)    # capacity 1
     assert not feasible(graph, 3, 8)    # no storage rows at all
+
+
+def _scalar_cone(net, root, leaves, leaf_bits):
+    """Value of ``root`` with the leaves forced, by scalar topological
+    evaluation (inputs outside the cut are 0 and must not matter)."""
+    vals = []
+    for i, n in enumerate(net.nodes[:root + 1]):
+        if i in leaf_bits:
+            vals.append(leaf_bits[i])
+        elif n.kind == AND:
+            a, b = (vals[e.target] ^ e.inverted for e in n.fanins)
+            vals.append(a & b)
+        else:
+            vals.append(0)
+    return vals[root]
+
+
+def test_cone_tt_matches_scalar_reference():
+    for seed in range(15):
+        net = LogicNetwork(kind="aig")
+        for _ in range(6):
+            net.add_pi()
+        net.add_const0()
+        rng = random.Random(seed)
+        for _ in range(30):
+            hi = len(net.nodes)
+            net.add_node(AND, (Edge(rng.randrange(hi), rng.random() < 0.5),
+                               Edge(rng.randrange(hi), rng.random() < 0.5)))
+        net.add_output(Edge(len(net.nodes) - 1))
+        fanout = net.fanout_counts()
+        for k in (2, 4, 6):
+            for root in net.internal_nodes():
+                cut = _grow_cut(net, root, k, fanout)
+                tt = _cone_tt(net, root, cut)
+                for a in range(1 << len(cut)):
+                    bits = {leaf: (a >> i) & 1 for i, leaf in enumerate(cut)}
+                    assert (tt >> a) & 1 == _scalar_cone(net, root, cut, bits)
+
+
+def _and_chain(n):
+    b = AigBuilder()
+    acc = b.pi()
+    for _ in range(n - 1):
+        acc = b.and_(acc, b.pi())
+    b.output(acc, "y")
+    return b.build()
+
+
+@pytest.mark.parametrize("build", [lambda: parity(2000),
+                                   lambda: _and_chain(3000)],
+                         ids=["parity2000", "and_chain3000"])
+def test_cover_deep_networks_without_recursion(build):
+    net = build()
+    graph = cover_klut(net, 4)
+    assert all(len(l.inputs) <= 4 for l in graph.luts)
+    rng = random.Random(2000)
+    full = (1 << 64) - 1
+    for _ in range(4):
+        masks = [rng.getrandbits(64) for _ in range(net.num_pis)]
+        assert (evaluate_lut_graph_masks(graph, masks, full)
+                == evaluate_masks(net, masks, full))
