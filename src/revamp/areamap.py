@@ -274,6 +274,7 @@ class LutSchedule:
     # ordered events: ("reset", word, [(bit, lut_id), ...]) and
     # ("place", lut_id, word, bit)
     events: list = field(default_factory=list)
+    min_dev: int = 0  # device demand of the graph, checked against capacity
 
 
 def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
@@ -302,7 +303,7 @@ def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
                 succs[ref].add(lut.id)
     pinned = set(graph.outputs)  # result devices stay live forever
 
-    sched = LutSchedule()
+    sched = LutSchedule(min_dev=need)
     scheduled: set[int] = set()
 
     def place(lut_id: int, w: int):
@@ -404,7 +405,7 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         num_pis=graph.num_pis,
         n_lut=len(graph.luts),
         levels=max((l.level for l in graph.luts), default=0),
-        min_dev=min_dev(graph),
+        min_dev=sched.min_dev,
         s_d=s_d, w_d=w_d,
         **builder.counts(),
     )

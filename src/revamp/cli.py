@@ -337,8 +337,9 @@ def build_parser():
     c = sub.add_parser("verify", help="prove a program against its network")
     c.add_argument("netlist")
     c.add_argument("program")
-    c.add_argument("--exhaustive", action="store_true", default=False)
-    c.add_argument("--random", type=int, default=0, metavar="N")
+    mode = c.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true", default=False)
+    mode.add_argument("--random", type=int, default=0, metavar="N")
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_verify)
 

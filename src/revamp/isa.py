@@ -362,6 +362,14 @@ class Program:
 # count, results as (u16 name length, utf-8 name, u32 word, u32 bit).
 
 def write_program(program: Program) -> bytes:
+    try:
+        return _write_program(program)
+    except struct.error as exc:  # a field wider than its container slot
+        raise IsaError("program does not fit the container: %s" % exc
+                       ) from None
+
+
+def _write_program(program: Program) -> bytes:
     program.validate()
     cfg = program.config
     nbytes = (cfg.w_i + 7) // 8

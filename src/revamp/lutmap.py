@@ -33,9 +33,6 @@ class Lut:
     tt: int  # packed truth table over the inputs, 2^len(inputs) bits
     level: int = 0
 
-    def num_inputs(self) -> int:
-        return len(self.inputs)
-
 
 @dataclass
 class LutGraph:

@@ -108,10 +108,6 @@ class LogicNetwork:
     def num_pis(self) -> int:
         return len(self.pis)
 
-    def pi_index(self, nid) -> int:
-        """Position of a PI node in the PI ordering (PIR line number)."""
-        return self.pis.index(nid)
-
     def internal_nodes(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if n.kind in (AND, MAJ)]
 
@@ -150,11 +146,6 @@ def level(network: LogicNetwork, node: int) -> int:
     if not 0 <= node < len(network.nodes):
         raise NetlistError("no node %d in network" % node)
     return levels(network)[node]
-
-
-def depth(network: LogicNetwork) -> int:
-    lv = levels(network)
-    return max((lv[e.target] for e in network.outputs), default=0)
 
 
 # -- evaluation ------------------------------------------------------------

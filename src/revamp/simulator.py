@@ -15,6 +15,13 @@ integer mask whose bit k is the value under input vector k.  Running a
 single concrete assignment is the width-1 special case.  The fetch/decode/
 execute pipeline is modelled as a flat two-cycle fill, so a T-instruction
 program takes T + 2 cycles.
+
+:func:`run_vectors` checks a program once, up front: ``Program.validate()``
+admits every address, source, wordline select, ``val`` and PIR schedule
+entry, and the input count is checked against ``num_pis``.  One unchecked
+loop then executes the instructions.  A machine state refuses a geometry of
+more than ``MAX_DEVICES`` devices before it allocates anything, since a
+container header may declare any ``S_D`` and ``w_D`` that fit its fields.
 """
 
 from __future__ import annotations
@@ -22,19 +29,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_PIR, ApplyInstr,
-                  CrossbarConfig, Instruction, Program, ReadInstr, WsMode,
-                  format_asm)
+from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_PIR, CrossbarConfig,
+                  Instruction, Program, ReadInstr, WsMode, format_asm)
 
 PIPELINE_FILL = 2
 
+# Largest device matrix a machine state allocates: four 1024x1024 crossbars.
+MAX_DEVICES = 1 << 22
+
 
 class SimulationError(RuntimeError):
-    def __init__(self, message, index=None):
-        if index is not None:
-            message = "instruction %d: %s" % (index, message)
-        super().__init__(message)
-        self.index = index
+    pass
 
 
 def device_step(z: int, wl: int, bl: int, full: int = 1) -> int:
@@ -54,15 +59,16 @@ class MachineState:
     full: int = 1  # all-ones mask for the simulated vector width
 
     def __post_init__(self):
+        s_d, w_d = self.config.s_d, self.config.w_d
+        if s_d * w_d > MAX_DEVICES:
+            raise SimulationError("a %dx%d crossbar has more than %d devices"
+                                  % (s_d, w_d, MAX_DEVICES))
         if not self.dcm:
-            self.dcm = [[0] * self.config.w_d for _ in range(self.config.s_d)]
+            self.dcm = [[0] * w_d for _ in range(s_d)]
         if not self.dmr:
-            self.dmr = [0] * self.config.w_d
+            self.dmr = [0] * w_d
         if not self.pir:
-            self.pir = [0] * self.config.w_d
-
-    def word_bits(self, w: int) -> list[int]:
-        return list(self.dcm[w])
+            self.pir = [0] * w_d
 
 
 @dataclass
@@ -76,6 +82,12 @@ class TraceStep:
     dcm: list[list[int]] | None = None  # full grid, when state is recorded
 
 
+def _grid_rows(dcm: list[list[int]], indent: str = "") -> list[str]:
+    """One line per wordline, highest wordline first."""
+    return ["%sw%-3d %s" % (indent, w, " ".join(map(str, dcm[w])))
+            for w in reversed(range(len(dcm)))]
+
+
 @dataclass
 class Trace:
     steps: list[TraceStep] = field(default_factory=list)
@@ -87,9 +99,7 @@ class Trace:
                          % (s.index, format_asm(s.instruction), s.word,
                             s.pre, s.post, s.dmr))
             if dump_state and s.dcm is not None:
-                for w in reversed(range(len(s.dcm))):
-                    lines.append("      w%-3d %s"
-                                 % (w, " ".join(str(b) for b in s.dcm[w])))
+                lines.extend(_grid_rows(s.dcm, " " * 6))
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self) -> str:
@@ -106,61 +116,7 @@ class Trace:
 
 def grid_dump(state: MachineState) -> str:
     """Crossbar contents, one row per wordline, highest wordline first."""
-    rows = []
-    for w in reversed(range(state.config.s_d)):
-        rows.append("w%-3d %s" % (w, " ".join(str(b) for b in state.dcm[w])))
-    return "\n".join(rows)
-
-
-def exec_read(state: MachineState, w: int) -> MachineState:
-    """Word readout into the data register; the stored word is untouched."""
-    if not 0 <= w < state.config.s_d:
-        raise SimulationError("read address %d out of range" % w)
-    state.dmr = list(state.dcm[w])
-    return state
-
-
-def exec_apply(state: MachineState, instr: ApplyInstr,
-               pir_vector: list[int] | None = None) -> MachineState:
-    """Parallel device update of one word.
-
-    ``pir_vector`` must be given when the instruction sources the PIR; it is
-    latched into the input register first.  Only bitlines whose pair has
-    v=1 are updated.
-    """
-    if not 0 <= instr.w < state.config.s_d:
-        raise SimulationError("apply address %d out of range" % instr.w)
-    full = state.full
-    if instr.source == SRC_PIR:
-        if pir_vector is None:
-            raise SimulationError("apply sources the PIR but no vector given")
-        state.pir = [v & full for v in pir_vector]
-        source = state.pir
-    else:
-        source = state.dmr
-    if instr.ws.mode == WsMode.ZERO:
-        wl = 0
-    elif instr.ws.mode == WsMode.ONE:
-        wl = full
-    else:
-        wl = source[instr.ws.wb]
-    row = state.dcm[instr.w]
-    for j, pair in enumerate(instr.pairs):
-        if pair.valid:
-            row[j] = device_step(row[j], wl, source[pair.val], full)
-    return state
-
-
-def _resolve_slots(slots, input_masks, full):
-    out = []
-    for s in slots:
-        if s == SLOT_CONST0:
-            out.append(0)
-        elif s == SLOT_CONST1:
-            out.append(full)
-        else:
-            out.append(input_masks[s])
-    return out
+    return "\n".join(_grid_rows(state.dcm))
 
 
 def run_vectors(program: Program, input_masks: list[int], width: int,
@@ -179,38 +135,40 @@ def run_vectors(program: Program, input_masks: list[int], width: int,
                               % (program.num_pis, len(input_masks)))
     full = (1 << width) - 1
     state = MachineState(program.config, full=full)
+    dcm = state.dcm
+    slot_masks = {i: input_masks[i] & full for i in range(program.num_pis)}
+    slot_masks[SLOT_CONST0] = 0
+    slot_masks[SLOT_CONST1] = full
     trace = Trace()
     for i, instr in enumerate(program.instructions):
-        try:
-            if isinstance(instr, ReadInstr):
-                pre = state.word_bits(instr.w)
-                exec_read(state, instr.w)
-                word = instr.w
+        row = dcm[instr.w]
+        if record_trace:
+            pre = list(row)
+        if isinstance(instr, ReadInstr):
+            state.dmr = list(row)  # a read leaves the stored word untouched
+        else:
+            if instr.source == SRC_PIR:
+                source = state.pir = [slot_masks[s]
+                                      for s in program.pir_schedule[i]]
             else:
-                pir = None
-                if instr.source == SRC_PIR:
-                    pir = _resolve_slots(program.pir_schedule[i],
-                                         input_masks, full)
-                pre = state.word_bits(instr.w)
-                exec_apply(state, instr, pir)
-                word = instr.w
-        except SimulationError as exc:
-            raise SimulationError(str(exc), index=i) from None
+                source = state.dmr
+            mode = instr.ws.mode
+            wl = (0 if mode == WsMode.ZERO else full if mode == WsMode.ONE
+                  else source[instr.ws.wb])
+            for j, pair in enumerate(instr.pairs):
+                if pair.valid:  # v=0 leaves the bitline's device alone
+                    row[j] = device_step(row[j], wl, source[pair.val], full)
         if record_trace:
             trace.steps.append(TraceStep(
-                i, instr, word, pre, state.word_bits(word), list(state.dmr),
-                [list(row) for row in state.dcm] if record_state else None))
-        state.pc = i + 1
-    state.cycles = len(program.instructions) + PIPELINE_FILL
+                i, instr, instr.w, pre, list(row), list(state.dmr),
+                [list(r) for r in dcm] if record_state else None))
+    state.pc = len(program.instructions)
+    state.cycles = state.pc + PIPELINE_FILL
     return state, trace
 
 
 def run(program: Program, inputs=(), record_trace: bool = False,
         record_state: bool = False) -> tuple[MachineState, Trace]:
     """Execute a program for one concrete input assignment."""
-    masks = [bit & 1 for bit in inputs]
-    if len(masks) < program.num_pis:
-        raise SimulationError("program needs %d inputs, got %d"
-                              % (program.num_pis, len(masks)))
-    return run_vectors(program, masks, 1, record_trace=record_trace,
-                       record_state=record_state)
+    return run_vectors(program, [bit & 1 for bit in inputs], 1,
+                       record_trace=record_trace, record_state=record_state)

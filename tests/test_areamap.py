@@ -305,6 +305,22 @@ def test_map_area_boundary_acceptance():
         map_lut_graph(graph, 4, need - 1)
 
 
+def test_map_area_computes_device_demand_once(monkeypatch):
+    import revamp.areamap as areamap
+    net = multiplier(3)
+    _, expect = map_area(net, 4, 16, 16)
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return min_dev(graph)
+
+    monkeypatch.setattr(areamap, "min_dev", counted)
+    _, report = map_area(net, 4, 16, 16)
+    assert len(calls) == 1
+    assert report.min_dev == expect.min_dev == min_dev(calls[0])
+
+
 # -- depth-bounded mapper ------------------------------------------------------------
 
 def _tree_mig(depth, num_pis, seed):

@@ -118,6 +118,17 @@ def test_verify_exit_code_on_mismatch(workdir, capsys, tmp_path):
     assert rc == 2
 
 
+def test_verify_refuses_exhaustive_with_random(workdir, capsys):
+    prog = workdir / "fa.rvmp"
+    main(["map-area", "--k", "4", "--rows", "8", "--cols", "8",
+          str(workdir / "fa.aag"), "-o", str(prog)])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(workdir / "fa.aag"), str(prog), "--exhaustive",
+              "--random", "50"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_bench_empty_corpus(tmp_path, capsys):
     rc = main(["bench", str(tmp_path), "--format", "csv"])
     assert rc == 0

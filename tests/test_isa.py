@@ -5,10 +5,11 @@ import pytest
 
 from conftest import two_bit_xor_program
 from revamp.isa import (SRC_DMR, SRC_PIR, ApplyInstr, BitlinePair,
-                        CrossbarConfig, DecodeError, IsaError, ReadInstr,
-                        WordlineSelect, WsMode, decode, encode, format_asm,
-                        instruction_lengths, parse_asm, parse_asm_line,
-                        read_program, validate_instruction, write_program)
+                        CrossbarConfig, DecodeError, IsaError, Program,
+                        ReadInstr, WordlineSelect, WsMode, decode, encode,
+                        format_asm, instruction_lengths, parse_asm,
+                        parse_asm_line, read_program, validate_instruction,
+                        write_program)
 
 
 def test_instruction_lengths_reference_points():
@@ -279,6 +280,13 @@ def test_container_builds_no_codec_table_without_instructions():
     prog = read_program(data)
     assert prog.instructions == [] and prog.config.w_d == 2**20
     assert "layout" not in vars(prog.config)
+
+
+def test_container_refuses_a_geometry_its_fields_cannot_hold():
+    # w_D = 2^31 is a valid geometry, but its w_I needs more than 32 bits
+    prog = Program(CrossbarConfig(2, 2**31), [], {}, {}, 0)
+    with pytest.raises(IsaError, match="does not fit the container"):
+        write_program(prog)
 
 
 def test_container_rejects_bad_result_name():

@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from conftest import two_bit_xor_program
-from revamp.isa import (SRC_PIR, ApplyInstr, BitlinePair,
-                        CrossbarConfig, Program, ReadInstr, WordlineSelect,
-                        WsMode)
-from revamp.simulator import (MachineState, SimulationError, device_step,
-                              exec_apply, exec_read, run, run_vectors)
+from revamp.isa import (SLOT_CONST0, SLOT_CONST1, SRC_PIR, ApplyInstr,
+                        BitlinePair, CrossbarConfig, IsaError, Program,
+                        ReadInstr, WordlineSelect, WsMode, read_program,
+                        write_program)
+from revamp.simulator import (MAX_DEVICES, SimulationError, device_step, run,
+                              run_vectors)
 
 
 def brute_majority(a, b, c):
@@ -36,35 +37,61 @@ def test_device_step_mask_parallel():
     assert device_step(z, wl, bl, full) == expect
 
 
+def _pairs(*vals):
+    """Apply pairs: an int is a valid pair reading that PIR line, None a nop."""
+    return tuple(BitlinePair(False, 0) if v is None else BitlinePair(True, v)
+                 for v in vals)
+
+
 def test_read_is_non_destructive():
     cfg = CrossbarConfig(4, 4)
-    st = MachineState(cfg)
-    st.dcm[2] = [1, 0, 1, 1]
-    exec_read(st, 2)
-    assert st.dmr == [1, 0, 1, 1]
-    assert st.dcm[2] == [1, 0, 1, 1]
+    # a wordline driven to 1 stores the complemented bitlines: word 2 <- not p
+    load = ApplyInstr(2, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
+                      _pairs(0, 1, 2, 3))
+    prog = Program(cfg, [load, ReadInstr(2)], {0: (0, 1, 2, 3)}, {}, 4)
+    state, trace = run(prog, [0, 1, 0, 0], record_trace=True)
+    assert state.dmr == [1, 0, 1, 1]
+    assert state.dcm[2] == [1, 0, 1, 1]
+    assert trace.steps[1].pre == trace.steps[1].post == [1, 0, 1, 1]
 
 
 def test_apply_touches_only_valid_pairs():
     cfg = CrossbarConfig(4, 4)
-    st = MachineState(cfg)
-    st.dcm[1] = [0, 1, 0, 1]
-    st.dcm[0] = [1, 1, 1, 1]
-    instr = ApplyInstr(1, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-                       (BitlinePair(True, 0), BitlinePair(False, 0),
-                        BitlinePair(True, 1), BitlinePair(False, 0)))
-    exec_apply(st, instr, pir_vector=[0, 1, 0, 0])
-    assert st.dcm[1] == [1, 1, 0, 1]  # bitlines 1 and 3 untouched
-    assert st.dcm[0] == [1, 1, 1, 1]  # other words untouched
+    one = WordlineSelect(WsMode.ONE, 0)
+    zeros = (SLOT_CONST0,) * 4
+    prog = Program(cfg, [
+        ApplyInstr(0, SRC_PIR, one, _pairs(0, 1, 2, 3)),  # word 0 <- 1111
+        ApplyInstr(1, SRC_PIR, one, _pairs(None, 1, None, 3)),  # 0101
+        ApplyInstr(1, SRC_PIR, one, _pairs(0, None, 1, None)),
+    ], {0: zeros, 1: zeros,
+        2: (SLOT_CONST0, SLOT_CONST1, SLOT_CONST0, SLOT_CONST0)}, {}, 0)
+    state, trace = run(prog, record_trace=True)
+    assert trace.steps[2].pre == [0, 1, 0, 1]
+    assert state.pir == [0, 1, 0, 0]
+    assert state.dcm[1] == [1, 1, 0, 1]  # bitlines 1 and 3 untouched
+    assert state.dcm[0] == [1, 1, 1, 1]  # other words untouched
 
 
 def test_apply_requires_pir_vector():
     cfg = CrossbarConfig(2, 2)
-    st = MachineState(cfg)
     instr = ApplyInstr(0, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-                       (BitlinePair(True, 0), BitlinePair(True, 1)))
-    with pytest.raises(SimulationError):
-        exec_apply(st, instr)
+                       _pairs(0, 1))
+    with pytest.raises(IsaError, match="no schedule entry"):
+        run(Program(cfg, [instr], {}, {}, 0))
+
+
+def test_device_matrix_is_bounded():
+    cfg = CrossbarConfig(2, MAX_DEVICES // 2 + 1)
+    back = read_program(write_program(Program(cfg, [], {}, {}, 0)))
+    assert back.config == cfg
+    with pytest.raises(SimulationError, match="2x%d" % cfg.w_d):
+        run(back)
+
+
+def test_container_with_huge_word_count_is_refused():
+    data = write_program(Program(CrossbarConfig(2**32 - 1, 2), [], {}, {}, 0))
+    with pytest.raises(SimulationError, match="4294967295x2"):
+        run(read_program(data))
 
 
 def test_empty_program_cycles():
