@@ -1,8 +1,8 @@
 """Command-line entry point binding the mapping flows together.
 
-Subcommands: cover, map-area, map-delay, simulate, verify, disassemble,
-bench.  Networks load by extension: ``.aag`` (ASCII AIGER) or ``.mig``
-(textual majority graph).
+Subcommands: cover, map-area, map-delay, map-minimal, simulate, verify,
+disassemble, bench.  Networks load by extension: ``.aag`` (ASCII AIGER) or
+``.mig`` (textual majority graph).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 import time
 
 from . import circuits
@@ -22,11 +21,10 @@ from .areamap import InfeasibleMapping, map_area, map_minimal
 from .delaymap import map_delay
 from .isa import format_asm, read_program, write_program
 from .lutmap import cover_klut, feasible, lut_graph_to_dict, min_dev
-from .netlist import (aig_to_mig, normalize_mig, parse_aiger, parse_mig,
-                      serialize_aig, serialize_mig)
+from .netlist import aig_to_mig, normalize_mig, parse_aiger, parse_mig
 from .reports import BENCH_COLUMNS, BenchRow
 from .simulator import grid_dump, run
-from .verifier import check_equivalence
+from .verifier import EXHAUSTIVE_MAX_PIS, check_equivalence
 
 CORPUS_ENV = "REVAMP_CORPUS"
 
@@ -39,9 +37,34 @@ def load_network(path: str):
     return parse_aiger(text)
 
 
-def load_network_as_mig(path: str):
-    net = load_network(path)
-    return net if net.kind == "mig" else aig_to_mig(net)
+class NotApplicable(Exception):
+    """The flow does not take this network; nothing was mapped."""
+
+
+def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
+    """Map ``net`` through one flow: ``(program, report, reference)``.
+
+    The reference is the network in the form the flow maps (the AIG, its
+    MIG, or the normalized MIG tree); the program must match it.  Raises
+    ``NotApplicable`` for an area map of a MIG and a minimal map of a
+    multi-output network; every other error comes through unchanged.
+    """
+    if flow == "area":
+        if net.kind == "mig":
+            raise NotApplicable("area flow maps AIGs")
+        return (*map_area(net, k, s_d, w_d), net)
+    if flow == "minimal" and len(net.outputs) != 1:
+        raise NotApplicable("multi-output")
+    mig = net if net.kind == "mig" else aig_to_mig(net)
+    if flow == "delay":
+        return (*map_delay(mig, w_d), mig)
+    mig = normalize_mig(mig)
+    return (*map_minimal(mig), mig)
+
+
+def _check_mode(net) -> str:
+    """Exhaustive (a proof) up to EXHAUSTIVE_MAX_PIS inputs, else random."""
+    return "exhaustive" if net.num_pis <= EXHAUSTIVE_MAX_PIS else "random"
 
 
 def _write(path, data):
@@ -74,7 +97,17 @@ def cmd_cover(args):
     return 1
 
 
-def _emit_mapping(args, program, report):
+def cmd_map(args):
+    net = load_network(args.netlist)
+    try:
+        program, report, _ = map_network(net, args.flow, args.k, args.rows,
+                                         args.cols)
+    except NotApplicable as exc:
+        print("map-%s does not apply: %s" % (args.flow, exc), file=sys.stderr)
+        return 2
+    except InfeasibleMapping as exc:
+        print("infeasible: %s" % exc, file=sys.stderr)
+        return 1
     _write(args.output, write_program(program))
     if args.asm:
         _write(args.asm, program.to_asm())
@@ -82,33 +115,6 @@ def _emit_mapping(args, program, report):
         _write(args.report, report.to_json())
     print("%s: %d instructions, %d cycles"
           % (args.output, report.i_total, report.cycles))
-
-
-def cmd_map_area(args):
-    net = load_network(args.netlist)
-    if net.kind == "mig":
-        print("the area flow maps AIGs; convert first", file=sys.stderr)
-        return 2
-    try:
-        program, report = map_area(net, args.k, args.rows, args.cols)
-    except InfeasibleMapping as exc:
-        print("infeasible: %s" % exc, file=sys.stderr)
-        return 1
-    _emit_mapping(args, program, report)
-    return 0
-
-
-def cmd_map_delay(args):
-    mig = load_network_as_mig(args.netlist)
-    program, report = map_delay(mig, args.cols)
-    _emit_mapping(args, program, report)
-    return 0
-
-
-def cmd_map_minimal(args):
-    mig = normalize_mig(load_network_as_mig(args.netlist))
-    program, report = map_minimal(mig)
-    _emit_mapping(args, program, report)
     return 0
 
 
@@ -132,6 +138,7 @@ def cmd_simulate(args):
     vectors = ([[0] * program.num_pis] if args.inputs is None
                else _read_vectors(args.inputs, program.num_pis))
     out = []
+    traces = []
     for vec in vectors:
         state, trace = run(program, vec,
                            record_trace=args.trace is not None
@@ -144,12 +151,15 @@ def cmd_simulate(args):
                         for name, (w, b) in program.result_locations.items()},
         }
         out.append(entry)
+        if args.trace:
+            traces.append(trace.to_list())
         if args.step_grid:
             print(trace.to_text(dump_state=True), end="")
         if args.grid:
             print(grid_dump(state))
-        if args.trace:
-            _write(args.trace, trace.to_json())
+    if args.trace:
+        # one step list per input vector, in input order
+        _write(args.trace, json.dumps(traces, indent=2))
     print(json.dumps(out, indent=2))
     return 0
 
@@ -158,13 +168,10 @@ def cmd_verify(args):
     net = load_network(args.netlist)
     with open(args.program, "rb") as fh:
         program = read_program(fh.read())
-    mode = "random" if args.random else "exhaustive"
-    try:
-        result = check_equivalence(net, program, mode=mode, seed=args.seed,
-                                   n=args.random or 10000)
-    except ValueError as exc:
-        print("interface mismatch: %s" % exc, file=sys.stderr)
-        return 2
+    mode = ("exhaustive" if args.exhaustive else
+            "random" if args.random else _check_mode(net))
+    result = check_equivalence(net, program, mode=mode, seed=args.seed,
+                               n=args.random or 10000)
     print(json.dumps({
         "ok": result.ok,
         "mode": result.mode,
@@ -185,45 +192,27 @@ def cmd_disassemble(args):
 # -- bench ------------------------------------------------------------------------
 
 def _bench_job(spec):
-    name, path, flow, k, s_d, w_d, seed = spec
+    name, net, flow, k, s_d, w_d, seed = spec
     t0 = time.monotonic()
-    net = load_network(path)
     try:
-        if flow == "area":
-            if net.kind == "mig":
-                return BenchRow(name, flow, k, s_d, w_d, None, False,
-                                "skipped: area flow maps AIGs",
-                                time.monotonic() - t0)
-            program, report = map_area(net, k, s_d, w_d)
-            ref = net
-        elif flow == "delay":
-            mig = net if net.kind == "mig" else aig_to_mig(net)
-            program, report = map_delay(mig, w_d)
-            ref = mig
-        else:
-            mig = normalize_mig(net if net.kind == "mig" else aig_to_mig(net))
-            if len(mig.outputs) != 1:
-                return BenchRow(name, flow, k, s_d, w_d, None, False,
-                                "skipped: multi-output", time.monotonic() - t0)
-            program, report = map_minimal(mig)
-            ref = mig
+        program, report, ref = map_network(net, flow, k, s_d, w_d)
+    except NotApplicable as exc:
+        return BenchRow(name, flow, k, s_d, w_d, None, False,
+                        "skipped: %s" % exc, time.monotonic() - t0)
     except InfeasibleMapping as exc:
         return BenchRow(name, flow, k, s_d, w_d, None, False,
                         "infeasible: %s" % exc, time.monotonic() - t0)
-    if ref.num_pis <= 12:
-        check = check_equivalence(ref, program, mode="exhaustive")
-    else:
-        check = check_equivalence(ref, program, mode="random", seed=seed,
-                                  n=4096)
+    check = check_equivalence(ref, program, mode=_check_mode(ref), seed=seed,
+                              n=4096)
     report.benchmark = name
     status = "ok" if check.ok else "MISMATCH %r" % (check.counterexample,)
     return BenchRow(name, flow, k, s_d, w_d, report, check.ok, status,
                     time.monotonic() - t0)
 
 
-def _run_bench_jobs(files, args) -> list[BenchRow]:
+def _run_bench_jobs(nets, args) -> list[BenchRow]:
     jobs = []
-    for name, path in files:
+    for name, net in nets:
         for flow in args.flow:
             if flow == "area":
                 for k in args.k:
@@ -232,11 +221,14 @@ def _run_bench_jobs(files, args) -> list[BenchRow]:
                         rows = ([args.budget // w_d] if args.budget
                                 else args.rows)
                         for s_d in rows:
-                            jobs.append((name, path, "area", k, s_d, w_d,
+                            jobs.append((name, net, "area", k, s_d, w_d,
                                          args.seed))
-            else:
+            elif flow == "delay":
                 for w_d in args.cols:
-                    jobs.append((name, path, flow, None, 0, w_d, args.seed))
+                    jobs.append((name, net, flow, None, 0, w_d, args.seed))
+            else:
+                # the depth-bounded mapper sizes its own crossbar
+                jobs.append((name, net, flow, None, 0, 0, args.seed))
 
     results = []
     if args.jobs > 1:
@@ -257,24 +249,15 @@ def _run_bench_jobs(files, args) -> list[BenchRow]:
 
 def cmd_bench(args):
     corpus = args.corpus or os.environ.get(CORPUS_ENV)
-    files = []
+    nets = []
     if corpus:
         for fn in sorted(os.listdir(corpus)):
             if fn.endswith((".aag", ".mig")):
-                files.append((os.path.splitext(fn)[0],
-                              os.path.join(corpus, fn)))
-    if not files and args.builtin:
-        # the jobs read the corpus files, so the directory outlives them
-        with tempfile.TemporaryDirectory(prefix="revamp-corpus-") as tmp:
-            for name, net in circuits.default_corpus():
-                path = os.path.join(tmp, name + (".mig" if net.kind == "mig"
-                                                 else ".aag"))
-                _write(path, serialize_mig(net) if net.kind == "mig"
-                       else serialize_aig(net))
-                files.append((name, path))
-            results = _run_bench_jobs(files, args)
-    else:
-        results = _run_bench_jobs(files, args)
+                nets.append((os.path.splitext(fn)[0],
+                             load_network(os.path.join(corpus, fn))))
+    if not nets and args.builtin:
+        nets = circuits.default_corpus()
+    results = _run_bench_jobs(nets, args)
 
     results.sort(key=lambda r: (r.benchmark, r.flow, r.k or 0, r.s_d, r.w_d))
     dicts = [r.to_dict() for r in results]
@@ -310,19 +293,18 @@ def build_parser():
     c.add_argument("-o", "--output")
     c.set_defaults(func=cmd_cover)
 
-    for flow, fn in (("map-area", cmd_map_area), ("map-delay", cmd_map_delay),
-                     ("map-minimal", cmd_map_minimal)):
-        c = sub.add_parser(flow, help="generate a crossbar program")
-        if flow == "map-area":
+    for flow in ("area", "delay", "minimal"):
+        c = sub.add_parser("map-" + flow, help="generate a crossbar program")
+        if flow == "area":
             c.add_argument("--k", type=int, required=True)
             c.add_argument("--rows", type=int, required=True)
-        if flow != "map-minimal":
+        if flow != "minimal":
             c.add_argument("--cols", type=int, required=True)
         c.add_argument("netlist")
         c.add_argument("-o", "--output", required=True)
         c.add_argument("--asm")
         c.add_argument("--report")
-        c.set_defaults(func=fn)
+        c.set_defaults(func=cmd_map, flow=flow, k=None, rows=0, cols=0)
 
     c = sub.add_parser("simulate", help="run a program on the machine model")
     c.add_argument("program")
@@ -358,10 +340,13 @@ def build_parser():
     c.add_argument("--rows", nargs="+", type=int, default=[64])
     c.add_argument("--cols", nargs="+", type=int, default=[16])
     c.add_argument("--budget", type=int, default=0,
-                   help="fixed device budget; delay rows = budget/cols")
+                   help="fixed device budget; area rows = budget/cols")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--jobs", type=int, default=1)
-    c.add_argument("--limit-seconds", type=float, default=60.0)
+    c.add_argument("--limit-seconds", type=float, default=60.0,
+                   help="with --jobs above 1, wait at most this long for each "
+                        "row after the one before it and report a late row "
+                        "as 'timeout'; the job itself still runs to the end")
     c.add_argument("--format", choices=["csv", "json"], default="csv")
     c.add_argument("-o", "--output")
     c.set_defaults(func=cmd_bench)

@@ -542,11 +542,12 @@ def report_delay_stats(builder: ProgramBuilder, mig: LogicNetwork,
     total = packing.n_words * w_d
     counts = builder.counts()
     d_p_star = 9 * n_maj
+    lv = levels(mig)
     return MappingReport(
         flow="delay",
         num_pis=mig.num_pis,
         n_maj=n_maj,
-        levels=max((levels(mig)[e.target] for e in mig.outputs), default=0),
+        levels=max((lv[e.target] for e in mig.outputs), default=0),
         s_d=builder.config.s_d, w_d=w_d,
         **counts,
         n_blocks=len(formation.blocks),

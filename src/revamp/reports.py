@@ -69,10 +69,5 @@ class BenchRow:
                     seconds=round(self.seconds, 3))
         if self.report is not None:
             rep = self.report.to_dict()
-            for c in ("n_lut", "levels", "min_dev", "n_maj", "i_apply",
-                      "i_read", "i_total", "n_blocks", "w_util", "cycles",
-                      "d_p_star", "speedup"):
-                if c in rep:
-                    base[c] = rep[c]
-            base["s_d"] = rep.get("s_d", self.s_d)
+            base.update((c, rep[c]) for c in BENCH_COLUMNS if c in rep)
         return base

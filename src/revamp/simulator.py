@@ -102,8 +102,8 @@ class Trace:
                 lines.extend(_grid_rows(s.dcm, " " * 6))
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_json(self) -> str:
-        return json.dumps([{
+    def to_list(self) -> list[dict]:
+        return [{
             "index": s.index,
             "asm": format_asm(s.instruction),
             "word": s.word,
@@ -111,7 +111,10 @@ class Trace:
             "post": s.post,
             "dmr": s.dmr,
             **({"dcm": s.dcm} if s.dcm is not None else {}),
-        } for s in self.steps], indent=2)
+        } for s in self.steps]
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_list(), indent=2)
 
 
 def grid_dump(state: MachineState) -> str:

@@ -18,6 +18,9 @@ from .lutmap import LutGraph
 from .netlist import LogicNetwork, evaluate_masks, pi_patterns
 from .simulator import run_vectors
 
+# widest network checked on all 2^k input vectors (2^16 bits per mask)
+EXHAUSTIVE_MAX_PIS = 16
+
 
 @dataclass
 class EquivalenceResult:
@@ -32,12 +35,12 @@ class EquivalenceResult:
 
 def check_equivalence(network: LogicNetwork, program: Program,
                       mode: str = "exhaustive", seed: int = 0,
-                      n: int = 10000, max_pis: int = 16) -> EquivalenceResult:
+                      n: int = 10000) -> EquivalenceResult:
     """Compare a program's result devices against the network oracle.
 
-    Exhaustive mode is definitive for up to ``max_pis`` inputs; random mode
-    checks ``n`` seeded vectors.  The first mismatch (lowest vector index,
-    then output order) is reported as a counterexample.
+    Exhaustive mode is definitive for up to ``EXHAUSTIVE_MAX_PIS`` inputs;
+    random mode checks ``n`` seeded vectors.  The first mismatch (lowest
+    vector index, then output order) is reported as a counterexample.
     """
     k = network.num_pis
     if program.num_pis != k:
@@ -50,9 +53,9 @@ def check_equivalence(network: LogicNetwork, program: Program,
                          % ", ".join(missing))
 
     if mode == "exhaustive":
-        if k > max_pis:
+        if k > EXHAUSTIVE_MAX_PIS:
             raise ValueError("exhaustive mode is limited to %d PIs; "
-                             "use random mode" % max_pis)
+                             "use random mode" % EXHAUSTIVE_MAX_PIS)
         width = 1 << k
         masks = pi_patterns(k)
     elif mode == "random":

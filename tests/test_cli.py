@@ -4,9 +4,12 @@ import tempfile
 
 import pytest
 
-from revamp.circuits import full_adder, ripple_adder, two_bit_xor
+from revamp.circuits import (full_adder, parity, ripple_adder, two_bit_xor,
+                             two_bit_xor_program)
 from revamp.cli import main
+from revamp.isa import write_program
 from revamp.netlist import aig_to_mig, serialize_aig, serialize_mig
+from revamp.simulator import run
 
 
 @pytest.fixture
@@ -67,6 +70,14 @@ def test_map_area_infeasible_exit(workdir, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_map_area_refuses_a_mig(workdir, capsys):
+    rc = main(["map-area", "--k", "4", "--rows", "8", "--cols", "8",
+               str(workdir / "fa.mig"), "-o", str(workdir / "x.rvmp")])
+    assert rc == 2
+    assert "area flow maps AIGs" in capsys.readouterr().err
+    assert not (workdir / "x.rvmp").exists()
+
+
 def test_map_delay_and_disassemble(workdir, capsys):
     prog = workdir / "fa_delay.rvmp"
     rep = workdir / "rep.json"
@@ -97,6 +108,36 @@ def test_map_minimal_roundtrip(tmp_path, capsys):
     rc = main(["map-minimal", str(mig), "-o", str(prog)])
     assert rc == 0
     assert main(["verify", str(mig), str(prog)]) == 0
+
+
+def test_simulate_traces_every_vector(tmp_path, capsys):
+    prog = tmp_path / "xor.rvmp"
+    prog.write_bytes(write_program(two_bit_xor_program()))
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("0000\n0101\n1111\n1000\n0011\n")
+    trace = tmp_path / "trace.json"
+    rc = main(["simulate", str(prog), "--inputs", str(vectors),
+               "--trace", str(trace)])
+    assert rc == 0
+    runs = json.loads(trace.read_text())
+    assert [len(steps) for steps in runs] == [8] * 5
+    program = two_bit_xor_program()
+    for steps, line in zip(runs, vectors.read_text().split()):
+        _, alone = run(program, [int(c) for c in line], record_trace=True)
+        assert steps == json.loads(alone.to_json())
+
+
+def test_verify_picks_random_above_the_exhaustive_bound(tmp_path, capsys):
+    net = tmp_path / "add9.aag"
+    net.write_text(serialize_aig(ripple_adder(9)))  # 18 inputs
+    prog = tmp_path / "add9.rvmp"
+    assert main(["map-delay", "--cols", "16", str(net), "-o", str(prog)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(net), str(prog)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] and doc["mode"] == "random"
+    assert main(["verify", str(net), str(prog), "--exhaustive"]) == 2
+    assert "limited to 16" in capsys.readouterr().err
 
 
 def test_verify_exit_code_on_mismatch(workdir, capsys, tmp_path):
@@ -207,3 +248,53 @@ def test_bench_builtin_removes_its_corpus_directory(tmp_path, capsys,
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert rows and all(r["verified"] == "True" for r in rows)
     assert not list(tmp_path.glob("revamp-corpus-*"))
+
+
+def test_bench_builtin_pool_matches_serial_rows(capsys):
+    argv = ["bench", "--builtin", "--flow", "area", "delay", "minimal",
+            "--cols", "8", "--format", "json"]
+    docs = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for r in rows:
+            r.pop("seconds")
+        docs.append(rows)
+    serial, pooled = docs
+    assert pooled == serial
+    assert all(r["verified"] or r["status"].startswith("skipped")
+               for r in pooled)
+
+
+def test_bench_minimal_runs_once_per_circuit(tmp_path, capsys):
+    (tmp_path / "xor2.aag").write_text(serialize_aig(two_bit_xor()))
+    (tmp_path / "par4.aag").write_text(serialize_aig(parity(4)))
+    rc = main(["bench", str(tmp_path), "--flow", "minimal",
+               "--cols", "4", "8", "16"])
+    assert rc == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["benchmark"], r["status"]) for r in rows] == [
+        ("par4", "ok"), ("xor2", "skipped: multi-output")]
+    assert rows[0]["w_d"] == "2" and rows[0]["verified"] == "True"
+
+
+def test_bench_rows_match_map_reports(tmp_path, capsys):
+    (tmp_path / "fa.aag").write_text(serialize_aig(full_adder()))
+    (tmp_path / "par4.aag").write_text(serialize_aig(parity(4)))
+    rc = main(["bench", str(tmp_path), "--flow", "area", "delay", "minimal",
+               "--k", "4", "--rows", "8", "--cols", "8", "--format", "json"])
+    assert rc == 0
+    rows = [r for r in json.loads(capsys.readouterr().out)
+            if r["status"] == "ok"]
+    assert len(rows) == 5  # fa is multi-output: no minimal row
+    geometry = {"area": ["--k", "4", "--rows", "8", "--cols", "8"],
+                "delay": ["--cols", "8"], "minimal": []}
+    rep = tmp_path / "rep.json"
+    for row in rows:
+        assert main(["map-" + row["flow"], *geometry[row["flow"]],
+                     str(tmp_path / (row["benchmark"] + ".aag")),
+                     "-o", str(tmp_path / "x.rvmp"),
+                     "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        for col in ("i_total", "cycles", "s_d", "w_d"):
+            assert row[col] == report[col], (row["benchmark"], row["flow"])
