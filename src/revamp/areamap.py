@@ -77,16 +77,17 @@ VarSource = PirVar | StoredVar
 
 # -- cube computation ----------------------------------------------------------------
 
-def _emit_wire_group(builder, bit_row, targets, fresh):
-    """Apply one wire to a set of e2 bitlines, splitting first-literal loads
-    (wordline 1) from AND accumulation (wordline 0)."""
+def _emit_wire_group(apply, bit_row, targets, fresh):
+    """Apply one wire to a set of e2 bitlines through ``apply`` (the
+    builder's ``apply_from_pir`` or ``apply_from_dmr``), splitting
+    first-literal loads (wordline 1) from AND accumulation (wordline 0)."""
     loads = {j: v for j, v in targets.items() if j in fresh}
     ands = {j: v for j, v in targets.items() if j not in fresh}
     if loads:
-        builder.apply_from_dmr(bit_row, WsMode.ONE, loads)
+        apply(bit_row, WsMode.ONE, loads)
         fresh -= set(loads)
     if ands:
-        builder.apply_from_dmr(bit_row, WsMode.ZERO, ands)
+        apply(bit_row, WsMode.ZERO, ands)
 
 
 def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
@@ -108,8 +109,10 @@ def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
 
     occurrence = {}
     for c in cubes:
-        for lit in c.literals():
-            occurrence[lit.var] = occurrence.get(lit.var, 0) + 1
+        used = c.pos | c.neg
+        for var in range(used.bit_length()):
+            if (used >> var) & 1:
+                occurrence[var] = occurrence.get(var, 0) + 1
     order = sorted(occurrence, key=lambda v: (-occurrence[v], v))
 
     for var in order:
@@ -128,17 +131,13 @@ def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
         if isinstance(src, PirVar):
             direct, staged = want_plain, want_comp
             if direct:
-                loads = {j: src.pi for j in direct if j in fresh}
-                ands = {j: src.pi for j in direct if j not in fresh}
-                if loads:
-                    builder.apply_from_pir(e2, WsMode.ONE, loads)
-                    fresh -= set(loads)
-                if ands:
-                    builder.apply_from_pir(e2, WsMode.ZERO, ands)
+                _emit_wire_group(builder.apply_from_pir, e2,
+                                 {j: src.pi for j in direct}, fresh)
             if staged:
                 builder.apply_from_pir(E0, WsMode.ONE, {0: src.pi})
                 builder.read(E0)
-                _emit_wire_group(builder, e2, {j: 0 for j in staged}, fresh)
+                _emit_wire_group(builder.apply_from_dmr, e2,
+                                 {j: 0 for j in staged}, fresh)
                 builder.reset_bits(E0, [0])
         else:
             stored_is_comp = src.inverted
@@ -147,13 +146,14 @@ def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
             if direct or staged:
                 builder.read(src.word)
             if direct:
-                _emit_wire_group(builder, e2, {j: src.bit for j in direct},
-                                 fresh)
+                _emit_wire_group(builder.apply_from_dmr, e2,
+                                 {j: src.bit for j in direct}, fresh)
             if staged:
                 builder.read(src.word)
                 builder.apply_from_dmr(E0, WsMode.ONE, {0: src.bit})
                 builder.read(E0)
-                _emit_wire_group(builder, e2, {j: 0 for j in staged}, fresh)
+                _emit_wire_group(builder.apply_from_dmr, e2,
+                                 {j: 0 for j in staged}, fresh)
                 builder.reset_bits(E0, [0])
 
 
@@ -243,27 +243,20 @@ def write_back(builder: ProgramBuilder, result_bit: int, word: int, bit: int,
 
 # -- standalone cover program ------------------------------------------------------
 
-def gen_esop_program(cover: EsopCover, config: CrossbarConfig,
-                     sources: list[VarSource] | None = None
+def gen_esop_program(cover: EsopCover, config: CrossbarConfig
                      ) -> tuple[Program, int]:
     """Whole-cover program on a crossbar with three working rows.
 
     Works for any geometry with at least three wordlines and two bitlines.
-    Default sources stream every variable from the input register.
+    Every variable streams from the input register.
     """
     if config.s_d < 3:
         raise ValueError("the working area needs three wordlines")
-    if sources is None:
-        sources = [PirVar(v) for v in range(cover.arity)]
-    builder = ProgramBuilder(config, _num_pir_vars(sources))
+    sources = [PirVar(v) for v in range(cover.arity)]
+    builder = ProgramBuilder(config, cover.arity)
     bit = compute_esop(builder, cover, sources)
     builder.result_locations["f"] = (E2, bit)
     return builder.finish(), bit
-
-
-def _num_pir_vars(sources) -> int:
-    return 1 + max((s.pi for s in sources if isinstance(s, PirVar)),
-                   default=-1)
 
 
 # -- LUT scheduling ---------------------------------------------------------------

@@ -36,10 +36,6 @@ class AigBuilder:
         return self.and_(self.and_(a, b.flip()).flip(),
                          self.and_(a.flip(), b).flip()).flip()
 
-    def mux(self, sel: Edge, a: Edge, b: Edge) -> Edge:
-        """sel ? a : b"""
-        return self.or_(self.and_(sel, a), self.and_(sel.flip(), b))
-
     def output(self, e: Edge, name=None):
         self.net.add_output(e, name)
 

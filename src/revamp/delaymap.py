@@ -367,7 +367,6 @@ class Packing:
     w_d: int
     n_words: int
     word_blocks: dict[int, list[Block]]
-    word_of_block: dict[int, int]
 
     @property
     def occupancy(self) -> dict[int, int]:
@@ -393,8 +392,7 @@ def pack_blocks(blocks: list[Block], w_d: int) -> Packing:
             used.append(len(b))
     n = len(bins)
     word_blocks = {n - 1 - i: bs for i, bs in enumerate(bins)}
-    word_of_block = {b.id: w for w, bs in word_blocks.items() for b in bs}
-    return Packing(w_d, n, word_blocks, word_of_block)
+    return Packing(w_d, n, word_blocks)
 
 
 def place_elements(packing: Packing) -> dict[int, tuple[int, int]]:

@@ -9,6 +9,9 @@ cheapest of the Shannon, positive-Davio and negative-Davio decompositions is
 taken (ties go to positive Davio), with costs memoized per subfunction.
 This is not a minimum-ESOP search, but covers are certified correct by
 construction and verified against the source truth table in tests.
+
+``cover_truth_table`` gives the packed table of a cover and ``format_pla``
+prints one as ``.type esop`` PLA text; no cover is read back in.
 """
 
 from __future__ import annotations
@@ -23,12 +26,6 @@ class EsopError(ValueError):
 
 
 @dataclass(frozen=True)
-class Literal:
-    var: int
-    inverted: bool
-
-
-@dataclass(frozen=True)
 class Cube:
     """Product of literals; ``pos``/``neg`` are variable bit masks."""
 
@@ -39,57 +36,14 @@ class Cube:
         if self.pos & self.neg:
             raise EsopError("variable appears in both polarities")
 
-    def literals(self) -> list[Literal]:
-        out = []
-        v = 0
-        m = self.pos | self.neg
-        while m >> v:
-            if (self.pos >> v) & 1:
-                out.append(Literal(v, False))
-            elif (self.neg >> v) & 1:
-                out.append(Literal(v, True))
-            v += 1
-        return out
-
     def num_literals(self) -> int:
         return (self.pos | self.neg).bit_count()
-
-    def evaluate(self, assignment_mask: int) -> int:
-        return int((assignment_mask & self.pos) == self.pos
-                   and (assignment_mask & self.neg) == 0)
-
-    @staticmethod
-    def from_literals(lits) -> "Cube":
-        pos = neg = 0
-        for l in lits:
-            bit = 1 << l.var
-            if (pos | neg) & bit:
-                raise EsopError("variable %d appears twice" % l.var)
-            if l.inverted:
-                neg |= bit
-            else:
-                pos |= bit
-        return Cube(pos, neg)
 
 
 @dataclass
 class EsopCover:
     cubes: list[Cube]
     arity: int
-
-
-def eval_esop(cover: EsopCover, assignment) -> int:
-    """XOR of per-cube ANDs for one assignment (sequence of bits or mask)."""
-    if isinstance(assignment, int):
-        mask = assignment
-    else:
-        mask = 0
-        for i, bit in enumerate(assignment):
-            mask |= (bit & 1) << i
-    acc = 0
-    for c in cover.cubes:
-        acc ^= c.evaluate(mask)
-    return acc
 
 
 def cover_truth_table(cover: EsopCover) -> int:
@@ -115,37 +69,13 @@ def cover_truth_table(cover: EsopCover) -> int:
     return tt
 
 
-def _as_packed(tt, arity=None) -> tuple[int, int]:
-    if isinstance(tt, int):
-        if arity is None:
-            raise EsopError("packed truth table needs an explicit arity")
-        return tt, arity
-    bits = list(tt)
-    n = len(bits)
-    if n == 0 or n & (n - 1):
-        raise EsopError("truth table length must be a power of two")
-    arity = n.bit_length() - 1
-    packed = 0
-    for k, b in enumerate(bits):
-        packed |= (b & 1) << k
-    return packed, arity
-
-
-def verify_esop(cover: EsopCover, tt, arity=None) -> bool:
-    packed, a = _as_packed(tt, arity)
-    if a != cover.arity:
-        return False
-    return cover_truth_table(cover) == packed
-
-
-def extract_esop(tt, arity: int | None = None) -> EsopCover:
-    """Build an ESOP cover for a truth table (bit list or packed int).
+def extract_esop(tt: int, arity: int) -> EsopCover:
+    """Build an ESOP cover for a packed truth table of ``arity`` variables.
 
     Supports up to 16 variables.  The memo table lives for one call only.
     """
-    packed, n = _as_packed(tt, arity)
-    if n > 16:
-        raise EsopError("extraction bound is 16 variables, got %d" % n)
+    if arity > 16:
+        raise EsopError("extraction bound is 16 variables, got %d" % arity)
     cost_memo: dict[tuple[int, int], int] = {}
     build_memo: dict[tuple[int, int], list[Cube]] = {}
 
@@ -194,10 +124,10 @@ def extract_esop(tt, arity: int | None = None) -> EsopCover:
         build_memo[key] = cubes
         return cubes
 
-    return EsopCover(list(build(packed, n)), n)
+    return EsopCover(list(build(tt, arity)), arity)
 
 
-# -- PLA-style text exchange ---------------------------------------------------
+# -- PLA-style text output -----------------------------------------------------
 #
 # Rows of {0,1,-} with a single output column under ".type esop" semantics:
 # the function is the XOR of the rows whose output column is 1.
@@ -217,44 +147,3 @@ def format_pla(cover: EsopCover) -> str:
         lines.append("%s 1" % "".join(row))
     lines.append(".e")
     return "\n".join(lines) + "\n"
-
-
-def parse_pla(text: str) -> EsopCover:
-    arity = None
-    cubes = []
-    for raw in text.splitlines():
-        s = raw.split("#", 1)[0].strip()
-        if not s:
-            continue
-        if s.startswith("."):
-            parts = s.split()
-            if parts[0] == ".i":
-                arity = int(parts[1])
-            elif parts[0] == ".o" and int(parts[1]) != 1:
-                raise EsopError("only single-output covers are supported")
-            elif parts[0] == ".type" and parts[1] != "esop":
-                raise EsopError("only .type esop is supported")
-            continue
-        parts = s.split()
-        if len(parts) != 2:
-            raise EsopError("bad cover row %r" % s)
-        row, out = parts
-        if arity is None:
-            arity = len(row)
-        if len(row) != arity:
-            raise EsopError("row width %d does not match .i %d"
-                            % (len(row), arity))
-        if out == "0":
-            continue
-        pos = neg = 0
-        for v, ch in enumerate(row):
-            if ch == "1":
-                pos |= 1 << v
-            elif ch == "0":
-                neg |= 1 << v
-            elif ch != "-":
-                raise EsopError("bad character %r in cover row" % ch)
-        cubes.append(Cube(pos, neg))
-    if arity is None:
-        raise EsopError("no .i line and no rows")
-    return EsopCover(cubes, arity)

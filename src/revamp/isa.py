@@ -3,8 +3,9 @@
 The machine executes ``Read`` (copy one stored word into the data register)
 and ``Apply`` (update selected devices of one word in parallel).  This module
 defines the structured instruction records, the crossbar geometry, the
-bit-exact binary encoding, a one-line-per-instruction assembly syntax and a
-binary program container.
+bit-exact binary encoding, a one-line-per-instruction assembly printer and
+a binary program container.  Assembly is output only (``format_asm``,
+``Program.to_asm``); programs are read back from the container.
 
 Encoding layout (fields concatenated most-significant first, zero padded on
 the right up to the instruction-memory word width):
@@ -267,43 +268,6 @@ def format_asm(instr: Instruction) -> str:
     for p in instr.pairs:
         parts.append("%d %d" % (1 if p.valid else 0, p.val))
     return " ".join(parts)
-
-
-def parse_asm_line(line: str, config: CrossbarConfig) -> Instruction:
-    parts = line.split("#", 1)[0].split()
-    if not parts:
-        raise IsaError("empty instruction line")
-    if parts[0] == "Read":
-        if len(parts) != 2:
-            raise IsaError("Read takes one operand")
-        instr = ReadInstr(int(parts[1]))
-    elif parts[0] == "Apply":
-        expect = 4 + 2 * config.w_d
-        if len(parts) - 1 != expect:
-            raise IsaError("Apply takes %d operands for w_D=%d, got %d"
-                           % (expect, config.w_d, len(parts) - 1))
-        w = int(parts[1])
-        source = int(parts[2])
-        ws_code = int(parts[3], 2)
-        if ws_code == 0b10:
-            raise IsaError("wordline select code 10 is invalid")
-        wb = int(parts[4])
-        pairs = tuple(BitlinePair(bool(int(parts[5 + 2 * j])),
-                                  int(parts[6 + 2 * j]))
-                      for j in range(config.w_d))
-        instr = ApplyInstr(w, source, WordlineSelect(WsMode(ws_code), wb), pairs)
-    else:
-        raise IsaError("unknown opcode %r" % parts[0])
-    validate_instruction(instr, config)
-    return instr
-
-
-def parse_asm(text: str, config: CrossbarConfig) -> list[Instruction]:
-    out = []
-    for raw in text.splitlines():
-        if raw.split("#", 1)[0].strip():
-            out.append(parse_asm_line(raw, config))
-    return out
 
 
 # -- programs ------------------------------------------------------------------

@@ -194,32 +194,6 @@ def assign_levels(graph: LutGraph):
         lut.level = 1 + max(depths)
 
 
-# -- functional oracle -----------------------------------------------------------
-
-def evaluate_lut_graph_masks(graph: LutGraph, pi_masks: list[int],
-                             full: int) -> list[int]:
-    vals = [0] * len(graph.luts)
-    for lut in graph.luts:
-        ins = []
-        for kind, ref in lut.inputs:
-            ins.append(pi_masks[ref] if kind == PI_REF else vals[ref])
-        acc = 0
-        for k in range(1 << len(ins)):
-            if not (lut.tt >> k) & 1:
-                continue
-            term = full
-            for i, mv in enumerate(ins):
-                term &= mv if (k >> i) & 1 else full & ~mv
-            acc |= term
-        vals[lut.id] = acc
-    return [vals[o] for o in graph.outputs]
-
-
-def lut_graph_truth_tables(graph: LutGraph) -> list[int]:
-    full = (1 << (1 << graph.num_pis)) - 1
-    return evaluate_lut_graph_masks(graph, pi_patterns(graph.num_pis), full)
-
-
 # -- sizing -----------------------------------------------------------------------
 
 def transient_nodes(graph: LutGraph, level: int) -> set[int]:

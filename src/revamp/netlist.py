@@ -3,15 +3,18 @@
 A network is a DAG of nodes in topological order (every fanin id is smaller
 than the node's own id).  Edges carry a complement flag.  The same container
 holds both AIGs (2-input AND nodes) and MIGs (3-input majority nodes); the
-``kind`` field says which flavour the network is.
+``kind`` field says which flavour the network is.  Output names are
+unique: a program declares its result locations by name.
 
 This module also provides the brute-force functional oracle (``evaluate`` /
 ``truth_table``) used by every other part of the mapper to prove equivalence.
 Truth tables are bit-parallel: all assignments are evaluated at once on
 Python integers, bit k of a table is the value under assignment k, and bit i
 of k is the value of primary input i.  ``pi_patterns`` builds those input
-patterns and ``gate_mask`` evaluates one gate; the LUT-cover and ESOP oracles
-use the same two.
+patterns and ``gate_mask`` evaluates one gate; the LUT cover's cone tables
+use the same two and ``esop.cover_truth_table`` the same patterns.  Tables
+are refused above ``EXHAUSTIVE_MAX_PIS`` inputs, the bound the verifier's
+exhaustive mode shares.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ AND = "and"
 MAJ = "maj"
 
 _ARITY = {PI: 0, CONST0: 0, AND: 2, MAJ: 3}
+
+# widest network evaluated on all 2^k input vectors (2^16 bits per mask)
+EXHAUSTIVE_MAX_PIS = 16
 
 
 class NetlistError(ValueError):
@@ -92,11 +98,16 @@ class LogicNetwork:
         return self.add_node(CONST0)
 
     def add_output(self, edge: Edge, name=None):
+        """Append an output; its name defaults to ``o<position>`` and must
+        be new, since programs declare their result locations by name."""
         if not 0 <= edge.target < len(self.nodes):
             raise NetlistError("output references unknown node %d" % edge.target)
+        if name is None:
+            name = "o%d" % len(self.outputs)
+        if name in self.output_names:
+            raise NetlistError("duplicate output name %r" % name)
         self.outputs.append(edge)
-        self.output_names.append(name if name is not None
-                                 else "o%d" % (len(self.outputs) - 1))
+        self.output_names.append(name)
 
     # -- queries -----------------------------------------------------------
 
@@ -107,9 +118,6 @@ class LogicNetwork:
     @property
     def num_pis(self) -> int:
         return len(self.pis)
-
-    def internal_nodes(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.kind in (AND, MAJ)]
 
     def fanout_counts(self) -> list[int]:
         counts = [0] * len(self.nodes)
@@ -140,12 +148,6 @@ def levels(network: LogicNetwork) -> list[int]:
         if n.fanins:
             out[i] = 1 + max(out[e.target] for e in n.fanins)
     return out
-
-
-def level(network: LogicNetwork, node: int) -> int:
-    if not 0 <= node < len(network.nodes):
-        raise NetlistError("no node %d in network" % node)
-    return levels(network)[node]
 
 
 # -- evaluation ------------------------------------------------------------
@@ -206,23 +208,23 @@ def pi_patterns(num_pis: int) -> list[int]:
     return pats
 
 
-def truth_table_ints(network: LogicNetwork, max_pis: int = 16) -> list[int]:
+def truth_table_ints(network: LogicNetwork) -> list[int]:
     """Truth tables as packed integers (bit k = value under assignment k)."""
     k = network.num_pis
-    if k > max_pis:
+    if k > EXHAUSTIVE_MAX_PIS:
         raise NetlistError(
             "truth_table refused: %d PIs exceeds the %d-PI bound; "
             "use randomized checking (verifier.check_equivalence random mode)"
-            % (k, max_pis))
+            % (k, EXHAUSTIVE_MAX_PIS))
     full = (1 << (1 << k)) - 1
     return evaluate_masks(network, pi_patterns(k), full)
 
 
-def truth_table(network: LogicNetwork, max_pis: int = 16) -> list[list[int]]:
+def truth_table(network: LogicNetwork) -> list[list[int]]:
     """Exhaustive truth table, one bit list of length 2^num_pis per output."""
     n_vec = 1 << network.num_pis
     return [[(m >> v) & 1 for v in range(n_vec)]
-            for m in truth_table_ints(network, max_pis)]
+            for m in truth_table_ints(network)]
 
 
 # -- AIG <-> MIG -----------------------------------------------------------
@@ -448,7 +450,11 @@ def parse_aiger(text: str) -> LogicNetwork:
                 out_names[pos] = parts[1]
 
     for pos, (lit, ln) in enumerate(output_lits):
-        net.add_output(lit_edge(lit, ln), out_names.get(pos, "o%d" % pos))
+        edge = lit_edge(lit, ln)
+        try:
+            net.add_output(edge, out_names.get(pos))
+        except NetlistError as exc:
+            raise ParseError(str(exc), line=ln)
     net.validate()
     return net
 
@@ -558,7 +564,10 @@ def parse_mig(text: str) -> LogicNetwork:
                 raise ParseError("po line needs a literal", line=ln)
             edge = parse_lit(parts[1], ln)
             name = parts[2] if len(parts) > 2 else None
-            net.add_output(edge, name)
+            try:
+                net.add_output(edge, name)
+            except NetlistError as exc:
+                raise ParseError(str(exc), line=ln)
         else:
             raise ParseError("unknown directive %r" % parts[0], line=ln)
     net.validate()

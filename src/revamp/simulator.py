@@ -26,7 +26,6 @@ container header may declare any ``S_D`` and ``w_D`` that fit its fields.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_PIR, CrossbarConfig,
@@ -112,9 +111,6 @@ class Trace:
             "dmr": s.dmr,
             **({"dcm": s.dcm} if s.dcm is not None else {}),
         } for s in self.steps]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_list(), indent=2)
 
 
 def grid_dump(state: MachineState) -> str:

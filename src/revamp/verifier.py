@@ -1,5 +1,5 @@
-"""Independent oracles: program-vs-network equivalence, exact bin packing
-and schedule-safety replay.
+"""Independent oracles: program-vs-network equivalence and exact bin
+packing.
 
 Equivalence checking runs the machine model bit-parallel over all (or many)
 input vectors at once and compares the declared result devices against the
@@ -14,12 +14,9 @@ import random
 from dataclasses import dataclass
 
 from .isa import Program
-from .lutmap import LutGraph
-from .netlist import LogicNetwork, evaluate_masks, pi_patterns
+from .netlist import (EXHAUSTIVE_MAX_PIS, LogicNetwork, evaluate_masks,
+                      pi_patterns)
 from .simulator import run_vectors
-
-# widest network checked on all 2^k input vectors (2^16 bits per mask)
-EXHAUSTIVE_MAX_PIS = 16
 
 
 @dataclass
@@ -142,54 +139,3 @@ def optimal_packing(sizes, capacity: int) -> int:
 
     descend(0, [])
     return best
-
-
-# -- schedule replay --------------------------------------------------------------
-
-def replay_safety(schedule, graph: LutGraph,
-                  storage_devices: int | None = None) -> list[str]:
-    """Replay a storage schedule's event list and collect safety violations.
-
-    Checks that no device is recycled while its value still has an
-    unscheduled consumer, that placements never collide and that occupancy
-    never exceeds the storage capacity.
-    """
-    succs: dict[int, set[int]] = {l.id: set() for l in graph.luts}
-    for lut in graph.luts:
-        for kind, ref in lut.inputs:
-            if kind == "lut":
-                succs[ref].add(lut.id)
-
-    violations = []
-    occupant: dict[tuple[int, int], int] = {}
-    placed: set[int] = set()
-    outputs = set(graph.outputs)
-    for event in schedule.events:
-        if event[0] == "place":
-            _, lut_id, w, b = event
-            if (w, b) in occupant:
-                violations.append("device (%d,%d) double-booked by %d and %d"
-                                  % (w, b, occupant[(w, b)], lut_id))
-            occupant[(w, b)] = lut_id
-            placed.add(lut_id)
-        else:
-            _, w, victims = event
-            for b, lut_id in victims:
-                if occupant.get((w, b)) != lut_id:
-                    violations.append("reset of (%d,%d) does not match its "
-                                      "occupant" % (w, b))
-                waiting = succs.get(lut_id, set()) - placed
-                if waiting:
-                    violations.append(
-                        "value of %d recycled while consumers %s are "
-                        "unscheduled" % (lut_id, sorted(waiting)))
-                if lut_id in outputs:
-                    violations.append("output value %d recycled" % lut_id)
-                occupant.pop((w, b), None)
-        if storage_devices is not None and len(occupant) > storage_devices:
-            violations.append("occupancy %d exceeds capacity %d"
-                              % (len(occupant), storage_devices))
-    unplaced = {l.id for l in graph.luts} - placed
-    if unplaced:
-        violations.append("never placed: %s" % sorted(unplaced))
-    return violations

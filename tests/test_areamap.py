@@ -11,7 +11,7 @@ from revamp.areamap import (E2, InfeasibleMapping, PirVar, StoredVar,
 from revamp.circuits import (comparator, full_adder, multiplier, parity,
                              ripple_adder, two_bit_xor)
 from revamp.codegen import ProgramBuilder
-from revamp.esop import Cube, EsopCover, Literal, extract_esop
+from revamp.esop import Cube, EsopCover, extract_esop
 from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, WsMode,
                         read_program, write_program)
 from revamp.lutmap import Lut, LutGraph, assign_levels, cover_klut, min_dev
@@ -19,10 +19,59 @@ from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
                             normalize_mig, pi_patterns, random_aig,
                             random_mig)
 from revamp.simulator import run, run_vectors
-from revamp.verifier import check_equivalence, replay_safety
+from revamp.verifier import check_equivalence
 
 
 # -- scheduling ---------------------------------------------------------------
+
+def replay_safety(schedule, graph: LutGraph,
+                  storage_devices: int | None = None) -> list[str]:
+    """Replay a storage schedule's event list and collect safety violations.
+
+    Checks that no device is recycled while its value still has an
+    unscheduled consumer, that placements never collide and that occupancy
+    never exceeds the storage capacity.
+    """
+    succs: dict[int, set[int]] = {l.id: set() for l in graph.luts}
+    for lut in graph.luts:
+        for kind, ref in lut.inputs:
+            if kind == "lut":
+                succs[ref].add(lut.id)
+
+    violations = []
+    occupant: dict[tuple[int, int], int] = {}
+    placed: set[int] = set()
+    outputs = set(graph.outputs)
+    for event in schedule.events:
+        if event[0] == "place":
+            _, lut_id, w, b = event
+            if (w, b) in occupant:
+                violations.append("device (%d,%d) double-booked by %d and %d"
+                                  % (w, b, occupant[(w, b)], lut_id))
+            occupant[(w, b)] = lut_id
+            placed.add(lut_id)
+        else:
+            _, w, victims = event
+            for b, lut_id in victims:
+                if occupant.get((w, b)) != lut_id:
+                    violations.append("reset of (%d,%d) does not match its "
+                                      "occupant" % (w, b))
+                waiting = succs.get(lut_id, set()) - placed
+                if waiting:
+                    violations.append(
+                        "value of %d recycled while consumers %s are "
+                        "unscheduled" % (lut_id, sorted(waiting)))
+                if lut_id in outputs:
+                    violations.append("output value %d recycled" % lut_id)
+                occupant.pop((w, b), None)
+        if storage_devices is not None and len(occupant) > storage_devices:
+            violations.append("occupancy %d exceeds capacity %d"
+                              % (len(occupant), storage_devices))
+    unplaced = {l.id for l in graph.luts} - placed
+    if unplaced:
+        violations.append("never placed: %s" % sorted(unplaced))
+    return violations
+
 
 def _seven_lut_graph():
     """Four-level, seven-LUT reference graph on a 6x4 crossbar.
@@ -121,10 +170,8 @@ def test_cube_batch_reference_panels():
     """Two three-literal cubes walk through the documented grid states."""
     cfg = CrossbarConfig(3, 2)
     builder = ProgramBuilder(cfg, 3)
-    cubes = [Cube.from_literals([Literal(0, False), Literal(1, True),
-                                 Literal(2, False)]),   # a !b c
-             Cube.from_literals([Literal(0, True), Literal(1, False),
-                                 Literal(2, False)])]   # !a b c
+    cubes = [Cube(pos=0b101, neg=0b010),   # a !b c
+             Cube(pos=0b110, neg=0b001)]   # !a b c
     sources = [PirVar(0), PirVar(1), PirVar(2)]
     compute_cube_batch(builder, cubes, [0, 1], sources)
 
@@ -147,8 +194,7 @@ def test_cube_batch_reference_panels():
 
 def test_single_positive_cube():
     cfg = CrossbarConfig(3, 2)
-    cover = EsopCover([Cube.from_literals([Literal(0, False),
-                                           Literal(1, False)])], 2)
+    cover = EsopCover([Cube(pos=0b11)], 2)
     builder = ProgramBuilder(cfg, 2)
     compute_cube_batch(builder, cover.cubes, [0], [PirVar(0), PirVar(1)])
     from revamp.isa import Program
@@ -242,7 +288,7 @@ def test_stored_operand_sources():
     from revamp.areamap import compute_esop
     from revamp.isa import SLOT_CONST0, SLOT_CONST1, Program
     cfg = CrossbarConfig(5, 2)
-    cover = extract_esop([0, 1, 1, 0])  # xor of the two variables
+    cover = extract_esop(0b0110, 2)  # xor of the two variables
     sources = [PirVar(0), StoredVar(3, 1, inverted=True)]
     for v1 in (0, 1):
         b = ProgramBuilder(cfg, 1)
@@ -440,6 +486,23 @@ def test_minimal_programs_byte_identical():
     for name, build, digest in PINNED_MINIMAL_PROGRAMS:
         program, _ = map_minimal(normalize_mig(build()))
         assert _digest_and_reread(program) == digest, name
+
+
+# digest of 200 containers: 100 seeded random covers at 3x2 and at 3x4
+PINNED_ESOP_PROGRAMS = (
+    "1ceb16a4bbb2a81e229d3b4a8ea398d8a37b73b3586cf405f62e66ba9a9369de")
+
+
+def test_esop_programs_byte_identical():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        arity = rng.randrange(1, 7)
+        cover = extract_esop(rng.getrandbits(1 << arity), arity)
+        for w_d in (2, 4):
+            program, _ = gen_esop_program(cover, CrossbarConfig(3, w_d))
+            digest.update(write_program(program))
+    assert digest.hexdigest() == PINNED_ESOP_PROGRAMS
 
 
 def test_builder_pairs_are_interned():

@@ -124,7 +124,7 @@ def test_simulate_traces_every_vector(tmp_path, capsys):
     program = two_bit_xor_program()
     for steps, line in zip(runs, vectors.read_text().split()):
         _, alone = run(program, [int(c) for c in line], record_trace=True)
-        assert steps == json.loads(alone.to_json())
+        assert steps == json.loads(json.dumps(alone.to_list()))
 
 
 def test_verify_picks_random_above_the_exhaustive_bound(tmp_path, capsys):

@@ -119,9 +119,10 @@ def test_pack_reference_blocks():
     w_util = 100.0 * occupied / (packing.n_words * 3)
     assert abs(w_util - 88.8) < 0.1
     # deepest operand group lands in word 0
-    assert packing.word_of_block[4] == 0
-    assert packing.word_of_block[2] == 1
-    assert packing.word_of_block[1] == 2
+    word_of = {b.id: w for w, bs in packing.word_blocks.items() for b in bs}
+    assert word_of[4] == 0
+    assert word_of[2] == 1
+    assert word_of[1] == 2
 
 
 def test_pack_two_small_blocks_share_word():

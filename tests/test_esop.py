@@ -2,49 +2,53 @@ import random
 
 import pytest
 
-from revamp.esop import (Cube, EsopCover, EsopError, Literal,
-                         cover_truth_table, eval_esop, extract_esop,
-                         format_pla, parse_pla, verify_esop)
+from revamp.esop import (Cube, EsopCover, EsopError, cover_truth_table,
+                         extract_esop, format_pla)
+
+
+def eval_esop(cover: EsopCover, mask: int) -> int:
+    """Reference: XOR of the cubes whose literals all hold under ``mask``
+    (bit i = value of variable i)."""
+    acc = 0
+    for c in cover.cubes:
+        acc ^= int((mask & c.pos) == c.pos and not mask & c.neg)
+    return acc
 
 
 def test_constant_covers():
-    zero = extract_esop([0, 0, 0, 0])
+    zero = extract_esop(0b0000, 2)
     assert zero.cubes == []
-    one = extract_esop([1, 1, 1, 1])
+    one = extract_esop(0b1111, 2)
     assert len(one.cubes) == 1 and one.cubes[0].num_literals() == 0
 
 
 def test_two_cube_reference_cover():
     # not(a) b c  xor  a not(b) c    (a = var 0)
-    cover = EsopCover([Cube.from_literals([Literal(0, True), Literal(1, False),
-                                           Literal(2, False)]),
-                       Cube.from_literals([Literal(0, False), Literal(1, True),
-                                           Literal(2, False)])], 3)
+    cover = EsopCover([Cube(pos=0b110, neg=0b001),
+                       Cube(pos=0b101, neg=0b010)], 3)
     assert len(cover.cubes) == 2
     assert all(c.num_literals() == 3 for c in cover.cubes)
     for k in range(8):
         a, b, c = k & 1, (k >> 1) & 1, (k >> 2) & 1
         expect = ((1 - a) & b & c) ^ (a & (1 - b) & c)
-        assert eval_esop(cover, [a, b, c]) == expect
-    extracted = extract_esop([(cover_truth_table(cover) >> k) & 1
-                              for k in range(8)])
-    assert verify_esop(extracted, cover_truth_table(cover), 3)
+        assert eval_esop(cover, k) == expect
+    extracted = extract_esop(cover_truth_table(cover), 3)
+    assert extracted.arity == 3
+    assert cover_truth_table(extracted) == cover_truth_table(cover)
 
 
 def test_cube_rejects_double_variable():
     with pytest.raises(EsopError):
         Cube(pos=0b1, neg=0b1)
-    with pytest.raises(EsopError):
-        Cube.from_literals([Literal(2, False), Literal(2, True)])
 
 
 def test_parity_worst_case_is_linear():
     for n in range(1, 9):
-        tt = [bin(k).count("1") & 1 for k in range(1 << n)]
-        cover = extract_esop(tt)
+        tt = sum((bin(k).count("1") & 1) << k for k in range(1 << n))
+        cover = extract_esop(tt, n)
         assert len(cover.cubes) == n
         assert all(c.num_literals() == 1 for c in cover.cubes)
-        assert verify_esop(cover, tt)
+        assert cover_truth_table(cover) == tt
 
 
 def test_random_truth_tables_verify():
@@ -53,7 +57,8 @@ def test_random_truth_tables_verify():
         arity = rng.randrange(1, 9)
         tt = rng.getrandbits(1 << arity)
         cover = extract_esop(tt, arity)
-        assert verify_esop(cover, tt, arity), "trial %d" % trial
+        assert cover.arity == arity
+        assert cover_truth_table(cover) == tt, "trial %d" % trial
 
 
 def test_self_xor_cancels():
@@ -66,30 +71,23 @@ def test_self_xor_cancels():
         assert cover_truth_table(doubled) == 0
 
 
-def test_eval_accepts_masks_and_sequences():
-    cover = extract_esop([0, 1, 1, 0])  # xor
-    assert eval_esop(cover, [1, 0]) == 1
-    assert eval_esop(cover, 0b01) == 1
-    assert eval_esop(cover, 0b11) == 0
-
-
-def test_pla_roundtrip():
+def test_pla_rows_match_cubes():
     rng = random.Random(3)
     for _ in range(30):
         arity = rng.randrange(1, 7)
         cover = extract_esop(rng.getrandbits(1 << arity), arity)
-        text = format_pla(cover)
-        again = parse_pla(text)
-        assert again.arity == arity
-        assert cover_truth_table(again) == cover_truth_table(cover)
-    assert ".type esop" in format_pla(cover)
-
-
-def test_pla_rejects_bad_rows():
-    with pytest.raises(EsopError):
-        parse_pla(".i 2\n.o 1\n012 1\n.e\n")
-    with pytest.raises(EsopError):
-        parse_pla(".i 2\n.o 2\n")
+        lines = format_pla(cover).splitlines()
+        assert lines[:4] == [".i %d" % arity, ".o 1", ".type esop",
+                             ".p %d" % len(cover.cubes)]
+        assert lines[-1] == ".e"
+        rows = lines[4:-1]
+        assert len(rows) == len(cover.cubes)
+        for row, c in zip(rows, cover.cubes):
+            lits, out = row.split()
+            assert out == "1" and len(lits) == arity
+            for v, ch in enumerate(lits):
+                assert ch == ("1" if (c.pos >> v) & 1
+                              else "0" if (c.neg >> v) & 1 else "-")
 
 
 def test_extraction_bound():

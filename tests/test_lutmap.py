@@ -3,12 +3,37 @@ import random
 import pytest
 
 from revamp.circuits import AigBuilder, full_adder, parity, ripple_adder
-from revamp.lutmap import (Lut, LutGraph, _cone_tt, _grow_cut, assign_levels,
-                           cover_klut, evaluate_lut_graph_masks, feasible,
-                           lut_graph_truth_tables, lut_truth_table, min_dev,
-                           transient_nodes)
+from revamp.lutmap import (PI_REF, Lut, LutGraph, _cone_tt, _grow_cut,
+                           assign_levels, cover_klut, feasible,
+                           lut_truth_table, min_dev, transient_nodes)
 from revamp.netlist import (AND, Edge, LogicNetwork, evaluate_masks,
-                            parse_aiger, random_aig, truth_table_ints)
+                            parse_aiger, pi_patterns, random_aig,
+                            truth_table_ints)
+
+
+def evaluate_lut_graph_masks(graph: LutGraph, pi_masks: list[int],
+                             full: int) -> list[int]:
+    """Reference: each LUT as the OR of its on-set minterms, bit-parallel."""
+    vals = [0] * len(graph.luts)
+    for lut in graph.luts:
+        ins = []
+        for kind, ref in lut.inputs:
+            ins.append(pi_masks[ref] if kind == PI_REF else vals[ref])
+        acc = 0
+        for k in range(1 << len(ins)):
+            if not (lut.tt >> k) & 1:
+                continue
+            term = full
+            for i, mv in enumerate(ins):
+                term &= mv if (k >> i) & 1 else full & ~mv
+            acc |= term
+        vals[lut.id] = acc
+    return [vals[o] for o in graph.outputs]
+
+
+def lut_graph_truth_tables(graph: LutGraph) -> list[int]:
+    full = (1 << (1 << graph.num_pis)) - 1
+    return evaluate_lut_graph_masks(graph, pi_patterns(graph.num_pis), full)
 
 
 def test_trivial_cover_one_lut_per_and():
@@ -253,7 +278,8 @@ def test_cone_tt_matches_scalar_reference():
         net.add_output(Edge(len(net.nodes) - 1))
         fanout = net.fanout_counts()
         for k in (2, 4, 6):
-            for root in net.internal_nodes():
+            for root in (i for i, n in enumerate(net.nodes)
+                         if n.kind == AND):
                 cut = _grow_cut(net, root, k, fanout)
                 tt = _cone_tt(net, root, cut)
                 for a in range(1 << len(cut)):

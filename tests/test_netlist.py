@@ -2,7 +2,7 @@ import pytest
 
 from conftest import example_mig
 from revamp.netlist import (AND, MAJ, Edge, LogicNetwork, NetlistError,
-                            ParseError, aig_to_mig, evaluate, level, levels,
+                            ParseError, aig_to_mig, evaluate, levels,
                             normalize_mig, parse_aiger, parse_mig, random_aig,
                             random_mig, serialize_aig, serialize_mig,
                             truth_table, truth_table_ints)
@@ -90,11 +90,25 @@ def test_mig_parse_errors():
         parse_mig("pi 0 a\nnode 1 = MAJ(0,0)\npo 1\n")  # arity
 
 
+def test_mig_refuses_duplicate_output_names():
+    # the second po takes the default name o1, which the first already uses
+    text = "pi 0 a\npi 1 b\npi 2 c\nnode 3 = MAJ(0,1,2)\n" \
+           "node 4 = MAJ(0,!1,2)\npo 3 o1\npo 4\n"
+    with pytest.raises(ParseError, match="line 7: duplicate output name 'o1'"):
+        parse_mig(text)
+
+
+def test_aiger_refuses_duplicate_output_names():
+    text = "aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\no0 y\no1 y\n"
+    with pytest.raises(ParseError, match="duplicate output name 'y'"):
+        parse_aiger(text)
+
+
 def test_levels_of_example_mig():
     net = example_mig()
     lv = levels(net)
     names = {n.name: i for i, n in enumerate(net.nodes) if n.name}
-    assert all(level(net, p) == 0 for p in net.pis)
+    assert all(lv[p] == 0 for p in net.pis)
     assert lv[names["s1"]] == 1
     assert lv[names["s4"]] == 3
 
@@ -116,7 +130,7 @@ def test_level_of_and_chain():
     for _ in range(9):
         cur = net.add_node(AND, (Edge(cur), Edge(a)))
     net.add_output(Edge(cur))
-    assert level(net, cur) == 10
+    assert levels(net)[cur] == 10
 
 
 def test_evaluate_majority():
@@ -288,6 +302,6 @@ def test_truth_table_matches_scalar_reference():
 
 
 def test_truth_table_ints_refuses_wide_networks():
-    net = random_aig(num_pis=5, num_ands=4, seed=0)
+    net = random_aig(num_pis=17, num_ands=4, seed=0)
     with pytest.raises(NetlistError, match="random"):
-        truth_table_ints(net, max_pis=4)
+        truth_table_ints(net)

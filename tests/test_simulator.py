@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -152,7 +153,8 @@ def test_trace_exports():
     _, trace = run(prog, [1, 0, 1, 1], record_trace=True)
     text = trace.to_text()
     assert "Apply" in text and "Read" in text
-    assert trace.to_json().startswith("[")
+    steps = json.loads(json.dumps(trace.to_list()))
+    assert [s["index"] for s in steps] == list(range(len(prog.instructions)))
 
 
 def test_cycles_is_instruction_count_plus_fill():
