@@ -481,27 +481,38 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         wl, host = rest[0], rest[1]
         return bl, wl, host
 
-    def store_operand(edge, negate_store: bool, word: int, bit: int):
-        """Place ``edge``'s effective value (or its complement) at a device."""
-        node = mig.nodes[edge.target]
-        if node.kind != MAJ:
-            load_leaf(edge.target, edge.inverted ^ negate_store, word, bit)
-            return
-        if edge.inverted ^ negate_store:
-            raise NetlistError("internal operand needed in complemented form")
-        compute(edge.target, word, bit)
-
     def compute(nid: int, word: int, bit: int):
-        """Evaluate the subtree under ``nid`` leaving its value at a device."""
-        node = mig.nodes[nid]
-        bl, wl, host = pick_roles(node)
-        row = lv[nid]  # operand row for this level
-        store_operand(wl, False, row, 1)
-        store_operand(bl, True, row, 0)   # bitline stores the complement
-        store_operand(host, False, word, bit)
-        builder.read(row)
-        builder.apply_from_dmr(word, WsMode.FROM_SOURCE, {bit: 0}, wb=1)
-        builder.reset_bits(row, [0, 1])
+        """Evaluate the subtree under ``nid`` leaving its value at a device.
+
+        A node stores its wordline, bitline and host operands, in that
+        order, then applies its operand row to the host.  Pending steps sit
+        on a stack, popped last first, so a deep chain needs no recursion.
+        """
+        steps = [("node", nid, word, bit)]
+        while steps:
+            kind, x, word, bit = steps.pop()
+            if kind == "node":
+                bl, wl, host = pick_roles(mig.nodes[x])
+                row = lv[x]  # operand row for this level
+                steps += (("apply", row, word, bit),
+                          ("store", host, word, bit),
+                          # the bitline stores the complement
+                          ("store_complement", bl, row, 0),
+                          ("store", wl, row, 1))
+            elif kind == "apply":
+                builder.read(x)
+                builder.apply_from_dmr(word, WsMode.FROM_SOURCE, {bit: 0},
+                                       wb=1)
+                builder.reset_bits(x, [0, 1])
+            else:  # place operand edge x's value (or its complement)
+                negate = x.inverted ^ (kind == "store_complement")
+                if mig.nodes[x.target].kind != MAJ:
+                    load_leaf(x.target, negate, word, bit)
+                elif negate:
+                    raise NetlistError(
+                        "internal operand needed in complemented form")
+                else:
+                    steps.append(("node", x.target, word, bit))
 
     out_name = mig.output_names[0]
     target = (0, 1)

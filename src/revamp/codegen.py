@@ -5,6 +5,12 @@ Every flow emits the same two-instruction program through one
 from the same place.  The builder does not validate what it builds: the
 program is checked where it is encoded (``isa.write_program``) or executed
 (``simulator.run_vectors``).
+
+The flows' programs are long and repetitive, so the builder interns: equal
+instructions are one shared (immutable) object, and a PIR Apply shares its
+slot tuple too.  The encoder, the validator and the simulator key their
+per-instruction work by object, so each does it once per distinct
+instruction.
 """
 
 from __future__ import annotations
@@ -28,9 +34,21 @@ class ProgramBuilder:
         self.instructions = []
         self.pir_schedule = {}
         self.result_locations = {}
-        self.touched = set()
+        # Read: w -> instruction.  Apply: (w, source, mode, wb, sorted
+        # wires) -> instruction, or (instruction, slots) from the PIR.  The
+        # wires fix the pairs and, in sorted order, the PIR slot positions.
+        # Every PIR Apply also maps to itself, as its slots are not part of
+        # it, so the values hold each distinct Apply.
+        self._interned = {}
         self._dmr_word = None  # word a Read would be redundant for
         self._dmr_loaded = False
+
+    @property
+    def touched(self) -> set[tuple[int, int]]:
+        """Devices ``(w, j)`` that some Apply drives through a valid pair."""
+        return {(instr.w, j) for instr in self._interned.values()
+                if isinstance(instr, ApplyInstr)
+                for j, pair in enumerate(instr.pairs) if pair.valid}
 
     def counts(self) -> dict[str, int]:
         """Instruction mix and cycle count, keyed as in ``MappingReport``."""
@@ -42,7 +60,10 @@ class ProgramBuilder:
     def read(self, w: int):
         if self._dmr_word == w:
             return
-        self.instructions.append(ReadInstr(w))
+        instr = self._interned.get(w)
+        if instr is None:
+            instr = self._interned[w] = ReadInstr(w)
+        self.instructions.append(instr)
         self._dmr_word = w
         self._dmr_loaded = True
 
@@ -57,34 +78,46 @@ class ProgramBuilder:
                        wb: int = 0):
         if not self._dmr_loaded:
             raise RuntimeError("apply from DMR before any readout")
-        instr = ApplyInstr(w, SRC_DMR, WordlineSelect(mode, wb),
-                           self._pairs(wires))
+        key = (w, SRC_DMR, mode, wb, tuple(sorted(wires.items())))
+        instr = self._interned.get(key)
+        if instr is None:
+            instr = self._interned[key] = ApplyInstr(
+                w, SRC_DMR, WordlineSelect(mode, wb), self._pairs(wires))
         self.instructions.append(instr)
-        self.touched.update((w, j) for j in wires)
         if w == self._dmr_word:
             self._dmr_word = None
 
     def apply_from_pir(self, w: int, mode: WsMode, wires: dict[int, int]):
         """Apply with PIR wires given as slot codes (PI index or constant)."""
+        key = (w, SRC_PIR, mode, 0, tuple(sorted(wires.items())))
+        entry = self._interned.get(key)
+        if entry is None:
+            entry = self._interned[key] = self._pir_apply(w, mode, key[4])
+        instr, slots = entry
+        self.pir_schedule[len(self.instructions)] = slots
+        self.instructions.append(instr)
+        if w == self._dmr_word:
+            self._dmr_word = None
+
+    def _pir_apply(self, w: int, mode: WsMode,
+                   wires: tuple[tuple[int, int], ...]
+                   ) -> tuple[ApplyInstr, tuple[int, ...]]:
+        """A PIR Apply and its slots; slot positions follow wire order."""
         slots = [SLOT_CONST0] * self.config.w_d
         position = {}
         wire_vals = {}
-        for j in sorted(wires):
-            code = wires[j]
+        for j, code in wires:
             if code not in position:
                 if len(position) >= self.config.w_d:
                     raise RuntimeError("more distinct PIR wires than lines")
                 position[code] = len(position)
                 slots[position[code]] = code
             wire_vals[j] = position[code]
-        idx = len(self.instructions)
         instr = ApplyInstr(w, SRC_PIR, WordlineSelect(mode, 0),
                            self._pairs(wire_vals))
-        self.instructions.append(instr)
-        self.pir_schedule[idx] = tuple(slots)
-        self.touched.update((w, j) for j in wires)
-        if w == self._dmr_word:
-            self._dmr_word = None
+        # wires of other PIs at the same positions give an equal instruction
+        instr = self._interned.setdefault(instr, instr)
+        return instr, tuple(slots)
 
     def reset_bits(self, w: int, bits):
         bits = list(bits)

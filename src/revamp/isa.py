@@ -25,6 +25,11 @@ code to one shared :class:`BitlinePair`, so a field is one shift and mask
 and equal pairs are one object.  :func:`read_program` keeps a per-call memo
 from instruction bytes to the decoded (immutable) instruction, so each
 distinct word is decoded and checked once and repeats share its object.
+:func:`write_program` mirrors it with a per-call memo from instruction
+object to bytes, so an instruction the program builder shared among many
+positions is packed once; ``Program.validate`` likewise checks each
+distinct object once.  PIR slot tuples are shared the same way: by bytes
+when read, and packed once per object when written.
 The table has ``2**(1 + bit_bits)`` entries, so a container header is
 untrusted until bounded: the instruction table must fit in the bytes that
 follow it before any instruction is decoded or any table is built, and an
@@ -343,13 +348,23 @@ def _write_program(program: Program) -> bytes:
            struct.pack("<I", len(program.instructions))]
     if program.instructions:  # an empty program needs no codec table
         lay = cfg.layout
-        out.extend(_pack(instr, lay).to_bytes(nbytes, "big")
-                   for instr in program.instructions)
+        memo = {}  # id -> bytes; the program holds every instruction alive
+        for instr in program.instructions:
+            raw = memo.get(id(instr))
+            if raw is None:
+                raw = memo[id(instr)] = _pack(instr, lay).to_bytes(nbytes,
+                                                                   "big")
+            out.append(raw)
     sched = sorted(program.pir_schedule.items())
     out.append(struct.pack("<I", len(sched)))
+    pack_slots = struct.Struct("<%di" % cfg.w_d).pack
+    packed = {}  # id -> bytes of a slot tuple, which entries often share
     for idx, slots in sched:
         out.append(struct.pack("<I", idx))
-        out.append(struct.pack("<%di" % cfg.w_d, *slots))
+        raw = packed.get(id(slots))
+        if raw is None:
+            raw = packed[id(slots)] = pack_slots(*slots)
+        out.append(raw)
     out.append(struct.pack("<I", len(program.result_locations)))
     for name, (w, b) in sorted(program.result_locations.items()):
         raw = name.encode("utf-8")
@@ -392,12 +407,17 @@ def _read_program(data: bytes) -> Program:
     (n_sched,) = struct.unpack_from("<I", data, off)
     off += 4
     sched = {}
+    slot_memo = {}  # equal slot bytes share one tuple, as equal words do
+    unpack_slots = struct.Struct("<%di" % w_d).unpack
     for _ in range(n_sched):
         (idx,) = struct.unpack_from("<I", data, off)
         off += 4
-        slots = struct.unpack_from("<%di" % w_d, data, off)
+        raw = data[off:off + 4 * w_d]
+        slots = slot_memo.get(raw)
+        if slots is None:
+            slots = slot_memo[raw] = unpack_slots(raw)
         off += 4 * w_d
-        sched[idx] = tuple(slots)
+        sched[idx] = slots
     (n_res,) = struct.unpack_from("<I", data, off)
     off += 4
     results = {}

@@ -295,28 +295,47 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
             const_id = out.add_const0()
         return const_id
 
-    def build(nid: int, flipped: bool) -> int:
-        """Emit a fresh tree computing node ``nid`` (complemented if asked)."""
-        node = network.nodes[nid]
-        fanins = [Edge(e.target, e.inverted ^ flipped) for e in node.fanins]
-        internal = [j for j, e in enumerate(fanins)
-                    if network.nodes[e.target].kind == MAJ]
-        n_pi_inv = sum(1 for j, e in enumerate(fanins)
-                       if j not in internal and e.inverted)
+    nodes = network.nodes
+
+    def visit(nid: int, flipped: bool, inv: bool = False):
+        """Frame for node ``nid`` (complemented if ``flipped``), whose parent
+        refers to it through an edge complemented if ``inv``."""
+        fanins, internal, leaf_inverted = [], [], False
+        for j, e in enumerate(nodes[nid].fanins):
+            inverted = e.inverted ^ flipped
+            fanins.append((e.target, inverted))
+            if nodes[e.target].kind == MAJ:
+                internal.append(j)
+            elif inverted:
+                leaf_inverted = True
         # Choose edge polarities: internal edges are free (the child absorbs
         # a flip), PI/const edges are fixed.  Target exactly one inverted.
-        want_inv = set()
-        if n_pi_inv == 0 and internal:
-            want_inv.add(min(internal, key=lambda j: fanins[j].target))
-        new_fanins = []
-        for j, e in enumerate(fanins):
-            if j in internal:
-                inv = j in want_inv
-                child = build(e.target, e.inverted ^ inv)
-                new_fanins.append(Edge(child, inv))
+        flip = -1
+        if internal and not leaf_inverted:
+            flip = min(internal, key=lambda j: fanins[j][0])
+        return nid, inv, enumerate(fanins), internal, flip, []
+
+    def build(root: int, flipped: bool) -> int:
+        """Emit a fresh tree computing node ``root`` (complemented if asked).
+
+        Depth first, fanins in order, each node after its fanins.  The stack
+        holds one frame per open node, so a deep chain needs no recursion.
+        """
+        stack = [visit(root, flipped)]
+        while True:
+            nid, inv, todo, internal, flip, new_fanins = stack[-1]
+            for j, (target, inverted) in todo:  # resumes after the last
+                if j in internal:  # emit the child's tree, then come back
+                    stack.append(visit(target, inverted ^ (j == flip),
+                                       j == flip))
+                    break
+                new_fanins.append(Edge(leaf(target), inverted))
             else:
-                new_fanins.append(Edge(leaf(e.target), e.inverted))
-        return out.add_node(MAJ, new_fanins, name=node.name)
+                stack.pop()
+                node = out.add_node(MAJ, new_fanins, name=nodes[nid].name)
+                if not stack:
+                    return node
+                stack[-1][5].append(Edge(node, inv))
 
     for e, name in zip(network.outputs, network.output_names):
         if network.nodes[e.target].kind == MAJ:

@@ -19,9 +19,12 @@ program takes T + 2 cycles.
 :func:`run_vectors` checks a program once, up front: ``Program.validate()``
 admits every address, source, wordline select, ``val`` and PIR schedule
 entry, and the input count is checked against ``num_pis``.  One unchecked
-loop then executes the instructions.  A machine state refuses a geometry of
-more than ``MAX_DEVICES`` devices before it allocates anything, since a
-container header may declare any ``S_D`` and ``w_D`` that fit its fields.
+loop then executes the instructions; it lists the valid ``(bitline, val)``
+pairs of each distinct Apply object once per run, since the program builder
+shares one object among all equal instructions.  A machine state refuses a
+geometry of more than ``MAX_DEVICES`` devices before it allocates anything,
+since a container header may declare any ``S_D`` and ``w_D`` that fit its
+fields.
 """
 
 from __future__ import annotations
@@ -139,6 +142,8 @@ def run_vectors(program: Program, input_masks: list[int], width: int,
     slot_masks[SLOT_CONST0] = 0
     slot_masks[SLOT_CONST1] = full
     trace = Trace()
+    lines_of = {}  # id of an Apply -> its valid (bitline, val) pairs
+    pir_of = {}  # id of a slot tuple -> the PIR it loads (never mutated)
     for i, instr in enumerate(program.instructions):
         row = dcm[instr.w]
         if record_trace:
@@ -147,16 +152,24 @@ def run_vectors(program: Program, input_masks: list[int], width: int,
             state.dmr = list(row)  # a read leaves the stored word untouched
         else:
             if instr.source == SRC_PIR:
-                source = state.pir = [slot_masks[s]
-                                      for s in program.pir_schedule[i]]
+                slots = program.pir_schedule[i]
+                source = pir_of.get(id(slots))
+                if source is None:
+                    source = pir_of[id(slots)] = [slot_masks[s]
+                                                  for s in slots]
+                state.pir = source
             else:
                 source = state.dmr
             mode = instr.ws.mode
             wl = (0 if mode == WsMode.ZERO else full if mode == WsMode.ONE
                   else source[instr.ws.wb])
-            for j, pair in enumerate(instr.pairs):
-                if pair.valid:  # v=0 leaves the bitline's device alone
-                    row[j] = device_step(row[j], wl, source[pair.val], full)
+            lines = lines_of.get(id(instr))
+            if lines is None:  # v=0 leaves the bitline's device alone
+                lines = lines_of[id(instr)] = [
+                    (j, pair.val) for j, pair in enumerate(instr.pairs)
+                    if pair.valid]
+            for j, val in lines:
+                row[j] = device_step(row[j], wl, source[val], full)
         if record_trace:
             trace.steps.append(TraceStep(
                 i, instr, instr.w, pre, list(row), list(state.dmr),

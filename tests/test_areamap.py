@@ -8,8 +8,8 @@ from revamp.areamap import (E2, InfeasibleMapping, PirVar, StoredVar,
                             compute_cube_batch, gen_esop_program, map_area,
                             map_lut_graph, map_minimal, schedule_luts,
                             xor_reduce)
-from revamp.circuits import (comparator, full_adder, multiplier, parity,
-                             ripple_adder, two_bit_xor)
+from revamp.circuits import (AigBuilder, comparator, full_adder, multiplier,
+                             parity, ripple_adder, two_bit_xor)
 from revamp.codegen import ProgramBuilder
 from revamp.esop import Cube, EsopCover, extract_esop
 from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, WsMode,
@@ -429,6 +429,27 @@ def test_map_minimal_requires_tree():
     from revamp.netlist import NetlistError
     with pytest.raises(NetlistError):
         map_minimal(net)
+
+
+@pytest.mark.parametrize("n", [600, 3000])
+def test_minimal_flow_maps_deep_and_chain(n):
+    """A chain deeper than the interpreter's recursion limit normalizes,
+    maps, encodes and verifies: at 600 inputs ``map_minimal`` used to
+    recurse too deep, at 3000 ``normalize_mig`` already did."""
+    b = AigBuilder()
+    acc = b.pi()
+    for _ in range(n - 1):
+        acc = b.and_(acc, b.pi())
+    b.output(acc, "y")
+    net = b.build()
+    tree = normalize_mig(aig_to_mig(net))
+    program, report = map_minimal(tree)
+    assert report.levels == n - 1
+    assert report.devices_used <= report.device_bound
+    assert read_program(write_program(program)).instructions == (
+        program.instructions)
+    result = check_equivalence(net, program, mode="random", n=256)
+    assert result.ok and result.mode == "random"
 
 
 # -- byte identity ---------------------------------------------------------------

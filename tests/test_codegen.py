@@ -1,12 +1,14 @@
+import dataclasses
+
 import pytest
 
 from revamp.areamap import map_area, map_minimal
-from revamp.circuits import parity, ripple_adder
+from revamp.circuits import default_corpus, parity, ripple_adder
 from revamp.codegen import ProgramBuilder
 from revamp.delaymap import map_delay
-from revamp.isa import (CrossbarConfig, IsaError, ReadInstr, WsMode,
-                        write_program)
-from revamp.netlist import aig_to_mig, normalize_mig
+from revamp.isa import (ApplyInstr, CrossbarConfig, IsaError, Program,
+                        ReadInstr, WsMode, write_program)
+from revamp.netlist import LogicNetwork, aig_to_mig, normalize_mig, pi_patterns
 from revamp.simulator import PIPELINE_FILL, run_vectors
 
 
@@ -44,3 +46,65 @@ def test_finish_leaves_validation_to_encode_and_execute():
         write_program(program)
     with pytest.raises(IsaError, match="out of range"):
         run_vectors(program, [0b10], 2)
+
+
+@pytest.fixture(scope="module")
+def corpus_programs():
+    """(flow, name, num_pis, program, report) over the default corpus: area
+    at k=4 on 256x32 and 16x16, delay at w_D=32 and one minimal tree per
+    output."""
+    out = []
+    for name, net in default_corpus():
+        for s_d, w_d in ((256, 32), (16, 16)):
+            out.append(("area", name, net.num_pis,
+                        *map_area(net, 4, s_d, w_d)))
+        mig = aig_to_mig(net)
+        out.append(("delay", name, net.num_pis, *map_delay(mig, 32)))
+        for edge, output in zip(mig.outputs, mig.output_names):
+            tree = normalize_mig(
+                LogicNetwork("mig", mig.nodes, [edge], [output]))
+            out.append(("minimal", name + "." + output, net.num_pis,
+                        *map_minimal(tree)))
+    return out
+
+
+def test_builder_shares_one_object_per_distinct_instruction(corpus_programs):
+    total = distinct = 0
+    for flow, name, _, program, _ in corpus_programs:
+        instrs = program.instructions
+        assert len({id(i) for i in instrs}) == len(set(instrs)), (flow, name)
+        total += len(instrs)
+        distinct += len(set(instrs))
+    assert distinct < total // 4  # the programs repeat themselves
+
+
+def test_minimal_devices_used_counts_the_programs_devices(corpus_programs):
+    for flow, name, _, program, report in corpus_programs:
+        if flow == "minimal":
+            devices = {(i.w, j) for i in program.instructions
+                       if isinstance(i, ApplyInstr)
+                       for j, pair in enumerate(i.pairs) if pair.valid}
+            assert report.devices_used == len(devices), name
+
+
+def _unshared(program: Program) -> Program:
+    """The same program with every instruction and slot tuple its own
+    object."""
+    return Program(program.config,
+                   [dataclasses.replace(i) for i in program.instructions],
+                   {i: tuple(list(slots))
+                    for i, slots in program.pir_schedule.items()},
+                   dict(program.result_locations), program.num_pis)
+
+
+def test_shared_objects_encode_and_run_like_fresh_ones(corpus_programs):
+    for flow, name, num_pis, program, _ in corpus_programs:
+        fresh = _unshared(program)
+        assert len({id(i) for i in fresh.instructions}) == len(
+            fresh.instructions)
+        assert write_program(fresh) == write_program(program), (flow, name)
+        masks, width = pi_patterns(num_pis), 1 << num_pis
+        shared_run = run_vectors(program, masks, width, record_trace=True)
+        fresh_run = run_vectors(fresh, masks, width, record_trace=True)
+        assert fresh_run[0].dcm == shared_run[0].dcm, (flow, name)
+        assert fresh_run[1].to_list() == shared_run[1].to_list(), (flow, name)
