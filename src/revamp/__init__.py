@@ -15,9 +15,9 @@ Subpackages:
 * ``verifier``  -- equivalence checking and exact bin packing
 """
 
-from .netlist import (LogicNetwork, Edge, Node, parse_aiger, serialize_aig,
-                      parse_mig, serialize_mig, aig_to_mig, normalize_mig,
-                      evaluate, truth_table, levels)
+from .netlist import (LogicNetwork, Edge, Node, parse_aiger, parse_mig,
+                      serialize_mig, aig_to_mig, normalize_mig, evaluate,
+                      truth_table, levels)
 from .isa import (CrossbarConfig, Program, ReadInstr, ApplyInstr,
                   WordlineSelect, BitlinePair, WsMode, instruction_lengths,
                   encode, decode, format_asm, write_program, read_program)

@@ -21,7 +21,8 @@ from .areamap import InfeasibleMapping, map_area, map_minimal
 from .delaymap import map_delay
 from .isa import format_asm, read_program, write_program
 from .lutmap import cover_klut, feasible, lut_graph_to_dict, min_dev
-from .netlist import aig_to_mig, normalize_mig, parse_aiger, parse_mig
+from .netlist import (NetlistError, aig_to_mig, normalize_mig, parse_aiger,
+                      parse_mig)
 from .reports import BENCH_COLUMNS, BenchRow
 from .simulator import grid_dump, run
 from .verifier import EXHAUSTIVE_MAX_PIS, check_equivalence
@@ -46,8 +47,9 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
 
     The reference is the network in the form the flow maps (the AIG, its
     MIG, or the normalized MIG tree); the program must match it.  Raises
-    ``NotApplicable`` for an area map of a MIG and a minimal map of a
-    multi-output network; every other error comes through unchanged.
+    ``NotApplicable`` for an area map of a MIG, a minimal map of a
+    multi-output network and one whose normalized tree is too large; every
+    other error comes through unchanged.
     """
     if flow == "area":
         if net.kind == "mig":
@@ -58,7 +60,10 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
     mig = net if net.kind == "mig" else aig_to_mig(net)
     if flow == "delay":
         return (*map_delay(mig, w_d), mig)
-    mig = normalize_mig(mig)
+    try:
+        mig = normalize_mig(mig)
+    except NetlistError as exc:  # a MIG is refused only for its tree size
+        raise NotApplicable("too large: %s" % exc) from None
     return (*map_minimal(mig), mig)
 
 

@@ -32,6 +32,9 @@ _ARITY = {PI: 0, CONST0: 0, AND: 2, MAJ: 3}
 # widest network evaluated on all 2^k input vectors (2^16 bits per mask)
 EXHAUSTIVE_MAX_PIS = 16
 
+# most MAJ nodes normalize_mig builds; parity16 needs 98,301, parity24 25M
+MAX_TREE_NODES = 1 << 20
+
 
 class NetlistError(ValueError):
     pass
@@ -260,6 +263,17 @@ def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
 
 # -- MIG normalization -------------------------------------------------------
 
+def _tree_size(network: LogicNetwork) -> int:
+    """MAJ nodes in the per-output trees ``normalize_mig`` builds: a MAJ
+    node counts 1 plus the sizes of its MAJ fanins, summed over outputs."""
+    nodes = network.nodes
+    sizes = [0] * len(nodes)
+    for i, n in enumerate(nodes):  # fanins come before their node
+        if n.kind == MAJ:
+            sizes[i] = 1 + sum(sizes[e.target] for e in n.fanins)
+    return sum(sizes[e.target] for e in network.outputs)
+
+
 def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     """Reshape a MIG into per-output trees with canonical fanin polarity.
 
@@ -277,9 +291,17 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     several complemented PI fanins, more than one) marked edges; the
     guarantee that always holds is *at most one complemented edge to an
     internal node*, which is what the depth-bounded mapper relies on.
+
+    Replication can grow the network exponentially, so the trees' MAJ count
+    is computed first, in one pass, and a network whose trees would exceed
+    ``MAX_TREE_NODES`` is refused before anything is built.
     """
     if network.kind != "mig":
         raise NetlistError("normalize_mig expects a MIG")
+    size = _tree_size(network)
+    if size > MAX_TREE_NODES:
+        raise NetlistError("normalized trees would have %d MAJ nodes, more "
+                           "than the limit of %d" % (size, MAX_TREE_NODES))
     out = LogicNetwork(kind="mig")
     pi_map: dict[int, int] = {}
     const_id = None
@@ -476,40 +498,6 @@ def parse_aiger(text: str) -> LogicNetwork:
             raise ParseError(str(exc), line=ln)
     net.validate()
     return net
-
-
-def serialize_aig(network: LogicNetwork) -> str:
-    """Write an AIG back to ASCII AIGER."""
-    if network.kind != "aig":
-        raise NetlistError("serialize_aig expects an AIG")
-    pis = network.pis
-    var_of: dict[int, int] = {nid: i + 1 for i, nid in enumerate(pis)}
-    ands = [i for i, n in enumerate(network.nodes) if n.kind == AND]
-    for j, nid in enumerate(ands):
-        var_of[nid] = len(pis) + 1 + j
-
-    def lit(e: Edge) -> int:
-        node = network.nodes[e.target]
-        if node.kind == CONST0:
-            return 1 if e.inverted else 0
-        return var_of[e.target] * 2 + (1 if e.inverted else 0)
-
-    m = len(pis) + len(ands)
-    out = ["aag %d %d 0 %d %d" % (m, len(pis), len(network.outputs), len(ands))]
-    for nid in pis:
-        out.append(str(var_of[nid] * 2))
-    for e in network.outputs:
-        out.append(str(lit(e)))
-    for nid in ands:
-        f = network.nodes[nid].fanins
-        out.append("%d %d %d" % (var_of[nid] * 2, lit(f[0]), lit(f[1])))
-    for i, nid in enumerate(pis):
-        if network.nodes[nid].name:
-            out.append("i%d %s" % (i, network.nodes[nid].name))
-    for i, name in enumerate(network.output_names):
-        if name:
-            out.append("o%d %s" % (i, name))
-    return "\n".join(out) + "\n"
 
 
 # -- textual MIG format ------------------------------------------------------

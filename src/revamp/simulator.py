@@ -19,12 +19,29 @@ program takes T + 2 cycles.
 :func:`run_vectors` checks a program once, up front: ``Program.validate()``
 admits every address, source, wordline select, ``val`` and PIR schedule
 entry, and the input count is checked against ``num_pis``.  One unchecked
-loop then executes the instructions; it lists the valid ``(bitline, val)``
-pairs of each distinct Apply object once per run, since the program builder
-shares one object among all equal instructions.  A machine state refuses a
-geometry of more than ``MAX_DEVICES`` devices before it allocates anything,
-since a container header may declare any ``S_D`` and ``w_D`` that fit its
-fields.
+loop then executes the instructions, traced or not.  The program builder
+shares one object among all equal instructions, so the loop turns each
+distinct instruction object into an op tuple once per run,
+
+    (w, mode, wb, from_pir, lines)
+
+where ``mode`` is the wordline select as a plain int (``None`` for a Read)
+and ``lines`` lists the valid ``(bitline, val)`` pairs of an Apply.  Each
+shared PIR slot tuple is likewise turned into its input masks once.  The
+device update is then written out per wordline mode, with ``nbl = full ^ bl``
+and, for FROM_SOURCE, ``wl`` the source's bit ``wb``:
+
+    ZERO         z & nbl
+    ONE          z | nbl
+    FROM_SOURCE  (z & (wl | nbl)) | (wl & nbl)
+
+Each equals ``device_step(z, wl, bl, full)`` because every mask the loop
+sees lies within ``full``: the input masks are cut to ``full``, the constant
+slots are 0 and ``full``, the data register is a copy of a row, rows start
+at 0, and each update keeps them within ``full``.  :func:`device_step` stays
+the reference for the three forms.  A machine state refuses a geometry of
+more than ``MAX_DEVICES`` devices before it allocates anything, since a
+container header may declare any ``S_D`` and ``w_D`` that fit its fields.
 """
 
 from __future__ import annotations
@@ -121,6 +138,20 @@ def grid_dump(state: MachineState) -> str:
     return "\n".join(_grid_rows(state.dcm))
 
 
+_ZERO, _ONE = int(WsMode.ZERO), int(WsMode.ONE)
+
+
+def _op(instr: Instruction) -> tuple:
+    """The op tuple ``(w, mode, wb, from_pir, lines)`` of one instruction."""
+    if isinstance(instr, ReadInstr):
+        return instr.w, None, 0, False, ()
+    # a pair with v=0 leaves its bitline's device alone
+    lines = tuple((j, pair.val) for j, pair in enumerate(instr.pairs)
+                  if pair.valid)
+    return (instr.w, int(instr.ws.mode), instr.ws.wb,
+            instr.source == SRC_PIR, lines)
+
+
 def run_vectors(program: Program, input_masks: list[int], width: int,
                 record_trace: bool = False, record_state: bool = False
                 ) -> tuple[MachineState, Trace]:
@@ -142,38 +173,46 @@ def run_vectors(program: Program, input_masks: list[int], width: int,
     slot_masks[SLOT_CONST0] = 0
     slot_masks[SLOT_CONST1] = full
     trace = Trace()
-    lines_of = {}  # id of an Apply -> its valid (bitline, val) pairs
+    ops = {}  # id of an instruction -> its op tuple (see the module doc)
     pir_of = {}  # id of a slot tuple -> the PIR it loads (never mutated)
+    schedule = program.pir_schedule
+    dmr, pir = state.dmr, state.pir
     for i, instr in enumerate(program.instructions):
-        row = dcm[instr.w]
+        op = ops.get(id(instr))
+        if op is None:
+            op = ops[id(instr)] = _op(instr)
+        w, mode, wb, from_pir, lines = op
+        row = dcm[w]
         if record_trace:
             pre = list(row)
-        if isinstance(instr, ReadInstr):
-            state.dmr = list(row)  # a read leaves the stored word untouched
+        if mode is None:
+            dmr = list(row)  # a read leaves the stored word untouched
         else:
-            if instr.source == SRC_PIR:
-                slots = program.pir_schedule[i]
+            if from_pir:
+                slots = schedule[i]
                 source = pir_of.get(id(slots))
                 if source is None:
                     source = pir_of[id(slots)] = [slot_masks[s]
                                                   for s in slots]
-                state.pir = source
+                pir = source
             else:
-                source = state.dmr
-            mode = instr.ws.mode
-            wl = (0 if mode == WsMode.ZERO else full if mode == WsMode.ONE
-                  else source[instr.ws.wb])
-            lines = lines_of.get(id(instr))
-            if lines is None:  # v=0 leaves the bitline's device alone
-                lines = lines_of[id(instr)] = [
-                    (j, pair.val) for j, pair in enumerate(instr.pairs)
-                    if pair.valid]
-            for j, val in lines:
-                row[j] = device_step(row[j], wl, source[val], full)
+                source = dmr
+            if mode == _ZERO:
+                for j, val in lines:
+                    row[j] &= full ^ source[val]
+            elif mode == _ONE:
+                for j, val in lines:
+                    row[j] |= full ^ source[val]
+            else:
+                wl = source[wb]
+                for j, val in lines:
+                    nbl = full ^ source[val]
+                    row[j] = (row[j] & (wl | nbl)) | (wl & nbl)
         if record_trace:
             trace.steps.append(TraceStep(
-                i, instr, instr.w, pre, list(row), list(state.dmr),
+                i, instr, w, pre, list(row), list(dmr),
                 [list(r) for r in dcm] if record_state else None))
+    state.dmr, state.pir = dmr, pir
     state.pc = len(program.instructions)
     state.cycles = state.pc + PIPELINE_FILL
     return state, trace

@@ -1,8 +1,9 @@
-"""Shared golden fixtures: the hand-assembled two-bit XOR program and the
-five-input reference MIG used across the mapping tests."""
+"""Shared golden fixtures: the hand-assembled two-bit XOR program, the
+five-input reference MIG used across the mapping tests, and an ASCII AIGER
+writer for the ``.aag`` files the CLI tests read."""
 
 from revamp.circuits import two_bit_xor_program  # noqa: F401  (re-export)
-from revamp.netlist import MAJ, Edge, LogicNetwork
+from revamp.netlist import AND, CONST0, MAJ, Edge, LogicNetwork, NetlistError
 
 
 def example_mig() -> LogicNetwork:
@@ -23,3 +24,37 @@ def example_mig() -> LogicNetwork:
     s4 = net.add_node(MAJ, (Edge(s3), Edge(d), Edge(e)), name="s4")
     net.add_output(Edge(s4), "s4")
     return net
+
+
+def serialize_aig(network: LogicNetwork) -> str:
+    """Write an AIG back to ASCII AIGER."""
+    if network.kind != "aig":
+        raise NetlistError("serialize_aig expects an AIG")
+    pis = network.pis
+    var_of: dict[int, int] = {nid: i + 1 for i, nid in enumerate(pis)}
+    ands = [i for i, n in enumerate(network.nodes) if n.kind == AND]
+    for j, nid in enumerate(ands):
+        var_of[nid] = len(pis) + 1 + j
+
+    def lit(e: Edge) -> int:
+        node = network.nodes[e.target]
+        if node.kind == CONST0:
+            return 1 if e.inverted else 0
+        return var_of[e.target] * 2 + (1 if e.inverted else 0)
+
+    m = len(pis) + len(ands)
+    out = ["aag %d %d 0 %d %d" % (m, len(pis), len(network.outputs), len(ands))]
+    for nid in pis:
+        out.append(str(var_of[nid] * 2))
+    for e in network.outputs:
+        out.append(str(lit(e)))
+    for nid in ands:
+        f = network.nodes[nid].fanins
+        out.append("%d %d %d" % (var_of[nid] * 2, lit(f[0]), lit(f[1])))
+    for i, nid in enumerate(pis):
+        if network.nodes[nid].name:
+            out.append("i%d %s" % (i, network.nodes[nid].name))
+    for i, name in enumerate(network.output_names):
+        if name:
+            out.append("o%d %s" % (i, name))
+    return "\n".join(out) + "\n"

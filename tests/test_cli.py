@@ -4,11 +4,12 @@ import tempfile
 
 import pytest
 
+from conftest import serialize_aig
 from revamp.circuits import (full_adder, parity, ripple_adder, two_bit_xor,
                              two_bit_xor_program)
 from revamp.cli import main
 from revamp.isa import write_program
-from revamp.netlist import aig_to_mig, serialize_aig, serialize_mig
+from revamp.netlist import aig_to_mig, serialize_mig
 from revamp.simulator import run
 
 
@@ -298,3 +299,16 @@ def test_bench_rows_match_map_reports(tmp_path, capsys):
         report = json.loads(rep.read_text())
         for col in ("i_total", "cycles", "s_d", "w_d"):
             assert row[col] == report[col], (row["benchmark"], row["flow"])
+
+
+def test_bench_skips_a_tree_too_large(tmp_path, capsys):
+    # parity24's normalized tree would have 25,165,821 MAJ nodes
+    (tmp_path / "par24.aag").write_text(serialize_aig(parity(24)))
+    (tmp_path / "par4.aag").write_text(serialize_aig(parity(4)))
+    rc = main(["bench", str(tmp_path), "--flow", "minimal"])
+    assert rc == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["benchmark"] for r in rows] == ["par24", "par4"]
+    assert rows[0]["status"].startswith("skipped: too large")
+    assert "25165821" in rows[0]["status"]
+    assert rows[1]["status"] == "ok"

@@ -1,11 +1,14 @@
+import time
+
 import pytest
 
-from conftest import example_mig
+from conftest import example_mig, serialize_aig
+from revamp.circuits import parity
 from revamp.netlist import (AND, MAJ, Edge, LogicNetwork, NetlistError,
                             ParseError, aig_to_mig, evaluate, levels,
                             normalize_mig, parse_aiger, parse_mig, random_aig,
-                            random_mig, serialize_aig, serialize_mig,
-                            truth_table, truth_table_ints)
+                            random_mig, serialize_mig, truth_table,
+                            truth_table_ints)
 
 
 def _shape(net):
@@ -267,6 +270,20 @@ def test_normalize_keeps_output_polarity_semantics():
     net = random_mig(num_pis=4, num_nodes=5, seed=3, num_outputs=3)
     norm = normalize_mig(net)
     assert truth_table_ints(norm) == truth_table_ints(net)
+
+
+def test_normalize_refuses_an_oversized_tree():
+    mig = aig_to_mig(parity(24))
+    t0 = time.perf_counter()
+    with pytest.raises(NetlistError, match="25165821 MAJ nodes"):
+        normalize_mig(mig)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_normalize_parity16_stays_under_the_limit():
+    norm = normalize_mig(aig_to_mig(parity(16)))
+    assert len(norm.nodes) == 98318
+    assert sum(1 for n in norm.nodes if n.kind == MAJ) == 98301
 
 
 def _reference_outputs(net, bits):

@@ -1,15 +1,17 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from conftest import two_bit_xor_program
-from revamp.isa import (SLOT_CONST0, SLOT_CONST1, SRC_PIR, ApplyInstr,
-                        BitlinePair, CrossbarConfig, IsaError, Program,
-                        ReadInstr, WordlineSelect, WsMode, read_program,
-                        write_program)
-from revamp.simulator import (MAX_DEVICES, SimulationError, device_step, run,
-                              run_vectors)
+from revamp.isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR,
+                        ApplyInstr, BitlinePair, CrossbarConfig, IsaError,
+                        Program, ReadInstr, WordlineSelect, WsMode,
+                        read_program, write_program)
+from revamp.simulator import (MAX_DEVICES, PIPELINE_FILL, MachineState,
+                              SimulationError, Trace, TraceStep, device_step,
+                              run, run_vectors)
 
 
 def brute_majority(a, b, c):
@@ -178,3 +180,90 @@ def test_per_step_state_recording():
     assert "w2" in trace.to_text(dump_state=True)
     # last snapshot equals the final grid
     assert trace.steps[-1].dcm[2] == [1 ^ 0, 1 ^ 1]
+
+
+# -- differential check of the loop against device_step ---------------------
+
+def _reference_run_vectors(program, input_masks, width, record_trace=False,
+                           record_state=False):
+    """Reference loop without memos: the wordline is resolved per
+    instruction and each valid pair takes one ``device_step`` call."""
+    program.validate()
+    full = (1 << width) - 1
+    state = MachineState(program.config, full=full)
+    dcm = state.dcm
+    slot_masks = {i: input_masks[i] & full for i in range(program.num_pis)}
+    slot_masks[SLOT_CONST0] = 0
+    slot_masks[SLOT_CONST1] = full
+    trace = Trace()
+    for i, instr in enumerate(program.instructions):
+        row = dcm[instr.w]
+        if record_trace:
+            pre = list(row)
+        if isinstance(instr, ReadInstr):
+            state.dmr = list(row)
+        else:
+            if instr.source == SRC_PIR:
+                source = state.pir = [slot_masks[s]
+                                      for s in program.pir_schedule[i]]
+            else:
+                source = state.dmr
+            mode = instr.ws.mode
+            wl = (0 if mode == WsMode.ZERO else full if mode == WsMode.ONE
+                  else source[instr.ws.wb])
+            for j, pair in enumerate(instr.pairs):
+                if pair.valid:
+                    row[j] = device_step(row[j], wl, source[pair.val], full)
+        if record_trace:
+            trace.steps.append(TraceStep(
+                i, instr, instr.w, pre, list(row), list(state.dmr),
+                [list(r) for r in dcm] if record_state else None))
+    state.pc = len(program.instructions)
+    state.cycles = state.pc + PIPELINE_FILL
+    return state, trace
+
+
+def _random_program(rng):
+    """A valid program with shared instruction objects and slot tuples."""
+    s_d, w_d = rng.randint(1, 6), rng.randint(2, 8)
+    num_pis = rng.randint(0, 4)
+    slot_choices = [SLOT_CONST0, SLOT_CONST1, *range(num_pis)]
+    slot_pool = [tuple(rng.choice(slot_choices) for _ in range(w_d))
+                 for _ in range(3)]
+    pool = []
+    for _ in range(rng.randint(2, 8)):
+        w = rng.randrange(s_d)
+        if rng.random() < 0.2:
+            pool.append(ReadInstr(w))
+            continue
+        ws = WordlineSelect(rng.choice(list(WsMode)), rng.randrange(w_d))
+        pool.append(ApplyInstr(w, rng.choice((SRC_PIR, SRC_DMR)), ws, tuple(
+            BitlinePair(rng.random() < 0.7, rng.randrange(w_d))
+            for _ in range(w_d))))
+    instrs, schedule = [], {}
+    for i in range(rng.randint(1, 60)):
+        instr = rng.choice(pool)
+        instrs.append(instr)
+        if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR:
+            schedule[i] = rng.choice(slot_pool)
+    return Program(CrossbarConfig(s_d, w_d), instrs, schedule, {}, num_pis)
+
+
+@pytest.mark.parametrize("width", [1, 7, 64, 300])
+def test_loop_matches_device_step_reference(width):
+    rng = random.Random(width)
+    kinds = set()
+    for _ in range(80):
+        prog = _random_program(rng)
+        masks = [rng.getrandbits(width + 3) for _ in range(prog.num_pis)]
+        for record in (False, True):
+            want, want_trace = _reference_run_vectors(prog, masks, width,
+                                                      record, record)
+            got, got_trace = run_vectors(prog, masks, width, record, record)
+            assert (got.dcm, got.dmr, got.pir, got.cycles) == (
+                want.dcm, want.dmr, want.pir, want.cycles)
+            assert got_trace.to_list() == want_trace.to_list()
+        kinds.update((i.ws.mode, i.source) for i in prog.instructions
+                     if isinstance(i, ApplyInstr))
+    # every wordline mode ran from both sources
+    assert kinds == set(itertools.product(WsMode, (SRC_PIR, SRC_DMR)))
