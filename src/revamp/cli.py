@@ -163,8 +163,9 @@ def cmd_simulate(args):
         if args.grid:
             print(grid_dump(state))
     if args.trace:
-        # one step list per input vector, in input order
-        _write(args.trace, json.dumps(traces, indent=2))
+        # one step list per input vector, in input order; unindented, as
+        # indenting puts every bit on its own line and quadruples the file
+        _write(args.trace, json.dumps(traces, separators=(",", ":")))
     print(json.dumps(out, indent=2))
     return 0
 

@@ -16,11 +16,13 @@ The crossbar width is fixed, the word count is an output.  Four phases:
    wordline and bitline operands must sit in the same word.  Operand pairs
    open blocks; blocks merge when they share an input value (keeping one
    copy) or when their hosts compute together under a shared wordline
-   (keeping both host copies), never beyond the word width.  One pair
-   merges at a time, and the scan restarts after each merge: input merges
-   come before host merges, the newest block is tried first, and it joins
-   its newest older partner that fits.  Indexes from input value and from
-   wordline key to blocks limit each scan to the pairs that share one.
+   (keeping both host copies), never beyond the word width.  Input merges
+   come before host merges; each kind settles in one pass from the newest
+   block to the oldest, each block joining its newest older partner that
+   fits.  A merge only makes blocks larger, so a pair that did not fit
+   never fits later and no block needs a second look.  Indexes from input
+   value and from wordline key to blocks limit each pass to the pairs
+   that share one.
    Negated copies of internal values get a single plain instance to be
    copied from.
 
@@ -261,24 +263,33 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
     def merge(lvl: int | None = None):
         """Fold blocks together until no pair merges.
 
-        Each round folds one pair and the next round rescans from scratch.
-        Input merges come before host merges: a host merge is tried only
+        Input merges come before host merges: the host phase starts only
         when no input merge fits, and only below the outputs (``lvl``
-        given).  Within each kind the newest block ``b`` is tried first,
+        given).  Within each phase the newest block ``b`` is tried first,
         against its older partners ``a`` newest first; a partner qualifies
         by sharing an input value with ``b`` (input merge) or, for a host
         merge, a wordline key among the sites both host at ``lvl``.  The
         first partner that fits the word takes ``b`` in.
 
+        Each phase settles in one pass from the newest block to the
+        oldest.  Folding ``b`` into ``a`` never lets a pair fit that did
+        not: for any other block ``c``, ``a`` gains at least as many
+        elements as ``c`` newly shares inputs with, so
+        ``|a+b| - |shared(c, a+b)| >= |a| - |shared(c, a)|``, and likewise
+        for ``b``.  A block the pass has left behind therefore fails
+        against every partner for good, and rescanning from the newest
+        block after a merge would only repeat those failures.  For the
+        same reason a host merge never makes an input merge possible, and
+        never drops an input element (its pair shares no input value, or
+        it would have failed in the input phase).  The wordline keys,
+        which follow ``resolve()`` of input elements, are thus fixed once
+        the input phase ends; the host index is built then, once, and a
+        merge only moves ``b``'s keys to ``a``.
+
         Indexes from input value and from wordline key to the blocks
-        holding it limit a round to the P pairs that share a key: with B
-        blocks a round costs O(B + P log P) set operations and capacity
-        tests, where scoring every pair would cost O(B^2 log B).  The input
-        index is updated in place after each merge.  The host index is
-        rebuilt, in time linear in elements and sites, whenever the input
-        phase finds nothing, because an input merge changes which element
-        ``resolve()`` returns and with it the keys of sites hosted in other
-        blocks.
+        holding it limit each pass to the P pairs that share a key: with
+        B blocks a level costs O(B + P log P) set operations and capacity
+        tests plus one linear build of each index.
         """
         ivals = {b: {el.value for el in b.elements if el.tag == "i"}
                  for b in blocks}
@@ -286,6 +297,8 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
         for b, vals in ivals.items():
             for v in vals:
                 holders.setdefault(v, set()).add(b)
+        # (block -> keys, key -> blocks) pairs that absorb keeps current
+        tables = [(ivals, holders)]
 
         def absorb(a: Block, b: Block) -> bool:
             # fold b into a, keeping a's copy of each shared input value
@@ -300,32 +313,30 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
                     el.merged_into = survivors[el.value]
             a.elements.extend(moved)
             blocks.remove(b)
-            for v in ivals.pop(b):
-                holders[v].discard(b)
-                holders[v].add(a)
-                ivals[a].add(v)
+            for keys, index in tables:
+                for k in keys.pop(b):
+                    index[k].discard(b)
+                    index[k].add(a)
+                    keys[a].add(k)
             return True
 
-        def first_fit(keys: dict, index: dict) -> bool:
-            for b in reversed(blocks):
+        def settle(keys: dict, index: dict):
+            for b in blocks[::-1]:
                 partners = {a for k in keys[b] for a in index[k]
                             if a.id < b.id}
                 for a in sorted(partners, key=lambda a: -a.id):
                     if absorb(a, b):
-                        return True
-            return False
+                        break
 
-        def host_merge() -> bool:
+        settle(ivals, holders)
+        if lvl is not None:
             keys = {b: host_keys(b, lvl) for b in blocks}
             index: dict = {}
             for b, ks in keys.items():
                 for k in ks:
                     index.setdefault(k, set()).add(b)
-            return first_fit(keys, index)
-
-        while first_fit(ivals, holders) \
-                or (lvl is not None and host_merge()):
-            pass
+            tables.append((keys, index))
+            settle(keys, index)
 
     output_elements = []
     for e, _name in zip(mig.outputs, mig.output_names):

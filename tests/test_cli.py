@@ -128,6 +128,27 @@ def test_simulate_traces_every_vector(tmp_path, capsys):
         assert steps == json.loads(json.dumps(alone.to_list()))
 
 
+def test_simulate_trace_file_is_unindented(tmp_path, capsys):
+    prog = tmp_path / "xor.rvmp"
+    prog.write_bytes(write_program(two_bit_xor_program()))
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("0110\n1011\n")
+    trace = tmp_path / "trace.json"
+    assert main(["simulate", str(prog), "--inputs", str(vectors),
+                 "--trace", str(trace), "--step-grid"]) == 0
+    text = trace.read_text()
+    program = two_bit_xor_program()
+    expected = []
+    for line in vectors.read_text().split():
+        _, alone = run(program, [int(c) for c in line], record_trace=True,
+                       record_state=True)
+        expected.append(alone.to_list())
+    assert json.loads(text) == json.loads(json.dumps(expected))
+    assert "\n" not in text
+    # stdout keeps its indented layout
+    assert '\n  {\n    "inputs"' in capsys.readouterr().out
+
+
 def test_verify_picks_random_above_the_exhaustive_bound(tmp_path, capsys):
     net = tmp_path / "add9.aag"
     net.write_text(serialize_aig(ripple_adder(9)))  # 18 inputs

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import time
@@ -320,6 +321,46 @@ def test_block_lists_on_random_migs():
         mig = random_mig(5, 8, seed=seed, num_outputs=2)
         formation = form_blocks(mig, assign_roles(mig), w_d)
         assert _block_tags(formation) == expected, (seed, w_d)
+
+
+@functools.cache
+def _formations():
+    """Block formations over 200 random MIGs and three converted circuits."""
+    out = []
+    for s in range(200):
+        mig = random_mig(3 + s % 8, 4 + s % 30, seed=s, num_outputs=1 + s % 4)
+        roles = assign_roles(mig)
+        out += [(w_d, form_blocks(mig, roles, w_d)) for w_d in (2, 3, 4, 5, 8)]
+    for net in (ripple_adder(16), multiplier(4), parity(32)):
+        mig = aig_to_mig(net)
+        out.append((32, form_blocks(mig, assign_roles(mig), 32)))
+    return out
+
+
+def test_merge_order_pinned_on_many_networks():
+    # digest of the block lists formed when every merge rescanned all blocks
+    h = hashlib.sha256()
+    for w_d, formation in _formations():
+        h.update(repr((w_d, _block_tags(formation))).encode())
+    assert h.hexdigest() == \
+        "9f771dea5d8b2235bdf28bc38a9cfff3dd24fafe8dfba2e7fce1802a99b52536"
+
+
+def test_no_two_blocks_sharing_an_input_fit_together():
+    """Merging reaches its fixpoint: every pair sharing an input overflows."""
+    pairs = 0
+    for w_d, formation in _formations():
+        blocks = formation.blocks
+        ivals = [{el.value for el in b.elements if el.tag == "i"}
+                 for b in blocks]
+        for j in range(len(blocks)):
+            for i in range(j):
+                shared = ivals[i] & ivals[j]
+                if shared:
+                    pairs += 1
+                    assert len(blocks[i]) + len(blocks[j]) - len(shared) \
+                        > w_d, (blocks[i].id, blocks[j].id, w_d)
+    assert pairs == 2919
 
 
 def test_delay_flow_scales_to_mult8_and_add32():
