@@ -414,6 +414,15 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     single output.  Row 0 holds the inverter device at bitline 0 and the
     final host at bitline 1; each tree level gets one operand row where its
     wordline/bitline inputs wait to be read out and applied to the host.
+
+    A normalized tree repeats each of its few distinct subtrees many times.
+    What a subtree emits is fixed by its shape (below), the device it is
+    computed onto and the builder's read state, so each such triple is
+    emitted once and later replayed from the builder's own instruction
+    list (``ProgramBuilder.replay``): the program is the one a node-by-node
+    walk emits.  The memo keeps each stretch as an index range; keeping
+    copies would cost memory quadratic in depth on a chain, whose every
+    subtree is distinct and nested in the next.
     """
     if mig.kind != "mig":
         raise NetlistError("map_minimal expects a MIG")
@@ -425,12 +434,27 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
             raise NetlistError("map_minimal needs a fanout-free MIG; "
                                "run normalize_mig first")
 
+    # What a subtree emits depends on its shape, not on its node ids.  A
+    # leaf's shape is its id; a MAJ node's is interned from its fanins'
+    # shapes and polarities and from the order of their ids, which breaks
+    # pick_roles's ties between internal fanins of one level.
+    shape = list(range(len(mig.nodes)))
+    shapes: dict[tuple, int] = {}
+    for i, n in enumerate(mig.nodes):
+        if n.kind == MAJ:
+            a, b, c = n.fanins
+            shape[i] = shapes.setdefault(
+                (shape[a.target], a.inverted, shape[b.target], b.inverted,
+                 shape[c.target], c.inverted, a.target < b.target,
+                 a.target < c.target, b.target < c.target),
+                len(shape) + len(shapes))
     lv = levels(mig)
     out_edge = mig.outputs[0]
     k = lv[out_edge.target]
     config = CrossbarConfig(max(1, k + 1), 2)
-    builder = ProgramBuilder(config, mig.num_pis)
-    pi_line = {nid: i for i, nid in enumerate(mig.pis)}
+    pis = mig.pis
+    builder = ProgramBuilder(config, len(pis))
+    pi_line = {nid: i for i, nid in enumerate(pis)}
     INVERTER = (0, 0)
 
     def load_leaf(nid: int, negated: bool, word: int, bit: int):
@@ -481,24 +505,37 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         wl, host = rest[0], rest[1]
         return bl, wl, host
 
+    # (shape, word, bit, read state) -> (start, end, read state after)
+    emitted: dict[tuple, tuple] = {}
+
     def compute(nid: int, word: int, bit: int):
         """Evaluate the subtree under ``nid`` leaving its value at a device.
 
         A node stores its wordline, bitline and host operands, in that
         order, then applies its operand row to the host.  Pending steps sit
         on a stack, popped last first, so a deep chain needs no recursion.
+        A subtree whose shape was already emitted onto the same device from
+        the same read state is replayed from the builder's own list.
         """
         steps = [("node", nid, word, bit)]
         while steps:
             kind, x, word, bit = steps.pop()
             if kind == "node":
+                key = (shape[x], word, bit, builder.read_state)
+                if key in emitted:
+                    builder.replay(*emitted[key])
+                    continue
                 bl, wl, host = pick_roles(mig.nodes[x])
                 row = lv[x]  # operand row for this level
-                steps += (("apply", row, word, bit),
+                steps += (("emitted", key, len(builder.instructions), 0),
+                          ("apply", row, word, bit),
                           ("store", host, word, bit),
                           # the bitline stores the complement
                           ("store_complement", bl, row, 0),
                           ("store", wl, row, 1))
+            elif kind == "emitted":  # x is the key, word the start index
+                emitted[x] = (word, len(builder.instructions),
+                              builder.read_state)
             elif kind == "apply":
                 builder.read(x)
                 builder.apply_from_dmr(word, WsMode.FROM_SOURCE, {bit: 0},
@@ -533,7 +570,7 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     n_maj = sum(1 for n in mig.nodes if n.kind == MAJ)
     report = MappingReport(
         flow="minimal",
-        num_pis=mig.num_pis,
+        num_pis=len(pis),
         n_maj=n_maj,
         levels=k,
         s_d=config.s_d, w_d=2,

@@ -11,9 +11,20 @@ instructions are one shared (immutable) object, and a PIR Apply shares its
 slot tuple too.  The encoder, the validator and the simulator key their
 per-instruction work by object, so each does it once per distinct
 instruction.
+
+A flow that emits the same stretch of program more than once can replay
+it: ``replay(start, end, state)`` re-appends instructions ``start..end-1``
+of the builder's own list with their PIR slot schedules, and sets the
+read-elision state (``read_state``) to ``state``, the one the stretch's
+first emission ended in.  What the builder appends depends only on the
+calls made and on the read state they begin in, so replaying a stretch
+from the read state it began in appends exactly what making its calls
+again would.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR, ApplyInstr,
                   BitlinePair, CrossbarConfig, Program, ReadInstr,
@@ -42,6 +53,7 @@ class ProgramBuilder:
         self._interned = {}
         self._dmr_word = None  # word a Read would be redundant for
         self._dmr_loaded = False
+        self._pir_at = []  # indices of PIR Applies, ascending
 
     @property
     def touched(self) -> set[tuple[int, int]]:
@@ -56,6 +68,29 @@ class ProgramBuilder:
         i_read = sum(1 for i in self.instructions if isinstance(i, ReadInstr))
         return {"i_apply": i_total - i_read, "i_read": i_read,
                 "i_total": i_total, "cycles": i_total + PIPELINE_FILL}
+
+    @property
+    def read_state(self) -> tuple[int | None, bool]:
+        """What the next Read may skip: ``(mirrored word, anything read)``."""
+        return self._dmr_word, self._dmr_loaded
+
+    def replay(self, start: int, end: int, state: tuple[int | None, bool]):
+        """Append instructions ``start..end-1`` again and set the read state.
+
+        ``state`` is the ``read_state`` the first emission of the stretch
+        ended in.  A stretch is kept as a range, not a copied list, so a
+        flow can remember every stretch it emitted at no cost in memory.
+        """
+        shift = len(self.instructions) - start
+        self.instructions.extend(self.instructions[start:end])
+        pir_at = self._pir_at
+        moved = [i + shift for i in pir_at[bisect_left(pir_at, start):
+                                           bisect_left(pir_at, end)]]
+        schedule = self.pir_schedule
+        for i in moved:
+            schedule[i] = schedule[i - shift]
+        pir_at.extend(moved)
+        self._dmr_word, self._dmr_loaded = state
 
     def read(self, w: int):
         if self._dmr_word == w:
@@ -94,6 +129,7 @@ class ProgramBuilder:
         if entry is None:
             entry = self._interned[key] = self._pir_apply(w, mode, key[4])
         instr, slots = entry
+        self._pir_at.append(len(self.instructions))
         self.pir_schedule[len(self.instructions)] = slots
         self.instructions.append(instr)
         if w == self._dmr_word:

@@ -295,6 +295,17 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     Replication can grow the network exponentially, so the trees' MAJ count
     is computed first, in one pass, and a network whose trees would exceed
     ``MAX_TREE_NODES`` is refused before anything is built.
+
+    The tree under a source node depends only on that node and on whether
+    it is built complemented, so the output holds at most two distinct
+    subtrees per source node, each repeated many times.  The first tree
+    built for a pair ``(node, flipped)`` is remembered as its range of
+    output ids; a later request copies the range, shifting the fanins that
+    point into it.  Leaves lie before the range (PIs come first, and a
+    range in which the constant was created is not remembered), so the
+    copy is the node list a rebuild would give.  Ranges, not node lists,
+    are kept: a deep chain has one nested range per node, and copies of
+    each would grow with the square of its depth.
     """
     if network.kind != "mig":
         raise NetlistError("normalize_mig expects a MIG")
@@ -318,6 +329,18 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
         return const_id
 
     nodes = network.nodes
+    built: dict[tuple[int, bool], tuple[int, int]] = {}  # -> [start, end)
+
+    def copy(start: int, end: int) -> int:
+        """Append a copy of output nodes ``start..end-1``; returns its root."""
+        shift = len(out.nodes) - start
+        made = out.nodes
+        for i in range(start, end):
+            node = made[i]
+            out.add_node(MAJ, [Edge(e.target + shift, e.inverted)
+                               if e.target >= start else e
+                               for e in node.fanins], node.name)
+        return end - 1 + shift
 
     def visit(nid: int, flipped: bool, inv: bool = False):
         """Frame for node ``nid`` (complemented if ``flipped``), whose parent
@@ -335,29 +358,38 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
         flip = -1
         if internal and not leaf_inverted:
             flip = min(internal, key=lambda j: fanins[j][0])
-        return nid, inv, enumerate(fanins), internal, flip, []
+        return ((nid, flipped), len(out.nodes), inv, enumerate(fanins),
+                internal, flip, [])
 
     def build(root: int, flipped: bool) -> int:
-        """Emit a fresh tree computing node ``root`` (complemented if asked).
+        """Emit a tree computing node ``root`` (complemented if asked).
 
         Depth first, fanins in order, each node after its fanins.  The stack
         holds one frame per open node, so a deep chain needs no recursion.
         """
+        if (root, flipped) in built:
+            return copy(*built[root, flipped])
         stack = [visit(root, flipped)]
         while True:
-            nid, inv, todo, internal, flip, new_fanins = stack[-1]
+            key, start, inv, todo, internal, flip, new_fanins = stack[-1]
             for j, (target, inverted) in todo:  # resumes after the last
-                if j in internal:  # emit the child's tree, then come back
-                    stack.append(visit(target, inverted ^ (j == flip),
-                                       j == flip))
+                if j in internal:
+                    child = (target, inverted ^ (j == flip))
+                    if child in built:
+                        new_fanins.append(Edge(copy(*built[child]), j == flip))
+                        continue
+                    # emit the child's tree, then come back
+                    stack.append(visit(*child, j == flip))
                     break
                 new_fanins.append(Edge(leaf(target), inverted))
             else:
                 stack.pop()
-                node = out.add_node(MAJ, new_fanins, name=nodes[nid].name)
+                node = out.add_node(MAJ, new_fanins, name=nodes[key[0]].name)
+                if const_id is None or const_id < start:
+                    built[key] = (start, node + 1)
                 if not stack:
                     return node
-                stack[-1][5].append(Edge(node, inv))
+                stack[-1][6].append(Edge(node, inv))
 
     for e, name in zip(network.outputs, network.output_names):
         if network.nodes[e.target].kind == MAJ:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -452,6 +453,22 @@ def test_minimal_flow_maps_deep_and_chain(n):
     assert result.ok and result.mode == "random"
 
 
+def test_minimal_map_of_a_deep_chain_stays_linear():
+    """Every subtree of a 3000-input AND chain is distinct, so each one is
+    remembered and none replayed.  The memo holds index ranges, not copied
+    instruction lists, which on this chain would grow with the square of
+    its depth."""
+    b = AigBuilder()
+    acc = b.pi()
+    for _ in range(2999):
+        acc = b.and_(acc, b.pi())
+    b.output(acc, "y")
+    tree = normalize_mig(aig_to_mig(b.build()))
+    t0 = time.perf_counter()
+    map_minimal(tree)
+    assert time.perf_counter() - t0 < 0.5
+
+
 # -- byte identity ---------------------------------------------------------------
 
 # digests of the containers emitted by the bit-by-bit codec
@@ -483,6 +500,47 @@ PINNED_MINIMAL_PROGRAMS = [
      "d4928222d4c78711ae6b9d72b8f0fc4a2b4d4d245e2c614f49fa7906d2faf50d"),
     ("randmig", lambda: random_mig(8, 20, seed=4),
      "c70a17ce9b32f6332f5552a59adc1715eca99897cbe55a673c7d93edae1793d7"),
+    ("parity12", lambda: aig_to_mig(parity(12)),
+     "4284eeb798fd285e00eb11f8458032685270fe861d2096b9b48089880d773aa9"),
+    # 200 MAJ nodes whose tree has 7,243
+    ("randmig200", lambda: random_mig(6, 200, seed=23),
+     "6f1fe6ee3259ff578e181775d1deca0269d3d502658dc9706d6ff49e465851dd"),
+]
+
+
+def _twin_tree(first_swapped, second_swapped):
+    """Fanout-free tree ``MAJ(A, B, y)`` with ``A = MAJ(!N, p, q)`` and ``B``
+    alike, so both copies of ``N = MAJ(C, D, x)`` are computed onto the
+    same device from the same read state.  ``C`` and ``D`` share a level;
+    each copy creates them in the order given, and ``pick_roles`` puts the
+    one with the smaller id on the wordline."""
+    net = LogicNetwork(kind="mig")
+    a, b, c, x, y, p, q = (net.add_pi(name) for name in "abcxypq")
+
+    def half(swapped):
+        made = {inv: net.add_node(MAJ, (Edge(a), Edge(b, inv), Edge(c)))
+                for inv in ((True, False) if swapped else (False, True))}
+        n = net.add_node(MAJ, (Edge(made[False]), Edge(made[True]), Edge(x)))
+        return net.add_node(MAJ, (Edge(n, True), Edge(p), Edge(q)))
+
+    first = half(first_swapped)
+    second = half(second_swapped)
+    net.add_output(Edge(net.add_node(MAJ, (Edge(first), Edge(second),
+                                           Edge(y)))), "f")
+    return net
+
+
+# trees mapped as built: normalize_mig numbers every node's internal
+# fanins in fanin order, so only a hand-built tree can swap them
+PINNED_TWIN_PROGRAMS = [
+    ((False, False),
+     "e77719e6cbe2f90c6819f97c1ada4a47f28332d0d67b5b5be2f31d1fb4f87e0e"),
+    ((False, True),
+     "d84dcd4bbabb933b70ce18065ca4c21abd7f8aa0119466cf78cfeb01f276df7c"),
+    ((True, False),
+     "742bd7218cdff0a52ee8d23c2d444edd68e7476c8ac913731c7e302ee8bdb53b"),
+    ((True, True),
+     "9458ef3cff5b6b3ea3492b8549279b7ea9d3b5cee8ce1697b2b66683ff2a530b"),
 ]
 
 
@@ -507,6 +565,14 @@ def test_minimal_programs_byte_identical():
     for name, build, digest in PINNED_MINIMAL_PROGRAMS:
         program, _ = map_minimal(normalize_mig(build()))
         assert _digest_and_reread(program) == digest, name
+
+
+def test_twin_tree_programs_byte_identical():
+    for swaps, digest in PINNED_TWIN_PROGRAMS:
+        net = _twin_tree(*swaps)
+        program, _ = map_minimal(net)
+        assert _digest_and_reread(program) == digest, swaps
+        assert check_equivalence(net, program).ok
 
 
 # digest of 200 containers: 100 seeded random covers at 3x2 and at 3x4

@@ -5,6 +5,7 @@ import tempfile
 import pytest
 
 from conftest import serialize_aig
+from revamp import cli, netlist
 from revamp.circuits import (full_adder, parity, ripple_adder, two_bit_xor,
                              two_bit_xor_program)
 from revamp.cli import main
@@ -333,3 +334,21 @@ def test_bench_skips_a_tree_too_large(tmp_path, capsys):
     assert rows[0]["status"].startswith("skipped: too large")
     assert "25165821" in rows[0]["status"]
     assert rows[1]["status"] == "ok"
+
+
+def test_bench_checks_rows_against_the_input_network(tmp_path, capsys,
+                                                     monkeypatch):
+    """A minimal row proves conversion, normalization and mapping together:
+    a normalization that complements the output reads as a mismatch."""
+    def complemented(mig):
+        tree = netlist.normalize_mig(mig)
+        tree.outputs = [e.flip() for e in tree.outputs]
+        return tree
+
+    monkeypatch.setattr(cli, "normalize_mig", complemented)
+    (tmp_path / "par4.aag").write_text(serialize_aig(parity(4)))
+    rc = main(["bench", str(tmp_path), "--flow", "minimal"])
+    assert rc == 1
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert rows[0]["status"].startswith("MISMATCH")
+    assert rows[0]["verified"] == "False"

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import time
 
 import pytest
@@ -284,6 +286,52 @@ def test_normalize_parity16_stays_under_the_limit():
     norm = normalize_mig(aig_to_mig(parity(16)))
     assert len(norm.nodes) == 98318
     assert sum(1 for n in norm.nodes if n.kind == MAJ) == 98301
+
+
+def _mig_with_const(seed):
+    """Random MIG whose fanins may pick a constant, and whose MAJ nodes are
+    partly named: the first tree built need not use the constant, so
+    ``normalize_mig`` creates it in the middle of the output."""
+    rng = random.Random(seed)
+    net = LogicNetwork(kind="mig")
+    for i in range(2 + seed % 5):
+        net.add_pi("x%d" % i)
+    net.add_const0()
+    for j in range(3 + seed % 20):
+        hi = len(net.nodes)
+        net.add_node(MAJ, tuple(Edge(rng.randrange(hi), rng.random() < 0.5)
+                                for _ in range(3)),
+                     name="m%d" % j if rng.random() < 0.3 else None)
+    for i in range(1 + seed % 3):
+        net.add_output(Edge(len(net.nodes) - 1 - i, rng.random() < 0.5),
+                       "o%d" % i)
+    return net
+
+
+# sha256 over normalize_mig's node lists (kind, fanins, name) and outputs for
+# parity 2-14, 300 random MIGs, 60 converted random AIGs and 100 MIGs with a
+# constant fanin
+PINNED_NORMAL_FORMS = (
+    "af8d46b1830583edd153b7ca24f72f18ec403e06cb40b2943019c29a5442f3b2")
+
+
+def test_normalize_output_pinned():
+    nets = [aig_to_mig(parity(k)) for k in range(2, 15)]
+    nets += [random_mig(3 + s % 8, 4 + s % 24, seed=s, num_outputs=1 + s % 4)
+             for s in range(300)]
+    nets += [aig_to_mig(random_aig(3 + s % 6, 5 + s % 25, seed=s,
+                                   num_outputs=1 + s % 3))
+             for s in range(60)]
+    nets += [_mig_with_const(s) for s in range(100)]
+    digest = hashlib.sha256()
+    for net in nets:
+        norm = normalize_mig(net)
+        digest.update(repr((
+            [(n.kind, [(e.target, e.inverted) for e in n.fanins], n.name)
+             for n in norm.nodes],
+            [(e.target, e.inverted) for e in norm.outputs],
+            norm.output_names)).encode())
+    assert digest.hexdigest() == PINNED_NORMAL_FORMS
 
 
 def _reference_outputs(net, bits):
