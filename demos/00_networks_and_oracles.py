@@ -40,7 +40,7 @@ print(serialize_mig(mig))
 assert truth_table(mig) == truth_table(net)
 
 norm = normalize_mig(mig)
-print("normalized per-output trees (fanout-free, canonical polarity):")
+print("normalized (canonical polarity, each node built once per polarity):")
 print(serialize_mig(norm))
 assert truth_table(norm) == truth_table(net)
 

@@ -1,11 +1,11 @@
 """Depth-bounded mapping: a k-level majority tree on 2(k+1) devices.
 
-Normalization first reshapes the graph into per-output trees and pushes
-complements with the majority self-duality so that (wherever the leaf
-pattern allows) each node carries exactly one complemented fanin.  The
-mapper then evaluates the tree on a two-bitline crossbar: one operand row
-per level, the device at (0,0) doubling as the input inverter, and the
-output accumulating at (0,1).
+Normalization first pushes complements with the majority self-duality so
+that (wherever the leaf pattern allows) each node carries exactly one
+complemented fanin; a node needed in both polarities is built twice, once
+each.  The mapper then evaluates the network as its tree on a two-bitline
+crossbar: one operand row per level, the device at (0,0) doubling as the
+input inverter, and the output accumulating at (0,1).
 """
 
 import random

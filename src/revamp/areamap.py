@@ -26,9 +26,10 @@ directly), except for LUTs that drive primary outputs, which are stored
 positively so the declared result locations hold the output values as-is.
 
 The same working-area machinery implements the depth-bounded mapper
-(``map_minimal``): a single-output fanout-free MIG of depth k is evaluated
-with at most 2(k+1) devices on a two-bitline crossbar, one operand row per
-tree level plus an inverter/host row.
+(``map_minimal``): a single-output normalized MIG of depth k is evaluated
+as its tree, a shared node once per reference, with at most 2(k+1) devices
+on a two-bitline crossbar, one operand row per level plus an inverter/host
+row.
 
 Both mappers emit through ``codegen.ProgramBuilder``, as the delay flow does.
 """
@@ -42,7 +43,8 @@ from .esop import Cube, EsopCover, extract_esop
 from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .lutmap import (LUT_REF, PI_REF, LutGraph, cover_klut, min_dev,
                      storage_capacity)
-from .netlist import CONST0, MAJ, LogicNetwork, NetlistError, levels
+from .netlist import (CONST0, MAJ, LogicNetwork, NetlistError, levels,
+                      tree_size)
 from .reports import MappingReport
 
 E0, E1, E2 = 0, 1, 2  # working rows: staging, xor scratch, accumulators
@@ -410,44 +412,25 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
 def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     """Map a normalized single-output MIG with at most 2(depth+1) devices.
 
-    The network must be a fanout-free tree (see ``normalize_mig``) with a
-    single output.  Row 0 holds the inverter device at bitline 0 and the
-    final host at bitline 1; each tree level gets one operand row where its
-    wordline/bitline inputs wait to be read out and applied to the host.
+    The network must have a single output, and every node at most one
+    complemented edge to an internal node (see ``normalize_mig``).  It is
+    evaluated as its tree: a node referenced twice is computed twice.  Row
+    0 holds the inverter device at bitline 0 and the final host at bitline
+    1; each tree level gets one operand row where its wordline/bitline
+    inputs wait to be read out and applied to the host.
 
-    A normalized tree repeats each of its few distinct subtrees many times.
-    What a subtree emits is fixed by its shape (below), the device it is
-    computed onto and the builder's read state, so each such triple is
-    emitted once and later replayed from the builder's own instruction
-    list (``ProgramBuilder.replay``): the program is the one a node-by-node
-    walk emits.  The memo keeps each stretch as an index range; keeping
-    copies would cost memory quadratic in depth on a chain, whose every
-    subtree is distinct and nested in the next.
+    What a node emits is fixed by the node, the device it is computed onto
+    and the builder's read state, so each such triple is emitted once and
+    later replayed from the builder's own instruction list
+    (``ProgramBuilder.replay``): the program is the one a node-by-node walk
+    of the tree emits.  The memo keeps each stretch as an index range;
+    keeping copies would cost memory quadratic in depth on a chain, whose
+    every node is distinct and nested in the next.
     """
     if mig.kind != "mig":
         raise NetlistError("map_minimal expects a MIG")
     if len(mig.outputs) != 1:
         raise NetlistError("map_minimal maps single-output networks")
-    refs = mig.fanout_counts()
-    for i, n in enumerate(mig.nodes):
-        if n.kind == MAJ and refs[i] > 1:
-            raise NetlistError("map_minimal needs a fanout-free MIG; "
-                               "run normalize_mig first")
-
-    # What a subtree emits depends on its shape, not on its node ids.  A
-    # leaf's shape is its id; a MAJ node's is interned from its fanins'
-    # shapes and polarities and from the order of their ids, which breaks
-    # pick_roles's ties between internal fanins of one level.
-    shape = list(range(len(mig.nodes)))
-    shapes: dict[tuple, int] = {}
-    for i, n in enumerate(mig.nodes):
-        if n.kind == MAJ:
-            a, b, c = n.fanins
-            shape[i] = shapes.setdefault(
-                (shape[a.target], a.inverted, shape[b.target], b.inverted,
-                 shape[c.target], c.inverted, a.target < b.target,
-                 a.target < c.target, b.target < c.target),
-                len(shape) + len(shapes))
     lv = levels(mig)
     out_edge = mig.outputs[0]
     k = lv[out_edge.target]
@@ -483,29 +466,28 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         child's plain result; otherwise any PI or constant fanin works since
         leaves load in either polarity.
         """
-        fanins = list(node.fanins)
-        internal = [e for e in fanins
+        fanins = node.fanins
+        internal = [j for j, e in enumerate(fanins)
                     if mig.nodes[e.target].kind == MAJ]
-        inv_internal = [e for e in internal if e.inverted]
+        inv_internal = [j for j in internal if fanins[j].inverted]
         if len(inv_internal) > 1:
             raise NetlistError("more than one complemented internal fanin; "
                                "run normalize_mig first")
         if inv_internal:
             bl = inv_internal[0]
         else:
-            leaves = [e for e in fanins if mig.nodes[e.target].kind != MAJ]
+            leaves = [j for j in range(3) if j not in internal]
             if not leaves:
                 raise NetlistError("all-internal node without a complemented "
                                    "fanin; run normalize_mig first")
-            plain = [e for e in leaves if not e.inverted]
-            bl = min(plain or leaves, key=lambda e: e.target)
-        rest = list(fanins)
-        rest.remove(bl)
-        rest.sort(key=lambda e: (lv[e.target], e.target))
-        wl, host = rest[0], rest[1]
-        return bl, wl, host
+            plain = [j for j in leaves if not fanins[j].inverted]
+            bl = min(plain or leaves, key=lambda j: fanins[j].target)
+        # leaves (level 0) by id, internal fanins of a level by position
+        wl, host = sorted((j for j in range(3) if j != bl), key=lambda j: (
+            lv[fanins[j].target], 0 if j in internal else fanins[j].target, j))
+        return fanins[bl], fanins[wl], fanins[host]
 
-    # (shape, word, bit, read state) -> (start, end, read state after)
+    # (node, word, bit, read state) -> (start, end, read state after)
     emitted: dict[tuple, tuple] = {}
 
     def compute(nid: int, word: int, bit: int):
@@ -514,14 +496,14 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         A node stores its wordline, bitline and host operands, in that
         order, then applies its operand row to the host.  Pending steps sit
         on a stack, popped last first, so a deep chain needs no recursion.
-        A subtree whose shape was already emitted onto the same device from
-        the same read state is replayed from the builder's own list.
+        A node already emitted onto the same device from the same read
+        state is replayed from the builder's own list.
         """
         steps = [("node", nid, word, bit)]
         while steps:
             kind, x, word, bit = steps.pop()
             if kind == "node":
-                key = (shape[x], word, bit, builder.read_state)
+                key = (x, word, bit, builder.read_state)
                 if key in emitted:
                     builder.replay(*emitted[key])
                     continue
@@ -567,11 +549,10 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
             builder.result_locations[out_name] = target
 
     program = builder.finish()
-    n_maj = sum(1 for n in mig.nodes if n.kind == MAJ)
     report = MappingReport(
         flow="minimal",
         num_pis=len(pis),
-        n_maj=n_maj,
+        n_maj=tree_size(mig),
         levels=k,
         s_d=config.s_d, w_d=2,
         **builder.counts(),

@@ -46,10 +46,10 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
     """Map ``net`` through one flow: ``(program, report)``.
 
     The program computes ``net`` itself, through whatever the flow builds
-    from it (the MIG, the normalized MIG tree), and is checked against it.
+    from it (the MIG, the normalized MIG), and is checked against it.
     Raises ``NotApplicable`` for an area map of a MIG, a minimal map of a
-    multi-output network and one whose normalized tree is too large; every
-    other error comes through unchanged.
+    multi-output network and one whose tree has too many MAJ nodes to
+    evaluate; every other error comes through unchanged.
     """
     if flow == "area":
         if net.kind == "mig":

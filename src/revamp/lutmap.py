@@ -151,18 +151,12 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
         key = (e.target, e.inverted)
         if key not in out_lut:
             tnode = network.nodes[e.target]
-            if tnode.kind == AND and not e.inverted:
-                out_lut[key] = ensure_lut(e.target)
-            elif tnode.kind == AND and fanout[e.target] == 1:
-                cut = _grow_cut(network, e.target, k, fanout)
-                tt = _cone_tt(network, e.target, cut)
-                tt ^= (1 << (1 << len(cut))) - 1
-                refs = tuple((PI_REF, pi_of[l])
-                             if network.nodes[l].kind == PI
-                             else (LUT_REF, ensure_lut(l)) for l in cut)
-                lid = len(graph.luts)
-                graph.luts.append(Lut(lid, refs, tt))
-                out_lut[key] = lid
+            if tnode.kind == AND and (not e.inverted
+                                      or fanout[e.target] == 1):
+                lut = graph.luts[ensure_lut(e.target)]
+                if e.inverted:  # no other reference needs the plain value
+                    lut.tt ^= (1 << (1 << len(lut.inputs))) - 1
+                out_lut[key] = lut.id
             elif tnode.kind == AND:
                 src = ensure_lut(e.target)
                 lid = len(graph.luts)

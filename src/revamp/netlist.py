@@ -32,7 +32,8 @@ _ARITY = {PI: 0, CONST0: 0, AND: 2, MAJ: 3}
 # widest network evaluated on all 2^k input vectors (2^16 bits per mask)
 EXHAUSTIVE_MAX_PIS = 16
 
-# most MAJ nodes normalize_mig builds; parity16 needs 98,301, parity24 25M
+# most MAJ evaluations normalize_mig accepts (map_minimal computes one per
+# tree node, so this bounds the program): parity16 needs 98,301, parity24 25M
 MAX_TREE_NODES = 1 << 20
 
 
@@ -263,9 +264,11 @@ def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
 
 # -- MIG normalization -------------------------------------------------------
 
-def _tree_size(network: LogicNetwork) -> int:
-    """MAJ nodes in the per-output trees ``normalize_mig`` builds: a MAJ
-    node counts 1 plus the sizes of its MAJ fanins, summed over outputs."""
+def tree_size(network: LogicNetwork) -> int:
+    """MAJ nodes in the per-output trees of ``network``, counted in one
+    pass without building them: a MAJ node counts 1 plus the sizes of its
+    MAJ fanins, summed over outputs.  ``map_minimal`` evaluates one MAJ per
+    tree node."""
     nodes = network.nodes
     sizes = [0] * len(nodes)
     for i, n in enumerate(nodes):  # fanins come before their node
@@ -275,126 +278,89 @@ def _tree_size(network: LogicNetwork) -> int:
 
 
 def normalize_mig(network: LogicNetwork) -> LogicNetwork:
-    """Reshape a MIG into per-output trees with canonical fanin polarity.
+    """Rewrite a MIG so each node has canonical fanin polarity.
 
-    Two rewrites are applied, both function-preserving:
+    Complements are pushed with the majority self-duality
+    ``not M(a,b,c) == M(not a, not b, not c)``: a node built complemented
+    complements its fanins instead.  Each node inverts its internal fanin
+    with the lowest source id, unless a primary-input or constant fanin is
+    already inverted; no node can emit the complement of a raw leaf, so
+    leaf edges keep their polarity.  So every node carries at most one
+    complemented edge to an internal node, which is what the depth-bounded
+    mapper relies on, and exactly one complemented edge whenever it has an
+    internal fanin and no inverted leaf.
 
-    * every internal node is replicated until it has a single reference
-      (primary inputs and constants are shared freely);
-    * complements are pushed with the majority self-duality
-      ``not M(a,b,c) == M(not a, not b, not c)`` so that each node carries
-      exactly one complemented fanin edge whenever the identity permits it.
-
-    Exactly-one is not always reachable: a node whose fanins are all plain
-    primary inputs (``M(a,b,c)``) has no internal edge to flip and no node
-    can emit the complement of a raw PI.  Such nodes keep zero (or, with
-    several complemented PI fanins, more than one) marked edges; the
-    guarantee that always holds is *at most one complemented edge to an
-    internal node*, which is what the depth-bounded mapper relies on.
-
-    Replication can grow the network exponentially, so the trees' MAJ count
-    is computed first, in one pass, and a network whose trees would exceed
-    ``MAX_TREE_NODES`` is refused before anything is built.
-
-    The tree under a source node depends only on that node and on whether
-    it is built complemented, so the output holds at most two distinct
-    subtrees per source node, each repeated many times.  The first tree
-    built for a pair ``(node, flipped)`` is remembered as its range of
-    output ids; a later request copies the range, shifting the fanins that
-    point into it.  Leaves lie before the range (PIs come first, and a
-    range in which the constant was created is not remembered), so the
-    copy is the node list a rebuild would give.  Ranges, not node lists,
-    are kept: a deep chain has one nested range per node, and copies of
-    each would grow with the square of its depth.
+    A source node is built once per polarity it is needed in and then
+    referenced again, so the output has at most two MAJ nodes per source
+    node.  ``map_minimal`` evaluates it as the per-output trees, one MAJ
+    evaluation per tree node, so a network whose trees would exceed
+    ``MAX_TREE_NODES`` (``tree_size``) is refused before anything is built.
     """
     if network.kind != "mig":
         raise NetlistError("normalize_mig expects a MIG")
-    size = _tree_size(network)
+    size = tree_size(network)
     if size > MAX_TREE_NODES:
         raise NetlistError("normalized trees would have %d MAJ nodes, more "
                            "than the limit of %d" % (size, MAX_TREE_NODES))
+    nodes = network.nodes
     out = LogicNetwork(kind="mig")
-    pi_map: dict[int, int] = {}
+    made: dict[tuple[int, bool], int] = {}  # (source node, flipped) -> id
     const_id = None
-    for i, n in enumerate(network.nodes):
+    for i, n in enumerate(nodes):
         if n.kind == PI:
-            pi_map[i] = out.add_pi(n.name)
+            made[i, False] = out.add_pi(n.name)
 
     def leaf(nid):
         nonlocal const_id
-        if network.nodes[nid].kind == PI:
-            return pi_map[nid]
+        if nodes[nid].kind == PI:
+            return made[nid, False]
         if const_id is None:
             const_id = out.add_const0()
         return const_id
 
-    nodes = network.nodes
-    built: dict[tuple[int, bool], tuple[int, int]] = {}  # -> [start, end)
-
-    def copy(start: int, end: int) -> int:
-        """Append a copy of output nodes ``start..end-1``; returns its root."""
-        shift = len(out.nodes) - start
-        made = out.nodes
-        for i in range(start, end):
-            node = made[i]
-            out.add_node(MAJ, [Edge(e.target + shift, e.inverted)
-                               if e.target >= start else e
-                               for e in node.fanins], node.name)
-        return end - 1 + shift
-
-    def visit(nid: int, flipped: bool, inv: bool = False):
-        """Frame for node ``nid`` (complemented if ``flipped``), whose parent
-        refers to it through an edge complemented if ``inv``."""
-        fanins, internal, leaf_inverted = [], [], False
-        for j, e in enumerate(nodes[nid].fanins):
-            inverted = e.inverted ^ flipped
-            fanins.append((e.target, inverted))
-            if nodes[e.target].kind == MAJ:
-                internal.append(j)
-            elif inverted:
-                leaf_inverted = True
-        # Choose edge polarities: internal edges are free (the child absorbs
-        # a flip), PI/const edges are fixed.  Target exactly one inverted.
-        flip = -1
-        if internal and not leaf_inverted:
-            flip = min(internal, key=lambda j: fanins[j][0])
-        return ((nid, flipped), len(out.nodes), inv, enumerate(fanins),
-                internal, flip, [])
+    def fanins(nid: int, flipped: bool):
+        """``(target, inverted, internal)`` per fanin of node ``nid`` built
+        complemented if ``flipped``; an internal fanin's ``inverted`` is
+        the polarity its child is built in."""
+        ops = [(e.target, e.inverted ^ flipped, nodes[e.target].kind == MAJ)
+               for e in nodes[nid].fanins]
+        internal = [j for j, (_, _, is_maj) in enumerate(ops) if is_maj]
+        if internal and not any(inv for _, inv, is_maj in ops if not is_maj):
+            # the child absorbs the flip; the edge to it is complemented
+            j = min(internal, key=lambda j: ops[j][0])
+            ops[j] = (ops[j][0], not ops[j][1], True)
+            return ops, j
+        return ops, -1
 
     def build(root: int, flipped: bool) -> int:
-        """Emit a tree computing node ``root`` (complemented if asked).
+        """Output id of node ``root`` built complemented if ``flipped``.
 
-        Depth first, fanins in order, each node after its fanins.  The stack
-        holds one frame per open node, so a deep chain needs no recursion.
+        Depth first, fanins in order, each node after its fanins; the stack
+        holds the open nodes, so a deep chain needs no recursion.
         """
-        if (root, flipped) in built:
-            return copy(*built[root, flipped])
-        stack = [visit(root, flipped)]
-        while True:
-            key, start, inv, todo, internal, flip, new_fanins = stack[-1]
-            for j, (target, inverted) in todo:  # resumes after the last
-                if j in internal:
-                    child = (target, inverted ^ (j == flip))
-                    if child in built:
-                        new_fanins.append(Edge(copy(*built[child]), j == flip))
-                        continue
-                    # emit the child's tree, then come back
-                    stack.append(visit(*child, j == flip))
-                    break
-                new_fanins.append(Edge(leaf(target), inverted))
-            else:
+        stack = [(root, flipped)]
+        while stack:
+            key = stack[-1]
+            if key in made:
                 stack.pop()
-                node = out.add_node(MAJ, new_fanins, name=nodes[key[0]].name)
-                if const_id is None or const_id < start:
-                    built[key] = (start, node + 1)
-                if not stack:
-                    return node
-                stack[-1][6].append(Edge(node, inv))
+                continue
+            ops, flip = fanins(*key)
+            todo = [(t, inv) for t, inv, internal in ops
+                    if internal and (t, inv) not in made]
+            if todo:
+                stack += reversed(todo)
+                continue
+            stack.pop()
+            made[key] = out.add_node(MAJ, [
+                Edge(made[t, inv], j == flip) if internal
+                else Edge(leaf(t), inv)
+                for j, (t, inv, internal) in enumerate(ops)],
+                name=nodes[key[0]].name)
+        return made[root, flipped]
 
     for e, name in zip(network.outputs, network.output_names):
-        if network.nodes[e.target].kind == MAJ:
-            root = build(e.target, e.inverted)
-            out.add_output(Edge(root, False), name)
+        if nodes[e.target].kind == MAJ:
+            out.add_output(Edge(build(e.target, e.inverted)), name)
         else:
             out.add_output(Edge(leaf(e.target), e.inverted), name)
     return out
@@ -490,25 +456,46 @@ def parse_aiger(text: str) -> LogicNetwork:
             raise ParseError("bad and lhs literal %d" % lhs, line=ln)
         and_rows.append((lhs, r0, r1, ln))
 
-    # AIGER allows ands in any order as long as definitions are acyclic;
-    # resolve by repeated passes so forward references within the section work.
-    pending = list(and_rows)
-    while pending:
-        progressed = False
-        remaining = []
-        for lhs, r0, r1, ln in pending:
-            if (r0 >> 1) in var_node or (r0 >> 1) == 0:
-                if (r1 >> 1) in var_node or (r1 >> 1) == 0:
-                    e0 = lit_edge(r0, ln)
-                    e1 = lit_edge(r1, ln)
-                    var_node[lhs >> 1] = net.add_node(AND, (e0, e1))
-                    progressed = True
-                    continue
-            remaining.append((lhs, r0, r1, ln))
-        if not progressed:
-            raise ParseError("dangling literal %d" % remaining[0][1],
-                             line=remaining[0][3])
-        pending = remaining
+    # AIGER allows ands in any order as long as definitions are acyclic.
+    # Rows are added as repeated passes over the section would add them,
+    # each pass taking in file order the rows whose inputs are defined: a
+    # row's pass is the largest of its inputs' defining rows' passes, one
+    # more for a row further down, and at least 1.
+    row_of = {}
+    for i, (lhs, _, _, ln) in enumerate(and_rows):
+        if lhs >> 1 in row_of:
+            raise ParseError("and lhs literal %d is defined twice" % lhs,
+                             line=ln)
+        row_of[lhs >> 1] = i
+    deps = []
+    for lhs, r0, r1, ln in and_rows:
+        for lit in (r0, r1):
+            if lit >> 1 > n_in and lit >> 1 not in row_of:
+                raise ParseError("dangling literal %d" % lit, line=ln)
+        deps.append([row_of[l >> 1] for l in (r0, r1) if l >> 1 in row_of])
+    passes = [0] * len(and_rows)  # 0: not reached, -1: on the walk's path
+    for top in range(len(and_rows)):
+        stack = [top]
+        while stack:
+            i = stack[-1]
+            if passes[i] > 0:
+                stack.pop()
+            elif passes[i] == 0:
+                passes[i] = -1
+                for r in deps[i]:
+                    if passes[r] == -1:
+                        raise ParseError("and gates form a cycle through "
+                                         "literal %d" % and_rows[r][0],
+                                         line=and_rows[i][3])
+                    if passes[r] == 0:
+                        stack.append(r)
+            else:  # its inputs are done
+                stack.pop()
+                passes[i] = max([1] + [passes[r] + (r > i) for r in deps[i]])
+    for i in sorted(range(len(and_rows)), key=lambda i: (passes[i], i)):
+        lhs, r0, r1, ln = and_rows[i]
+        var_node[lhs >> 1] = net.add_node(AND, (lit_edge(r0, ln),
+                                                lit_edge(r1, ln)))
 
     out_names = {}
     for s in lines[idx:]:

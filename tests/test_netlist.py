@@ -7,10 +7,10 @@ import pytest
 from conftest import example_mig, serialize_aig
 from revamp.circuits import parity
 from revamp.netlist import (AND, MAJ, Edge, LogicNetwork, NetlistError,
-                            ParseError, aig_to_mig, evaluate, levels,
-                            normalize_mig, parse_aiger, parse_mig, random_aig,
-                            random_mig, serialize_mig, truth_table,
-                            truth_table_ints)
+                            ParseError, aig_to_mig, evaluate, gate_mask,
+                            levels, normalize_mig, parse_aiger, parse_mig,
+                            pi_patterns, random_aig, random_mig,
+                            serialize_mig, truth_table, truth_table_ints)
 
 
 def _shape(net):
@@ -44,6 +44,40 @@ def test_parse_rejects_dangling_literal():
     with pytest.raises(ParseError) as err:
         parse_aiger("aag 3 2 0 1 0\n2\n4\n12\n")
     assert "line" in str(err.value)
+
+
+def test_parse_resolves_a_reversed_chain_in_linear_time():
+    n = 20000
+    rows = ["%d %d 2" % (2 * k + 4, 2 * k + 2) for k in range(n)]
+    text = "aag %d 1 0 1 %d\n2\n%d\n" % (n + 1, n, 2 * n + 2)
+    t0 = time.perf_counter()
+    net = parse_aiger(text + "\n".join(reversed(rows)) + "\n")
+    assert time.perf_counter() - t0 < 1.0
+    assert truth_table(net) == [[0, 1]]
+
+
+def test_parse_shuffled_and_rows_keep_the_function():
+    for seed in range(30):
+        net = random_aig(num_pis=2 + seed % 6, num_ands=5 + seed % 30,
+                         seed=seed, num_outputs=1 + seed % 3)
+        lines = serialize_aig(net).splitlines()
+        first = 1 + net.num_pis + len(net.outputs)
+        rows = lines[first:first + sum(1 for n in net.nodes if n.kind == AND)]
+        random.Random(seed).shuffle(rows)
+        lines[first:first + len(rows)] = rows
+        again = parse_aiger("\n".join(lines) + "\n")
+        assert truth_table_ints(again) == truth_table_ints(net)
+
+
+def test_parse_rejects_cyclic_and_rows():
+    with pytest.raises(ParseError,
+                       match="line 5: and gates form a cycle through literal 6"):
+        parse_aiger("aag 4 1 0 1 2\n2\n8\n6 2 8\n8 6 2\n")
+
+
+def test_parse_rejects_an_and_gate_defined_twice():
+    with pytest.raises(ParseError, match="line 5: and lhs literal 4 is defined"):
+        parse_aiger("aag 2 1 0 1 2\n2\n4\n4 2 2\n4 3 3\n")
 
 
 def test_parse_rejects_garbage_header():
@@ -188,27 +222,44 @@ def test_truth_table_refuses_wide_networks():
 
 # -- normalization ---------------------------------------------------------------
 
-def _fanout_counts(net):
-    counts = [0] * len(net.nodes)
+def _node_masks(net):
+    """Exhaustive truth table of every node, not just the outputs."""
+    full = (1 << (1 << net.num_pis)) - 1
+    vals = []
+    pats = iter(pi_patterns(net.num_pis))
     for n in net.nodes:
-        for e in n.fanins:
-            counts[e.target] += 1
-    for e in net.outputs:
-        counts[e.target] += 1
-    return counts
+        vals.append(next(pats) if n.kind == "pi" else gate_mask(n, vals, full))
+    return vals, full
 
 
-def _check_normal_form(net):
-    counts = _fanout_counts(net)
+def _normalize_checked(net):
+    """``normalize_mig`` of ``net``, checked for the normal form.
+
+    The MAJ nodes of ``net`` are named by id first, so that each output
+    node names its source node: it must compute that node or its
+    complement, and no (source node, polarity) may be built twice.
+    """
     for i, n in enumerate(net.nodes):
+        if n.kind == MAJ:
+            n.name = str(i)
+    norm = normalize_mig(net)
+    assert truth_table_ints(norm) == truth_table_ints(net)
+    src, full = _node_masks(net)
+    out, _ = _node_masks(norm)
+    built = set()
+    for i, n in enumerate(norm.nodes):
         if n.kind != MAJ:
             continue
-        assert counts[i] == 1, "internal fanout must be one"
+        source = int(n.name)
+        assert out[i] in (src[source], src[source] ^ full)
+        key = (source, out[i] != src[source])
+        assert key not in built, "one output node per source and polarity"
+        built.add(key)
         inv_internal = sum(1 for e in n.fanins
-                           if e.inverted and net.nodes[e.target].kind == MAJ)
+                           if e.inverted and norm.nodes[e.target].kind == MAJ)
         assert inv_internal <= 1
         internal = sum(1 for e in n.fanins
-                       if net.nodes[e.target].kind == MAJ)
+                       if norm.nodes[e.target].kind == MAJ)
         inv_total = sum(1 for e in n.fanins if e.inverted)
         if internal:
             # with an internal fanin available the canonical single
@@ -218,6 +269,7 @@ def _check_normal_form(net):
                 assert inv_internal == 1
             elif leaf_inv == 1:
                 assert inv_internal == 0
+    return norm
 
 
 def test_normalize_canonical_node_unchanged():
@@ -237,13 +289,11 @@ def test_normalize_pushes_complements():
     m3 = net.add_node(MAJ, (Edge(pis[2]), Edge(pis[3]), Edge(pis[4], True)))
     root = net.add_node(MAJ, (Edge(m1, True), Edge(m2, True), Edge(m3, True)))
     net.add_output(Edge(root))
-    norm = normalize_mig(net)
-    assert truth_table_ints(norm) == truth_table_ints(net)
-    _check_normal_form(norm)
+    _normalize_checked(net)
 
 
-def test_normalize_replicates_fanout():
-    # diamond: one shared internal node must be copied, adding one node
+def test_normalize_shares_fanout():
+    # diamond: the shared internal node is built once and referenced twice
     net = LogicNetwork(kind="mig")
     a, b, c, d = (net.add_pi() for _ in range(4))
     shared = net.add_node(MAJ, (Edge(a), Edge(b), Edge(c, True)))
@@ -251,21 +301,19 @@ def test_normalize_replicates_fanout():
     right = net.add_node(MAJ, (Edge(shared), Edge(d), Edge(a, True)))
     root = net.add_node(MAJ, (Edge(left), Edge(right), Edge(b, True)))
     net.add_output(Edge(root))
-    norm = normalize_mig(net)
-    assert truth_table_ints(norm) == truth_table_ints(net)
-    _check_normal_form(norm)
+    norm = _normalize_checked(net)
     before = sum(1 for n in net.nodes if n.kind == MAJ)
     after = sum(1 for n in norm.nodes if n.kind == MAJ)
-    assert after == before + 1
+    assert after == before
+    copy = next(i for i, n in enumerate(norm.nodes) if n.name == str(shared))
+    assert norm.fanout_counts()[copy] == 2
 
 
 def test_normalize_random_migs():
     for seed in range(40):
         net = random_mig(num_pis=3 + seed % 4, num_nodes=2 + seed % 7,
                          seed=seed)
-        norm = normalize_mig(net)
-        assert truth_table_ints(norm) == truth_table_ints(net)
-        _check_normal_form(norm)
+        _normalize_checked(net)
 
 
 def test_normalize_keeps_output_polarity_semantics():
@@ -284,13 +332,13 @@ def test_normalize_refuses_an_oversized_tree():
 
 def test_normalize_parity16_stays_under_the_limit():
     norm = normalize_mig(aig_to_mig(parity(16)))
-    assert len(norm.nodes) == 98318
-    assert sum(1 for n in norm.nodes if n.kind == MAJ) == 98301
+    assert len(norm.nodes) == 62
+    assert sum(1 for n in norm.nodes if n.kind == MAJ) == 45
 
 
 def _mig_with_const(seed):
     """Random MIG whose fanins may pick a constant, and whose MAJ nodes are
-    partly named: the first tree built need not use the constant, so
+    partly named: the first node built need not use the constant, so
     ``normalize_mig`` creates it in the middle of the output."""
     rng = random.Random(seed)
     net = LogicNetwork(kind="mig")
@@ -312,7 +360,7 @@ def _mig_with_const(seed):
 # parity 2-14, 300 random MIGs, 60 converted random AIGs and 100 MIGs with a
 # constant fanin
 PINNED_NORMAL_FORMS = (
-    "af8d46b1830583edd153b7ca24f72f18ec403e06cb40b2943019c29a5442f3b2")
+    "01101cad9c4931499f990295c58e449c254d353dbe0786eae57f0db566a636fe")
 
 
 def test_normalize_output_pinned():
