@@ -54,6 +54,7 @@ class ProgramBuilder:
         self._dmr_word = None  # word a Read would be redundant for
         self._dmr_loaded = False
         self._pir_at = []  # indices of PIR Applies, ascending
+        self._read_at = []  # indices of Reads, ascending
 
     @property
     def touched(self) -> set[tuple[int, int]]:
@@ -65,7 +66,7 @@ class ProgramBuilder:
     def counts(self) -> dict[str, int]:
         """Instruction mix and cycle count, keyed as in ``MappingReport``."""
         i_total = len(self.instructions)
-        i_read = sum(1 for i in self.instructions if isinstance(i, ReadInstr))
+        i_read = len(self._read_at)
         return {"i_apply": i_total - i_read, "i_read": i_read,
                 "i_total": i_total, "cycles": i_total + PIPELINE_FILL}
 
@@ -83,13 +84,12 @@ class ProgramBuilder:
         """
         shift = len(self.instructions) - start
         self.instructions.extend(self.instructions[start:end])
-        pir_at = self._pir_at
-        moved = [i + shift for i in pir_at[bisect_left(pir_at, start):
-                                           bisect_left(pir_at, end)]]
+        moved_pir = _shifted(self._pir_at, start, end, shift)
         schedule = self.pir_schedule
-        for i in moved:
+        for i in moved_pir:
             schedule[i] = schedule[i - shift]
-        pir_at.extend(moved)
+        self._pir_at.extend(moved_pir)
+        self._read_at.extend(_shifted(self._read_at, start, end, shift))
         self._dmr_word, self._dmr_loaded = state
 
     def read(self, w: int):
@@ -98,6 +98,7 @@ class ProgramBuilder:
         instr = self._interned.get(w)
         if instr is None:
             instr = self._interned[w] = ReadInstr(w)
+        self._read_at.append(len(self.instructions))
         self.instructions.append(instr)
         self._dmr_word = w
         self._dmr_loaded = True
@@ -163,3 +164,8 @@ class ProgramBuilder:
     def finish(self) -> Program:
         return Program(self.config, self.instructions, self.pir_schedule,
                        self.result_locations, self.num_pis)
+
+
+def _shifted(at: list[int], start: int, end: int, shift: int) -> list[int]:
+    """The ascending indices of ``at`` in ``start..end-1``, plus ``shift``."""
+    return [i + shift for i in at[bisect_left(at, start):bisect_left(at, end)]]

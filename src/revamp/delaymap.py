@@ -17,12 +17,14 @@ The crossbar width is fixed, the word count is an output.  Four phases:
    open blocks; blocks merge when they share an input value (keeping one
    copy) or when their hosts compute together under a shared wordline
    (keeping both host copies), never beyond the word width.  Input merges
-   come before host merges; each kind settles in one pass from the newest
-   block to the oldest, each block joining its newest older partner that
-   fits.  A merge only makes blocks larger, so a pair that did not fit
-   never fits later and no block needs a second look.  Indexes from input
-   value and from wordline key to blocks limit each pass to the pairs
-   that share one.
+   come before host merges; visiting newest first, each block joins its
+   newest older partner that fits.  A merge only makes blocks larger and a
+   descent only makes them share less, so a pair that did not fit never
+   fits later.  Each level's input merges therefore visit only the blocks
+   it created and those a merge gave an input value an older block holds,
+   and its host merges only the blocks hosting a node of the level.  The
+   index from input value to blocks lives across levels, so a level costs
+   time in the blocks it touches, not in the network's depth.
    Negated copies of internal values get a single plain instance to be
    copied from.
 
@@ -41,6 +43,10 @@ The crossbar width is fixed, the word count is an output.  Four phases:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
+from operator import attrgetter
+from typing import NamedTuple
 
 from .codegen import ProgramBuilder
 from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
@@ -48,8 +54,7 @@ from .netlist import CONST0, MAJ, PI, Edge, LogicNetwork, NetlistError, levels
 from .reports import MappingReport
 
 
-@dataclass(frozen=True)
-class ValueRef:
+class ValueRef(NamedTuple):
     """A node's value, possibly complemented."""
     node: int
     negated: bool = False
@@ -190,27 +195,52 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
     """Output-first descent by level, merging as described in the module doc."""
     lv = levels(mig)
     l_max = max((lv[e.target] for e in mig.outputs), default=0)
-    blocks: list[Block] = []
+    blocks: dict[int, Block] = {}  # live blocks by id, oldest first
     sites: dict[int, list[Site]] = {}
     positive_seen: set[int] = set()
-    next_id = [1]
+    next_id = count(1)
+    # element -> (block, position) it sits at; a dropped element keeps its last
+    home: dict[BlockElement, tuple[Block, int]] = {}
+    # level -> elements given a plain internal value of that level
+    pending: dict[int, list[BlockElement]] = {}
+    # input values of each block and the blocks holding each value
+    ivals: dict[Block, set[ValueRef]] = {}
+    holders: dict[ValueRef, set[Block]] = {}
+    # ids of the blocks the next input phase visits; the queue holds them
+    # negated, so the newest pops first
+    dirty: set[int] = set()
+    queue: list[int] = []
+    by_id = attrgetter("id")
 
     def is_internal(nid):
         return mig.nodes[nid].kind == MAJ
 
-    def register(ref: ValueRef):
+    def mark(b: Block):
+        if b.id not in dirty:
+            dirty.add(b.id)
+            heappush(queue, -b.id)
+
+    def register(el: BlockElement):
+        ref = el.value
         if is_internal(ref.node) and not ref.negated:
             positive_seen.add(ref.node)
+            pending.setdefault(lv[ref.node], []).append(el)
 
     def new_block(elements) -> Block:
-        b = Block(next_id[0], list(elements))
-        next_id[0] += 1
-        blocks.append(b)
+        b = Block(next(next_id), list(elements))
+        blocks[b.id] = b
+        for pos, el in enumerate(b.elements):
+            home[el] = (b, pos)
+        ivals[b] = {el.value for el in b.elements if el.tag == "i"}
+        for v in ivals[b]:
+            holders.setdefault(v, set()).add(b)
+        mark(b)
         return b
 
     def make_el(ref: ValueRef, tag: str) -> BlockElement:
-        register(ref)
-        return BlockElement(ref, tag)
+        el = BlockElement(ref, tag)
+        register(el)
+        return el
 
     def add_inversion(ref: ValueRef):
         # a negated internal value is produced by copying from a plain
@@ -219,13 +249,17 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
                 and ref.node not in positive_seen:
             new_block([make_el(ValueRef(ref.node, False), "i")])
 
-    def descend(el: BlockElement):
+    def descend(el: BlockElement) -> Site:
         nid = el.value.node
         r = roles[nid]
         el.chain.append(nid)
+        if el.tag == "i":
+            block = home[el][0]
+            ivals[block].discard(el.value)
+            holders[el.value].discard(block)
         el.tag = "h"  # the device now hosts this node's computation
         el.value = host_value(r)
-        register(el.value)
+        register(el)
         add_inversion(el.value)
         wl_ref = wl_value(r)
         bl_ref = bl_stored_value(r)
@@ -244,75 +278,87 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
             spawned.append(bl_el)
             add_inversion(bl_ref)
         new_block(spawned)
-        sites.setdefault(nid, []).append(Site(nid, el, wl_item, bl_el))
+        site = Site(nid, el, wl_item, bl_el)
+        sites.setdefault(nid, []).append(site)
+        return site
 
     def wl_key(site: Site):
         w = site.wl
         return w if isinstance(w, tuple) else id(w.resolve())
 
-    def host_keys(block, lvl):
-        # wordline keys of the sites this block hosts at the level
-        tops = [el.chain[-1] for el in block.elements
-                if el.chain and lv[el.chain[-1]] == lvl]
-        if not tops:
-            return set()
-        member = {id(el) for el in block.elements}
-        return {wl_key(s) for n in tops for s in sites.get(n, [])
-                if id(s.host_el) in member}
-
-    def merge(lvl: int | None = None):
+    def merge(hosted: list[Site]):
         """Fold blocks together until no pair merges.
 
         Input merges come before host merges: the host phase starts only
-        when no input merge fits, and only below the outputs (``lvl``
-        given).  Within each phase the newest block ``b`` is tried first,
-        against its older partners ``a`` newest first; a partner qualifies
+        when no input merge fits.  Blocks are visited newest first, and a
+        visited block ``b`` tries its older partners ``a`` newest first;
+        the first that fits the word takes ``b`` in.  A partner qualifies
         by sharing an input value with ``b`` (input merge) or, for a host
-        merge, a wordline key among the sites both host at ``lvl``.  The
-        first partner that fits the word takes ``b`` in.
+        merge, a wordline key among the ``hosted`` sites, the ones
+        computed at this level.
 
-        Each phase settles in one pass from the newest block to the
-        oldest.  Folding ``b`` into ``a`` never lets a pair fit that did
-        not: for any other block ``c``, ``a`` gains at least as many
-        elements as ``c`` newly shares inputs with, so
+        A pair that does not fit never fits later.  Folding ``b`` into
+        ``a`` gives ``a`` at least as many elements as any other block
+        ``c`` newly shares inputs with, so
         ``|a+b| - |shared(c, a+b)| >= |a| - |shared(c, a)|``, and likewise
-        for ``b``.  A block the pass has left behind therefore fails
-        against every partner for good, and rescanning from the newest
-        block after a merge would only repeat those failures.  For the
-        same reason a host merge never makes an input merge possible, and
-        never drops an input element (its pair shares no input value, or
-        it would have failed in the input phase).  The wordline keys,
-        which follow ``resolve()`` of input elements, are thus fixed once
-        the input phase ends; the host index is built then, once, and a
-        merge only moves ``b``'s keys to ``a``.
+        for ``b``; a descent turns input elements into hosts, which only
+        shrinks what blocks share, and puts its new values in new blocks.
 
-        Indexes from input value and from wordline key to the blocks
-        holding it limit each pass to the P pairs that share a key: with
-        B blocks a level costs O(B + P log P) set operations and capacity
-        tests plus one linear build of each index.
+        The input phase therefore visits only the dirty blocks: those
+        created since the last merge, and those an absorb gave an input
+        value that an older block holds.  Every pair sharing an input
+        value either does not fit or has its newer block dirty.  That
+        holds when the phase starts, since the last merge left no older
+        pair that fits and new blocks are dirty and newer than the rest.
+        A visit clears the flag; if it merges nothing, ``b`` fails
+        against every older partner.  When ``a`` absorbs ``b``, take a
+        block ``c`` sharing a value with ``a+b``.  A value ``a`` had is
+        covered by the pair ``(a, c)``.  For a value only ``b`` had: if
+        ``c`` is older than ``a`` the absorb makes ``a`` dirty, if ``c``
+        is newer than ``b`` the pair ``(b, c)`` covers it, and otherwise
+        ``b`` tried ``c`` before ``a`` and it did not fit.  So the phase
+        ends with no dirty block and no pair that fits, and a visit to a
+        clean block would only have repeated failures.
+
+        For the same reason a host merge never makes an input merge
+        possible, and never drops an input element (its pair shares no
+        input value, or it would have failed in the input phase).  The
+        wordline keys, which follow ``resolve()`` of input elements, are
+        thus fixed once the input phase ends; the host index is built
+        then, over the blocks holding a hosted site, and a merge only
+        moves ``b``'s keys to ``a``.
+
+        The input-value index lives for the whole descent: it is updated
+        where a block is created, where a descent turns an input element
+        into a host, and in ``absorb``.  A level costs O(D + H + P log P)
+        set operations and capacity tests for its D dirty blocks, H
+        hosted sites and the P pairs they share a key in; the blocks it
+        leaves alone cost nothing.
         """
-        ivals = {b: {el.value for el in b.elements if el.tag == "i"}
-                 for b in blocks}
-        holders: dict[ValueRef, set[Block]] = {}
-        for b, vals in ivals.items():
-            for v in vals:
-                holders.setdefault(v, set()).add(b)
+        host_keys: dict[Block, set] = {}
+        host_index: dict = {}
         # (block -> keys, key -> blocks) pairs that absorb keeps current
         tables = [(ivals, holders)]
 
         def absorb(a: Block, b: Block) -> bool:
-            # fold b into a, keeping a's copy of each shared input value
+            # fold b into a, keeping a's copy of each shared input value;
+            # a block holds each input value once
             shared = ivals[a] & ivals[b]
-            moved = [el for el in b.elements
-                     if not (el.tag == "i" and el.value in shared)]
-            if len(a.elements) + len(moved) > w_d:
+            if len(a.elements) + len(b.elements) - len(shared) > w_d:
                 return False
-            survivors = {el.value: el for el in a.elements if el.tag == "i"}
+            survivors = {el.value: el for el in a.elements
+                         if el.tag == "i"} if shared else {}
             for el in b.elements:
                 if el.tag == "i" and el.value in shared:
                     el.merged_into = survivors[el.value]
-            a.elements.extend(moved)
-            blocks.remove(b)
+                else:
+                    home[el] = (a, len(a.elements))
+                    a.elements.append(el)
+            del blocks[b.id]
+            if a.id not in dirty and any(
+                    c.id < a.id for v in ivals[b] - shared
+                    for c in holders[v]):
+                mark(a)
             for keys, index in tables:
                 for k in keys.pop(b):
                     index[k].discard(b)
@@ -320,23 +366,30 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
                     keys[a].add(k)
             return True
 
-        def settle(keys: dict, index: dict):
-            for b in blocks[::-1]:
+        def settle(visits, keys: dict, index: dict):
+            for b in visits:
                 partners = {a for k in keys[b] for a in index[k]
                             if a.id < b.id}
-                for a in sorted(partners, key=lambda a: -a.id):
+                for a in sorted(partners, key=by_id, reverse=True):
                     if absorb(a, b):
                         break
 
-        settle(ivals, holders)
-        if lvl is not None:
-            keys = {b: host_keys(b, lvl) for b in blocks}
-            index: dict = {}
-            for b, ks in keys.items():
-                for k in ks:
-                    index.setdefault(k, set()).add(b)
-            tables.append((keys, index))
-            settle(keys, index)
+        def dirty_blocks():
+            while queue:
+                bid = -heappop(queue)
+                dirty.discard(bid)
+                if bid in blocks:  # a host merge can absorb a marked block
+                    yield blocks[bid]
+
+        settle(dirty_blocks(), ivals, holders)
+        for s in hosted:
+            host_keys.setdefault(home[s.host_el][0], set()).add(wl_key(s))
+        for b, ks in host_keys.items():
+            for k in ks:
+                host_index.setdefault(k, set()).add(b)
+        tables.append((host_keys, host_index))
+        settle(sorted(host_keys, key=by_id, reverse=True), host_keys,
+               host_index)
 
     output_elements = []
     for e, _name in zip(mig.outputs, mig.output_names):
@@ -345,24 +398,21 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
         new_block([el])
         output_elements.append(el)
         add_inversion(ref)
-    merge()
+    merge([])
 
     for l in range(l_max, 0, -1):
-        for block in list(blocks):
-            for el in list(block.elements):
-                if el.merged_into is None and not el.value.negated \
-                        and is_internal(el.value.node) \
-                        and lv[el.value.node] == l:
-                    descend(el)
-        merge(lvl=l)
+        todo = [el for el in pending.pop(l, ()) if el.merged_into is None]
+        todo.sort(key=lambda el: (home[el][0].id, home[el][1]))
+        merge([descend(el) for el in todo])
 
     negated: dict[int, list[BlockElement]] = {}
-    for b in blocks:
+    for b in blocks.values():
         for el in b.elements:
             ref = el.value
             if ref.negated and is_internal(ref.node):
                 negated.setdefault(ref.node, []).append(el)
-    return BlockFormation(blocks, sites, negated, output_elements)
+    return BlockFormation(list(blocks.values()), sites, negated,
+                          output_elements)
 
 
 # -- packing -------------------------------------------------------------------

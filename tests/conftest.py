@@ -1,6 +1,7 @@
 """Shared golden fixtures: the hand-assembled two-bit XOR program, the
-five-input reference MIG used across the mapping tests, and an ASCII AIGER
-writer for the ``.aag`` files the CLI tests read."""
+five-input reference MIG used across the mapping tests, an ASCII AIGER
+writer for the ``.aag`` files the CLI tests read, and the fixpoint check
+of delay-flow block merging."""
 
 from revamp.circuits import two_bit_xor_program  # noqa: F401  (re-export)
 from revamp.netlist import AND, CONST0, MAJ, Edge, LogicNetwork, NetlistError
@@ -24,6 +25,24 @@ def example_mig() -> LogicNetwork:
     s4 = net.add_node(MAJ, (Edge(s3), Edge(d), Edge(e)), name="s4")
     net.add_output(Edge(s4), "s4")
     return net
+
+
+def sharing_pairs_that_overflow(formation, w_d: int) -> int:
+    """Assert that every two blocks sharing an input value overflow the
+    word together (so no input merge is left to make); return how many
+    such pairs there are."""
+    blocks = formation.blocks
+    ivals = [{el.value for el in b.elements if el.tag == "i"}
+             for b in blocks]
+    pairs = 0
+    for j in range(len(blocks)):
+        for i in range(j):
+            shared = ivals[i] & ivals[j]
+            if shared:
+                pairs += 1
+                assert len(blocks[i]) + len(blocks[j]) - len(shared) \
+                    > w_d, (blocks[i].id, blocks[j].id, w_d)
+    return pairs
 
 
 def serialize_aig(network: LogicNetwork) -> str:

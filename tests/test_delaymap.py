@@ -3,7 +3,7 @@ import hashlib
 import random
 import time
 
-from conftest import example_mig
+from conftest import example_mig, sharing_pairs_that_overflow
 from revamp.circuits import (comparator, full_adder, multiplier, parity,
                              ripple_adder)
 from revamp.delaymap import (ValueRef, assign_roles, form_blocks,
@@ -348,19 +348,23 @@ def test_merge_order_pinned_on_many_networks():
 
 def test_no_two_blocks_sharing_an_input_fit_together():
     """Merging reaches its fixpoint: every pair sharing an input overflows."""
-    pairs = 0
-    for w_d, formation in _formations():
-        blocks = formation.blocks
-        ivals = [{el.value for el in b.elements if el.tag == "i"}
-                 for b in blocks]
-        for j in range(len(blocks)):
-            for i in range(j):
-                shared = ivals[i] & ivals[j]
-                if shared:
-                    pairs += 1
-                    assert len(blocks[i]) + len(blocks[j]) - len(shared) \
-                        > w_d, (blocks[i].id, blocks[j].id, w_d)
+    pairs = sum(sharing_pairs_that_overflow(formation, w_d)
+                for w_d, formation in _formations())
     assert pairs == 2919
+
+
+def test_block_lists_pinned_on_large_circuits():
+    # deep networks, where a level that revisited every earlier block
+    # cost time quadratic in depth; digest of the lists formed that way
+    h = hashlib.sha256()
+    for net in (ripple_adder(64), multiplier(8), comparator(16)):
+        mig = aig_to_mig(net)
+        roles = assign_roles(mig)
+        for w_d in (8, 32):
+            formation = form_blocks(mig, roles, w_d)
+            h.update(repr((w_d, _block_tags(formation))).encode())
+    assert h.hexdigest() == \
+        "6db06451d2b8989b215c73ad50c03bfe5e89e85923078ae5923eaf2750ec7c46"
 
 
 def test_delay_flow_scales_to_mult8_and_add32():

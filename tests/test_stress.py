@@ -6,9 +6,12 @@ same generators with wider ranges.
 
 import random
 
+from conftest import sharing_pairs_that_overflow
 from revamp.areamap import map_area, map_minimal
-from revamp.delaymap import map_delay
-from revamp.isa import CrossbarConfig, DecodeError, decode, encode
+from revamp.circuits import multiplier, parity, ripple_adder
+from revamp.delaymap import assign_roles, form_blocks, map_delay
+from revamp.isa import (CrossbarConfig, DecodeError, ReadInstr, decode,
+                        encode)
 from revamp.lutmap import cover_klut, min_dev
 from revamp.netlist import (aig_to_mig, normalize_mig, random_aig,
                             random_mig, truth_table_ints)
@@ -32,6 +35,35 @@ def test_delay_flow_stress_converted():
         mig = aig_to_mig(net)
         program, report = map_delay(mig, 2)
         assert check_equivalence(mig, program).ok
+
+
+def test_delay_flow_at_depth():
+    """A 128-bit adder (depth ~256) and a 12-bit multiplier map, verify on
+    seeded random vectors and leave no input merge that fits."""
+    for net in (ripple_adder(128), multiplier(12)):
+        mig = aig_to_mig(net)
+        roles = assign_roles(mig)
+        for w_d in (8, 32):
+            program, report = map_delay(mig, w_d)
+            res = check_equivalence(mig, program, mode="random", seed=w_d,
+                                    n=4096)
+            assert res.ok, (net.num_pis, w_d, res.counterexample)
+            formation = form_blocks(mig, roles, w_d)
+            assert report.n_blocks == len(formation.blocks)
+            sharing_pairs_that_overflow(formation, w_d)
+
+
+def test_counts_equal_a_scan_of_the_program():
+    """Reads counted as they are emitted, replays included, match the
+    program in every flow."""
+    tree = normalize_mig(aig_to_mig(parity(10)))
+    for program, report in (map_area(multiplier(4), 4, 64, 16),
+                            map_delay(aig_to_mig(ripple_adder(16)), 8),
+                            map_minimal(tree)):
+        reads = sum(isinstance(i, ReadInstr) for i in program.instructions)
+        assert (report.i_read, report.i_apply, report.i_total) == (
+            reads, len(program.instructions) - reads,
+            len(program.instructions))
 
 
 def test_area_flow_tightest_layout_stress():
