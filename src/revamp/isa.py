@@ -342,10 +342,12 @@ def _write_program(program: Program) -> bytes:
     program.validate()
     cfg = program.config
     nbytes = (cfg.w_i + 7) // 8
-    out = [MAGIC,
-           struct.pack("<5I", cfg.s_d, cfg.w_d, cfg.s_i, cfg.w_i,
-                       program.num_pis),
-           struct.pack("<I", len(program.instructions))]
+    # one growing buffer: b"".join over per-instruction pieces would take
+    # a buffer descriptor per piece, several times the output's size
+    out = bytearray(MAGIC)
+    out += struct.pack("<5I", cfg.s_d, cfg.w_d, cfg.s_i, cfg.w_i,
+                       program.num_pis)
+    out += struct.pack("<I", len(program.instructions))
     if program.instructions:  # an empty program needs no codec table
         lay = cfg.layout
         memo = {}  # id -> bytes; the program holds every instruction alive
@@ -354,22 +356,22 @@ def _write_program(program: Program) -> bytes:
             if raw is None:
                 raw = memo[id(instr)] = _pack(instr, lay).to_bytes(nbytes,
                                                                    "big")
-            out.append(raw)
+            out += raw
     sched = sorted(program.pir_schedule.items())
-    out.append(struct.pack("<I", len(sched)))
+    out += struct.pack("<I", len(sched))
     pack_slots = struct.Struct("<%di" % cfg.w_d).pack
     packed = {}  # id -> bytes of a slot tuple, which entries often share
     for idx, slots in sched:
-        out.append(struct.pack("<I", idx))
+        out += struct.pack("<I", idx)
         raw = packed.get(id(slots))
         if raw is None:
             raw = packed[id(slots)] = pack_slots(*slots)
-        out.append(raw)
-    out.append(struct.pack("<I", len(program.result_locations)))
+        out += raw
+    out += struct.pack("<I", len(program.result_locations))
     for name, (w, b) in sorted(program.result_locations.items()):
         raw = name.encode("utf-8")
-        out.append(struct.pack("<H", len(raw)) + raw + struct.pack("<2I", w, b))
-    return b"".join(out)
+        out += struct.pack("<H", len(raw)) + raw + struct.pack("<2I", w, b)
+    return bytes(out)
 
 
 def read_program(data: bytes) -> Program:

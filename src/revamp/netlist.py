@@ -176,15 +176,28 @@ def evaluate_masks(network: LogicNetwork, pi_masks: list[int], full: int) -> lis
     """Bit-parallel evaluation: each mask packs one bit per test vector.
 
     ``full`` is the all-ones mask for the vector width.  Returns one mask per
-    output.
+    output.  A node's mask is dropped after the last gate that reads it, so
+    only the masks still to be read are held at once.
     """
-    vals = [0] * len(network.nodes)
+    nodes = network.nodes
+    last = list(range(len(nodes)))  # index of the last node reading each mask
+    for i, n in enumerate(nodes):
+        for e in n.fanins:
+            last[e.target] = i
+    for e in network.outputs:
+        last[e.target] = len(nodes)
+    vals = [0] * len(nodes)
     it = iter(pi_masks)
-    for i, n in enumerate(network.nodes):
+    for i, n in enumerate(nodes):
         if n.kind == PI:
             vals[i] = next(it) & full
         else:
             vals[i] = gate_mask(n, vals, full)
+            for e in n.fanins:
+                if last[e.target] == i:
+                    vals[e.target] = 0
+        if last[i] == i:  # read by no gate and no output
+            vals[i] = 0
     return [(vals[e.target] ^ (full if e.inverted else 0)) & full
             for e in network.outputs]
 

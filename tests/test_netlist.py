@@ -6,10 +6,10 @@ import pytest
 
 from conftest import example_mig, serialize_aig
 from revamp.circuits import parity
-from revamp.netlist import (AND, MAJ, Edge, LogicNetwork, NetlistError,
-                            ParseError, aig_to_mig, evaluate, gate_mask,
-                            levels, normalize_mig, parse_aiger, parse_mig,
-                            pi_patterns, random_aig, random_mig,
+from revamp.netlist import (AND, MAJ, PI, Edge, LogicNetwork, NetlistError,
+                            ParseError, aig_to_mig, evaluate, evaluate_masks,
+                            gate_mask, levels, normalize_mig, parse_aiger,
+                            parse_mig, pi_patterns, random_aig, random_mig,
                             serialize_mig, truth_table, truth_table_ints)
 
 
@@ -179,6 +179,26 @@ def test_evaluate_majority():
     net.add_output(Edge(m))
     assert evaluate(net, [1, 0, 1]) == [1]
     assert evaluate(net, [1, 0, 0]) == [0]
+
+
+def test_evaluate_masks_matches_keeping_every_mask():
+    # evaluate_masks drops a mask after its last reader; outputs on PIs,
+    # on nodes later gates still read and on unread nodes must not notice
+    rng = random.Random(175)
+    for seed in range(30):
+        net = (random_aig(8, 40, seed=seed, num_outputs=5) if seed % 2
+               else random_mig(8, 30, seed=seed))
+        net.add_output(Edge(0, inverted=True))
+        net.add_output(Edge(len(net.nodes) // 2))
+        full = (1 << 64) - 1
+        masks = [rng.getrandbits(64) for _ in range(net.num_pis)]
+        vals, it = [], iter(masks)
+        for n in net.nodes:
+            vals.append(next(it) if n.kind == PI
+                        else gate_mask(n, vals, full))
+        want = [(vals[e.target] ^ (full if e.inverted else 0)) & full
+                for e in net.outputs]
+        assert evaluate_masks(net, masks, full) == want, seed
 
 
 def test_example_mig_hand_evaluation():
