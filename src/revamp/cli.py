@@ -24,7 +24,7 @@ from .lutmap import cover_klut, feasible, lut_graph_to_dict, min_dev
 from .netlist import (NetlistError, aig_to_mig, normalize_mig, parse_aiger,
                       parse_mig)
 from .reports import BENCH_COLUMNS, BenchRow
-from .simulator import grid_dump, run
+from .simulator import grid_dump, run_vectors
 from .verifier import EXHAUSTIVE_MAX_PIS, check_equivalence
 
 CORPUS_ENV = "REVAMP_CORPUS"
@@ -142,26 +142,31 @@ def cmd_simulate(args):
         program = read_program(fh.read())
     vectors = ([[0] * program.num_pis] if args.inputs is None
                else _read_vectors(args.inputs, program.num_pis))
+    record = args.trace is not None or args.step_grid
+    if vectors:  # one bit-parallel run; bit k of each mask is vector k's
+        masks = [int("".join(str(vec[i]) for vec in reversed(vectors)), 2)
+                 for i in range(program.num_pis)]
+        state, trace = run_vectors(program, masks, len(vectors),
+                                   record_trace=record,
+                                   record_state=args.step_grid)
     out = []
     traces = []
-    for vec in vectors:
-        state, trace = run(program, vec,
-                           record_trace=args.trace is not None
-                           or args.step_grid,
-                           record_state=args.step_grid)
-        entry = {
+    for k, vec in enumerate(vectors):
+        alone = state.vector(k)
+        out.append({
             "inputs": vec,
-            "cycles": state.cycles,
-            "results": {name: state.dcm[w][b]
+            "cycles": alone.cycles,
+            "results": {name: alone.dcm[w][b]
                         for name, (w, b) in program.result_locations.items()},
-        }
-        out.append(entry)
+        })
+        if record:
+            steps = trace.vector(k)
         if args.trace:
-            traces.append(trace.to_list())
+            traces.append(steps.to_list())
         if args.step_grid:
-            print(trace.to_text(dump_state=True), end="")
+            print(steps.to_text(dump_state=True), end="")
         if args.grid:
-            print(grid_dump(state))
+            print(grid_dump(alone))
     if args.trace:
         # one step list per input vector, in input order; unindented, as
         # indenting puts every bit on its own line and quadruples the file

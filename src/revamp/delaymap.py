@@ -67,16 +67,19 @@ class NodeRoles:
     bl_input: Edge
 
 
-def assign_roles(mig: LogicNetwork) -> dict[int, NodeRoles]:
+def assign_roles(mig: LogicNetwork, lv: list[int] | None = None
+                 ) -> dict[int, NodeRoles]:
     """Partition every internal node's fanins into host/wordline/bitline.
 
     Priority: shared or constant parents take the wordline, a complemented
     fanin takes the bitline, the deepest remaining parent hosts (its device
     is overwritten in place).  Ties break toward the lowest node id.
+    ``lv`` is ``levels(mig)`` when the caller has it already.
     """
     if mig.kind != "mig":
         raise NetlistError("assign_roles expects a MIG")
-    lv = levels(mig)
+    if lv is None:
+        lv = levels(mig)
     # wordline sharing only works when every grouped node sees the parent
     # with the same polarity, so the count is per (parent, level, polarity)
     share_count: dict[tuple[int, int, bool], int] = {}
@@ -188,12 +191,17 @@ class BlockFormation:
     sites: dict[int, list[Site]]
     negated_elements: dict[int, list[BlockElement]]
     output_elements: list[BlockElement]
+    levels: list[int]  # levels(mig), for the phases after formation
 
 
-def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
-                w_d: int) -> BlockFormation:
-    """Output-first descent by level, merging as described in the module doc."""
-    lv = levels(mig)
+def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
+                lv: list[int] | None = None) -> BlockFormation:
+    """Output-first descent by level, merging as described in the module doc.
+
+    ``lv`` is ``levels(mig)`` when the caller has it already.
+    """
+    if lv is None:
+        lv = levels(mig)
     l_max = max((lv[e.target] for e in mig.outputs), default=0)
     blocks: dict[int, Block] = {}  # live blocks by id, oldest first
     sites: dict[int, list[Site]] = {}
@@ -412,7 +420,7 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles],
             if ref.negated and is_internal(ref.node):
                 negated.setdefault(ref.node, []).append(el)
     return BlockFormation(list(blocks.values()), sites, negated,
-                          output_elements)
+                          output_elements, lv)
 
 
 # -- packing -------------------------------------------------------------------
@@ -519,7 +527,7 @@ def gen_pi_load(builder: ProgramBuilder, elements, spots,
 def gen_program_delay(mig: LogicNetwork, roles, formation: BlockFormation,
                       packing: Packing) -> tuple[Program, MappingReport]:
     """Level-synchronous instruction generation over placed blocks."""
-    lv = levels(mig)
+    lv = formation.levels
     spots = place_elements(packing)
     elements = [el for b in formation.blocks for el in b.elements]
     has_positive_pi = any(
@@ -601,7 +609,7 @@ def report_delay_stats(builder: ProgramBuilder, mig: LogicNetwork,
     total = packing.n_words * w_d
     counts = builder.counts()
     d_p_star = 9 * n_maj
-    lv = levels(mig)
+    lv = formation.levels
     return MappingReport(
         flow="delay",
         num_pis=mig.num_pis,
@@ -622,7 +630,8 @@ def map_delay(mig: LogicNetwork, w_d: int) -> tuple[Program, MappingReport]:
         raise NetlistError("map_delay expects a MIG (use aig_to_mig)")
     if w_d < 2:
         raise NetlistError("w_D must be at least 2")
-    roles = assign_roles(mig)
-    formation = form_blocks(mig, roles, w_d)
+    lv = levels(mig)
+    roles = assign_roles(mig, lv)
+    formation = form_blocks(mig, roles, w_d, lv)
     packing = pack_blocks(formation.blocks, w_d)
     return gen_program_delay(mig, roles, formation, packing)

@@ -27,9 +27,21 @@ from instruction bytes to the decoded (immutable) instruction, so each
 distinct word is decoded and checked once and repeats share its object.
 :func:`write_program` mirrors it with a per-call memo from instruction
 object to bytes, so an instruction the program builder shared among many
-positions is packed once; ``Program.validate`` likewise checks each
-distinct object once.  PIR slot tuples are shared the same way: by bytes
-when read, and packed once per object when written.
+positions is packed once.  PIR slot tuples are shared the same way: by
+bytes when read, and packed once per object when written.
+
+A program's rules live in one set of helpers: :func:`check_instruction`
+(which also tells whether an instruction sources the PIR),
+:func:`unscheduled` for a PIR Apply without a schedule entry,
+:func:`check_schedule_entry` and :func:`check_results`.
+``Program.validate`` applies them, and so do the loops that already visit
+every instruction: :func:`write_program` checks an instruction on a packing
+memo miss, :func:`read_program` adds the schedule and result checks to what
+``decode`` checks, and ``simulator.run_vectors`` checks as it compiles.  So
+a program is checked once per call, each distinct instruction and slot
+tuple once.  A program with a single defect gets the same message from
+``validate``, :func:`write_program` and ``run_vectors``; with several,
+which one is named may differ.
 The table has ``2**(1 + bit_bits)`` entries, so a container header is
 untrusted until bounded: the instruction table must fit in the bytes that
 follow it before any instruction is decoded or any table is built, and an
@@ -38,6 +50,7 @@ empty program builds none.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -169,6 +182,43 @@ def validate_instruction(instr: Instruction, config: CrossbarConfig):
             raise IsaError("val %d out of range" % p.val)
 
 
+def check_instruction(i: int, instr: Instruction,
+                      config: CrossbarConfig) -> bool:
+    """Check instruction ``i``; return whether it sources the PIR."""
+    try:
+        validate_instruction(instr, config)
+    except IsaError as exc:
+        raise IsaError("instruction %d: %s" % (i, exc)) from None
+    return isinstance(instr, ApplyInstr) and instr.source == SRC_PIR
+
+
+def unscheduled(i: int) -> IsaError:
+    """The error for PIR Apply ``i`` that has no schedule entry."""
+    return IsaError("instruction %d sources the PIR but has no schedule "
+                    "entry" % i)
+
+
+def check_schedule_entry(i: int, slots: tuple[int, ...],
+                         config: CrossbarConfig, num_pis: int):
+    """Check the PIR slots of schedule entry ``i``."""
+    if len(slots) != config.w_d:
+        raise IsaError("schedule entry %d has %d slots, want %d"
+                       % (i, len(slots), config.w_d))
+    for s in slots:
+        if s >= num_pis or s < SLOT_CONST1:
+            raise IsaError("schedule entry %d references bad slot %d"
+                           % (i, s))
+
+
+def check_results(results: dict[str, tuple[int, int]],
+                  config: CrossbarConfig):
+    """Check that every result location is a device of the crossbar."""
+    for name, (w, b) in results.items():
+        if not (0 <= w < config.s_d and 0 <= b < config.w_d):
+            raise IsaError("result %r at (%d,%d) is out of range"
+                           % (name, w, b))
+
+
 # -- binary codec ------------------------------------------------------------
 
 # wordline select modes by their 2-bit code; code 10 is invalid
@@ -294,30 +344,21 @@ class Program:
     num_pis: int = 0
 
     def validate(self):
-        checked = set()  # ids of instructions seen; instructions are immutable
+        cfg, schedule = self.config, self.pir_schedule
+        sources_pir = {}  # id -> check_instruction's answer; immutable
         for i, instr in enumerate(self.instructions):
-            if id(instr) not in checked:
-                try:
-                    validate_instruction(instr, self.config)
-                except IsaError as exc:
-                    raise IsaError("instruction %d: %s" % (i, exc)) from None
-                checked.add(id(instr))
-            if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR:
-                if i not in self.pir_schedule:
-                    raise IsaError("instruction %d sources the PIR but has "
-                                   "no schedule entry" % i)
-        for i, slots in self.pir_schedule.items():
-            if len(slots) != self.config.w_d:
-                raise IsaError("schedule entry %d has %d slots, want %d"
-                               % (i, len(slots), self.config.w_d))
-            for s in slots:
-                if s >= self.num_pis or s < SLOT_CONST1:
-                    raise IsaError("schedule entry %d references bad slot %d"
-                                   % (i, s))
-        for name, (w, b) in self.result_locations.items():
-            if not (0 <= w < self.config.s_d and 0 <= b < self.config.w_d):
-                raise IsaError("result %r at (%d,%d) is out of range"
-                               % (name, w, b))
+            pir = sources_pir.get(id(instr))
+            if pir is None:
+                pir = sources_pir[id(instr)] = check_instruction(i, instr,
+                                                                 cfg)
+            if pir and i not in schedule:
+                raise unscheduled(i)
+        checked = set()  # ids of slot tuples, which entries often share
+        for i, slots in schedule.items():
+            if id(slots) not in checked:
+                check_schedule_entry(i, slots, cfg, self.num_pis)
+                checked.add(id(slots))
+        check_results(self.result_locations, cfg)
 
     def to_asm(self) -> str:
         return "\n".join(format_asm(i) for i in self.instructions) + "\n"
@@ -339,8 +380,8 @@ def write_program(program: Program) -> bytes:
 
 
 def _write_program(program: Program) -> bytes:
-    program.validate()
     cfg = program.config
+    schedule = program.pir_schedule
     nbytes = (cfg.w_i + 7) // 8
     # one growing buffer: b"".join over per-instruction pieces would take
     # a buffer descriptor per piece, several times the output's size
@@ -350,23 +391,32 @@ def _write_program(program: Program) -> bytes:
     out += struct.pack("<I", len(program.instructions))
     if program.instructions:  # an empty program needs no codec table
         lay = cfg.layout
-        memo = {}  # id -> bytes; the program holds every instruction alive
-        for instr in program.instructions:
-            raw = memo.get(id(instr))
-            if raw is None:
-                raw = memo[id(instr)] = _pack(instr, lay).to_bytes(nbytes,
-                                                                   "big")
+        # id -> (bytes, sources the PIR); the program holds every
+        # instruction alive, and each is checked and packed once
+        memo = {}
+        for i, instr in enumerate(program.instructions):
+            entry = memo.get(id(instr))
+            if entry is None:
+                pir = check_instruction(i, instr, cfg)
+                entry = memo[id(instr)] = (
+                    _pack(instr, lay).to_bytes(nbytes, "big"), pir)
+            raw, pir = entry
+            if pir and i not in schedule:
+                raise unscheduled(i)
             out += raw
-    sched = sorted(program.pir_schedule.items())
-    out += struct.pack("<I", len(sched))
+    out += struct.pack("<I", len(schedule))
+    pack_index = struct.Struct("<I").pack
     pack_slots = struct.Struct("<%di" % cfg.w_d).pack
     packed = {}  # id -> bytes of a slot tuple, which entries often share
-    for idx, slots in sched:
-        out += struct.pack("<I", idx)
+    for idx in sorted(schedule):
+        slots = schedule[idx]
         raw = packed.get(id(slots))
         if raw is None:
+            check_schedule_entry(idx, slots, cfg, program.num_pis)
             raw = packed[id(slots)] = pack_slots(*slots)
+        out += pack_index(idx)
         out += raw
+    check_results(program.result_locations, cfg)
     out += struct.pack("<I", len(program.result_locations))
     for name, (w, b) in sorted(program.result_locations.items()):
         raw = name.encode("utf-8")
@@ -397,6 +447,7 @@ def _read_program(data: bytes) -> Program:
         raise IsaError("%d instructions of %d bytes overrun the container"
                        % (count, nbytes))
     # the check above bounds w_I, and with it the codec layout, by the data
+    # decode checks every field; a decoded word needs no further check
     memo = {}
     instrs = []
     for start in range(off, end, nbytes):
@@ -418,6 +469,7 @@ def _read_program(data: bytes) -> Program:
         slots = slot_memo.get(raw)
         if slots is None:
             slots = slot_memo[raw] = unpack_slots(raw)
+            check_schedule_entry(idx, slots, cfg, num_pis)
         off += 4 * w_d
         sched[idx] = slots
     (n_res,) = struct.unpack_from("<I", data, off)
@@ -437,6 +489,14 @@ def _read_program(data: bytes) -> Program:
     if off != len(data):
         raise IsaError("%d trailing bytes after the result table"
                        % (len(data) - off))
-    prog = Program(cfg, instrs, sched, results, num_pis)
-    prog.validate()
-    return prog
+    pir_ids = {id(instr) for instr in memo.values()
+               if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR}
+    if pir_ids:  # the positions of PIR Applies stream; no list is kept
+        pir_at = itertools.compress(
+            itertools.count(), map(pir_ids.__contains__, map(id, instrs)))
+        missing = next(itertools.filterfalse(sched.__contains__, pir_at),
+                       None)
+        if missing is not None:
+            raise unscheduled(missing)
+    check_results(results, cfg)
+    return Program(cfg, instrs, sched, results, num_pis)

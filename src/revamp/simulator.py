@@ -16,19 +16,16 @@ single concrete assignment is the width-1 special case.  The fetch/decode/
 execute pipeline is modelled as a flat two-cycle fill, so a T-instruction
 program takes T + 2 cycles.
 
-:func:`run_vectors` checks a program once, up front: ``Program.validate()``
-admits every address, source, wordline select, ``val`` and PIR schedule
-entry, and the input count is checked against ``num_pis``.  One unchecked
-loop then executes the instructions, traced or not.  The program builder
-shares one object among all equal instructions, so the loop turns each
-distinct instruction object into an op tuple once per run,
-
-    (w, mode, wb, from_pir, lines)
-
-where ``mode`` is the wordline select as a plain int (``None`` for a Read)
-and ``lines`` lists the valid ``(bitline, val)`` pairs of an Apply.  Each
-shared PIR slot tuple is likewise turned into its input masks once.  The
-device update is then written out per wordline mode, with ``nbl = full ^ bl``
+:func:`run_vectors` checks a program as it runs it, with the rules of
+``Program.validate`` (shared helpers in :mod:`revamp.isa`): each distinct
+instruction when it is first compiled, each PIR slot tuple when it is first
+resolved, and after the loop the result locations and any schedule entry
+no instruction used.  The input count is checked against ``num_pis`` up
+front.  The program builder shares one object among all equal
+instructions, so the loop turns each distinct instruction object into an
+op tuple once per run: a Read, a DMR Apply ``(w, mode, wb, lines)`` where
+``lines`` lists its valid ``(bitline, val)`` pairs, or a PIR Apply.  The
+device update is written out per wordline mode, with ``nbl = full ^ bl``
 and, for FROM_SOURCE, ``wl`` the source's bit ``wb``:
 
     ZERO         z & nbl
@@ -39,17 +36,34 @@ Each equals ``device_step(z, wl, bl, full)`` because every mask the loop
 sees lies within ``full``: the input masks are cut to ``full``, the constant
 slots are 0 and ``full``, the data register is a copy of a row, rows start
 at 0, and each update keeps them within ``full``.  :func:`device_step` stays
-the reference for the three forms.  A machine state refuses a geometry of
-more than ``MAX_DEVICES`` devices before it allocates anything, since a
-container header may declare any ``S_D`` and ``w_D`` that fit its fields.
+the reference for the three forms.
+
+A PIR Apply's bitlines come from the input register, whose values are
+fixed for the run.  So the run builds the mask of every slot (the inputs,
+0 and ``full``) and its complement once, and folds each distinct pair of a
+PIR Apply and slot tuple once into per-line actions that refer to these
+shared masks.  With ``wl`` 0 (ZERO) a line becomes ``z = 0`` when ``nbl`` is
+0, is dropped when ``nbl`` is ``full``, and is ``z &= nbl`` otherwise; with
+``wl`` equal to ``full`` (ONE) it becomes ``z = full``, is dropped when
+``nbl`` is 0, or is ``z |= nbl``.  A FROM_SOURCE line folds the same way
+when its wordline's mask is 0 or ``full``, and otherwise keeps the majority
+form with ``nbl`` from the table.  A set or reset from a constant slot thus
+does no full-width work.  Applies from the data register stay as written
+above.
+
+A machine state refuses a geometry of more than ``MAX_DEVICES`` devices
+before it allocates anything, since a container header may declare any
+``S_D`` and ``w_D`` that fit its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_PIR, CrossbarConfig,
-                  Instruction, Program, ReadInstr, WsMode, format_asm)
+from .isa import (SLOT_CONST0, SLOT_CONST1, CrossbarConfig, Instruction,
+                  Program, ReadInstr, WsMode, check_instruction,
+                  check_results, check_schedule_entry, format_asm,
+                  unscheduled)
 
 PIPELINE_FILL = 2
 
@@ -89,6 +103,16 @@ class MachineState:
         if not self.pir:
             self.pir = [0] * w_d
 
+    def vector(self, k: int) -> MachineState:
+        """The state under vector ``k`` of a bit-parallel run, width 1."""
+        return MachineState(self.config, [_bits(r, k) for r in self.dcm],
+                            _bits(self.dmr, k), _bits(self.pir, k), self.pc,
+                            self.cycles)
+
+
+def _bits(masks: list[int], k: int) -> list[int]:
+    return [(m >> k) & 1 for m in masks]
+
 
 @dataclass
 class TraceStep:
@@ -110,6 +134,14 @@ def _grid_rows(dcm: list[list[int]], indent: str = "") -> list[str]:
 @dataclass
 class Trace:
     steps: list[TraceStep] = field(default_factory=list)
+
+    def vector(self, k: int) -> Trace:
+        """The trace under vector ``k`` of a bit-parallel run."""
+        return Trace([TraceStep(
+            s.index, s.instruction, s.word, _bits(s.pre, k),
+            _bits(s.post, k), _bits(s.dmr, k),
+            None if s.dcm is None else [_bits(r, k) for r in s.dcm])
+            for s in self.steps])
 
     def to_text(self, dump_state: bool = False) -> str:
         lines = []
@@ -139,17 +171,51 @@ def grid_dump(state: MachineState) -> str:
 
 
 _ZERO, _ONE = int(WsMode.ZERO), int(WsMode.ONE)
+_READ, _PIR = -1, -2  # op codes beside the wordline modes
+_SET, _AND, _OR, _MAJ = range(4)  # folded PIR line actions
 
 
-def _op(instr: Instruction) -> tuple:
-    """The op tuple ``(w, mode, wb, from_pir, lines)`` of one instruction."""
+def _op(i: int, instr: Instruction, config: CrossbarConfig) -> tuple:
+    """The op tuple ``(w, code, a, b)`` of instruction ``i``, once checked.
+
+    A Read is ``(w, _READ, None, None)`` and a DMR Apply ``(w, mode, wb,
+    lines)``.  A PIR Apply is ``(w, _PIR, folds, (mode, wb, lines))``, where
+    ``folds`` collects its folded lines per slot tuple as the run meets them.
+    """
+    from_pir = check_instruction(i, instr, config)
     if isinstance(instr, ReadInstr):
-        return instr.w, None, 0, False, ()
+        return instr.w, _READ, None, None
     # a pair with v=0 leaves its bitline's device alone
     lines = tuple((j, pair.val) for j, pair in enumerate(instr.pairs)
                   if pair.valid)
-    return (instr.w, int(instr.ws.mode), instr.ws.wb,
-            instr.source == SRC_PIR, lines)
+    mode, wb = int(instr.ws.mode), instr.ws.wb
+    if from_pir:
+        return instr.w, _PIR, {}, (mode, wb, lines)
+    return instr.w, mode, wb, lines
+
+
+def _fold(apply: tuple, slots: tuple[int, ...], masks: dict, inv: dict,
+          full: int) -> tuple:
+    """A PIR Apply's lines under one slot tuple: ``(wl, actions)``.
+
+    Each action is ``(j, kind, m)`` with ``m`` one of the run's shared
+    masks; a line that holds its device is dropped (see the module doc).
+    """
+    mode, wb, lines = apply
+    wl = 0 if mode == _ZERO else full if mode == _ONE else masks[slots[wb]]
+    actions = []
+    for j, val in lines:
+        nbl = inv[slots[val]]
+        if wl == 0:  # z & nbl
+            if nbl != full:
+                actions.append((j, _SET, 0) if nbl == 0 else (j, _AND, nbl))
+        elif wl == full:  # z | nbl
+            if nbl != 0:
+                actions.append((j, _SET, full) if nbl == full
+                               else (j, _OR, nbl))
+        else:
+            actions.append((j, _MAJ, nbl))
+    return wl, tuple(actions)
 
 
 def run_vectors(program: Program, input_masks: list[int], width: int,
@@ -160,59 +226,82 @@ def run_vectors(program: Program, input_masks: list[int], width: int,
     ``input_masks[i]`` packs the value of primary input i across all
     vectors.  Returns the final state and (optionally populated) trace;
     ``record_state`` additionally snapshots the whole grid per step.
-    ``cycles`` is the instruction count plus the pipeline fill.
+    ``cycles`` is the instruction count plus the pipeline fill.  A program
+    that fails a check of ``Program.validate`` raises its ``IsaError``.
     """
-    program.validate()
-    if len(input_masks) < program.num_pis:
+    cfg, num_pis = program.config, program.num_pis
+    if len(input_masks) < num_pis:
         raise SimulationError("program needs %d inputs, got %d"
-                              % (program.num_pis, len(input_masks)))
+                              % (num_pis, len(input_masks)))
     full = (1 << width) - 1
-    state = MachineState(program.config, full=full)
+    state = MachineState(cfg, full=full)
     dcm = state.dcm
-    slot_masks = {i: input_masks[i] & full for i in range(program.num_pis)}
-    slot_masks[SLOT_CONST0] = 0
-    slot_masks[SLOT_CONST1] = full
+    masks = {SLOT_CONST0: 0, SLOT_CONST1: full}
+    masks.update((i, input_masks[i] & full) for i in range(num_pis))
+    inv = {s: full ^ m for s, m in masks.items()}  # bitline complements
     trace = Trace()
-    ops = {}  # id of an instruction -> its op tuple (see the module doc)
-    pir_of = {}  # id of a slot tuple -> the PIR it loads (never mutated)
+    ops = {}  # id of an instruction -> its op tuple (see _op)
+    checked = set()  # ids of the slot tuples checked so far
     schedule = program.pir_schedule
-    dmr, pir = state.dmr, state.pir
+    used = 0  # schedule entries the run has used
+    last_slots = None
+    dmr = state.dmr
     for i, instr in enumerate(program.instructions):
         op = ops.get(id(instr))
         if op is None:
-            op = ops[id(instr)] = _op(instr)
-        w, mode, wb, from_pir, lines = op
+            op = ops[id(instr)] = _op(i, instr, cfg)
+        w, code, a, b = op
         row = dcm[w]
         if record_trace:
             pre = list(row)
-        if mode is None:
+        if code == _PIR:
+            slots = schedule.get(i)
+            if slots is None:
+                raise unscheduled(i)
+            used += 1
+            last_slots = slots
+            fold = a.get(id(slots))
+            if fold is None:
+                if id(slots) not in checked:
+                    check_schedule_entry(i, slots, cfg, num_pis)
+                    checked.add(id(slots))
+                fold = a[id(slots)] = _fold(b, slots, masks, inv, full)
+            wl, actions = fold
+            for j, kind, m in actions:
+                if kind == _SET:
+                    row[j] = m
+                elif kind == _AND:
+                    row[j] &= m
+                elif kind == _OR:
+                    row[j] |= m
+                else:
+                    row[j] = (row[j] & (wl | m)) | (wl & m)
+        elif code == _READ:
             dmr = list(row)  # a read leaves the stored word untouched
+        elif code == _ZERO:
+            for j, val in b:
+                row[j] &= full ^ dmr[val]
+        elif code == _ONE:
+            for j, val in b:
+                row[j] |= full ^ dmr[val]
         else:
-            if from_pir:
-                slots = schedule[i]
-                source = pir_of.get(id(slots))
-                if source is None:
-                    source = pir_of[id(slots)] = [slot_masks[s]
-                                                  for s in slots]
-                pir = source
-            else:
-                source = dmr
-            if mode == _ZERO:
-                for j, val in lines:
-                    row[j] &= full ^ source[val]
-            elif mode == _ONE:
-                for j, val in lines:
-                    row[j] |= full ^ source[val]
-            else:
-                wl = source[wb]
-                for j, val in lines:
-                    nbl = full ^ source[val]
-                    row[j] = (row[j] & (wl | nbl)) | (wl & nbl)
+            wl = dmr[a]
+            for j, val in b:
+                nbl = full ^ dmr[val]
+                row[j] = (row[j] & (wl | nbl)) | (wl & nbl)
         if record_trace:
             trace.steps.append(TraceStep(
                 i, instr, w, pre, list(row), list(dmr),
                 [list(r) for r in dcm] if record_state else None))
-    state.dmr, state.pir = dmr, pir
+    if used < len(schedule):  # some entries no instruction used
+        for i, slots in schedule.items():
+            if id(slots) not in checked:
+                check_schedule_entry(i, slots, cfg, num_pis)
+                checked.add(id(slots))
+    check_results(program.result_locations, cfg)
+    state.dmr = dmr
+    if last_slots is not None:
+        state.pir = [masks[s] for s in last_slots]
     state.pc = len(program.instructions)
     state.cycles = state.pc + PIPELINE_FILL
     return state, trace

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import tempfile
 
@@ -6,11 +7,12 @@ import pytest
 
 from conftest import serialize_aig
 from revamp import cli, netlist
+from revamp.areamap import map_minimal
 from revamp.circuits import (full_adder, parity, ripple_adder, two_bit_xor,
                              two_bit_xor_program)
 from revamp.cli import main
 from revamp.isa import write_program
-from revamp.netlist import aig_to_mig, serialize_mig
+from revamp.netlist import aig_to_mig, normalize_mig, serialize_mig
 from revamp.simulator import run
 
 
@@ -127,6 +129,34 @@ def test_simulate_traces_every_vector(tmp_path, capsys):
     for steps, line in zip(runs, vectors.read_text().split()):
         _, alone = run(program, [int(c) for c in line], record_trace=True)
         assert steps == json.loads(json.dumps(alone.to_list()))
+
+
+@pytest.mark.parametrize("name, lines, out_digest, trace_digest", [
+    ("xor", "0000 0101 1111 1000 0011",
+     "f06fcbd5f0220226baab6974631460217d537fceeb9027b44c67a02244f023fa",
+     "6930af429c842b4728770a07ea601784165f42290883ccfecbd161b2c07cb4fe"),
+    ("parity4", "0000 0110 1111 1000 1011",
+     "6ce7282c64d4ddec1b984035fd1f43a1a4ff5a24ec43438528abfc9b64ea4b74",
+     "c103b3b9348c2f65574d60c18fd9dd821da74baa07e38626cbaf102cda4020e3"),
+])
+def test_simulate_output_pinned(tmp_path, capsys, name, lines, out_digest,
+                                trace_digest):
+    """stdout and the trace file of five vectors with every output option,
+    pinned to the bytes of one simulator run per vector."""
+    if name == "xor":
+        program = two_bit_xor_program()
+    else:
+        program, _ = map_minimal(normalize_mig(aig_to_mig(parity(4))))
+    prog = tmp_path / "p.rvmp"
+    prog.write_bytes(write_program(program))
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("".join(line + "\n" for line in lines.split()))
+    trace = tmp_path / "trace.json"
+    assert main(["simulate", str(prog), "--inputs", str(vectors), "--trace",
+                 str(trace), "--grid", "--step-grid"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == out_digest
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
 
 
 def test_simulate_trace_file_is_unindented(tmp_path, capsys):

@@ -4,12 +4,13 @@ import random
 import time
 
 from conftest import example_mig, sharing_pairs_that_overflow
+from revamp import delaymap
 from revamp.circuits import (comparator, full_adder, multiplier, parity,
                              ripple_adder)
 from revamp.delaymap import (ValueRef, assign_roles, form_blocks,
                              gen_program_delay, map_delay, pack_blocks)
 from revamp.isa import format_asm, write_program
-from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
+from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig, levels,
                             pi_patterns, random_aig, random_mig)
 from revamp.simulator import run_vectors
 from revamp.verifier import check_equivalence, optimal_packing
@@ -288,6 +289,22 @@ def test_delay_programs_byte_identical():
         program, _ = map_delay(aig_to_mig(build()), 32)
         got = hashlib.sha256(write_program(program)).hexdigest()
         assert got == digest, name
+
+
+def test_map_delay_computes_levels_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(delaymap, "levels",
+                        lambda mig: calls.append(mig) or levels(mig))
+    mig = aig_to_mig(ripple_adder(4))
+    program, _ = map_delay(mig, 8)
+    assert len(calls) == 1
+    # the phases called one by one compute it themselves, to the same end
+    roles = assign_roles(mig)
+    formation = form_blocks(mig, roles, 8)
+    assert formation.levels == levels(mig)
+    again, _ = gen_program_delay(mig, roles, formation,
+                                 pack_blocks(formation.blocks, 8))
+    assert write_program(again) == write_program(program)
 
 
 def _block_tags(formation):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import struct
 
 import pytest
 
@@ -224,12 +225,18 @@ def _reference_run_vectors(program, input_masks, width, record_trace=False,
 
 
 def _random_program(rng):
-    """A valid program with shared instruction objects and slot tuples."""
+    """A valid program with shared instruction objects and slot tuples.
+
+    One slot tuple alternates the two constants, so PIR lines with a
+    constant bitline, and FROM_SOURCE lines with a constant wordline, come
+    up in every wordline mode."""
     s_d, w_d = rng.randint(1, 6), rng.randint(2, 8)
     num_pis = rng.randint(0, 4)
     slot_choices = [SLOT_CONST0, SLOT_CONST1, *range(num_pis)]
     slot_pool = [tuple(rng.choice(slot_choices) for _ in range(w_d))
                  for _ in range(3)]
+    slot_pool.append(tuple(SLOT_CONST0 if j % 2 else SLOT_CONST1
+                           for j in range(w_d)))
     pool = []
     for _ in range(rng.randint(2, 8)):
         w = rng.randrange(s_d)
@@ -252,7 +259,7 @@ def _random_program(rng):
 @pytest.mark.parametrize("width", [1, 7, 64, 300])
 def test_loop_matches_device_step_reference(width):
     rng = random.Random(width)
-    kinds = set()
+    kinds, const_lines = set(), set()
     for _ in range(80):
         prog = _random_program(rng)
         masks = [rng.getrandbits(width + 3) for _ in range(prog.num_pis)]
@@ -265,5 +272,130 @@ def test_loop_matches_device_step_reference(width):
             assert got_trace.to_list() == want_trace.to_list()
         kinds.update((i.ws.mode, i.source) for i in prog.instructions
                      if isinstance(i, ApplyInstr))
-    # every wordline mode ran from both sources
+        for i, instr in enumerate(prog.instructions):
+            if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR:
+                slots = prog.pir_schedule[i]
+                const_lines.update((instr.ws.mode, slots[p.val])
+                                   for p in instr.pairs
+                                   if p.valid and slots[p.val] < 0)
+    # every wordline mode ran from both sources, and every mode met both
+    # constants on a PIR bitline, where the simulator folds the line
     assert kinds == set(itertools.product(WsMode, (SRC_PIR, SRC_DMR)))
+    assert const_lines == set(itertools.product(
+        WsMode, (SLOT_CONST0, SLOT_CONST1)))
+
+
+# -- the checks run where the instructions are visited ---------------------
+
+_BOTH = (BitlinePair(True, 0), BitlinePair(True, 1))
+
+
+def _set_instruction(i, instr):
+    def mutate(prog):
+        prog.instructions[i] = instr
+    return mutate
+
+
+def _set_entry(i, slots):
+    def mutate(prog):
+        prog.pir_schedule[i] = slots
+    return mutate
+
+
+def _drop_entry(prog):
+    del prog.pir_schedule[4]
+
+
+def _move_result(prog):
+    prog.result_locations["x0"] = (3, 0)
+
+
+# one defect each in the two-bit XOR program (3x2 crossbar, 4 inputs)
+_DEFECTS = {
+    "read address": (_set_instruction(6, ReadInstr(3)),
+                     "instruction 6: read address 3 out of range"),
+    "apply address": (_set_instruction(
+        2, ApplyInstr(3, SRC_DMR, WordlineSelect(WsMode.ONE, 0), _BOTH)),
+        "instruction 2: apply address 3 out of range"),
+    "wb": (_set_instruction(7, ApplyInstr(
+        2, SRC_DMR, WordlineSelect(WsMode.FROM_SOURCE, 2), _BOTH)),
+        "instruction 7: wb 2 out of range"),
+    "val": (_set_instruction(5, ApplyInstr(
+        1, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
+        (BitlinePair(True, 0), BitlinePair(True, 2)))),
+        "instruction 5: val 2 out of range"),
+    "pair count": (_set_instruction(3, ApplyInstr(
+        1, SRC_DMR, WordlineSelect(WsMode.ONE, 0), _BOTH[:1])),
+        "instruction 3: apply needs exactly 2 (v val) pairs, got 1"),
+    "missing entry": (_drop_entry, "instruction 4 sources the PIR but has "
+                      "no schedule entry"),
+    "short slots": (_set_entry(4, (2,)),
+                    "schedule entry 4 has 1 slots, want 2"),
+    "bad slot": (_set_entry(5, (2, 4)),
+                 "schedule entry 5 references bad slot 4"),
+    "unused bad entry": (_set_entry(9, (SLOT_CONST1 - 1, 0)),
+                         "schedule entry 9 references bad slot -3"),
+    "result": (_move_result, "result 'x0' at (3,0) is out of range"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_every_check_names_the_defect_alike(defect):
+    mutate, message = _DEFECTS[defect]
+    prog = two_bit_xor_program()
+    mutate(prog)
+    got = []
+    for check in (prog.validate, lambda: write_program(prog),
+                  lambda: run_vectors(prog, [0b01, 0b10, 0b11, 0b00], 2),
+                  lambda: run_vectors(prog, [1, 0, 1, 1], 1, True, True)):
+        with pytest.raises(IsaError) as info:
+            check()
+        got.append(str(info.value))
+    assert got == [message] * 4
+
+
+def _only_entry_program():
+    """Reads, one PIR Apply at index 1 and its schedule entry."""
+    load = ApplyInstr(1, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
+                      _pairs(0, None))
+    return Program(CrossbarConfig(2, 2), [ReadInstr(0), load, ReadInstr(1)],
+                   {1: (0, SLOT_CONST0)}, {"f": (1, 0)}, 1)
+
+
+def _entry_count_offset(prog):
+    """Header (magic, five fields, instruction count), then instructions."""
+    return 28 + len(prog.instructions) * ((prog.config.w_i + 7) // 8)
+
+
+def test_container_without_its_only_schedule_entry():
+    prog = _only_entry_program()
+    data = write_program(prog)
+    assert run(read_program(data), [1])[0].dcm[1][0] == 0
+    at = _entry_count_offset(prog)
+    assert struct.unpack_from("<I", data, at) == (1,)
+    cut = data[:at] + struct.pack("<I", 0) + data[at + 4 + 4 + 2 * 4:]
+    with pytest.raises(IsaError, match="^instruction 1 sources the PIR but "
+                                       "has no schedule entry$"):
+        read_program(cut)
+
+
+@pytest.mark.parametrize("slot, result, message", [
+    (1, (1, 0), "schedule entry 1 references bad slot 1"),
+    (0, (1, 2), "result 'f' at (1,2) is out of range"),
+])
+def test_container_with_one_bad_table_entry(slot, result, message):
+    """A bad slot or result location in a container: the message of
+    ``Program.validate`` on the same program."""
+    prog = _only_entry_program()
+    data = bytearray(write_program(prog))
+    # the entry's first slot follows its index; the result's bit is last
+    struct.pack_into("<i", data, _entry_count_offset(prog) + 8, slot)
+    struct.pack_into("<I", data, len(data) - 4, result[1])
+    prog.pir_schedule[1] = (slot, SLOT_CONST0)
+    prog.result_locations["f"] = result
+    with pytest.raises(IsaError) as want:
+        prog.validate()
+    assert str(want.value) == message
+    with pytest.raises(IsaError) as got:
+        read_program(bytes(data))
+    assert str(got.value) == message
