@@ -22,7 +22,7 @@ from .isa import (CrossbarConfig, Program, ReadInstr, ApplyInstr,
                   WordlineSelect, BitlinePair, WsMode, instruction_lengths,
                   encode, decode, format_asm, write_program, read_program)
 from .simulator import MachineState, Trace, device_step, run, run_vectors
-from .lutmap import LutGraph, Lut, cover_klut, min_dev, transient_nodes, feasible
+from .lutmap import LutGraph, Lut, cover_klut, min_dev, feasible
 from .esop import EsopCover, Cube, extract_esop
 from .areamap import (map_area, map_minimal, schedule_luts, InfeasibleMapping,
                       gen_esop_program)

@@ -25,6 +25,17 @@ form (one instruction, and positive literals of it can then be applied
 directly), except for LUTs that drive primary outputs, which are stored
 positively so the declared result locations hold the output values as-is.
 
+Scheduling buckets the LUTs by level once and walks the levels in one pass;
+the device demand it checks first (``lutmap.min_dev``) is one pass too.  A
+cover carries few distinct functions, so within one mapping each distinct
+truth table has its ESOP cover extracted once, and each distinct emission
+key (function, kind of each input, stored polarity) is planned once: the
+emitters run on an ``EmissionPlan`` that records their builder calls with
+the operands left open, and every LUT with that key replays the plan with
+its own operands.  The builder sees the calls a LUT-by-LUT emission would
+make, in the same order, so the program is the same.  Nothing is kept
+between mappings.
+
 The same working-area machinery implements the depth-bounded mapper
 (``map_minimal``): a single-output normalized MIG of depth k is evaluated
 as its tree, a shared node once per reference, with at most 2(k+1) devices
@@ -36,6 +47,8 @@ Both mappers emit through ``codegen.ProgramBuilder``, as the delay flow does.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .codegen import ProgramBuilder
@@ -243,6 +256,65 @@ def write_back(builder: ProgramBuilder, result_bit: int, word: int, bit: int,
     builder.reset_bits(E2, [result_bit])
 
 
+# -- emission plans ------------------------------------------------------------------
+
+class Operand:
+    """An operand a plan leaves open; replays fill in ``operands[index]``."""
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+
+class EmissionPlan:
+    """Builder calls recorded once and replayed with operands filled in.
+
+    The plan stands in for a ``ProgramBuilder`` while the emitters above
+    run on sources whose words, bits or PI indices are ``Operand``s, and
+    keeps each call as made.  ``replay`` makes the same calls on a real
+    builder, so read elision and interning are the builder's to decide, as
+    when the emitters run on it directly.
+    """
+
+    def __init__(self, config: CrossbarConfig):
+        self.config = config
+        self.calls: list[tuple] = []  # (builder method, args, any open)
+
+    def read(self, w):
+        self._record(ProgramBuilder.read, w)
+
+    def apply_from_dmr(self, w, mode, wires, wb=0):
+        self._record(ProgramBuilder.apply_from_dmr, w, mode, wires, wb)
+
+    def apply_from_pir(self, w, mode, wires):
+        self._record(ProgramBuilder.apply_from_pir, w, mode, wires)
+
+    def reset_bits(self, w, bits):
+        self._record(ProgramBuilder.reset_bits, w, list(bits))
+
+    def _record(self, method, *args):
+        open_ = any(type(a) is Operand or type(a) is dict and any(
+            type(x) is Operand for item in a.items() for x in item)
+            for a in args)
+        self.calls.append((method, args, open_))
+
+    def replay(self, builder: ProgramBuilder, operands: list):
+        for method, args, open_ in self.calls:
+            if open_:
+                args = [_fill(a, operands) for a in args]
+            method(builder, *args)
+
+
+def _fill(arg, operands: list):
+    """A recorded argument with its open operands replaced."""
+    if type(arg) is Operand:
+        return operands[arg.index]
+    if type(arg) is dict:
+        return {_fill(j, operands): _fill(v, operands)
+                for j, v in arg.items()}
+    return arg
+
+
 # -- standalone cover program ------------------------------------------------------
 
 def gen_esop_program(cover: EsopCover, config: CrossbarConfig
@@ -280,6 +352,10 @@ def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
     after another.  When nothing is free, the wordline with the most dirty
     devices (values whose consumers are all scheduled) is recycled.  Output
     values are never recycled.
+
+    The LUTs are bucketed by level once, each value counts down its
+    unscheduled consumers, and the rows sit in a list sorted by free
+    devices, so a level costs its LUTs and a bisection per row it fills.
     """
     capacity = storage_capacity(s_d, w_d)
     need = min_dev(graph)
@@ -288,18 +364,25 @@ def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
 
     storage_rows = list(range(3, s_d))
     free = {w: set(range(w_d)) for w in storage_rows}
+    # (free devices, -row) of every storage row, ascending: the first entry
+    # with enough room is the fullest row that fits, ties to the higher row
+    rank = sorted((w_d, -w) for w in storage_rows)
     occupant: dict[tuple[int, int], int] = {}
     dirty: set[tuple[int, int]] = set()
 
-    succs: dict[int, set[int]] = {l.id: set() for l in graph.luts}
+    # per LUT, the consumers not yet scheduled; a value whose count reaches
+    # zero may be recycled, unless it is a result (those stay live forever)
+    waiting = [0] * len(graph.luts)
+    by_level: list[list[int]] = [[] for _ in range(
+        max((l.level for l in graph.luts), default=0) + 1)]
     for lut in graph.luts:
+        by_level[lut.level].append(lut.id)
         for kind, ref in lut.inputs:
             if kind == LUT_REF:
-                succs[ref].add(lut.id)
-    pinned = set(graph.outputs)  # result devices stay live forever
+                waiting[ref] += 1
+    pinned = set(graph.outputs)
 
     sched = LutSchedule(min_dev=need)
-    scheduled: set[int] = set()
 
     def place(lut_id: int, w: int):
         b = min(free[w])
@@ -307,17 +390,14 @@ def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
         occupant[(w, b)] = lut_id
         sched.placements[lut_id] = (w, b)
         sched.events.append(("place", lut_id, w, b))
-        scheduled.add(lut_id)
-        # inputs whose consumers are now all scheduled become recyclable
-        lut = graph.luts[lut_id]
-        for kind, ref in lut.inputs:
-            if kind == LUT_REF and ref not in pinned:
-                if succs[ref] <= scheduled and ref in sched.placements:
+        for kind, ref in graph.luts[lut_id].inputs:
+            if kind == LUT_REF:
+                waiting[ref] -= 1
+                if not waiting[ref] and ref not in pinned:
                     dirty.add(sched.placements[ref])
 
-    def recycle():
-        counts = {w: sum(1 for (rw, _) in dirty if rw == w)
-                  for w in storage_rows}
+    def recycle() -> int:
+        counts = Counter(w for w, _ in dirty)
         w = max(storage_rows, key=lambda r: (counts[r], r))
         if counts[w] == 0:
             raise InfeasibleMapping(need, capacity)
@@ -328,28 +408,23 @@ def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
             dirty.discard((w, b))
             del occupant[(w, b)]
             free[w].add(b)
+        return w
 
-    if not graph.luts:
-        return sched
-    l_max = max(l.level for l in graph.luts)
-    for lv in range(1, l_max + 1):
-        todo = sorted(l.id for l in graph.luts if l.level == lv)
+    for todo in by_level[1:]:
         while todo:
-            fits = [w for w in storage_rows if len(free[w]) >= len(todo)]
-            if fits:
-                w = min(fits, key=lambda r: (len(free[r]), -r))
-                for lut_id in todo:
+            i = bisect_left(rank, (len(todo), -s_d))
+            if i == len(rank):  # no row fits: fill the emptiest one
+                i = bisect_left(rank, (rank[-1][0], -s_d))
+            room, w = rank[i][0], -rank[i][1]
+            if not room:  # every row is full
+                w = recycle()
+                rank.remove((0, -w))
+            else:
+                del rank[i]
+                for lut_id in todo[:room]:
                     place(lut_id, w)
-                todo = []
-                continue
-            w = max(storage_rows, key=lambda r: (len(free[r]), r))
-            if not free[w]:
-                recycle()
-                continue
-            room = len(free[w])
-            for lut_id in todo[:room]:
-                place(lut_id, w)
-            todo = todo[room:]
+                todo = todo[room:]
+            insort(rank, (len(free[w]), -w))
     return sched
 
 
@@ -368,10 +443,20 @@ def map_area(network: LogicNetwork, k: int, s_d: int, w_d: int
 
 def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
                   ) -> tuple[Program, MappingReport]:
+    """Schedule the LUTs, then compute and store each one in event order.
+
+    What a LUT emits is fixed by its function, the kind of each input
+    (streamed, stored complemented or stored plain), the polarity it is
+    stored in and ``w_D``; only the operands differ, so each such key is
+    planned once and replayed for every LUT that has it.
+    """
     sched = schedule_luts(graph, s_d, w_d)
     config = CrossbarConfig(s_d, w_d)
     builder = ProgramBuilder(config, graph.num_pis)
     is_output = set(graph.outputs)
+    placements = sched.placements
+    covers: dict[tuple[int, int], EsopCover] = {}
+    plans: dict[tuple, EmissionPlan] = {}
 
     for event in sched.events:
         if event[0] == "reset":
@@ -380,20 +465,23 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
             continue
         _, lut_id, w, b = event
         lut = graph.luts[lut_id]
-        sources = []
+        operands = [w, b]
+        kinds = []  # None for a streamed input, else stored complemented
         for kind, ref in lut.inputs:
             if kind == PI_REF:
-                sources.append(PirVar(ref))
+                operands += (ref, None)
+                kinds.append(None)
             else:
-                rw, rb = sched.placements[ref]
-                sources.append(StoredVar(rw, rb,
-                                         inverted=ref not in is_output))
-        cover = extract_esop(lut.tt, len(lut.inputs))
-        bit = compute_esop(builder, cover, sources)
-        write_back(builder, bit, w, b, store_inverted=lut_id not in is_output)
+                operands += placements[ref]
+                kinds.append(ref not in is_output)
+        key = (lut.tt, len(lut.inputs), tuple(kinds), lut_id not in is_output)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _plan_lut(config, covers, *key)
+        plan.replay(builder, operands)
 
     for lut_id, name in zip(graph.outputs, graph.output_names):
-        builder.result_locations[name] = sched.placements[lut_id]
+        builder.result_locations[name] = placements[lut_id]
     program = builder.finish()
     report = MappingReport(
         flow="area",
@@ -405,6 +493,27 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         **builder.counts(),
     )
     return program, report
+
+
+def _plan_lut(config: CrossbarConfig, covers: dict, tt: int, arity: int,
+              kinds: tuple, store_inverted: bool) -> EmissionPlan:
+    """Record computing a LUT and storing its value, operands left open.
+
+    The open operands are numbered as ``map_lut_graph`` fills them: the
+    destination word and bit, then two per input, its PI index and an
+    unused one for a streamed input, its word and bit for a stored one.
+    """
+    cover = covers.get((tt, arity))
+    if cover is None:
+        cover = covers[tt, arity] = extract_esop(tt, arity)
+    plan = EmissionPlan(config)
+    ops = [Operand(i) for i in range(2 + 2 * arity)]
+    sources = [PirVar(ops[2 + 2 * i]) if inverted is None
+               else StoredVar(ops[2 + 2 * i], ops[3 + 2 * i], inverted)
+               for i, inverted in enumerate(kinds)]
+    bit = compute_esop(plan, cover, sources)
+    write_back(plan, bit, ops[0], ops[1], store_inverted)
+    return plan
 
 
 # -- depth-bounded minimal-device mapper ----------------------------------------------

@@ -471,6 +471,8 @@ def _read_program(data: bytes) -> Program:
             slots = slot_memo[raw] = unpack_slots(raw)
             check_schedule_entry(idx, slots, cfg, num_pis)
         off += 4 * w_d
+        if idx in sched:
+            raise IsaError("schedule index %d is listed twice" % idx)
         sched[idx] = slots
     (n_res,) = struct.unpack_from("<I", data, off)
     off += 4
@@ -485,6 +487,8 @@ def _read_program(data: bytes) -> Program:
         off += nlen
         w, b = struct.unpack_from("<2I", data, off)
         off += 8
+        if name in results:
+            raise IsaError("result %r is listed twice" % name)
         results[name] = (w, b)
     if off != len(data):
         raise IsaError("%d trailing bytes after the result table"

@@ -11,12 +11,14 @@ Device sizing follows the scheduling argument for level-ordered computation:
 a level's population includes nodes of lower levels that feed past it
 (transient nodes), and the device demand is the worst sum of two adjacent
 level populations.  Primary inputs are streamed from the input register and
-do not count toward the device budget.
+do not count toward the device budget.  The demand takes one pass over the
+LUTs and one over the levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .netlist import (AND, CONST0, PI, LogicNetwork, NetlistError, gate_mask,
                       pi_patterns)
@@ -190,48 +192,43 @@ def assign_levels(graph: LutGraph):
 
 # -- sizing -----------------------------------------------------------------------
 
-def transient_nodes(graph: LutGraph, level: int) -> set[int]:
-    """LUTs below ``level`` with an edge to a LUT above it.
-
-    Such a value must stay live while the whole level computes, so it counts
-    toward the level's population.
-    """
-    out = set()
-    for lut in graph.luts:
-        for kind, ref in lut.inputs:
-            if kind != LUT_REF:
-                continue
-            src = graph.luts[ref]
-            if src.level < level < lut.level:
-                out.add(ref)
-    return out
-
-
 def min_dev(graph: LutGraph) -> int:
     """Device demand: worst sum of two adjacent level populations.
 
     Level-ordered scheduling only keeps the previous level's population (with
     transients) live while the current one computes, so adjacent-level sums
-    bound the storage demand.  Level 0 holds only streamed primary inputs and
-    counts as zero.  Output values are read from the final state, so an
-    output below the pair of levels stays live as well unless it is already
-    counted as a transient.
+    bound the storage demand.  A level's population is its own LUTs plus the
+    transient ones: LUTs below it with a consumer above it, whose value must
+    stay live while the whole level computes.  Level 0 holds only streamed
+    primary inputs and counts as zero.  Output values are read from the final
+    state, so an output below the pair of levels stays live as well unless it
+    is already counted as a transient.
+
+    One pass finds each LUT's highest consumer level c: a LUT at level s
+    counts toward the populations of levels s..c-1 (its own level, then as a
+    transient), and an output is held from level max(s+1, c) on.  Difference
+    arrays over the levels sum both.
     """
-    l_max = max((l.level for l in graph.luts), default=0)
+    luts = graph.luts
+    l_max = max((l.level for l in luts), default=0)
     if l_max == 0:
         return 0
-    transients = [transient_nodes(graph, l) for l in range(l_max + 1)]
-    pops = [len(t) for t in transients]
-    for lut in graph.luts:
-        pops[lut.level] += 1
+    last_use = [0] * len(luts)  # highest level of a consumer, 0 for none
+    for lut in luts:
+        for kind, ref in lut.inputs:
+            if kind == LUT_REF and last_use[ref] < lut.level:
+                last_use[ref] = lut.level
+    step = [0] * (l_max + 2)  # change in population at each level
+    kept = [0] * (l_max + 2)  # outputs whose holding starts at each level
+    for lut, last in zip(luts, last_use):
+        step[lut.level] += 1
+        step[max(lut.level + 1, last)] -= 1
+    for o in set(graph.outputs):
+        kept[max(luts[o].level + 1, last_use[o])] += 1
+    pops = list(accumulate(step))
     pops[0] = 0
-    outputs = set(graph.outputs)
-    best = 0
-    for l in range(l_max):
-        held = sum(1 for o in outputs
-                   if graph.luts[o].level < l and o not in transients[l])
-        best = max(best, pops[l] + pops[l + 1] + held)
-    return best
+    held = list(accumulate(kept))
+    return max(pops[l] + pops[l + 1] + held[l] for l in range(l_max))
 
 
 def storage_capacity(s_d: int, w_d: int) -> int:

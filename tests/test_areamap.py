@@ -368,6 +368,91 @@ def test_map_area_computes_device_demand_once(monkeypatch):
     assert report.min_dev == expect.min_dev == min_dev(calls[0])
 
 
+def test_map_area_extracts_each_function_once(monkeypatch):
+    import revamp.areamap as areamap
+    net = multiplier(4)
+    functions = {(l.tt, len(l.inputs)) for l in cover_klut(net, 4).luts}
+    calls = []
+
+    def counted(tt, arity):
+        calls.append((tt, arity))
+        return extract_esop(tt, arity)
+
+    monkeypatch.setattr(areamap, "extract_esop", counted)
+    for s_d, w_d in ((256, 32), (16, 16), (16, 16)):
+        # the covers are kept for one call only, so each call extracts again
+        calls.clear()
+        program, _ = map_area(net, 4, s_d, w_d)
+        assert sorted(calls) == sorted(functions), (s_d, w_d)
+        assert check_equivalence(net, program).ok
+    assert len(functions) < len(cover_klut(net, 4).luts)
+
+
+def _reference_area_program(graph, s_d, w_d):
+    """The area program emitted LUT by LUT: every ``place`` event extracts
+    its cover and runs the emitters on the LUT's real sources."""
+    from revamp.areamap import compute_esop, write_back
+    sched = schedule_luts(graph, s_d, w_d)
+    builder = ProgramBuilder(CrossbarConfig(s_d, w_d), graph.num_pis)
+    is_output = set(graph.outputs)
+    for event in sched.events:
+        if event[0] == "reset":
+            _, w, victims = event
+            builder.reset_bits(w, [b for b, _ in victims])
+            continue
+        _, lut_id, w, b = event
+        lut = graph.luts[lut_id]
+        sources = [PirVar(ref) if kind == "pi" else
+                   StoredVar(*sched.placements[ref],
+                             inverted=ref not in is_output)
+                   for kind, ref in lut.inputs]
+        cover = extract_esop(lut.tt, len(lut.inputs))
+        bit = compute_esop(builder, cover, sources)
+        write_back(builder, bit, w, b, store_inverted=lut_id not in is_output)
+    for lut_id, name in zip(graph.outputs, graph.output_names):
+        builder.result_locations[name] = sched.placements[lut_id]
+    return builder.finish()
+
+
+def _mapped_or_refused(emit, graph, s_d, w_d):
+    try:
+        return write_program(emit(graph, s_d, w_d))
+    except InfeasibleMapping as err:
+        return ("refused", err.needed, err.capacity)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_planned_emission_matches_lut_by_lut_emission(k):
+    """``map_lut_graph`` replays one plan per distinct key; its bytes, and
+    its refusals, equal those of planning every LUT afresh."""
+    seen = {"mapped": 0, "recycled": 0, "refused": 0, "plain inputs": 0}
+    rng = random.Random(k)
+    for seed in range(24):
+        net = random_aig(num_pis=4 + seed % 9, num_ands=10 + 4 * seed,
+                         seed=1000 * k + seed, num_outputs=1 + seed % 4)
+        for i in range(seed % 3):  # results that other LUTs read back
+            net.add_output(Edge(rng.randrange(net.num_pis, len(net.nodes)),
+                                rng.random() < 0.5), "t%d" % i)
+        graph = cover_klut(net, k)
+        seen["plain inputs"] += sum(
+            ref in graph.outputs for l in graph.luts
+            for kind, ref in l.inputs if kind == "lut")
+        tight = (3 + -(-min_dev(graph) // 4), 4)  # room for the demand only
+        for s_d, w_d in ((16, 16), (8, 8), tight, (5, 4), (4, 2)):
+            got = _mapped_or_refused(
+                lambda *args: map_lut_graph(*args)[0], graph, s_d, w_d)
+            want = _mapped_or_refused(_reference_area_program, graph,
+                                      s_d, w_d)
+            assert got == want, (seed, s_d, w_d)
+            if type(want) is tuple:
+                seen["refused"] += 1
+                continue
+            seen["mapped"] += 1
+            events = schedule_luts(graph, s_d, w_d).events
+            seen["recycled"] += any(e[0] == "reset" for e in events)
+    assert all(seen.values()), seen
+
+
 # -- depth-bounded mapper ------------------------------------------------------------
 
 def _tree_mig(depth, num_pis, seed):

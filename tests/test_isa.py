@@ -311,6 +311,44 @@ def test_container_rejects_trailing_bytes():
         read_program(data + b"\0")
 
 
+def _tables(prog, data):
+    """Offsets of the schedule and result tables of ``prog``'s container."""
+    schedule = _COUNT_OFFSET + 4 + len(prog.instructions) * (
+        (prog.config.w_i + 7) // 8)
+    entry = 4 + 4 * prog.config.w_d
+    results = schedule + 4 + len(prog.pir_schedule) * entry
+    return schedule, entry, results
+
+
+def _repeat_first_entry(data, table, entry_len):
+    """``data`` with the first entry of the table at ``table`` listed twice
+    and the table's count raised to match."""
+    (count,) = struct.unpack_from("<I", data, table)
+    first = data[table + 4:table + 4 + entry_len]
+    return (_with_header(data, table, count + 1)[:table + 4] + first
+            + data[table + 4:])
+
+
+def test_container_rejects_a_repeated_schedule_index():
+    prog = two_bit_xor_program()
+    data = write_program(prog)
+    schedule, entry, _ = _tables(prog, data)
+    assert struct.unpack_from("<2I", data, schedule) == (3, 0)
+    with pytest.raises(IsaError, match="schedule index 0 is listed twice"):
+        read_program(_repeat_first_entry(data, schedule, entry))
+
+
+def test_container_rejects_a_repeated_result_name():
+    prog = two_bit_xor_program()
+    data = write_program(prog)
+    _, _, results = _tables(prog, data)
+    (count, nlen) = struct.unpack_from("<IH", data, results)
+    name = data[results + 6:results + 6 + nlen].decode()
+    assert count == 2 and name in prog.result_locations
+    with pytest.raises(IsaError, match="result '%s' is listed twice" % name):
+        read_program(_repeat_first_entry(data, results, 2 + nlen + 8))
+
+
 def test_program_validation_catches_missing_schedule():
     prog = two_bit_xor_program()
     del prog.pir_schedule[4]

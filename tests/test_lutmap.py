@@ -5,7 +5,7 @@ import pytest
 from revamp.circuits import AigBuilder, full_adder, parity, ripple_adder
 from revamp.lutmap import (PI_REF, Lut, LutGraph, _cone_tt, _grow_cut,
                            assign_levels, cover_klut, feasible,
-                           lut_truth_table, min_dev, transient_nodes)
+                           lut_truth_table, min_dev)
 from revamp.netlist import (AND, Edge, LogicNetwork, evaluate_masks,
                             parse_aiger, pi_patterns, random_aig,
                             truth_table_ints)
@@ -135,7 +135,8 @@ def test_transient_detection():
     assert transient_nodes(graph, 1) == set()
 
 
-def _brute_transients(graph, level):
+def transient_nodes(graph, level):
+    """LUTs below ``level`` with an edge to a LUT above it."""
     out = set()
     for lut in graph.luts:
         for kind, ref in lut.inputs:
@@ -144,24 +145,56 @@ def _brute_transients(graph, level):
     return out
 
 
-def test_transients_match_brute_force():
-    rng = random.Random(0)
-    for trial in range(50):
-        num = rng.randrange(3, 12)
-        graph = LutGraph(k=3, num_pis=3)
-        for i in range(num):
-            pool = [("pi", rng.randrange(3))] + [("lut", j)
-                                                 for j in range(i)]
-            picks = rng.sample(pool, k=min(len(pool),
-                                           rng.randrange(1, 4)))
-            graph.luts.append(Lut(i, tuple(picks),
-                                  rng.getrandbits(1 << len(picks))))
-        graph.outputs = [num - 1]
-        graph.output_names = ["o0"]
-        assign_levels(graph)
-        top = max(l.level for l in graph.luts)
-        for l in range(top + 2):
-            assert transient_nodes(graph, l) == _brute_transients(graph, l)
+def min_dev_per_level(graph):
+    """Reference device demand: a transient scan at every level, then the
+    worst adjacent pair of populations plus the outputs held below it."""
+    l_max = max((l.level for l in graph.luts), default=0)
+    if l_max == 0:
+        return 0
+    transients = [transient_nodes(graph, l) for l in range(l_max + 1)]
+    pops = [len(t) for t in transients]
+    for lut in graph.luts:
+        pops[lut.level] += 1
+    pops[0] = 0
+    outputs = set(graph.outputs)
+    best = 0
+    for l in range(l_max):
+        held = sum(1 for o in outputs
+                   if graph.luts[o].level < l and o not in transients[l])
+        best = max(best, pops[l] + pops[l + 1] + held)
+    return best
+
+
+def _random_lut_graph(rng, max_inputs, num_pis=3):
+    num = rng.randrange(2, 16)
+    graph = LutGraph(k=max_inputs, num_pis=num_pis)
+    for i in range(num):
+        pool = [("pi", p) for p in range(num_pis)] + [("lut", j)
+                                                      for j in range(i)]
+        picks = rng.sample(pool, k=min(len(pool),
+                                       rng.randrange(1, max_inputs + 1)))
+        graph.luts.append(Lut(i, tuple(picks),
+                              rng.getrandbits(1 << len(picks))))
+    graph.outputs = sorted(rng.sample(range(num),
+                                      rng.randrange(1, min(4, num + 1))))
+    if num - 1 not in graph.outputs:
+        graph.outputs.append(num - 1)
+    graph.output_names = ["o%d" % i for i in range(len(graph.outputs))]
+    assign_levels(graph)
+    return graph
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_min_dev_matches_the_per_level_formula(k):
+    rng = random.Random(k)
+    for seed in range(8):
+        net = random_aig(num_pis=8, num_ands=30 + 10 * seed,
+                         seed=100 * k + seed, num_outputs=1 + seed % 4)
+        graph = cover_klut(net, k)
+        assert min_dev(graph) == min_dev_per_level(graph), seed
+    for trial in range(40):
+        graph = _random_lut_graph(rng, k)
+        assert min_dev(graph) == min_dev_per_level(graph), trial
 
 
 def test_min_dev_single_level():
@@ -231,10 +264,10 @@ def test_min_dev_brute_census():
                 if lv == 0:
                     return 0
                 return (sum(1 for x in graph.luts if x.level == lv)
-                        + len(_brute_transients(graph, lv)))
+                        + len(transient_nodes(graph, lv)))
 
             held = {o for o in graph.outputs if graph.luts[o].level < l}
-            held -= _brute_transients(graph, l)
+            held -= transient_nodes(graph, l)
             expect = max(expect, population(l) + population(l + 1)
                          + len(held))
         assert min_dev(graph) == expect
