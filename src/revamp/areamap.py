@@ -28,13 +28,11 @@ positively so the declared result locations hold the output values as-is.
 Scheduling buckets the LUTs by level once and walks the levels in one pass;
 the device demand it checks first (``lutmap.min_dev``) is one pass too.  A
 cover carries few distinct functions, so within one mapping each distinct
-truth table has its ESOP cover extracted once, and each distinct emission
-key (function, kind of each input, stored polarity) is planned once: the
-emitters run on an ``EmissionPlan`` that records their builder calls with
-the operands left open, and every LUT with that key replays the plan with
-its own operands.  The builder sees the calls a LUT-by-LUT emission would
-make, in the same order, so the program is the same.  Nothing is kept
-between mappings.
+truth table has its ESOP cover extracted once; nothing is kept between
+mappings.  Every LUT is then emitted by the same two emitters
+(``compute_esop``, ``write_back``) on the builder itself, with its own
+sources and destination; the builder alone decides read elision and
+interning.  The cover may come from an AIG or a MIG.
 
 The same working-area machinery implements the depth-bounded mapper
 (``map_minimal``): a single-output normalized MIG of depth k is evaluated
@@ -50,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .codegen import ProgramBuilder
 from .esop import Cube, EsopCover, extract_esop
@@ -73,14 +72,12 @@ class InfeasibleMapping(RuntimeError):
 
 # -- operand sources ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PirVar:
+class PirVar(NamedTuple):
     """Variable streamed on the input register (positive value)."""
     pi: int
 
 
-@dataclass(frozen=True)
-class StoredVar:
+class StoredVar(NamedTuple):
     """Variable held in the crossbar, possibly in complemented form."""
     word: int
     bit: int
@@ -92,17 +89,17 @@ VarSource = PirVar | StoredVar
 
 # -- cube computation ----------------------------------------------------------------
 
-def _emit_wire_group(apply, bit_row, targets, fresh):
-    """Apply one wire to a set of e2 bitlines through ``apply`` (the
+def _emit_wire_group(apply, bit_row, bitlines, val, fresh):
+    """Apply wire ``val`` to the e2 ``bitlines`` through ``apply`` (the
     builder's ``apply_from_pir`` or ``apply_from_dmr``), splitting
     first-literal loads (wordline 1) from AND accumulation (wordline 0)."""
-    loads = {j: v for j, v in targets.items() if j in fresh}
-    ands = {j: v for j, v in targets.items() if j not in fresh}
+    loads = [j for j in bitlines if j in fresh]
+    ands = [j for j in bitlines if j not in fresh]
     if loads:
-        apply(bit_row, WsMode.ONE, loads)
-        fresh -= set(loads)
+        apply(bit_row, WsMode.ONE, dict.fromkeys(loads, val))
+        fresh.difference_update(loads)
     if ands:
-        apply(bit_row, WsMode.ZERO, ands)
+        apply(bit_row, WsMode.ZERO, dict.fromkeys(ands, val))
 
 
 def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
@@ -116,59 +113,54 @@ def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
     """
     fresh = set(bits)
     e2 = E2
-    empties = [bits[i] for i, c in enumerate(cubes) if c.num_literals() == 0]
+    empties = [bit for c, bit in zip(cubes, bits) if not (c.pos or c.neg)]
     if empties:
         builder.apply_from_pir(e2, WsMode.ONE,
-                               {j: SLOT_CONST0 for j in empties})
-        fresh -= set(empties)
+                               dict.fromkeys(empties, SLOT_CONST0))
+        fresh.difference_update(empties)
 
-    occurrence = {}
-    for c in cubes:
-        used = c.pos | c.neg
-        for var in range(used.bit_length()):
-            if (used >> var) & 1:
-                occurrence[var] = occurrence.get(var, 0) + 1
-    order = sorted(occurrence, key=lambda v: (-occurrence[v], v))
+    # per variable, the target bitlines whose wire must carry its
+    # complement (a literal v: the device complements the bitline) and
+    # those whose wire must carry v itself (a literal not-v), in one pass
+    want_comp: dict[int, list[int]] = {}
+    want_plain: dict[int, list[int]] = {}
+    for c, bit in zip(cubes, bits):
+        for mask, wants in ((c.pos, want_comp), (c.neg, want_plain)):
+            while mask:
+                low = mask & -mask
+                wants.setdefault(low.bit_length() - 1, []).append(bit)
+                mask ^= low
+    order = sorted(want_comp.keys() | want_plain.keys(), key=lambda v: (
+        -len(want_comp.get(v, ())) - len(want_plain.get(v, ())), v))
 
     for var in order:
         src = sources[var]
-        # wire value per target bitline: literal v wants the wire to carry
-        # not v (the device complements the bitline), literal not-v wants v
-        want_comp = {}   # targets whose wire must carry the complement of var
-        want_plain = {}  # targets whose wire must carry var itself
-        for c, bit in zip(cubes, bits):
-            m = 1 << var
-            if c.pos & m:
-                want_comp[bit] = True
-            elif c.neg & m:
-                want_plain[bit] = True
-
+        comp = want_comp.get(var, ())
+        plain = want_plain.get(var, ())
         if isinstance(src, PirVar):
-            direct, staged = want_plain, want_comp
+            direct, staged = plain, comp
             if direct:
-                _emit_wire_group(builder.apply_from_pir, e2,
-                                 {j: src.pi for j in direct}, fresh)
+                _emit_wire_group(builder.apply_from_pir, e2, direct, src.pi,
+                                 fresh)
             if staged:
                 builder.apply_from_pir(E0, WsMode.ONE, {0: src.pi})
                 builder.read(E0)
-                _emit_wire_group(builder.apply_from_dmr, e2,
-                                 {j: 0 for j in staged}, fresh)
+                _emit_wire_group(builder.apply_from_dmr, e2, staged, 0, fresh)
                 builder.reset_bits(E0, [0])
         else:
             stored_is_comp = src.inverted
-            direct = want_comp if stored_is_comp else want_plain
-            staged = want_plain if stored_is_comp else want_comp
+            direct = comp if stored_is_comp else plain
+            staged = plain if stored_is_comp else comp
             if direct or staged:
                 builder.read(src.word)
             if direct:
-                _emit_wire_group(builder.apply_from_dmr, e2,
-                                 {j: src.bit for j in direct}, fresh)
+                _emit_wire_group(builder.apply_from_dmr, e2, direct, src.bit,
+                                 fresh)
             if staged:
                 builder.read(src.word)
                 builder.apply_from_dmr(E0, WsMode.ONE, {0: src.bit})
                 builder.read(E0)
-                _emit_wire_group(builder.apply_from_dmr, e2,
-                                 {j: 0 for j in staged}, fresh)
+                _emit_wire_group(builder.apply_from_dmr, e2, staged, 0, fresh)
                 builder.reset_bits(E0, [0])
 
 
@@ -181,19 +173,20 @@ def xor_reduction_round(builder: ProgramBuilder, pairs: list[tuple[int, int]]):
     """
     if not pairs:
         return
-    los = [lo for lo, _ in pairs]
+    same = {lo: lo for lo, _ in pairs}
+    cross = dict(pairs)
     builder.read(E2)
-    builder.apply_from_dmr(E0, WsMode.ONE, {lo: lo for lo in los})
+    builder.apply_from_dmr(E0, WsMode.ONE, same)
     builder.read(E0)
-    builder.apply_from_dmr(E1, WsMode.ONE, {lo: lo for lo in los})
+    builder.apply_from_dmr(E1, WsMode.ONE, same)
     builder.read(E2)
-    builder.apply_from_dmr(E2, WsMode.ZERO, {lo: hi for lo, hi in pairs})
-    builder.apply_from_dmr(E1, WsMode.ONE, {lo: hi for lo, hi in pairs})
+    builder.apply_from_dmr(E2, WsMode.ZERO, cross)
+    builder.apply_from_dmr(E1, WsMode.ONE, cross)
     builder.read(E1)
-    builder.apply_from_dmr(E2, WsMode.ONE, {lo: lo for lo in los})
-    builder.reset_bits(E0, los)
-    builder.reset_bits(E1, los)
-    builder.reset_bits(E2, [hi for _, hi in pairs])
+    builder.apply_from_dmr(E2, WsMode.ONE, same)
+    builder.reset_bits(E0, same)
+    builder.reset_bits(E1, same)
+    builder.reset_bits(E2, cross.values())
 
 
 def xor_reduce(builder: ProgramBuilder, bits: list[int]) -> int:
@@ -202,10 +195,8 @@ def xor_reduce(builder: ProgramBuilder, bits: list[int]) -> int:
     while len(live) > 1:
         pairs = [(live[i], live[i + 1]) for i in range(0, len(live) - 1, 2)]
         xor_reduction_round(builder, pairs)
-        survivors = [lo for lo, _ in pairs]
-        if len(live) % 2:
-            survivors.append(live[-1])
-        live = sorted(survivors)
+        # the lower bit of each pair, then an odd last one: still ascending
+        live = live[::2]
     return live[0]
 
 
@@ -214,28 +205,25 @@ def compute_esop(builder: ProgramBuilder, cover: EsopCover,
     """Compute a whole cover on the working area, batching cubes when the
     cover is wider than the bitlines; returns the e2 bit holding the value.
 
-    The running XOR of finished batches stays parked on its device while the
-    next batch of cubes is computed on the remaining bitlines.
+    A batch's XOR lands on its lowest bitline, so the running XOR of the
+    finished batches stays parked on bitline 0 while each next batch of
+    cubes is computed on bitlines 1 and up.
     """
     w_d = builder.config.w_d
-    if not cover.cubes:
+    cubes = cover.cubes
+    if not cubes:
         return 0  # constant 0: a reset device already holds it
-    result_bit = None
     pos = 0
-    while pos < len(cover.cubes):
-        avail = [b for b in range(w_d) if b != result_bit]
-        batch = cover.cubes[pos:pos + len(avail)]
-        bits = avail[:len(batch)]
+    while pos < len(cubes):
+        first = 1 if pos else 0
+        batch = cubes[pos:pos + w_d - first]
+        bits = list(range(first, first + len(batch)))
         compute_cube_batch(builder, batch, bits, sources)
-        batch_bit = xor_reduce(builder, bits)
-        if result_bit is None:
-            result_bit = batch_bit
-        else:
-            lo, hi = sorted((result_bit, batch_bit))
-            xor_reduction_round(builder, [(lo, hi)])
-            result_bit = lo
+        bit = xor_reduce(builder, bits)
+        if first:
+            xor_reduction_round(builder, [(0, bit)])
         pos += len(batch)
-    return result_bit
+    return 0
 
 
 def write_back(builder: ProgramBuilder, result_bit: int, word: int, bit: int,
@@ -254,65 +242,6 @@ def write_back(builder: ProgramBuilder, result_bit: int, word: int, bit: int,
         builder.apply_from_dmr(word, WsMode.ONE, {bit: 0})
         builder.reset_bits(E0, [0])
     builder.reset_bits(E2, [result_bit])
-
-
-# -- emission plans ------------------------------------------------------------------
-
-class Operand:
-    """An operand a plan leaves open; replays fill in ``operands[index]``."""
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-
-class EmissionPlan:
-    """Builder calls recorded once and replayed with operands filled in.
-
-    The plan stands in for a ``ProgramBuilder`` while the emitters above
-    run on sources whose words, bits or PI indices are ``Operand``s, and
-    keeps each call as made.  ``replay`` makes the same calls on a real
-    builder, so read elision and interning are the builder's to decide, as
-    when the emitters run on it directly.
-    """
-
-    def __init__(self, config: CrossbarConfig):
-        self.config = config
-        self.calls: list[tuple] = []  # (builder method, args, any open)
-
-    def read(self, w):
-        self._record(ProgramBuilder.read, w)
-
-    def apply_from_dmr(self, w, mode, wires, wb=0):
-        self._record(ProgramBuilder.apply_from_dmr, w, mode, wires, wb)
-
-    def apply_from_pir(self, w, mode, wires):
-        self._record(ProgramBuilder.apply_from_pir, w, mode, wires)
-
-    def reset_bits(self, w, bits):
-        self._record(ProgramBuilder.reset_bits, w, list(bits))
-
-    def _record(self, method, *args):
-        open_ = any(type(a) is Operand or type(a) is dict and any(
-            type(x) is Operand for item in a.items() for x in item)
-            for a in args)
-        self.calls.append((method, args, open_))
-
-    def replay(self, builder: ProgramBuilder, operands: list):
-        for method, args, open_ in self.calls:
-            if open_:
-                args = [_fill(a, operands) for a in args]
-            method(builder, *args)
-
-
-def _fill(arg, operands: list):
-    """A recorded argument with its open operands replaced."""
-    if type(arg) is Operand:
-        return operands[arg.index]
-    if type(arg) is dict:
-        return {_fill(j, operands): _fill(v, operands)
-                for j, v in arg.items()}
-    return arg
 
 
 # -- standalone cover program ------------------------------------------------------
@@ -445,18 +374,15 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
                   ) -> tuple[Program, MappingReport]:
     """Schedule the LUTs, then compute and store each one in event order.
 
-    What a LUT emits is fixed by its function, the kind of each input
-    (streamed, stored complemented or stored plain), the polarity it is
-    stored in and ``w_D``; only the operands differ, so each such key is
-    planned once and replayed for every LUT that has it.
+    A cover carries few distinct functions, so each ``(tt, arity)`` has its
+    ESOP cover extracted once per call; the emitters then run on the
+    builder with each LUT's own sources and destination.
     """
     sched = schedule_luts(graph, s_d, w_d)
-    config = CrossbarConfig(s_d, w_d)
-    builder = ProgramBuilder(config, graph.num_pis)
+    builder = ProgramBuilder(CrossbarConfig(s_d, w_d), graph.num_pis)
     is_output = set(graph.outputs)
     placements = sched.placements
     covers: dict[tuple[int, int], EsopCover] = {}
-    plans: dict[tuple, EmissionPlan] = {}
 
     for event in sched.events:
         if event[0] == "reset":
@@ -465,20 +391,15 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
             continue
         _, lut_id, w, b = event
         lut = graph.luts[lut_id]
-        operands = [w, b]
-        kinds = []  # None for a streamed input, else stored complemented
-        for kind, ref in lut.inputs:
-            if kind == PI_REF:
-                operands += (ref, None)
-                kinds.append(None)
-            else:
-                operands += placements[ref]
-                kinds.append(ref not in is_output)
-        key = (lut.tt, len(lut.inputs), tuple(kinds), lut_id not in is_output)
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _plan_lut(config, covers, *key)
-        plan.replay(builder, operands)
+        key = (lut.tt, len(lut.inputs))
+        cover = covers.get(key)
+        if cover is None:
+            cover = covers[key] = extract_esop(*key)
+        sources = [PirVar(ref) if kind == PI_REF else
+                   StoredVar(*placements[ref], ref not in is_output)
+                   for kind, ref in lut.inputs]
+        bit = compute_esop(builder, cover, sources)
+        write_back(builder, bit, w, b, lut_id not in is_output)
 
     for lut_id, name in zip(graph.outputs, graph.output_names):
         builder.result_locations[name] = placements[lut_id]
@@ -493,27 +414,6 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         **builder.counts(),
     )
     return program, report
-
-
-def _plan_lut(config: CrossbarConfig, covers: dict, tt: int, arity: int,
-              kinds: tuple, store_inverted: bool) -> EmissionPlan:
-    """Record computing a LUT and storing its value, operands left open.
-
-    The open operands are numbered as ``map_lut_graph`` fills them: the
-    destination word and bit, then two per input, its PI index and an
-    unused one for a streamed input, its word and bit for a stored one.
-    """
-    cover = covers.get((tt, arity))
-    if cover is None:
-        cover = covers[tt, arity] = extract_esop(tt, arity)
-    plan = EmissionPlan(config)
-    ops = [Operand(i) for i in range(2 + 2 * arity)]
-    sources = [PirVar(ops[2 + 2 * i]) if inverted is None
-               else StoredVar(ops[2 + 2 * i], ops[3 + 2 * i], inverted)
-               for i, inverted in enumerate(kinds)]
-    bit = compute_esop(plan, cover, sources)
-    write_back(plan, bit, ops[0], ops[1], store_inverted)
-    return plan
 
 
 # -- depth-bounded minimal-device mapper ----------------------------------------------

@@ -47,13 +47,12 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
 
     The program computes ``net`` itself, through whatever the flow builds
     from it (the MIG, the normalized MIG), and is checked against it.
-    Raises ``NotApplicable`` for an area map of a MIG, a minimal map of a
-    multi-output network and one whose tree has too many MAJ nodes to
-    evaluate; every other error comes through unchanged.
+    The area flow covers an AIG or a MIG as it is.  Raises
+    ``NotApplicable`` for a minimal map of a multi-output network and one
+    whose tree has too many MAJ nodes to evaluate; every other error comes
+    through unchanged.
     """
     if flow == "area":
-        if net.kind == "mig":
-            raise NotApplicable("area flow maps AIGs")
         return map_area(net, k, s_d, w_d)
     if flow == "minimal" and len(net.outputs) != 1:
         raise NotApplicable("multi-output")
@@ -295,7 +294,8 @@ def build_parser():
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("cover", help="partition an AIG into k-input LUTs")
+    c = sub.add_parser("cover",
+                       help="partition an AIG or MIG into k-input LUTs")
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--auto-k", action="store_true",
                    help="sweep k downward until the cover fits the crossbar")

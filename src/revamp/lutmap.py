@@ -1,11 +1,13 @@
-"""Covering an AIG with k-input LUTs and sizing the result.
+"""Covering an AIG or a MIG with k-input LUTs and sizing the result.
 
 The cover is a deterministic greedy cut growth: starting from the node's
 fanins, single-fanout internal leaves are absorbed into the cone while the
 leaf count stays within k, preferring absorptions that shrink the cut.
 Multi-fanout nodes become LUT roots of their own, so shared logic is never
-duplicated.  Optimality is a non-goal; correctness is proved functionally
-against the source network.
+duplicated.  A cone's truth table is evaluated gate by gate through
+``netlist.gate_mask``, so AND and MAJ gates are covered alike.  Optimality
+is a non-goal; correctness is proved functionally against the source
+network.
 
 Device sizing follows the scheduling argument for level-ordered computation:
 a level's population includes nodes of lower levels that feed past it
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .netlist import (AND, CONST0, PI, LogicNetwork, NetlistError, gate_mask,
+from .netlist import (CONST0, PI, LogicNetwork, NetlistError, gate_mask,
                       pi_patterns)
 
 # LUT inputs are tagged references: ("pi", pi_index) or ("lut", lut_id).
@@ -105,9 +107,8 @@ def _grow_cut(network: LogicNetwork, root: int, k: int,
 
 
 def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
-    """Partition an AIG into single-output functions of at most k inputs."""
-    if network.kind != "aig":
-        raise NetlistError("cover_klut expects an AIG")
+    """Partition an AIG or a MIG into single-output functions of at most k
+    inputs."""
     if not 2 <= k <= 16:
         raise NetlistError("k must be in 2..16")
     nodes = network.nodes
@@ -115,7 +116,7 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
     pi_of = {nid: i for i, nid in enumerate(network.pis)}
 
     graph = LutGraph(k=k, num_pis=network.num_pis)
-    lut_of: dict[int, int] = {}  # and-node id -> lut id
+    lut_of: dict[int, int] = {}  # gate id -> lut id
 
     def ensure_lut(root: int) -> int:
         """LUT of ``root``, creating the LUTs under it first (post-order)."""
@@ -152,19 +153,19 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
     for e, name in zip(network.outputs, network.output_names):
         key = (e.target, e.inverted)
         if key not in out_lut:
-            tnode = network.nodes[e.target]
-            if tnode.kind == AND and (not e.inverted
-                                      or fanout[e.target] == 1):
+            kind = network.nodes[e.target].kind
+            gate = kind not in (PI, CONST0)
+            if gate and (not e.inverted or fanout[e.target] == 1):
                 lut = graph.luts[ensure_lut(e.target)]
                 if e.inverted:  # no other reference needs the plain value
                     lut.tt ^= (1 << (1 << len(lut.inputs))) - 1
                 out_lut[key] = lut.id
-            elif tnode.kind == AND:
+            elif gate:
                 src = ensure_lut(e.target)
                 lid = len(graph.luts)
                 graph.luts.append(Lut(lid, ((LUT_REF, src),), 0b01))
                 out_lut[key] = lid
-            elif tnode.kind == PI:
+            elif kind == PI:
                 lid = len(graph.luts)
                 tt = 0b01 if e.inverted else 0b10
                 graph.luts.append(Lut(lid, ((PI_REF, pi_of[e.target]),), tt))

@@ -15,7 +15,8 @@ from revamp.codegen import ProgramBuilder
 from revamp.esop import Cube, EsopCover, extract_esop
 from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, WsMode,
                         read_program, write_program)
-from revamp.lutmap import Lut, LutGraph, assign_levels, cover_klut, min_dev
+from revamp.lutmap import (Lut, LutGraph, assign_levels, cover_klut, min_dev,
+                           storage_capacity)
 from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
                             normalize_mig, pi_patterns, random_aig,
                             random_mig)
@@ -388,43 +389,12 @@ def test_map_area_extracts_each_function_once(monkeypatch):
     assert len(functions) < len(cover_klut(net, 4).luts)
 
 
-def _reference_area_program(graph, s_d, w_d):
-    """The area program emitted LUT by LUT: every ``place`` event extracts
-    its cover and runs the emitters on the LUT's real sources."""
-    from revamp.areamap import compute_esop, write_back
-    sched = schedule_luts(graph, s_d, w_d)
-    builder = ProgramBuilder(CrossbarConfig(s_d, w_d), graph.num_pis)
-    is_output = set(graph.outputs)
-    for event in sched.events:
-        if event[0] == "reset":
-            _, w, victims = event
-            builder.reset_bits(w, [b for b, _ in victims])
-            continue
-        _, lut_id, w, b = event
-        lut = graph.luts[lut_id]
-        sources = [PirVar(ref) if kind == "pi" else
-                   StoredVar(*sched.placements[ref],
-                             inverted=ref not in is_output)
-                   for kind, ref in lut.inputs]
-        cover = extract_esop(lut.tt, len(lut.inputs))
-        bit = compute_esop(builder, cover, sources)
-        write_back(builder, bit, w, b, store_inverted=lut_id not in is_output)
-    for lut_id, name in zip(graph.outputs, graph.output_names):
-        builder.result_locations[name] = sched.placements[lut_id]
-    return builder.finish()
-
-
-def _mapped_or_refused(emit, graph, s_d, w_d):
-    try:
-        return write_program(emit(graph, s_d, w_d))
-    except InfeasibleMapping as err:
-        return ("refused", err.needed, err.capacity)
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_planned_emission_matches_lut_by_lut_emission(k):
-    """``map_lut_graph`` replays one plan per distinct key; its bytes, and
-    its refusals, equal those of planning every LUT afresh."""
+def test_area_mapping_verifies_or_refuses_with_its_demand(k):
+    """Seeded networks, some with results that other LUTs read back, on
+    roomy, tight and recycling crossbars: every mapped program verifies on
+    all input vectors, and every refusal names the cover's device demand
+    and the crossbar's storage capacity."""
     seen = {"mapped": 0, "recycled": 0, "refused": 0, "plain inputs": 0}
     rng = random.Random(k)
     for seed in range(24):
@@ -439,18 +409,37 @@ def test_planned_emission_matches_lut_by_lut_emission(k):
             for kind, ref in l.inputs if kind == "lut")
         tight = (3 + -(-min_dev(graph) // 4), 4)  # room for the demand only
         for s_d, w_d in ((16, 16), (8, 8), tight, (5, 4), (4, 2)):
-            got = _mapped_or_refused(
-                lambda *args: map_lut_graph(*args)[0], graph, s_d, w_d)
-            want = _mapped_or_refused(_reference_area_program, graph,
-                                      s_d, w_d)
-            assert got == want, (seed, s_d, w_d)
-            if type(want) is tuple:
+            try:
+                program, _ = map_lut_graph(graph, s_d, w_d)
+            except InfeasibleMapping as err:
+                assert (err.needed, err.capacity) == (
+                    min_dev(graph), storage_capacity(s_d, w_d)), (seed, s_d)
                 seen["refused"] += 1
                 continue
+            assert check_equivalence(net, program).ok, (seed, s_d, w_d)
             seen["mapped"] += 1
             events = schedule_luts(graph, s_d, w_d).events
             seen["recycled"] += any(e[0] == "reset" for e in events)
     assert all(seen.values()), seen
+
+
+def test_map_area_maps_random_migs():
+    """MIGs cover like AIGs: MAJ cones become LUTs, and every mapped
+    program verifies on all input vectors."""
+    mapped = 0
+    for seed in range(12):
+        net = random_mig(num_pis=3 + seed % 8, num_nodes=8 + 3 * seed,
+                         seed=seed, num_outputs=1 + seed % 3)
+        for k in (3, 4, 5, 6):
+            for s_d, w_d in ((64, 16), (16, 8), (8, 4)):
+                try:
+                    program, _ = map_area(net, k, s_d, w_d)
+                except InfeasibleMapping as err:
+                    assert err.needed == min_dev(cover_klut(net, k))
+                    continue
+                assert check_equivalence(net, program).ok, (seed, k, s_d)
+                mapped += 1
+    assert mapped > 100
 
 
 # -- depth-bounded mapper ------------------------------------------------------------

@@ -74,12 +74,14 @@ def test_map_area_infeasible_exit(workdir, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def test_map_area_refuses_a_mig(workdir, capsys):
+def test_map_area_maps_a_mig(workdir, capsys):
+    prog = workdir / "fa_area.rvmp"
     rc = main(["map-area", "--k", "4", "--rows", "8", "--cols", "8",
-               str(workdir / "fa.mig"), "-o", str(workdir / "x.rvmp")])
-    assert rc == 2
-    assert "area flow maps AIGs" in capsys.readouterr().err
-    assert not (workdir / "x.rvmp").exists()
+               str(workdir / "fa.mig"), "-o", str(prog)])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["verify", str(workdir / "fa.mig"), str(prog)])
+    assert rc == 0 and json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_map_delay_and_disassemble(workdir, capsys):
