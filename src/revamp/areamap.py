@@ -34,13 +34,13 @@ mappings.  Every LUT is then emitted by the same two emitters
 sources and destination; the builder alone decides read elision and
 interning.  The cover may come from an AIG or a MIG.
 
-The same working-area machinery implements the depth-bounded mapper
-(``map_minimal``): a single-output normalized MIG of depth k is evaluated
-as its tree, a shared node once per reference, with at most 2(k+1) devices
-on a two-bitline crossbar, one operand row per level plus an inverter/host
-row.
-
-Both mappers emit through ``codegen.ProgramBuilder``, as the delay flow does.
+The depth-bounded mapper (``map_minimal``) lives here too, with a layout
+of its own: a single-output normalized MIG of depth k is evaluated as its
+tree, a shared node once per reference, with at most 2(k+1) devices on a
+two-bitline crossbar.  Row 0 holds the inverter device and the final host,
+and each tree level gets one operand row; none of the working rows, ESOP
+covers or storage schedule above is used.  It shares only
+``codegen.ProgramBuilder`` with the LUT flow, as the delay flow does.
 """
 
 from __future__ import annotations

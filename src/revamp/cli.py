@@ -83,9 +83,9 @@ def cmd_cover(args):
         print("--rows needs --cols for the feasibility check",
               file=sys.stderr)
         return 2
-    ks = [args.k]
+    ks = [args.k]  # first, so cover_klut refuses a k out of range either way
     if args.auto_k:
-        ks = list(range(args.k, 1, -1))
+        ks += range(args.k - 1, 1, -1)
     last_err = None
     for k in ks:
         graph = cover_klut(net, k)

@@ -32,7 +32,8 @@ The crossbar width is fixed, the word count is an output.  Four phases:
    approximation of the bin-packing optimum, checked in tests against an
    exact branch-and-bound).
 
-4. *Generation.*  Primary inputs load first: complemented copies write in
+4. *Generation.*  One walk over the packed words gives every element its
+   word and bit.  Primary inputs load first: complemented copies write in
    one cycle through the bitlines, plain copies stage through one scratch
    wordline that is reset after each use.  Then levels compute in order,
    nodes sharing a host word, source word and wordline fold into one
@@ -124,36 +125,22 @@ def assign_roles(mig: LogicNetwork, lv: list[int] | None = None
     return roles
 
 
-def wl_value(r: NodeRoles) -> ValueRef:
-    return ValueRef(r.wl_input.target, r.wl_input.inverted)
-
-
-def bl_stored_value(r: NodeRoles) -> ValueRef:
-    # the device re-complements the bitline, so store the complement
-    return ValueRef(r.bl_input.target, not r.bl_input.inverted)
-
-
-def host_value(r: NodeRoles) -> ValueRef:
-    return ValueRef(r.host.target, r.host.inverted)
-
-
 # -- blocks --------------------------------------------------------------------
 
 class BlockElement:
     """One device slot: the value loaded into it and the nodes computed there.
 
-    ``chain`` lists, outermost first, the nodes that successively overwrite
-    this device; the device's initial content is ``value`` after the full
-    descent.  Input elements dropped by a merge point at their survivor via
-    ``merged_into``.
+    Each descent through the device replaces ``value`` by the host operand
+    of the node computed there, so once blocks are formed ``value`` is what
+    the load phase writes.  Input elements dropped by a merge point at their
+    survivor via ``merged_into``.
     """
 
-    __slots__ = ("value", "tag", "chain", "merged_into")
+    __slots__ = ("value", "tag", "merged_into")
 
     def __init__(self, value: ValueRef, tag: str):
         self.value = value
         self.tag = tag
-        self.chain: list[int] = []
         self.merged_into = None
 
     def resolve(self):
@@ -189,7 +176,6 @@ class Site:
 class BlockFormation:
     blocks: list[Block]
     sites: dict[int, list[Site]]
-    negated_elements: dict[int, list[BlockElement]]
     output_elements: list[BlockElement]
     levels: list[int]  # levels(mig), for the phases after formation
 
@@ -260,17 +246,17 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
     def descend(el: BlockElement) -> Site:
         nid = el.value.node
         r = roles[nid]
-        el.chain.append(nid)
         if el.tag == "i":
             block = home[el][0]
             ivals[block].discard(el.value)
             holders[el.value].discard(block)
         el.tag = "h"  # the device now hosts this node's computation
-        el.value = host_value(r)
+        el.value = ValueRef(r.host.target, r.host.inverted)
         register(el)
         add_inversion(el.value)
-        wl_ref = wl_value(r)
-        bl_ref = bl_stored_value(r)
+        wl_ref = ValueRef(r.wl_input.target, r.wl_input.inverted)
+        # the device re-complements the bitline, so store the complement
+        bl_ref = ValueRef(r.bl_input.target, not r.bl_input.inverted)
         spawned = []
         if mig.nodes[wl_ref.node].kind == CONST0:
             wl_item = ("const", 1 if wl_ref.negated else 0)
@@ -292,7 +278,7 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
 
     def wl_key(site: Site):
         w = site.wl
-        return w if isinstance(w, tuple) else id(w.resolve())
+        return w if isinstance(w, tuple) else w.resolve()
 
     def merge(hosted: list[Site]):
         """Fold blocks together until no pair merges.
@@ -413,14 +399,7 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
         todo.sort(key=lambda el: (home[el][0].id, home[el][1]))
         merge([descend(el) for el in todo])
 
-    negated: dict[int, list[BlockElement]] = {}
-    for b in blocks.values():
-        for el in b.elements:
-            ref = el.value
-            if ref.negated and is_internal(ref.node):
-                negated.setdefault(ref.node, []).append(el)
-    return BlockFormation(list(blocks.values()), sites, negated,
-                          output_elements, lv)
+    return BlockFormation(list(blocks.values()), sites, output_elements, lv)
 
 
 # -- packing -------------------------------------------------------------------
@@ -464,23 +443,11 @@ def pack_blocks(blocks: list[Block], w_d: int) -> Packing:
     return Packing(w_d, n, word_blocks)
 
 
-def place_elements(packing: Packing) -> dict[int, tuple[int, int]]:
-    """Bit position of every canonical element, keyed by element identity."""
-    spots = {}
-    for w in sorted(packing.word_blocks):
-        bit = 0
-        for block in packing.word_blocks[w]:
-            for el in block.elements:
-                spots[id(el)] = (w, bit)
-                bit += 1
-    return spots
-
-
 # -- instruction generation -------------------------------------------------------
 
-def gen_pi_load(builder: ProgramBuilder, elements, spots,
-                mig: LogicNetwork, scratch_word: int | None):
-    """Load every PI/constant-valued device.
+def gen_pi_load(builder: ProgramBuilder, spots, mig: LogicNetwork,
+                scratch_word: int | None):
+    """Load every PI/constant-valued device of the placement ``spots``.
 
     Complemented PI copies (and constant 1s) write directly through the
     bitlines.  Plain PI copies stage through the scratch wordline: the
@@ -490,9 +457,8 @@ def gen_pi_load(builder: ProgramBuilder, elements, spots,
     pi_line = {nid: i for i, nid in enumerate(mig.pis)}
     direct: dict[int, dict[int, int]] = {}
     positives: list[tuple[int, int, int]] = []  # (word, bit, pi line)
-    for el in elements:
+    for el, (w, b) in spots.items():
         kind = mig.nodes[el.value.node].kind
-        w, b = spots[id(el)]
         if kind == PI:
             if el.value.negated:
                 direct.setdefault(w, {})[b] = pi_line[el.value.node]
@@ -506,19 +472,17 @@ def gen_pi_load(builder: ProgramBuilder, elements, spots,
     w_d = builder.config.w_d
     todo = sorted(positives)
     while todo:
-        lines = []
-        for _, _, line in todo:
-            if line not in lines and len(lines) < w_d:
-                lines.append(line)
-        round_items = [t for t in todo if t[2] in lines]
-        todo = [t for t in todo if t[2] not in lines]
+        # a round stages the first w_D distinct lines in placement order
+        lines = list(dict.fromkeys(line for _, _, line in todo))[:w_d]
         scratch_bit = {line: k for k, line in enumerate(lines)}
         builder.apply_from_pir(scratch_word, WsMode.ONE,
-                               {scratch_bit[l]: l for l in lines})
+                               {k: line for line, k in scratch_bit.items()})
         builder.read(scratch_word)
         by_word: dict[int, dict[int, int]] = {}
-        for w, b, line in round_items:
-            by_word.setdefault(w, {})[b] = scratch_bit[line]
+        for w, b, line in todo:
+            if line in scratch_bit:
+                by_word.setdefault(w, {})[b] = scratch_bit[line]
+        todo = [t for t in todo if t[2] not in scratch_bit]
         for w in sorted(by_word):
             builder.apply_from_dmr(w, WsMode.ONE, by_word[w])
         builder.reset_bits(scratch_word, range(len(lines)))
@@ -526,102 +490,95 @@ def gen_pi_load(builder: ProgramBuilder, elements, spots,
 
 def gen_program_delay(mig: LogicNetwork, roles, formation: BlockFormation,
                       packing: Packing) -> tuple[Program, MappingReport]:
-    """Level-synchronous instruction generation over placed blocks."""
+    """Level-synchronous instruction generation over placed blocks.
+
+    One walk over the packed words gives every element its ``(word, bit)``,
+    finds whether a plain PI copy needs the scratch word and collects each
+    internal node's negated elements.  ``roles`` is unused; the phases
+    before generation have applied it.
+    """
     lv = formation.levels
-    spots = place_elements(packing)
-    elements = [el for b in formation.blocks for el in b.elements]
-    has_positive_pi = any(
-        mig.nodes[el.value.node].kind == PI and not el.value.negated
-        for el in elements)
-    scratch = packing.n_words if has_positive_pi else None
-    s_d = packing.n_words + (1 if scratch is not None else 0)
-    config = CrossbarConfig(max(1, s_d), packing.w_d)
-    builder = ProgramBuilder(config, mig.num_pis)
+    spots: dict[BlockElement, tuple[int, int]] = {}
+    negated: dict[int, list[BlockElement]] = {}
+    staged = False
+    for w in sorted(packing.word_blocks):
+        placed = (el for b in packing.word_blocks[w] for el in b.elements)
+        for bit, el in enumerate(placed):
+            spots[el] = (w, bit)
+            ref = el.value
+            kind = mig.nodes[ref.node].kind
+            if kind == MAJ and ref.negated:
+                negated.setdefault(ref.node, []).append(el)
+            elif kind == PI and not ref.negated:
+                staged = True
+    scratch = packing.n_words if staged else None
+    s_d = packing.n_words + (1 if staged else 0)
+    builder = ProgramBuilder(CrossbarConfig(max(1, s_d), packing.w_d),
+                             mig.num_pis)
 
-    gen_pi_load(builder, elements, spots, mig, scratch)
+    gen_pi_load(builder, spots, mig, scratch)
 
-    site_list = sorted(
-        ((n, s) for n, ss in formation.sites.items() for s in ss),
-        key=lambda t: (lv[t[0]], t[0]))
     by_level: dict[int, list[Site]] = {}
-    for n, s in site_list:
-        by_level.setdefault(lv[n], []).append(s)
+    for n in sorted(formation.sites):
+        by_level.setdefault(lv[n], []).extend(formation.sites[n])
 
     for l in sorted(by_level):
-        groups: dict[tuple, list[Site]] = {}
+        # (source word, host word, constant wordline, wordline bit) -> wires
+        groups: dict[tuple, dict[int, int]] = {}
         for site in by_level[l]:
-            host_w, _ = spots[id(site.host_el.resolve())]
-            bl_w, _ = spots[id(site.bl_el.resolve())]
+            host_w, hb = spots[site.host_el.resolve()]
+            bl_w, bb = spots[site.bl_el.resolve()]
             if isinstance(site.wl, tuple):
                 key = (bl_w, host_w, site.wl[1], None)
             else:
-                wl_w, wl_b = spots[id(site.wl.resolve())]
+                wl_w, wl_b = spots[site.wl.resolve()]
                 if wl_w != bl_w:
                     raise NetlistError(
                         "operands of node %d split across words" % site.node)
                 key = (bl_w, host_w, None, wl_b)
-            groups.setdefault(key, []).append(site)
+            groups.setdefault(key, {})[hb] = bb
         for key in sorted(groups, key=lambda k: tuple(-1 if x is None else x
                                                       for x in k)):
             src_w, host_w, const_wl, wl_b = key
-            wires = {}
-            for site in groups[key]:
-                _, hb = spots[id(site.host_el.resolve())]
-                _, bb = spots[id(site.bl_el.resolve())]
-                wires[hb] = bb
             builder.read(src_w)
             if const_wl is not None:
                 mode = WsMode.ONE if const_wl else WsMode.ZERO
-                builder.apply_from_dmr(host_w, mode, wires)
+                builder.apply_from_dmr(host_w, mode, groups[key])
             else:
-                builder.apply_from_dmr(host_w, WsMode.FROM_SOURCE, wires,
-                                       wb=wl_b)
+                builder.apply_from_dmr(host_w, WsMode.FROM_SOURCE,
+                                       groups[key], wb=wl_b)
 
         # negated copies of this level's values, written through the bitline
-        copies = []
-        for n in sorted(set(s.node for s in by_level[l])):
-            for el in formation.negated_elements.get(n, []):
-                src_site = formation.sites[n][0]
-                src = spots[id(src_site.host_el.resolve())]
-                dst = spots[id(el.resolve())]
-                copies.append((src, dst))
         by_pair: dict[tuple[int, int], dict[int, int]] = {}
-        for (sw, sb), (dw, db) in copies:
-            by_pair.setdefault((sw, dw), {})[db] = sb
+        for n in {s.node for s in by_level[l]}:
+            sw, sb = spots[formation.sites[n][0].host_el.resolve()]
+            for el in negated.get(n, ()):
+                dw, db = spots[el]
+                by_pair.setdefault((sw, dw), {})[db] = sb
         for (sw, dw) in sorted(by_pair):
             builder.read(sw)
             builder.apply_from_dmr(dw, WsMode.ONE, by_pair[(sw, dw)])
 
     for el, name in zip(formation.output_elements, mig.output_names):
-        builder.result_locations[name] = spots[id(el.resolve())]
+        builder.result_locations[name] = spots[el.resolve()]
 
-    program = builder.finish()
-    report = report_delay_stats(builder, mig, formation, packing)
-    return program, report
-
-
-def report_delay_stats(builder: ProgramBuilder, mig: LogicNetwork,
-                       formation: BlockFormation,
-                       packing: Packing) -> MappingReport:
-    n_maj = sum(1 for n in mig.nodes if n.kind == MAJ)
-    w_d = packing.w_d
-    occupied = sum(len(b) for b in formation.blocks)
-    total = packing.n_words * w_d
     counts = builder.counts()
+    n_maj = sum(1 for n in mig.nodes if n.kind == MAJ)
     d_p_star = 9 * n_maj
-    lv = formation.levels
-    return MappingReport(
+    total = packing.n_words * packing.w_d
+    report = MappingReport(
         flow="delay",
         num_pis=mig.num_pis,
         n_maj=n_maj,
         levels=max((lv[e.target] for e in mig.outputs), default=0),
-        s_d=builder.config.s_d, w_d=w_d,
+        s_d=builder.config.s_d, w_d=packing.w_d,
         **counts,
         n_blocks=len(formation.blocks),
-        w_util=100.0 * occupied / total if total else 100.0,
+        w_util=100.0 * len(spots) / total if total else 100.0,
         d_p_star=d_p_star,
         speedup=d_p_star / counts["cycles"],
     )
+    return builder.finish(), report
 
 
 def map_delay(mig: LogicNetwork, w_d: int) -> tuple[Program, MappingReport]:

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import tempfile
 
 import pytest
 
@@ -37,6 +36,14 @@ def test_cover_auto_k(workdir, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["min_dev"] <= 4
+
+
+@pytest.mark.parametrize("k", ["1", "0"])
+def test_cover_auto_k_refuses_a_k_below_two(workdir, capsys, k):
+    for sweep in ([], ["--auto-k"]):
+        rc = main(["cover", "--k", k, *sweep, str(workdir / "fa.aag")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: k must be in 2..16\n"
 
 
 def test_map_area_simulate_verify(workdir, capsys):
@@ -292,17 +299,6 @@ def test_bench_fixed_budget_sweep(tmp_path, capsys):
     assert geometry == {(16, 4), (8, 8), (4, 16)}
     assert all(r["verified"] == "True" for r in rows
                if r["status"] == "ok")
-
-
-def test_bench_builtin_removes_its_corpus_directory(tmp_path, capsys,
-                                                    monkeypatch):
-    monkeypatch.setenv("TMPDIR", str(tmp_path))
-    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
-    rc = main(["bench", "--builtin", "--flow", "delay", "--cols", "8"])
-    assert rc == 0
-    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert rows and all(r["verified"] == "True" for r in rows)
-    assert not list(tmp_path.glob("revamp-corpus-*"))
 
 
 def test_bench_builtin_pool_matches_serial_rows(capsys):

@@ -10,8 +10,8 @@ from revamp.circuits import (comparator, full_adder, multiplier, parity,
 from revamp.delaymap import (ValueRef, assign_roles, form_blocks,
                              gen_program_delay, map_delay, pack_blocks)
 from revamp.isa import format_asm, write_program
-from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig, levels,
-                            pi_patterns, random_aig, random_mig)
+from revamp.netlist import (MAJ, PI, Edge, LogicNetwork, aig_to_mig,
+                            levels, pi_patterns, random_aig, random_mig)
 from revamp.simulator import run_vectors
 from revamp.verifier import check_equivalence, optimal_packing
 
@@ -244,6 +244,35 @@ def test_delay_flow_known_circuits():
             assert report.d_p_star == 9 * report.n_maj
             assert report.speedup == report.d_p_star / report.cycles
 
+
+def test_reports_match_the_formation_and_packing():
+    """Every block figure of the report, rebuilt from the phases alone."""
+    # outputs that are complemented inputs and constants need no scratch word
+    loads = LogicNetwork(kind="mig")
+    x, y = loads.add_pi("x"), loads.add_pi("y")
+    loads.add_output(Edge(x, True), "nx")
+    loads.add_output(Edge(loads.add_const0(), True), "one")
+    loads.add_output(Edge(y, True), "ny")
+    migs = [random_mig(4 + seed % 5, 10 + 3 * seed, seed=500 + seed,
+                       num_outputs=1 + seed % 3) for seed in range(12)]
+    for mig in migs + [loads]:
+        n_maj = sum(1 for n in mig.nodes if n.kind == MAJ)
+        depth = max(levels(mig)[e.target] for e in mig.outputs)
+        roles = assign_roles(mig)
+        for w_d in (2, 3, 4, 8, 32):
+            formation = form_blocks(mig, roles, w_d)
+            packing = pack_blocks(formation.blocks, w_d)
+            _, report = map_delay(mig, w_d)
+            placed = [el.value for b in formation.blocks for el in b.elements]
+            plain_pi = any(mig.nodes[v.node].kind == PI and not v.negated
+                           for v in placed)
+            assert report.n_blocks == len(formation.blocks)
+            assert report.w_util == \
+                100.0 * len(placed) / (packing.n_words * w_d)
+            assert report.s_d == packing.n_words + (1 if plain_pi else 0)
+            assert report.levels == depth
+            assert report.d_p_star == 9 * n_maj
+            assert report.speedup == report.d_p_star / report.cycles
 
 def test_negated_internal_copies():
     # node s feeds one consumer plain and one complemented, so a single
