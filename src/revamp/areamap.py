@@ -16,9 +16,11 @@ Machine idioms used throughout (device update is M3(Z, wl, not bl)):
 
 so the bitline always carries the *complement* of the value contributed to
 the majority.  Whenever a wire of the wrong polarity is needed it is staged
-through a spare device on e0 first.  All bitline wires of one Apply must
-come from a single source (the input register or one read-out word); wires
-from different words force separate instructions.
+through a spare device first: one step (``_emit_staged``) loads the
+complement there, reads it out, applies it and resets the device.  All
+bitline wires of one Apply must come from a single source (the input
+register or one read-out word); wires from different words force separate
+instructions.
 
 Storage convention: a finished LUT value is written back in complemented
 form (one instruction, and positive literals of it can then be applied
@@ -39,8 +41,10 @@ of its own: a single-output normalized MIG of depth k is evaluated as its
 tree, a shared node once per reference, with at most 2(k+1) devices on a
 two-bitline crossbar.  Row 0 holds the inverter device and the final host,
 and each tree level gets one operand row; none of the working rows, ESOP
-covers or storage schedule above is used.  It shares only
-``codegen.ProgramBuilder`` with the LUT flow, as the delay flow does.
+covers or storage schedule above is used.  It shares
+``codegen.ProgramBuilder`` with the LUT flow, as the delay flow does, and
+the staging step, which it runs on its inverter device where the LUT flow
+uses e0.
 """
 
 from __future__ import annotations
@@ -75,6 +79,11 @@ class InfeasibleMapping(RuntimeError):
 class PirVar(NamedTuple):
     """Variable streamed on the input register (positive value)."""
     pi: int
+    inverted = False  # the register carries the plain value
+
+    def load(self, builder: ProgramBuilder):
+        """The Apply and wire value that put the held value on a bitline."""
+        return builder.apply_from_pir, self.pi
 
 
 class StoredVar(NamedTuple):
@@ -83,39 +92,56 @@ class StoredVar(NamedTuple):
     bit: int
     inverted: bool = False
 
+    def load(self, builder: ProgramBuilder):
+        """Read the word out; the held value is then wire ``bit``."""
+        builder.read(self.word)
+        return builder.apply_from_dmr, self.bit
+
 
 VarSource = PirVar | StoredVar
 
 
 # -- cube computation ----------------------------------------------------------------
 
-def _emit_wire_group(apply, bit_row, bitlines, val, fresh):
-    """Apply wire ``val`` to the e2 ``bitlines`` through ``apply`` (the
-    builder's ``apply_from_pir`` or ``apply_from_dmr``), splitting
-    first-literal loads (wordline 1) from AND accumulation (wordline 0)."""
+def _emit_wire_group(apply, val, row, bitlines, fresh):
+    """Apply wire ``val`` to the ``bitlines`` of ``row`` through ``apply``
+    (the builder's ``apply_from_pir`` or ``apply_from_dmr``), splitting
+    first-literal loads (wordline 1) on ``fresh`` devices from AND
+    accumulation (wordline 0)."""
     loads = [j for j in bitlines if j in fresh]
     ands = [j for j in bitlines if j not in fresh]
     if loads:
-        apply(bit_row, WsMode.ONE, dict.fromkeys(loads, val))
+        apply(row, WsMode.ONE, dict.fromkeys(loads, val))
         fresh.difference_update(loads)
     if ands:
-        apply(bit_row, WsMode.ZERO, dict.fromkeys(ands, val))
+        apply(row, WsMode.ZERO, dict.fromkeys(ands, val))
+
+
+def _emit_staged(builder: ProgramBuilder, stage: tuple[int, int], apply, val,
+                 row, bitlines, fresh):
+    """``_emit_wire_group`` of the complement of wire ``val``, staged
+    through the reset device ``stage`` and reset there after."""
+    word, bit = stage
+    apply(word, WsMode.ONE, {bit: val})
+    builder.read(word)
+    _emit_wire_group(builder.apply_from_dmr, bit, row, bitlines, fresh)
+    builder.reset_bits(word, [bit])
 
 
 def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
                        bits: list[int], sources: list[VarSource]):
     """Compute each cube on its e2 bitline; devices must start at zero.
 
-    Variables are handled one at a time, most frequent first.  For each
-    variable the wire carrying its complemented contribution is fetched
-    either directly (from the PIR for a complemented literal of a streamed
-    input, or from the word storing it) or staged through e0.
+    Variables are handled one at a time, most frequent first.  A source
+    loads the wire it holds (the plain value on the input register, the
+    stored polarity from the crossbar); as the device complements the
+    bitline, it serves the literals of the other polarity directly, and the
+    rest are staged through e0.
     """
     fresh = set(bits)
-    e2 = E2
     empties = [bit for c, bit in zip(cubes, bits) if not (c.pos or c.neg)]
     if empties:
-        builder.apply_from_pir(e2, WsMode.ONE,
+        builder.apply_from_pir(E2, WsMode.ONE,
                                dict.fromkeys(empties, SLOT_CONST0))
         fresh.difference_update(empties)
 
@@ -137,31 +163,12 @@ def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
         src = sources[var]
         comp = want_comp.get(var, ())
         plain = want_plain.get(var, ())
-        if isinstance(src, PirVar):
-            direct, staged = plain, comp
-            if direct:
-                _emit_wire_group(builder.apply_from_pir, e2, direct, src.pi,
-                                 fresh)
-            if staged:
-                builder.apply_from_pir(E0, WsMode.ONE, {0: src.pi})
-                builder.read(E0)
-                _emit_wire_group(builder.apply_from_dmr, e2, staged, 0, fresh)
-                builder.reset_bits(E0, [0])
-        else:
-            stored_is_comp = src.inverted
-            direct = comp if stored_is_comp else plain
-            staged = plain if stored_is_comp else comp
-            if direct or staged:
-                builder.read(src.word)
-            if direct:
-                _emit_wire_group(builder.apply_from_dmr, e2, direct, src.bit,
-                                 fresh)
-            if staged:
-                builder.read(src.word)
-                builder.apply_from_dmr(E0, WsMode.ONE, {0: src.bit})
-                builder.read(E0)
-                _emit_wire_group(builder.apply_from_dmr, e2, staged, 0, fresh)
-                builder.reset_bits(E0, [0])
+        direct, staged = (comp, plain) if src.inverted else (plain, comp)
+        apply, val = src.load(builder)
+        if direct:
+            _emit_wire_group(apply, val, E2, direct, fresh)
+        if staged:
+            _emit_staged(builder, (E0, 0), apply, val, E2, staged, fresh)
 
 
 def xor_reduction_round(builder: ProgramBuilder, pairs: list[tuple[int, int]]):
@@ -237,10 +244,8 @@ def write_back(builder: ProgramBuilder, result_bit: int, word: int, bit: int,
     if store_inverted:
         builder.apply_from_dmr(word, WsMode.ONE, {bit: result_bit})
     else:
-        builder.apply_from_dmr(E0, WsMode.ONE, {0: result_bit})
-        builder.read(E0)
-        builder.apply_from_dmr(word, WsMode.ONE, {bit: 0})
-        builder.reset_bits(E0, [0])
+        _emit_staged(builder, (E0, 0), builder.apply_from_dmr, result_bit,
+                     word, [bit], {bit})
     builder.reset_bits(E2, [result_bit])
 
 
@@ -364,7 +369,9 @@ def map_area(network: LogicNetwork, k: int, s_d: int, w_d: int
     """Full area-constrained pipeline: cover, schedule, compute, verify-ready.
 
     Raises :class:`InfeasibleMapping` when the cover's device demand exceeds
-    the storage capacity of the requested crossbar.
+    the storage capacity of the requested crossbar (a crossbar of fewer
+    than four rows has none), and ``isa.IsaError`` when ``s_d`` x ``w_d``
+    is not a crossbar at all (``s_d < 1`` or ``w_d < 2``).
     """
     graph = cover_klut(network, k)
     return map_lut_graph(graph, s_d, w_d)
@@ -378,8 +385,9 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
     ESOP cover extracted once per call; the emitters then run on the
     builder with each LUT's own sources and destination.
     """
+    config = CrossbarConfig(s_d, w_d)  # refuse a bad geometry up front
     sched = schedule_luts(graph, s_d, w_d)
-    builder = ProgramBuilder(CrossbarConfig(s_d, w_d), graph.num_pis)
+    builder = ProgramBuilder(config, graph.num_pis)
     is_output = set(graph.outputs)
     placements = sched.placements
     covers: dict[tuple[int, int], EsopCover] = {}
@@ -460,11 +468,8 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         if negated:
             builder.apply_from_pir(word, WsMode.ONE, {bit: line})
         else:
-            builder.apply_from_pir(INVERTER[0], WsMode.ONE,
-                                   {INVERTER[1]: line})
-            builder.read(INVERTER[0])
-            builder.apply_from_dmr(word, WsMode.ONE, {bit: INVERTER[1]})
-            builder.reset_bits(INVERTER[0], [INVERTER[1]])
+            _emit_staged(builder, INVERTER, builder.apply_from_pir, line,
+                         word, [bit], {bit})
 
     def pick_roles(node):
         """Split the three fanins into bitline / wordline / host roles.

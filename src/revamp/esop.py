@@ -6,8 +6,10 @@ empty cube standing for constant 1 and the empty cover for constant 0.
 
 Extraction is a recursive pseudo-Kronecker expansion: at every variable the
 cheapest of the Shannon, positive-Davio and negative-Davio decompositions is
-taken (ties go to positive Davio), with costs memoized per subfunction.
-This is not a minimum-ESOP search, but covers are certified correct by
+taken (ties go to positive Davio, then negative Davio).  One memo, local to
+the call, holds each subfunction's cost and cheapest expansion; the cubes
+are then read off in one depth-first walk of the chosen expansions, which
+prunes a zero part and emits a cube per nonzero constant.  This is not a minimum-ESOP search, but covers are certified correct by
 construction and verified against the source truth table in tests.
 
 ``cover_truth_table`` gives the packed table of a cover and ``format_pla``
@@ -72,12 +74,13 @@ def cover_truth_table(cover: EsopCover) -> int:
 def extract_esop(tt: int, arity: int) -> EsopCover:
     """Build an ESOP cover for a packed truth table of ``arity`` variables.
 
-    Supports up to 16 variables.  The memo table lives for one call only.
+    Supports up to 16 variables.  The cost memo lives for one call only;
+    the cubes are read off the cheapest expansions in one depth-first walk.
     """
     if arity > 16:
         raise EsopError("extraction bound is 16 variables, got %d" % arity)
-    cost_memo: dict[tuple[int, int], int] = {}
-    build_memo: dict[tuple[int, int], list[Cube]] = {}
+    # (f, k) -> (cost, expansion): 0 positive Davio, 1 negative, 2 Shannon
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
 
     def cofactors(f: int, k: int) -> tuple[int, int]:
         # split on variable k-1, the top variable of a k-variable function
@@ -86,45 +89,39 @@ def extract_esop(tt: int, arity: int) -> EsopCover:
         return f & mask, (f >> half) & mask
 
     def cost(f: int, k: int) -> int:
-        if k == 0:
+        if not f or not k:
             return 1 if f else 0
-        key = (f, k)
-        got = cost_memo.get(key)
-        if got is not None:
-            return got
-        f0, f1 = cofactors(f, k)
-        f2 = f0 ^ f1
-        c0, c1, c2 = cost(f0, k - 1), cost(f1, k - 1), cost(f2, k - 1)
-        best = min(c0 + c2, c1 + c2, c0 + c1)  # pDavio, nDavio, Shannon
-        cost_memo[key] = best
-        return best
+        got = memo.get((f, k))
+        if got is None:
+            f0, f1 = cofactors(f, k)
+            c0, c1, c2 = cost(f0, k - 1), cost(f1, k - 1), cost(f0 ^ f1, k - 1)
+            # ties go to the first of pDavio, nDavio, Shannon
+            got = memo[f, k] = min((c0 + c2, 0), (c1 + c2, 1), (c0 + c1, 2))
+        return got[0]
 
-    def build(f: int, k: int) -> list[Cube]:
-        if k == 0:
-            return [Cube()] if f else []
-        key = (f, k)
-        got = build_memo.get(key)
-        if got is not None:
-            return got
+    cost(tt, arity)
+    cubes = []
+    # pending parts (f, k, pos, neg); the first part of an expansion is
+    # pushed last, so cubes come out in the order of its parts
+    stack = [(tt, arity, 0, 0)]
+    while stack:
+        f, k, pos, neg = stack.pop()
+        if not f:
+            continue
+        if not k:
+            cubes.append(Cube(pos, neg))
+            continue
         f0, f1 = cofactors(f, k)
-        f2 = f0 ^ f1
-        c0, c1, c2 = cost(f0, k - 1), cost(f1, k - 1), cost(f2, k - 1)
-        var = 1 << (k - 1)
-        p_davio, n_davio, shannon = c0 + c2, c1 + c2, c0 + c1
-        best = min(p_davio, n_davio, shannon)
-        if best == p_davio:
-            cubes = build(f0, k - 1) + [Cube(c.pos | var, c.neg)
-                                        for c in build(f2, k - 1)]
-        elif best == n_davio:
-            cubes = build(f1, k - 1) + [Cube(c.pos, c.neg | var)
-                                        for c in build(f2, k - 1)]
-        else:
-            cubes = ([Cube(c.pos, c.neg | var) for c in build(f0, k - 1)]
-                     + [Cube(c.pos | var, c.neg) for c in build(f1, k - 1)])
-        build_memo[key] = cubes
-        return cubes
-
-    return EsopCover(list(build(tt, arity)), arity)
+        how = memo[f, k][1]
+        k -= 1
+        var = 1 << k
+        if how == 0:  # positive Davio: f0 xor v.f2
+            stack += ((f0 ^ f1, k, pos | var, neg), (f0, k, pos, neg))
+        elif how == 1:  # negative Davio: f1 xor not(v).f2
+            stack += ((f0 ^ f1, k, pos, neg | var), (f1, k, pos, neg))
+        else:  # Shannon: not(v).f0 xor v.f1
+            stack += ((f1, k, pos | var, neg), (f0, k, pos, neg | var))
+    return EsopCover(cubes, arity)
 
 
 # -- PLA-style text output -----------------------------------------------------

@@ -71,8 +71,9 @@ PIPELINE_FILL = 2
 MAX_DEVICES = 1 << 22
 
 
-class SimulationError(RuntimeError):
-    pass
+class SimulationError(ValueError):
+    """A program or input the machine model refuses to run: bad input,
+    reported like ``IsaError``, not a fault of the simulator."""
 
 
 def device_step(z: int, wl: int, bl: int, full: int = 1) -> int:

@@ -1,10 +1,17 @@
 """Shared golden fixtures: the hand-assembled two-bit XOR program, the
-five-input reference MIG used across the mapping tests, an ASCII AIGER
+five-input reference MIG used across the mapping tests, the leaf-output
+MIGs of the depth-bounded flow, an ASCII AIGER
 writer for the ``.aag`` files the CLI tests read, and the fixpoint check
 of delay-flow block merging."""
 
 from revamp.circuits import two_bit_xor_program  # noqa: F401  (re-export)
 from revamp.netlist import AND, CONST0, MAJ, Edge, LogicNetwork, NetlistError
+
+
+# two PIs and a constant; the one output is a leaf, plain or complemented
+LEAF_OUTPUT_MIGS = {"%s%s" % ("!" * inv, leaf): (
+    "pi 0 a\npi 1 b\nconst0 2\npo %s%d f\n" % ("!" * inv, target))
+    for leaf, target in (("b", 1), ("const0", 2)) for inv in (0, 1)}
 
 
 def example_mig() -> LogicNetwork:

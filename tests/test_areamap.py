@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from conftest import LEAF_OUTPUT_MIGS
 from revamp.areamap import (E2, InfeasibleMapping, PirVar, StoredVar,
                             compute_cube_batch, gen_esop_program, map_area,
                             map_lut_graph, map_minimal, schedule_luts,
@@ -13,13 +14,13 @@ from revamp.circuits import (AigBuilder, comparator, full_adder, multiplier,
                              parity, ripple_adder, two_bit_xor)
 from revamp.codegen import ProgramBuilder
 from revamp.esop import Cube, EsopCover, extract_esop
-from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, WsMode,
-                        read_program, write_program)
+from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, IsaError,
+                        WsMode, read_program, write_program)
 from revamp.lutmap import (Lut, LutGraph, assign_levels, cover_klut, min_dev,
                            storage_capacity)
 from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
-                            normalize_mig, pi_patterns, random_aig,
-                            random_mig)
+                            normalize_mig, parse_mig, pi_patterns,
+                            random_aig, random_mig)
 from revamp.simulator import run, run_vectors
 from revamp.verifier import check_equivalence
 
@@ -343,14 +344,17 @@ def test_map_area_infeasibility_reports_numbers():
 
 
 def test_map_area_boundary_acceptance():
-    net = two_bit_xor()
-    graph = cover_klut(net, 4)
-    need = min_dev(graph)
-    assert need == 2
-    program, _ = map_lut_graph(graph, 4, need)  # capacity == demand
-    assert check_equivalence(net, program).ok
+    """Storage equal to the demand maps and one device less is refused;
+    a one-bitline geometry is no crossbar at all."""
+    for net, need in ((two_bit_xor(), 2), (full_adder(), 3)):
+        graph = cover_klut(net, 4)
+        assert min_dev(graph) == need
+        program, _ = map_lut_graph(graph, 4, need)  # capacity == demand
+        assert check_equivalence(net, program).ok
     with pytest.raises(InfeasibleMapping):
         map_lut_graph(graph, 4, need - 1)
+    with pytest.raises(IsaError, match="w_D must be >= 2"):
+        map_lut_graph(graph, 4, 1)
 
 
 def test_map_area_computes_device_demand_once(monkeypatch):
@@ -487,6 +491,18 @@ def test_map_minimal_wire():
     # a wire involves no majority computation at all
     assert builder_maj_applies(program) == 0
     assert check_equivalence(net, program).ok
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_OUTPUT_MIGS))
+def test_map_minimal_maps_a_leaf_output(name):
+    net = parse_mig(LEAF_OUTPUT_MIGS[name])
+    norm = normalize_mig(net)
+    src, out = net.outputs[0], norm.outputs[0]
+    assert (norm.nodes[out.target].kind, out.inverted) == (
+        net.nodes[src.target].kind, src.inverted)
+    program, report = map_minimal(norm)
+    assert builder_maj_applies(program) == 0 and report.n_maj == 0
+    assert check_equivalence(net, program, mode="exhaustive").ok
 
 
 def builder_maj_applies(program):

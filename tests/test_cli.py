@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from conftest import serialize_aig
+from conftest import LEAF_OUTPUT_MIGS, serialize_aig
 from revamp import cli, netlist
 from revamp.areamap import map_minimal
 from revamp.circuits import (full_adder, parity, ripple_adder, two_bit_xor,
                              two_bit_xor_program)
 from revamp.cli import main
-from revamp.isa import write_program
+from revamp.isa import CrossbarConfig, Program, write_program
 from revamp.netlist import aig_to_mig, normalize_mig, serialize_mig
 from revamp.simulator import run
 
@@ -75,10 +75,37 @@ def test_map_area_simulate_verify(workdir, capsys):
 
 
 def test_map_area_infeasible_exit(workdir, capsys):
-    rc = main(["map-area", "--k", "2", "--rows", "4", "--cols", "2",
+    # too little storage, and a valid crossbar whose three rows are all
+    # working rows, so it has none
+    for k, rows, cols in (("2", "4", "2"), ("4", "3", "4")):
+        rc = main(["map-area", "--k", k, "--rows", rows, "--cols", cols,
+                   str(workdir / "fa.aag"), "-o", str(workdir / "x.rvmp")])
+        assert rc == 1
+        assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, cols", [("-2", "4"), ("0", "4"),
+                                        ("64", "1"), ("4", "1")])
+def test_map_area_refuses_a_geometry_that_is_no_crossbar(workdir, capsys,
+                                                         rows, cols):
+    rc = main(["map-area", "--k", "4", "--rows", rows, "--cols", cols,
                str(workdir / "fa.aag"), "-o", str(workdir / "x.rvmp")])
-    assert rc == 1
-    assert "infeasible" in capsys.readouterr().err
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "x.rvmp").exists()
+
+
+def test_bench_area_geometry(workdir, capsys):
+    argv = ["bench", str(workdir), "--flow", "area", "--cols", "4"]
+    assert main(argv + ["--rows", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: S_D must be >= 1\n" and not captured.out
+    assert main(argv + ["--rows", "3"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    # one row each for fa.aag and fa.mig
+    assert [(r["benchmark"], r["status"]) for r in rows] == [
+        ("fa", "infeasible: needs 3 storage devices but the crossbar "
+               "offers 0")] * 2
 
 
 def test_map_area_maps_a_mig(workdir, capsys):
@@ -200,6 +227,21 @@ def test_verify_picks_random_above_the_exhaustive_bound(tmp_path, capsys):
     assert doc["ok"] and doc["mode"] == "random"
     assert main(["verify", str(net), str(prog), "--exhaustive"]) == 2
     assert "limited to 16" in capsys.readouterr().err
+
+
+def test_simulate_and_verify_refuse_a_crossbar_too_large(workdir, capsys):
+    """A well-formed container whose header declares more devices than the
+    simulator allocates is a typed refusal, not a traceback."""
+    prog = workdir / "big.rvmp"
+    prog.write_bytes(write_program(Program(
+        CrossbarConfig(4096, 2048), [], {}, {"sum": (0, 0), "cout": (0, 1)},
+        3)))
+    for argv in (["simulate", str(prog)],
+                 ["verify", str(workdir / "fa.aag"), str(prog)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: a 4096x2048 crossbar has more than "
+                                "4194304 devices\n") and not captured.out
 
 
 def test_verify_exit_code_on_mismatch(workdir, capsys, tmp_path):
@@ -349,6 +391,17 @@ def test_bench_rows_match_map_reports(tmp_path, capsys):
         report = json.loads(rep.read_text())
         for col in ("i_total", "cycles", "s_d", "w_d"):
             assert row[col] == report[col], (row["benchmark"], row["flow"])
+
+
+def test_bench_minimal_maps_leaf_outputs(tmp_path, capsys):
+    for name, text in LEAF_OUTPUT_MIGS.items():
+        (tmp_path / (name.replace("!", "not_") + ".mig")).write_text(text)
+    rc = main(["bench", str(tmp_path), "--flow", "minimal"])
+    assert rc == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["benchmark"], r["status"], r["verified"]) for r in rows] == [
+        (name, "ok", "True")
+        for name in ("b", "const0", "not_b", "not_const0")]
 
 
 def test_bench_skips_a_tree_too_large(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -117,3 +118,26 @@ def test_cover_truth_table_matches_eval_esop():
         for k in range(1 << arity):
             want |= eval_esop(cover, k) << k
         assert cover_truth_table(cover) == want, "trial %d" % trial
+
+
+# digest of the covers of 130 seeded truth tables, ten at each arity 0..12:
+# constant 0 and 1, four uniform, two sparse and two dense tables
+PINNED_COVERS = (
+    "fc965c15dbe6ef25ff601a4ece37cdc9abad6c84b6f289c7b0f6e3540a85cde4")
+
+
+def test_covers_pinned():
+    rng = random.Random(2019)
+    digest = hashlib.sha256()
+    for arity in range(13):
+        full = (1 << (1 << arity)) - 1
+        draw = [rng.getrandbits(1 << arity) for _ in range(8)]
+        sparse = [draw[4] & draw[5] & rng.getrandbits(1 << arity),
+                  draw[5] & draw[6] & rng.getrandbits(1 << arity)]
+        dense = [draw[6] | draw[7], draw[4] | draw[7]]
+        for tt in [0, full, *draw[:4], *sparse, *dense]:
+            cover = extract_esop(tt, arity)
+            assert cover_truth_table(cover) == tt
+            digest.update(repr((arity, [(c.pos, c.neg)
+                                        for c in cover.cubes])).encode())
+    assert digest.hexdigest() == PINNED_COVERS

@@ -90,11 +90,28 @@ def test_missing_result_location():
 
 # -- exact packing -----------------------------------------------------------------
 
+def _first_fit_decreasing(sizes, capacity):
+    """Words first-fit-decreasing opens, the bound the search starts from."""
+    loads = []
+    for s in sorted(sizes, reverse=True):
+        for i, load in enumerate(loads):
+            if load + s <= capacity:
+                loads[i] += s
+                break
+        else:
+            loads.append(s)
+    return len(loads)
+
+
 def test_optimal_packing_reference():
     assert optimal_packing([3, 2, 3], 3) == 3
     assert optimal_packing([1, 1], 2) == 1
     assert optimal_packing([], 4) == 0
     assert optimal_packing([2, 2, 2], 4) == 2
+    # first-fit-decreasing opens three words (5+4, 4+3+2, 2); only the
+    # search finds 5+3+2 and 4+4+2
+    assert _first_fit_decreasing([5, 4, 4, 3, 2, 2], 10) == 3
+    assert optimal_packing([5, 4, 4, 3, 2, 2], 10) == 2
 
 
 def test_optimal_packing_rejects_oversize():
@@ -132,3 +149,19 @@ def test_optimal_packing_against_enumeration():
         sizes = [rng.randrange(1, cap + 1)
                  for _ in range(rng.randrange(0, 9))]
         assert optimal_packing(sizes, cap) == _enumerate_optimum(sizes, cap)
+
+
+def test_optimal_packing_search_against_enumeration():
+    """Seeded instances of blocks between a fifth and a half of a word,
+    where first-fit-decreasing often opens a word too many; there the
+    optimum can only come from the search."""
+    rng = random.Random(2018)
+    beaten = 0
+    for _ in range(3000):
+        cap = rng.randrange(10, 31)
+        sizes = [rng.randrange(cap // 5 + 1, cap // 2 + 1)
+                 for _ in range(rng.randrange(6, 12))]
+        want = _enumerate_optimum(sizes, cap)
+        assert optimal_packing(sizes, cap) == want, (sizes, cap)
+        beaten += _first_fit_decreasing(sizes, cap) > want
+    assert beaten == 316
