@@ -51,7 +51,7 @@ for w in sorted(packing.word_blocks, reverse=True):
     print("  word %d <- blocks %s" % (w, [b.id for b in
                                           packing.word_blocks[w]]))
 
-program, report = gen_program_delay(mig, roles, formation, packing)
+program, report = gen_program_delay(mig, formation, packing)
 print("\nprogram: %d loads + compute, %d instructions total"
       % (report.i_total - 6, report.i_total))
 for instr in program.instructions[-6:]:

@@ -229,8 +229,13 @@ def _run_bench_jobs(nets, args) -> list[BenchRow]:
                 for k in args.k:
                     for w_d in args.cols:
                         # a fixed device budget turns into rows per width
-                        rows = ([args.budget // w_d] if args.budget
-                                else args.rows)
+                        rows = args.rows
+                        if args.budget:
+                            if not 0 < w_d <= args.budget:
+                                raise ValueError(
+                                    "--budget %d fits no row of --cols %d"
+                                    % (args.budget, w_d))
+                            rows = [args.budget // w_d]
                         for s_d in rows:
                             jobs.append((name, net, "area", k, s_d, w_d,
                                          args.seed))
@@ -352,7 +357,8 @@ def build_parser():
     c.add_argument("--rows", nargs="+", type=int, default=[64])
     c.add_argument("--cols", nargs="+", type=int, default=[16])
     c.add_argument("--budget", type=int, default=0,
-                   help="fixed device budget; area rows = budget/cols")
+                   help="fixed device budget; area rows = budget/cols, "
+                        "so each width must fit one row")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--limit-seconds", type=float, default=60.0,

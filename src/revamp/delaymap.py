@@ -22,11 +22,16 @@ The crossbar width is fixed, the word count is an output.  Four phases:
    descent only makes them share less, so a pair that did not fit never
    fits later.  Each level's input merges therefore visit only the blocks
    it created and those a merge gave an input value an older block holds,
-   and its host merges only the blocks hosting a node of the level.  The
-   index from input value to blocks lives across levels, so a level costs
-   time in the blocks it touches, not in the network's depth.
-   Negated copies of internal values get a single plain instance to be
-   copied from.
+   and its host merges only the blocks hosting a node of the level.  Each
+   element records its block and each block its input values; the index
+   from input value to blocks lives across levels, so a level costs time
+   in the blocks it touches, not in the network's depth.  A level descends
+   through its elements block by block, oldest block first and each
+   block's in place order.  Negated copies of internal values get a
+   single plain instance to be copied from.  The result is the blocks,
+   each level's sites (one node computed on one host device, with its
+   wordline element or constant and its bitline element) and the output
+   elements.
 
 3. *Packing.*  Blocks are first-fit packed into words (a classic 2-factor
    approximation of the bin-packing optimum, checked in tests against an
@@ -35,10 +40,10 @@ The crossbar width is fixed, the word count is an output.  Four phases:
 4. *Generation.*  One walk over the packed words gives every element its
    word and bit.  Primary inputs load first: complemented copies write in
    one cycle through the bitlines, plain copies stage through one scratch
-   wordline that is reset after each use.  Then levels compute in order,
-   nodes sharing a host word, source word and wordline fold into one
-   instruction, and negated copies are written at the end of the producing
-   level.
+   wordline that is reset after each use.  Then the levels' sites compute
+   in level order, sites sharing a host word, source word and wordline
+   fold into one instruction, and negated copies are written at the end
+   of the producing level from the node's first site.
 """
 
 from __future__ import annotations
@@ -132,16 +137,18 @@ class BlockElement:
 
     Each descent through the device replaces ``value`` by the host operand
     of the node computed there, so once blocks are formed ``value`` is what
-    the load phase writes.  Input elements dropped by a merge point at their
+    the load phase writes.  ``block`` is the block the element sits in.  An
+    input element dropped by a merge sits in none and points at its
     survivor via ``merged_into``.
     """
 
-    __slots__ = ("value", "tag", "merged_into")
+    __slots__ = ("value", "tag", "merged_into", "block")
 
     def __init__(self, value: ValueRef, tag: str):
         self.value = value
         self.tag = tag
         self.merged_into = None
+        self.block = None
 
     def resolve(self):
         el = self
@@ -156,8 +163,11 @@ class BlockElement:
 
 @dataclass(eq=False)
 class Block:
+    """Elements that must share a word; ``inputs`` holds the values of the
+    input (``"i"``) elements, once each."""
     id: int
     elements: list[BlockElement] = field(default_factory=list)
+    inputs: set[ValueRef] = field(default_factory=set)
 
     def __len__(self):
         return len(self.elements)
@@ -165,19 +175,23 @@ class Block:
 
 @dataclass
 class Site:
-    """One scheduled computation of a node: its host device and operands."""
+    """One scheduled computation of a node: its host device and operands.
+
+    ``wl`` is an element, or the constant 0/1 the instruction drives on
+    the wordline.  Host elements are never merged away; operand elements
+    may be, so they are looked up through ``resolve()``.
+    """
     node: int
     host_el: BlockElement
-    wl: BlockElement | tuple[str, int]  # element or ("const", 0/1)
+    wl: BlockElement | int
     bl_el: BlockElement
 
 
 @dataclass
 class BlockFormation:
     blocks: list[Block]
-    sites: dict[int, list[Site]]
+    sites: dict[int, list[Site]]  # level -> its sites, in creation order
     output_elements: list[BlockElement]
-    levels: list[int]  # levels(mig), for the phases after formation
 
 
 def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
@@ -193,12 +207,9 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
     sites: dict[int, list[Site]] = {}
     positive_seen: set[int] = set()
     next_id = count(1)
-    # element -> (block, position) it sits at; a dropped element keeps its last
-    home: dict[BlockElement, tuple[Block, int]] = {}
     # level -> elements given a plain internal value of that level
     pending: dict[int, list[BlockElement]] = {}
-    # input values of each block and the blocks holding each value
-    ivals: dict[Block, set[ValueRef]] = {}
+    # input value -> the blocks holding it
     holders: dict[ValueRef, set[Block]] = {}
     # ids of the blocks the next input phase visits; the queue holds them
     # negated, so the newest pops first
@@ -215,70 +226,58 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
             heappush(queue, -b.id)
 
     def register(el: BlockElement):
-        ref = el.value
-        if is_internal(ref.node) and not ref.negated:
-            positive_seen.add(ref.node)
-            pending.setdefault(lv[ref.node], []).append(el)
+        # a plain internal value is computed at its level; a negated one is
+        # copied from a plain instance, so make sure exactly one exists
+        node, negated = el.value
+        if not is_internal(node):
+            return
+        if not negated:
+            positive_seen.add(node)
+            pending.setdefault(lv[node], []).append(el)
+        elif node not in positive_seen:
+            new_block([make_el(ValueRef(node, False))])
 
-    def new_block(elements) -> Block:
-        b = Block(next(next_id), list(elements))
+    def new_block(elements: list[BlockElement]) -> Block:
+        b = Block(next(next_id), elements)
         blocks[b.id] = b
-        for pos, el in enumerate(b.elements):
-            home[el] = (b, pos)
-        ivals[b] = {el.value for el in b.elements if el.tag == "i"}
-        for v in ivals[b]:
-            holders.setdefault(v, set()).add(b)
+        for el in elements:
+            el.block = b
+            if el.tag == "i":
+                b.inputs.add(el.value)
+                holders.setdefault(el.value, set()).add(b)
         mark(b)
         return b
 
-    def make_el(ref: ValueRef, tag: str) -> BlockElement:
-        el = BlockElement(ref, tag)
+    def make_el(ref: ValueRef) -> BlockElement:
+        el = BlockElement(ref, "i")
         register(el)
         return el
-
-    def add_inversion(ref: ValueRef):
-        # a negated internal value is produced by copying from a plain
-        # instance; make sure exactly one such instance exists
-        if ref.negated and is_internal(ref.node) \
-                and ref.node not in positive_seen:
-            new_block([make_el(ValueRef(ref.node, False), "i")])
 
     def descend(el: BlockElement) -> Site:
         nid = el.value.node
         r = roles[nid]
         if el.tag == "i":
-            block = home[el][0]
-            ivals[block].discard(el.value)
-            holders[el.value].discard(block)
+            el.block.inputs.discard(el.value)
+            holders[el.value].discard(el.block)
         el.tag = "h"  # the device now hosts this node's computation
         el.value = ValueRef(r.host.target, r.host.inverted)
         register(el)
-        add_inversion(el.value)
         wl_ref = ValueRef(r.wl_input.target, r.wl_input.inverted)
         # the device re-complements the bitline, so store the complement
         bl_ref = ValueRef(r.bl_input.target, not r.bl_input.inverted)
         spawned = []
         if mig.nodes[wl_ref.node].kind == CONST0:
-            wl_item = ("const", 1 if wl_ref.negated else 0)
+            wl = int(wl_ref.negated)
         else:
-            wl_el = make_el(wl_ref, "i")
-            spawned.append(wl_el)
-            wl_item = wl_el
-            add_inversion(wl_ref)
+            wl = make_el(wl_ref)
+            spawned.append(wl)
         if spawned and bl_ref == wl_ref:
-            bl_el = spawned[0]
+            bl_el = wl
         else:
-            bl_el = make_el(bl_ref, "i")
+            bl_el = make_el(bl_ref)
             spawned.append(bl_el)
-            add_inversion(bl_ref)
         new_block(spawned)
-        site = Site(nid, el, wl_item, bl_el)
-        sites.setdefault(nid, []).append(site)
-        return site
-
-    def wl_key(site: Site):
-        w = site.wl
-        return w if isinstance(w, tuple) else w.resolve()
+        return Site(nid, el, wl, bl_el)
 
     def merge(hosted: list[Site]):
         """Fold blocks together until no pair merges.
@@ -317,27 +316,25 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
         For the same reason a host merge never makes an input merge
         possible, and never drops an input element (its pair shares no
         input value, or it would have failed in the input phase).  The
-        wordline keys, which follow ``resolve()`` of input elements, are
-        thus fixed once the input phase ends; the host index is built
-        then, over the blocks holding a hosted site, and a merge only
-        moves ``b``'s keys to ``a``.
+        wordline keys, the constant or ``resolve()`` of the wordline
+        element, are thus fixed once the input phase ends; the host index
+        is built then, over the blocks holding a hosted site, and a merge
+        only moves ``b``'s keys to ``a``.
 
-        The input-value index lives for the whole descent: it is updated
-        where a block is created, where a descent turns an input element
-        into a host, and in ``absorb``.  A level costs O(D + H + P log P)
-        set operations and capacity tests for its D dirty blocks, H
-        hosted sites and the P pairs they share a key in; the blocks it
-        leaves alone cost nothing.
+        ``holders`` and each block's ``inputs`` live for the whole
+        descent: they are updated where a block is created, where a
+        descent turns an input element into a host, and in ``absorb``.
+        A level costs O(D + H + P log P) set operations and capacity
+        tests for its D dirty blocks, H hosted sites and the P pairs they
+        share a key in; the blocks it leaves alone cost nothing.
         """
+        # wordline keys of each block hosting a site, and their blocks
         host_keys: dict[Block, set] = {}
         host_index: dict = {}
-        # (block -> keys, key -> blocks) pairs that absorb keeps current
-        tables = [(ivals, holders)]
 
         def absorb(a: Block, b: Block) -> bool:
-            # fold b into a, keeping a's copy of each shared input value;
-            # a block holds each input value once
-            shared = ivals[a] & ivals[b]
+            # fold b into a, keeping a's copy of each shared input value
+            shared = a.inputs & b.inputs
             if len(a.elements) + len(b.elements) - len(shared) > w_d:
                 return False
             survivors = {el.value: el for el in a.elements
@@ -345,24 +342,28 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
             for el in b.elements:
                 if el.tag == "i" and el.value in shared:
                     el.merged_into = survivors[el.value]
+                    el.block = None
                 else:
-                    home[el] = (a, len(a.elements))
+                    el.block = a
                     a.elements.append(el)
             del blocks[b.id]
             if a.id not in dirty and any(
-                    c.id < a.id for v in ivals[b] - shared
+                    c.id < a.id for v in b.inputs - shared
                     for c in holders[v]):
                 mark(a)
-            for keys, index in tables:
-                for k in keys.pop(b):
-                    index[k].discard(b)
-                    index[k].add(a)
-                    keys[a].add(k)
+            for v in b.inputs:
+                holders[v].discard(b)
+                holders[v].add(a)
+            a.inputs |= b.inputs
+            for k in host_keys.pop(b, ()):
+                host_index[k].discard(b)
+                host_index[k].add(a)
+                host_keys[a].add(k)
             return True
 
-        def settle(visits, keys: dict, index: dict):
+        def settle(visits, keys_of, index: dict):
             for b in visits:
-                partners = {a for k in keys[b] for a in index[k]
+                partners = {a for k in keys_of(b) for a in index[k]
                             if a.id < b.id}
                 for a in sorted(partners, key=by_id, reverse=True):
                     if absorb(a, b):
@@ -375,31 +376,30 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
                 if bid in blocks:  # a host merge can absorb a marked block
                     yield blocks[bid]
 
-        settle(dirty_blocks(), ivals, holders)
+        settle(dirty_blocks(), attrgetter("inputs"), holders)
         for s in hosted:
-            host_keys.setdefault(home[s.host_el][0], set()).add(wl_key(s))
-        for b, ks in host_keys.items():
-            for k in ks:
-                host_index.setdefault(k, set()).add(b)
-        tables.append((host_keys, host_index))
-        settle(sorted(host_keys, key=by_id, reverse=True), host_keys,
-               host_index)
+            k = s.wl if isinstance(s.wl, int) else s.wl.resolve()
+            host_keys.setdefault(s.host_el.block, set()).add(k)
+            host_index.setdefault(k, set()).add(s.host_el.block)
+        settle(sorted(host_keys, key=by_id, reverse=True),
+               host_keys.__getitem__, host_index)
 
     output_elements = []
-    for e, _name in zip(mig.outputs, mig.output_names):
-        ref = ValueRef(e.target, e.inverted)
-        el = make_el(ref, "h")
+    for e in mig.outputs:
+        el = BlockElement(ValueRef(e.target, e.inverted), "h")
         new_block([el])
+        register(el)
         output_elements.append(el)
-        add_inversion(ref)
     merge([])
 
     for l in range(l_max, 0, -1):
-        todo = [el for el in pending.pop(l, ()) if el.merged_into is None]
-        todo.sort(key=lambda el: (home[el][0].id, home[el][1]))
-        merge([descend(el) for el in todo])
+        todo = {el for el in pending.pop(l, ()) if el.merged_into is None}
+        touched = sorted({el.block for el in todo}, key=by_id)
+        sites[l] = [descend(el) for b in touched for el in b.elements
+                    if el in todo]
+        merge(sites[l])
 
-    return BlockFormation(list(blocks.values()), sites, output_elements, lv)
+    return BlockFormation(list(blocks.values()), sites, output_elements)
 
 
 # -- packing -------------------------------------------------------------------
@@ -488,16 +488,14 @@ def gen_pi_load(builder: ProgramBuilder, spots, mig: LogicNetwork,
         builder.reset_bits(scratch_word, range(len(lines)))
 
 
-def gen_program_delay(mig: LogicNetwork, roles, formation: BlockFormation,
+def gen_program_delay(mig: LogicNetwork, formation: BlockFormation,
                       packing: Packing) -> tuple[Program, MappingReport]:
     """Level-synchronous instruction generation over placed blocks.
 
     One walk over the packed words gives every element its ``(word, bit)``,
     finds whether a plain PI copy needs the scratch word and collects each
-    internal node's negated elements.  ``roles`` is unused; the phases
-    before generation have applied it.
+    internal node's negated elements.
     """
-    lv = formation.levels
     spots: dict[BlockElement, tuple[int, int]] = {}
     negated: dict[int, list[BlockElement]] = {}
     staged = False
@@ -518,49 +516,39 @@ def gen_program_delay(mig: LogicNetwork, roles, formation: BlockFormation,
 
     gen_pi_load(builder, spots, mig, scratch)
 
-    by_level: dict[int, list[Site]] = {}
-    for n in sorted(formation.sites):
-        by_level.setdefault(lv[n], []).extend(formation.sites[n])
-
-    for l in sorted(by_level):
-        # (source word, host word, constant wordline, wordline bit) -> wires
-        groups: dict[tuple, dict[int, int]] = {}
-        for site in by_level[l]:
-            host_w, hb = spots[site.host_el.resolve()]
+    for _, sites in sorted(formation.sites.items()):
+        # (source word, host word, constant wordline or -1, wordline bit)
+        # -> wires, and (source word, copy word) -> wires of the negated
+        # copies, which the first site of each node writes
+        groups: dict[tuple[int, int, int, int], dict[int, int]] = {}
+        copies: dict[tuple[int, int], dict[int, int]] = {}
+        for site in sites:
+            host_w, hb = spots[site.host_el]
             bl_w, bb = spots[site.bl_el.resolve()]
-            if isinstance(site.wl, tuple):
-                key = (bl_w, host_w, site.wl[1], None)
+            if isinstance(site.wl, int):
+                const_wl, wl_b = site.wl, 0
             else:
                 wl_w, wl_b = spots[site.wl.resolve()]
                 if wl_w != bl_w:
                     raise NetlistError(
                         "operands of node %d split across words" % site.node)
-                key = (bl_w, host_w, None, wl_b)
-            groups.setdefault(key, {})[hb] = bb
-        for key in sorted(groups, key=lambda k: tuple(-1 if x is None else x
-                                                      for x in k)):
+                const_wl = -1
+            groups.setdefault((bl_w, host_w, const_wl, wl_b), {})[hb] = bb
+            for el in negated.pop(site.node, ()):
+                dw, db = spots[el]
+                copies.setdefault((host_w, dw), {})[db] = hb
+        for key in sorted(groups):
             src_w, host_w, const_wl, wl_b = key
             builder.read(src_w)
-            if const_wl is not None:
-                mode = WsMode.ONE if const_wl else WsMode.ZERO
-                builder.apply_from_dmr(host_w, mode, groups[key])
-            else:
-                builder.apply_from_dmr(host_w, WsMode.FROM_SOURCE,
-                                       groups[key], wb=wl_b)
-
+            mode = WsMode.FROM_SOURCE if const_wl < 0 else WsMode(const_wl)
+            builder.apply_from_dmr(host_w, mode, groups[key], wb=wl_b)
         # negated copies of this level's values, written through the bitline
-        by_pair: dict[tuple[int, int], dict[int, int]] = {}
-        for n in {s.node for s in by_level[l]}:
-            sw, sb = spots[formation.sites[n][0].host_el.resolve()]
-            for el in negated.get(n, ()):
-                dw, db = spots[el]
-                by_pair.setdefault((sw, dw), {})[db] = sb
-        for (sw, dw) in sorted(by_pair):
-            builder.read(sw)
-            builder.apply_from_dmr(dw, WsMode.ONE, by_pair[(sw, dw)])
+        for key in sorted(copies):
+            builder.read(key[0])
+            builder.apply_from_dmr(key[1], WsMode.ONE, copies[key])
 
     for el, name in zip(formation.output_elements, mig.output_names):
-        builder.result_locations[name] = spots[el.resolve()]
+        builder.result_locations[name] = spots[el]
 
     counts = builder.counts()
     n_maj = sum(1 for n in mig.nodes if n.kind == MAJ)
@@ -570,7 +558,7 @@ def gen_program_delay(mig: LogicNetwork, roles, formation: BlockFormation,
         flow="delay",
         num_pis=mig.num_pis,
         n_maj=n_maj,
-        levels=max((lv[e.target] for e in mig.outputs), default=0),
+        levels=max(formation.sites, default=0),
         s_d=builder.config.s_d, w_d=packing.w_d,
         **counts,
         n_blocks=len(formation.blocks),
@@ -588,7 +576,6 @@ def map_delay(mig: LogicNetwork, w_d: int) -> tuple[Program, MappingReport]:
     if w_d < 2:
         raise NetlistError("w_D must be at least 2")
     lv = levels(mig)
-    roles = assign_roles(mig, lv)
-    formation = form_blocks(mig, roles, w_d, lv)
+    formation = form_blocks(mig, assign_roles(mig, lv), w_d, lv)
     packing = pack_blocks(formation.blocks, w_d)
-    return gen_program_delay(mig, roles, formation, packing)
+    return gen_program_delay(mig, formation, packing)

@@ -74,11 +74,14 @@ def cover_truth_table(cover: EsopCover) -> int:
 def extract_esop(tt: int, arity: int) -> EsopCover:
     """Build an ESOP cover for a packed truth table of ``arity`` variables.
 
-    Supports up to 16 variables.  The cost memo lives for one call only;
-    the cubes are read off the cheapest expansions in one depth-first walk.
+    Supports 0 to 16 variables, and refuses a table with bits set at or
+    beyond ``2**arity``.  The cost memo lives for one call only; the cubes
+    are read off the cheapest expansions in one depth-first walk.
     """
-    if arity > 16:
-        raise EsopError("extraction bound is 16 variables, got %d" % arity)
+    if not 0 <= arity <= 16:
+        raise EsopError("extraction takes 0 to 16 variables, got %d" % arity)
+    if not 0 <= tt < 1 << (1 << arity):
+        raise EsopError("table %d does not fit %d variables" % (tt, arity))
     # (f, k) -> (cost, expansion): 0 positive Davio, 1 negative, 2 Shannon
     memo: dict[tuple[int, int], tuple[int, int]] = {}
 

@@ -213,7 +213,7 @@ def test_criterion_8_delay_flow_golden():
 
         packing = pack_blocks(formation.blocks, 3)
         assert packing.n_words == 3
-        program, report = gen_program_delay(mig, roles, formation, packing)
+        program, report = gen_program_delay(mig, formation, packing)
         assert abs(report.w_util - 88.8) < 0.1
 
         compute = [format_asm(i) for i in program.instructions[-6:]]

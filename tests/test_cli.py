@@ -108,6 +108,23 @@ def test_bench_area_geometry(workdir, capsys):
                "offers 0")] * 2
 
 
+def test_bench_budget_below_one_row(workdir, capsys):
+    # every width must fit one row of the budget, or no area job runs
+    argv = ["bench", str(workdir), "--flow", "area", "--budget", "32"]
+    assert main(argv + ["--cols", "16", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --budget 32 fits no row of --cols 64\n"
+    assert not captured.out
+    assert main(argv + ["--cols", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --budget 32 fits no row of --cols 0\n"
+    assert main(argv + ["--cols", "16"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(r["s_d"], r["w_d"], r["status"]) for r in rows] == \
+        [("2", "16", "infeasible: needs 3 storage devices but the crossbar "
+                     "offers 0")] * 2
+
+
 def test_map_area_maps_a_mig(workdir, capsys):
     prog = workdir / "fa_area.rvmp"
     rc = main(["map-area", "--k", "4", "--rows", "8", "--cols", "8",

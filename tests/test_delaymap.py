@@ -97,9 +97,9 @@ def test_blocks_colocate_operands():
         mig = random_mig(num_pis=4, num_nodes=7, seed=100 + seed)
         roles = assign_roles(mig)
         formation = form_blocks(mig, roles, 4)
-        for n, sites in formation.sites.items():
+        for sites in formation.sites.values():
             for site in sites:
-                if isinstance(site.wl, tuple):
+                if isinstance(site.wl, int):
                     continue
                 blocks_of = []
                 for b in formation.blocks:
@@ -108,7 +108,7 @@ def test_blocks_colocate_operands():
                     if site.bl_el.resolve() in b.elements:
                         blocks_of.append(b.id)
                 assert len(set(blocks_of)) == 1, \
-                    "operands of %d split" % n
+                    "operands of %d split" % site.node
 
 
 def test_pack_reference_blocks():
@@ -156,7 +156,7 @@ def test_reference_instruction_sequence_and_states():
     roles = assign_roles(mig)
     formation = form_blocks(mig, roles, 3)
     packing = pack_blocks(formation.blocks, 3)
-    program, report = gen_program_delay(mig, roles, formation, packing)
+    program, report = gen_program_delay(mig, formation, packing)
 
     compute = [format_asm(i) for i in program.instructions[-6:]]
     assert compute == [
@@ -330,8 +330,7 @@ def test_map_delay_computes_levels_once(monkeypatch):
     # the phases called one by one compute it themselves, to the same end
     roles = assign_roles(mig)
     formation = form_blocks(mig, roles, 8)
-    assert formation.levels == levels(mig)
-    again, _ = gen_program_delay(mig, roles, formation,
+    again, _ = gen_program_delay(mig, formation,
                                  pack_blocks(formation.blocks, 8))
     assert write_program(again) == write_program(program)
 
@@ -390,6 +389,22 @@ def test_merge_order_pinned_on_many_networks():
         h.update(repr((w_d, _block_tags(formation))).encode())
     assert h.hexdigest() == \
         "9f771dea5d8b2235bdf28bc38a9cfff3dd24fafe8dfba2e7fce1802a99b52536"
+
+
+def test_formation_state_on_blocks_and_elements():
+    """Each element knows its block, each block its input values (once
+    each), and host and output elements are never merged away."""
+    mig = example_mig()
+    reference = (3, form_blocks(mig, assign_roles(mig), 3))
+    for _, formation in [reference] + _formations():
+        for b in formation.blocks:
+            assert all(el.block is b for el in b.elements)
+            held = [el.value for el in b.elements if el.tag == "i"]
+            assert b.inputs == set(held) and len(b.inputs) == len(held)
+        for sites in formation.sites.values():
+            assert all(s.host_el.merged_into is None for s in sites)
+        assert all(el.merged_into is None
+                   for el in formation.output_elements)
 
 
 def test_no_two_blocks_sharing_an_input_fit_together():

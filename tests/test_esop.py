@@ -96,6 +96,13 @@ def test_extraction_bound():
         extract_esop(0, 17)
 
 
+@pytest.mark.parametrize("tt, arity", [(2, 0), (0b10000, 2), (-1, 2),
+                                       (0, -1)])
+def test_table_must_fit_its_arity(tt, arity):
+    with pytest.raises(EsopError):
+        extract_esop(tt, arity)
+
+
 def test_cover_truth_table_matches_eval_esop():
     """The mask-based table agrees with per-assignment evaluation, including
     literals on variables at or beyond the arity (a positive one zeroes the
