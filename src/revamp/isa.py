@@ -33,7 +33,8 @@ bytes when read, and packed once per object when written.
 A program's rules live in one set of helpers: :func:`check_instruction`
 (which also tells whether an instruction sources the PIR),
 :func:`unscheduled` for a PIR Apply without a schedule entry,
-:func:`check_schedule_entry` and :func:`check_results`.
+:func:`check_num_pis`, :func:`check_schedule_entry` and
+:func:`check_results`.
 ``Program.validate`` applies them, and so do the loops that already visit
 every instruction: :func:`write_program` checks an instruction on a packing
 memo miss, :func:`read_program` adds the schedule and result checks to what
@@ -65,6 +66,11 @@ SLOT_CONST1 = -2
 
 SRC_PIR = 0
 SRC_DMR = 1
+
+# Most primary inputs a program declares.  The container field holds up to
+# 2^32 - 1, and running a program builds one input mask per PI, referenced
+# or not, so a header is refused above this before anything is built.
+MAX_PIS = 1 << 20
 
 
 class IsaError(ValueError):
@@ -210,6 +216,13 @@ def check_schedule_entry(i: int, slots: tuple[int, ...],
                            % (i, s))
 
 
+def check_num_pis(num_pis: int):
+    """Check the declared primary-input count against ``MAX_PIS``."""
+    if num_pis > MAX_PIS:
+        raise IsaError("%d primary inputs, more than the %d a program may "
+                       "declare" % (num_pis, MAX_PIS))
+
+
 def check_results(results: dict[str, tuple[int, int]],
                   config: CrossbarConfig):
     """Check that every result location is a device of the crossbar."""
@@ -345,6 +358,7 @@ class Program:
 
     def validate(self):
         cfg, schedule = self.config, self.pir_schedule
+        check_num_pis(self.num_pis)
         sources_pir = {}  # id -> check_instruction's answer; immutable
         for i, instr in enumerate(self.instructions):
             pir = sources_pir.get(id(instr))
@@ -381,6 +395,7 @@ def write_program(program: Program) -> bytes:
 
 def _write_program(program: Program) -> bytes:
     cfg = program.config
+    check_num_pis(program.num_pis)
     schedule = program.pir_schedule
     nbytes = (cfg.w_i + 7) // 8
     # one growing buffer: b"".join over per-instruction pieces would take
@@ -438,6 +453,7 @@ def _read_program(data: bytes) -> Program:
     off = 4
     s_d, w_d, s_i, w_i, num_pis = struct.unpack_from("<5I", data, off)
     off += 20
+    check_num_pis(num_pis)
     cfg = CrossbarConfig(s_d, w_d, s_i, w_i)
     (count,) = struct.unpack_from("<I", data, off)
     off += 4

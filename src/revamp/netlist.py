@@ -382,8 +382,16 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
 # -- ASCII AIGER -------------------------------------------------------------
 
 def parse_aiger(text: str) -> LogicNetwork:
-    """Read a combinational ASCII AIGER ("aag") document.
+    """Read a combinational ASCII AIGER ("aag") document in one pass.
 
+    The format numbers the inputs by line position: the k-th input line
+    declares primary input k, node k of the network, named ``i<k>`` unless
+    the symbol table names it, whatever variable the line gives.  Only
+    what the text holds is built: each input is made when its line is
+    read, and every section stops at its first missing line, whatever
+    counts the header declares.  AND rows may come in any acyclic order;
+    one depth-first walk from the rows in file order adds each row after
+    the rows defining its inputs, so rows already in order keep it.
     Latches are rejected; constant literals 0/1 are supported.
     """
     lines = text.splitlines()
@@ -404,128 +412,88 @@ def parse_aiger(text: str) -> LogicNetwork:
     if len(counts) > 5 and any(c != 0 for c in counts[5:]):
         raise ParseError("bad-state/constraint/justice/fairness sections "
                          "are not supported", line=1)
-
-    net = LogicNetwork(kind="aig")
-    var_node: dict[int, int] = {}
-    for i in range(n_in):
-        var_node[i + 1] = net.add_pi("i%d" % i)
-    const_id = None
-
-    def lit_edge(lit: int, lineno: int) -> Edge:
-        nonlocal const_id
-        var, inv = lit >> 1, bool(lit & 1)
-        if var == 0:
-            if const_id is None:
-                const_id = net.add_const0()
-            return Edge(const_id, inv)
-        if var not in var_node:
-            raise ParseError("dangling literal %d" % lit, line=lineno)
-        return Edge(var_node[var], inv)
-
     idx = 1
 
-    def next_line(what):
+    def section(count, what, width):
+        """The next ``count`` lines, each as (its literals, line number)."""
         nonlocal idx
-        if idx >= len(lines):
-            raise ParseError("unexpected end of file, expected %s" % what,
-                             line=len(lines))
-        s = lines[idx]
-        idx += 1
-        return s, idx
+        for _ in range(count):
+            if idx >= len(lines):
+                raise ParseError("unexpected end of file, expected %s line"
+                                 % what, line=len(lines))
+            s = lines[idx]
+            idx += 1
+            lits = s.split()
+            if len(lits) != width or not all(t.isdecimal() for t in lits):
+                raise ParseError("malformed %s line %r" % (what, s), line=idx)
+            yield [int(t) for t in lits], idx
 
-    input_lits = []
-    for _ in range(n_in):
-        s, ln = next_line("input literal")
-        try:
-            lit = int(s.split()[0])
-        except (ValueError, IndexError):
-            raise ParseError("malformed input line %r" % s, line=ln)
-        if lit & 1 or lit == 0:
-            raise ParseError("input literal %d is not a positive even literal"
-                             % lit, line=ln)
-        input_lits.append(lit)
-    if sorted(l >> 1 for l in input_lits) != list(range(1, n_in + 1)):
-        raise ParseError("input variables must be 1..%d" % n_in, line=idx)
-
-    output_lits = []
-    for _ in range(n_out):
-        s, ln = next_line("output literal")
-        try:
-            output_lits.append((int(s.split()[0]), ln))
-        except (ValueError, IndexError):
-            raise ParseError("malformed output line %r" % s, line=ln)
-
-    and_rows = []
-    for _ in range(n_and):
-        s, ln = next_line("and gate")
-        parts = s.split()
-        if len(parts) != 3:
-            raise ParseError("and line needs three literals: %r" % s, line=ln)
-        try:
-            lhs, r0, r1 = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError("malformed and line %r" % s, line=ln)
+    net = LogicNetwork(kind="aig")
+    var_node: dict[int, int] = {}  # variable -> node id, once it is built
+    for (lit,), ln in section(n_in, "input", 1):
+        if lit & 1 or not 0 < lit >> 1 <= n_in or lit >> 1 in var_node:
+            raise ParseError("input literal %d is not a new even literal "
+                             "in 2..%d" % (lit, 2 * n_in), line=ln)
+        var_node[lit >> 1] = net.add_pi("i%d" % len(var_node))
+    outputs = list(section(n_out, "output", 1))
+    rows = {}  # lhs variable -> (rhs literals, line), in file order
+    for (lhs, r0, r1), ln in section(n_and, "and", 3):
         if lhs & 1 or lhs >> 1 <= n_in:
             raise ParseError("bad and lhs literal %d" % lhs, line=ln)
-        and_rows.append((lhs, r0, r1, ln))
-
-    # AIGER allows ands in any order as long as definitions are acyclic.
-    # Rows are added as repeated passes over the section would add them,
-    # each pass taking in file order the rows whose inputs are defined: a
-    # row's pass is the largest of its inputs' defining rows' passes, one
-    # more for a row further down, and at least 1.
-    row_of = {}
-    for i, (lhs, _, _, ln) in enumerate(and_rows):
-        if lhs >> 1 in row_of:
+        if lhs >> 1 in rows:
             raise ParseError("and lhs literal %d is defined twice" % lhs,
                              line=ln)
-        row_of[lhs >> 1] = i
-    deps = []
-    for lhs, r0, r1, ln in and_rows:
+        rows[lhs >> 1] = (r0, r1, ln)
+
+    def lit_edge(lit: int, ln: int) -> Edge:
+        if lit < 2 and 0 not in var_node:  # the constant, on first use
+            var_node[0] = net.add_const0()
+        if lit >> 1 not in var_node:
+            raise ParseError("dangling literal %d" % lit, line=ln)
+        return Edge(var_node[lit >> 1], bool(lit & 1))
+
+    # the first row on top: a row is entered, then added once the rows
+    # defining its inputs are; the walk meets an entered row only on a cycle
+    stack = list(reversed(rows))
+    entered = set()  # rows entered and not yet added
+    while stack:
+        var = stack[-1]
+        if var in var_node:
+            stack.pop()
+            continue
+        r0, r1, ln = rows[var]
+        todo = []
         for lit in (r0, r1):
-            if lit >> 1 > n_in and lit >> 1 not in row_of:
-                raise ParseError("dangling literal %d" % lit, line=ln)
-        deps.append([row_of[l >> 1] for l in (r0, r1) if l >> 1 in row_of])
-    passes = [0] * len(and_rows)  # 0: not reached, -1: on the walk's path
-    for top in range(len(and_rows)):
-        stack = [top]
-        while stack:
-            i = stack[-1]
-            if passes[i] > 0:
-                stack.pop()
-            elif passes[i] == 0:
-                passes[i] = -1
-                for r in deps[i]:
-                    if passes[r] == -1:
-                        raise ParseError("and gates form a cycle through "
-                                         "literal %d" % and_rows[r][0],
-                                         line=and_rows[i][3])
-                    if passes[r] == 0:
-                        stack.append(r)
-            else:  # its inputs are done
-                stack.pop()
-                passes[i] = max([1] + [passes[r] + (r > i) for r in deps[i]])
-    for i in sorted(range(len(and_rows)), key=lambda i: (passes[i], i)):
-        lhs, r0, r1, ln = and_rows[i]
-        var_node[lhs >> 1] = net.add_node(AND, (lit_edge(r0, ln),
-                                                lit_edge(r1, ln)))
+            if lit >> 1 in entered:
+                raise ParseError("and gates form a cycle through literal %d"
+                                 % (lit & ~1), line=ln)
+            if lit >> 1 in rows and lit >> 1 not in var_node:
+                todo.append(lit >> 1)
+        if todo:
+            entered.add(var)
+            stack += reversed(todo)
+        else:
+            stack.pop()
+            entered.discard(var)
+            var_node[var] = net.add_node(AND, (lit_edge(r0, ln),
+                                               lit_edge(r1, ln)))
 
     out_names = {}
     for s in lines[idx:]:
         if s.startswith("c"):
             break
         parts = s.split(None, 1)
-        if len(parts) == 2 and parts[0][:1] in ("i", "o") and parts[0][1:].isdigit():
+        if (len(parts) == 2 and parts[0][:1] in ("i", "o")
+                and parts[0][1:].isdecimal()):
             pos = int(parts[0][1:])
             if parts[0][0] == "i" and pos < n_in:
-                net.nodes[net.pis[pos]].name = parts[1]
+                net.nodes[pos].name = parts[1]  # input pos is node pos
             elif parts[0][0] == "o":
                 out_names[pos] = parts[1]
 
-    for pos, (lit, ln) in enumerate(output_lits):
-        edge = lit_edge(lit, ln)
+    for pos, ((lit,), ln) in enumerate(outputs):
         try:
-            net.add_output(edge, out_names.get(pos))
+            net.add_output(lit_edge(lit, ln), out_names.get(pos))
         except NetlistError as exc:
             raise ParseError(str(exc), line=ln)
     net.validate()
@@ -551,7 +519,7 @@ def parse_mig(text: str) -> LogicNetwork:
         inv = tok.startswith("!")
         if inv:
             tok = tok[1:]
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise ParseError("bad literal %r" % tok, line=ln)
         ext = int(tok)
         if ext not in id_map:
@@ -565,7 +533,7 @@ def parse_mig(text: str) -> LogicNetwork:
             continue
         parts = s.split()
         if parts[0] == "pi":
-            if len(parts) < 2 or not parts[1].isdigit():
+            if len(parts) < 2 or not parts[1].isdecimal():
                 raise ParseError("pi line needs an id", line=ln)
             ext = int(parts[1])
             if ext in id_map:
@@ -573,7 +541,7 @@ def parse_mig(text: str) -> LogicNetwork:
             name = parts[2] if len(parts) > 2 else None
             id_map[ext] = net.add_pi(name)
         elif parts[0] == "const0":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ParseError("const0 line needs an id", line=ln)
             ext = int(parts[1])
             if ext in id_map:
@@ -584,7 +552,7 @@ def parse_mig(text: str) -> LogicNetwork:
             if "=" not in body:
                 raise ParseError("node line needs '='", line=ln)
             left, right = body.split("=", 1)
-            if not left.strip().isdigit():
+            if not left.strip().isdecimal():
                 raise ParseError("bad node id %r" % left.strip(), line=ln)
             ext = int(left.strip())
             if ext in id_map:
@@ -638,33 +606,28 @@ def serialize_mig(network: LogicNetwork) -> str:
 
 def random_aig(num_pis: int, num_ands: int, seed: int = 0,
                num_outputs: int = 1) -> LogicNetwork:
-    rng = random.Random(seed)
-    net = LogicNetwork(kind="aig")
-    for i in range(num_pis):
-        net.add_pi("i%d" % i)
-    for _ in range(num_ands):
-        hi = len(net.nodes)
-        a = rng.randrange(hi)
-        b = rng.randrange(hi)
-        net.add_node(AND, (Edge(a, rng.random() < 0.5),
-                           Edge(b, rng.random() < 0.5)))
-    for i in range(num_outputs):
-        net.add_output(Edge(len(net.nodes) - 1 - i % max(1, num_ands),
-                            rng.random() < 0.5), "o%d" % i)
-    return net
+    return _random_network("aig", AND, "i", num_pis, num_ands, seed,
+                           num_outputs)
 
 
 def random_mig(num_pis: int, num_nodes: int, seed: int = 0,
                num_outputs: int = 1) -> LogicNetwork:
+    return _random_network("mig", MAJ, "x", num_pis, num_nodes, seed,
+                           num_outputs)
+
+
+def _random_network(kind, gate, prefix, num_pis, num_gates, seed,
+                    num_outputs) -> LogicNetwork:
+    """Seeded network of ``num_gates`` gates over any earlier nodes; each
+    gate draws its fanins' targets, then their complement flags."""
     rng = random.Random(seed)
-    net = LogicNetwork(kind="mig")
+    net = LogicNetwork(kind=kind)
     for i in range(num_pis):
-        net.add_pi("x%d" % i)
-    for _ in range(num_nodes):
-        hi = len(net.nodes)
-        picks = [rng.randrange(hi) for _ in range(3)]
-        net.add_node(MAJ, tuple(Edge(p, rng.random() < 0.5) for p in picks))
+        net.add_pi("%s%d" % (prefix, i))
+    for _ in range(num_gates):
+        picks = [rng.randrange(len(net.nodes)) for _ in range(_ARITY[gate])]
+        net.add_node(gate, tuple(Edge(p, rng.random() < 0.5) for p in picks))
     for i in range(num_outputs):
-        net.add_output(Edge(len(net.nodes) - 1 - i % max(1, num_nodes),
+        net.add_output(Edge(len(net.nodes) - 1 - i % max(1, num_gates),
                             rng.random() < 0.5), "o%d" % i)
     return net

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import struct
+import time
 
 import pytest
 
@@ -259,6 +261,25 @@ def test_simulate_and_verify_refuse_a_crossbar_too_large(workdir, capsys):
         captured = capsys.readouterr()
         assert captured.err == ("error: a 4096x2048 crossbar has more than "
                                 "4194304 devices\n") and not captured.out
+
+
+@pytest.mark.parametrize("num_pis", [2**24, 2**32 - 1])
+def test_simulate_refuses_a_container_declaring_too_many_inputs(
+        workdir, capsys, num_pis):
+    """A header may declare any input count its field holds; simulate
+    refuses one above the bound before it builds a mask or a vector."""
+    data = bytearray(write_program(Program(CrossbarConfig(4, 4), [], {},
+                                           {}, 0)))
+    struct.pack_into("<I", data, 20, num_pis)  # the num_pis header field
+    prog = workdir / "wide.rvmp"
+    prog.write_bytes(bytes(data))
+    t0 = time.perf_counter()
+    assert main(["simulate", str(prog)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == ("error: %d primary inputs, more than the 1048576 "
+                            "a program may declare\n" % num_pis)
+    assert not captured.out
 
 
 def test_verify_exit_code_on_mismatch(workdir, capsys, tmp_path):

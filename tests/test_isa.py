@@ -4,7 +4,7 @@ import struct
 import pytest
 
 from conftest import two_bit_xor_program
-from revamp.isa import (SRC_DMR, SRC_PIR, ApplyInstr, BitlinePair,
+from revamp.isa import (MAX_PIS, SRC_DMR, SRC_PIR, ApplyInstr, BitlinePair,
                         CrossbarConfig, DecodeError, IsaError, Program,
                         ReadInstr, WordlineSelect, WsMode, decode, encode,
                         format_asm, instruction_lengths, read_program,
@@ -280,6 +280,15 @@ def test_container_rejects_instructions_past_the_end():
     # a w_I far wider than the container is refused before any decoding
     with pytest.raises(IsaError, match="overrun"):
         read_program(_with_header(data, _W_I_OFFSET, 2**32 - 1))
+
+
+def test_container_bounds_the_declared_input_count():
+    data = write_program(Program(CrossbarConfig(4, 4), [], {}, {}, 0))
+    assert read_program(_with_header(data, 20, MAX_PIS)).num_pis == MAX_PIS
+    with pytest.raises(IsaError, match="%d primary inputs" % (MAX_PIS + 1)):
+        read_program(_with_header(data, 20, MAX_PIS + 1))
+    with pytest.raises(IsaError, match="%d primary inputs" % (MAX_PIS + 1)):
+        write_program(Program(CrossbarConfig(4, 4), [], {}, {}, MAX_PIS + 1))
 
 
 def test_container_builds_no_codec_table_without_instructions():

@@ -69,6 +69,37 @@ def test_parse_shuffled_and_rows_keep_the_function():
         assert truth_table_ints(again) == truth_table_ints(net)
 
 
+def test_parse_binds_inputs_by_line_position():
+    # the first input line declares variable 2, so it is input 0
+    net = parse_aiger("aag 2 2 0 1 0\n4\n2\n2\n")
+    assert truth_table(net) == [[0, 0, 1, 1]]
+    net = parse_aiger("aag 3 2 0 1 1\n4\n2\n7\n6 4 3\ni0 a\ni1 b\n")
+    assert [net.nodes[p].name for p in net.pis] == ["a", "b"]
+    assert truth_table(net) == [[1, 0, 1, 1]]  # not (a and not b)
+
+
+def test_parse_refuses_a_header_promising_more_inputs_than_lines():
+    text = "aag 5000000 5000000 0 0 0\n"
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="line 1: unexpected end of file"):
+        parse_aiger(text)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_parse_names_many_inputs_in_linear_time():
+    n = 20000
+    text = ("aag %d %d 0 1 0\n" % (n, n)
+            + "".join("%d\n" % (2 * k + 2) for k in range(n))
+            + "%d\n" % (2 * n)
+            + "".join("i%d in%d\n" % (k, k) for k in range(n)))
+    t0 = time.perf_counter()
+    net = parse_aiger(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert [net.nodes[p].name for p in net.pis] == ["in%d" % k
+                                                    for k in range(n)]
+    assert net.outputs == [Edge(net.pis[-1])]
+
+
 def test_parse_rejects_cyclic_and_rows():
     with pytest.raises(ParseError,
                        match="line 5: and gates form a cycle through literal 6"):
@@ -127,6 +158,16 @@ def test_mig_parse_errors():
         parse_mig("node 0 = MAJ(1,2,3)\n")  # forward refs
     with pytest.raises(ParseError):
         parse_mig("pi 0 a\nnode 1 = MAJ(0,0)\npo 1\n")  # arity
+
+
+def test_parsers_refuse_digits_int_cannot_read():
+    # "²" is a digit to str.isdigit, but int() refuses it
+    for text in ("pi ² a\n", "const0 ²\n", "node ² = MAJ(0,0,0)\n",
+                 "pi 0 a\npo ²\n"):
+        with pytest.raises(ParseError):
+            parse_mig(text)
+    net = parse_aiger("aag 1 1 0 1 0\n2\n2\ni² x\n")  # not a symbol line
+    assert net.nodes[0].name == "i0"
 
 
 def test_mig_refuses_duplicate_output_names():
