@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import signal
 import sys
 import time
 
@@ -23,11 +24,13 @@ from .isa import format_asm, read_program, write_program
 from .lutmap import cover_klut, feasible, lut_graph_to_dict, min_dev
 from .netlist import (NetlistError, aig_to_mig, normalize_mig, parse_aiger,
                       parse_mig)
-from .reports import BENCH_COLUMNS, BenchRow
+from .reports import BENCH_COLUMNS
 from .simulator import grid_dump, run_vectors
 from .verifier import EXHAUSTIVE_MAX_PIS, check_equivalence
 
 CORPUS_ENV = "REVAMP_CORPUS"
+# setitimer overflows above 2^63 ns (about 9.2e9 s); a bench limit stays below
+MAX_LIMIT_SECONDS = 1e9
 
 
 def load_network(path: str):
@@ -201,27 +204,58 @@ def cmd_disassemble(args):
 
 # -- bench ------------------------------------------------------------------------
 
+class _Expired(BaseException):
+    """A bench job ran out of time.  Not an ``Exception``, so no handler in
+    the flows can catch it."""
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
 def _bench_job(spec):
-    name, net, flow, k, s_d, w_d, seed = spec
+    """Map and check one network: its bench row, keyed by BENCH_COLUMNS.
+
+    The job stops itself ``limit`` seconds after it starts, in whichever
+    process runs it: a POSIX interval timer interrupts the mapping or the
+    check, and the row reads ``timeout`` with the seconds that passed.
+    """
+    name, net, flow, k, s_d, w_d, seed, limit = spec
     t0 = time.monotonic()
+    previous = signal.signal(signal.SIGALRM, _expire)
     try:
-        program, report = map_network(net, flow, k, s_d, w_d)
-    except NotApplicable as exc:
-        return BenchRow(name, flow, k, s_d, w_d, None, False,
-                        "skipped: %s" % exc, time.monotonic() - t0)
-    except InfeasibleMapping as exc:
-        return BenchRow(name, flow, k, s_d, w_d, None, False,
-                        "infeasible: %s" % exc, time.monotonic() - t0)
-    # against the network given, so the flow's own rewrites are proven too
-    check = check_equivalence(net, program, mode=_check_mode(net), seed=seed,
-                              n=4096)
-    report.benchmark = name
-    status = "ok" if check.ok else "MISMATCH %r" % (check.counterexample,)
-    return BenchRow(name, flow, k, s_d, w_d, report, check.ok, status,
-                    time.monotonic() - t0)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, limit)
+            try:
+                program, report = map_network(net, flow, k, s_d, w_d)
+            except NotApplicable as exc:
+                status, report = "skipped: %s" % exc, None
+            except InfeasibleMapping as exc:
+                status, report = "infeasible: %s" % exc, None
+            else:
+                # against the network given, so the flow's own rewrites are
+                # proven too
+                check = check_equivalence(net, program, mode=_check_mode(net),
+                                          seed=seed, n=4096)
+                status = ("ok" if check.ok else
+                          "MISMATCH %r" % (check.counterexample,))
+        finally:  # an expiry before the timer is disarmed is caught below
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except _Expired:
+        status, report = "timeout", None
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    row = dict.fromkeys(BENCH_COLUMNS, "")
+    row.update(benchmark=name, flow=flow, k="" if k is None else k, s_d=s_d,
+               w_d=w_d, verified=status == "ok", status=status,
+               seconds=round(time.monotonic() - t0, 3))
+    if report is not None:
+        rep = report.to_dict()
+        row.update((c, rep[c]) for c in BENCH_COLUMNS if c in rep)
+    return row
 
 
-def _run_bench_jobs(nets, args) -> list[BenchRow]:
+def _run_bench_jobs(nets, args) -> list[dict]:
     jobs = []
     for name, net in nets:
         for flow in args.flow:
@@ -236,35 +270,31 @@ def _run_bench_jobs(nets, args) -> list[BenchRow]:
                                     "--budget %d fits no row of --cols %d"
                                     % (args.budget, w_d))
                             rows = [args.budget // w_d]
-                        for s_d in rows:
-                            jobs.append((name, net, "area", k, s_d, w_d,
-                                         args.seed))
+                        jobs += [(name, net, flow, k, s_d, w_d)
+                                 for s_d in rows]
             elif flow == "delay":
-                for w_d in args.cols:
-                    jobs.append((name, net, flow, None, 0, w_d, args.seed))
+                jobs += [(name, net, flow, None, 0, w_d) for w_d in args.cols]
             else:
                 # the depth-bounded mapper sizes its own crossbar
-                jobs.append((name, net, flow, None, 0, 0, args.seed))
-
-    results = []
+                jobs.append((name, net, flow, None, 0, 0))
+    # the rows' order: by the spec's own geometry, not the emitted one
+    jobs.sort(key=lambda j: (j[0], j[2], j[3] or 0, j[4], j[5]))
+    jobs = [j + (args.seed, args.limit_seconds) for j in jobs]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            futures = {pool.submit(_bench_job, j): j for j in jobs}
-            for fut, job in futures.items():
-                try:
-                    results.append(fut.result(timeout=args.limit_seconds))
-                except concurrent.futures.TimeoutError:
-                    results.append(BenchRow(job[0], job[2], job[3], job[4],
-                                            job[5], None, False, "timeout",
-                                            args.limit_seconds))
-    else:
-        for job in jobs:
-            results.append(_bench_job(job))
-    return results
+            return list(pool.map(_bench_job, jobs))
+    return list(map(_bench_job, jobs))
 
 
 def cmd_bench(args):
+    if not 0 < args.limit_seconds <= MAX_LIMIT_SECONDS:
+        raise ValueError("--limit-seconds must be a positive number of "
+                         "seconds up to %g, not %s"
+                         % (MAX_LIMIT_SECONDS, args.limit_seconds))
     corpus = args.corpus or os.environ.get(CORPUS_ENV)
+    if not (corpus or args.builtin):
+        raise ValueError("no network to map: give a directory, $%s or "
+                         "--builtin" % CORPUS_ENV)
     nets = []
     if corpus:
         for fn in sorted(os.listdir(corpus)):
@@ -273,25 +303,22 @@ def cmd_bench(args):
                              load_network(os.path.join(corpus, fn))))
     if not nets and args.builtin:
         nets = circuits.default_corpus()
-    results = _run_bench_jobs(nets, args)
-
-    results.sort(key=lambda r: (r.benchmark, r.flow, r.k or 0, r.s_d, r.w_d))
-    dicts = [r.to_dict() for r in results]
+    rows = _run_bench_jobs(nets, args)
     if args.format == "json":
-        doc = json.dumps(dicts, indent=2)
+        doc = json.dumps(rows, indent=2)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
-        writer.writerows(dicts)
+        writer.writerows(rows)
         doc = buf.getvalue()
     if args.output:
         _write(args.output, doc)
     else:
         print(doc, end="")
-    return 0 if all(r.verified or r.status.startswith(("infeasible",
-                                                       "skipped"))
-                    for r in results) else 1
+    return 0 if all(r["verified"] or r["status"].startswith(("infeasible",
+                                                             "skipped"))
+                    for r in rows) else 1
 
 
 def build_parser():
@@ -362,9 +389,9 @@ def build_parser():
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--limit-seconds", type=float, default=60.0,
-                   help="with --jobs above 1, wait at most this long for each "
-                        "row after the one before it and report a late row "
-                        "as 'timeout'; the job itself still runs to the end")
+                   help="stop each row's job after this many seconds, at "
+                        "every --jobs value (a POSIX interval timer), and "
+                        "report it as 'timeout' with the time it ran")
     c.add_argument("--format", choices=["csv", "json"], default="csv")
     c.add_argument("-o", "--output")
     c.set_defaults(func=cmd_bench)

@@ -503,12 +503,13 @@ def parse_aiger(text: str) -> LogicNetwork:
 # -- textual MIG format ------------------------------------------------------
 #
 # One node per line:
-#   pi <id> <name>
+#   pi <id> [<name>]
 #   const0 <id>
 #   node <id> = MAJ(<lit>,<lit>,<lit>)     with <lit> = <id> or !<id>
 #   po <lit> [<name>]
-# '#' starts a comment.  Ids must be declared before use (forward references
-# are rejected) and arity is exactly three.
+# '#' starts a comment.  A name is the rest of its line, spaces included.
+# Ids must be declared before use (forward references are rejected) and
+# arity is exactly three.
 
 def parse_mig(text: str) -> LogicNetwork:
     net = LogicNetwork(kind="mig")
@@ -531,7 +532,7 @@ def parse_mig(text: str) -> LogicNetwork:
         s = raw.split("#", 1)[0].strip()
         if not s:
             continue
-        parts = s.split()
+        parts = s.split(None, 2)  # a name keeps its inner spaces
         if parts[0] == "pi":
             if len(parts) < 2 or not parts[1].isdecimal():
                 raise ParseError("pi line needs an id", line=ln)
@@ -589,16 +590,24 @@ def serialize_mig(network: LogicNetwork) -> str:
     def lit(e: Edge) -> str:
         return ("!" if e.inverted else "") + str(e.target)
 
+    def name(text: str) -> str:
+        # parse_mig reads the stripped rest of one line, up to any '#'
+        if text.splitlines() != [text] or text != text.strip() or "#" in text:
+            raise NetlistError("name %r cannot be written to a .mig line"
+                               % text)
+        return text
+
     for i, n in enumerate(network.nodes):
         if n.kind == PI:
-            out.append("pi %d %s" % (i, n.name or "x%d" % i))
+            pi_name = "x%d" % i if n.name is None else n.name
+            out.append("pi %d %s" % (i, name(pi_name)))
         elif n.kind == CONST0:
             out.append("const0 %d" % i)
         else:
             out.append("node %d = MAJ(%s,%s,%s)" % (
                 i, lit(n.fanins[0]), lit(n.fanins[1]), lit(n.fanins[2])))
-    for e, name in zip(network.outputs, network.output_names):
-        out.append("po %s %s" % (lit(e), name))
+    for e, po_name in zip(network.outputs, network.output_names):
+        out.append("po %s %s" % (lit(e), name(po_name)))
     return "\n".join(out) + "\n"
 
 

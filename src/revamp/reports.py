@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass
 @dataclass
 class MappingReport:
     flow: str
-    benchmark: str = ""
     # network / cover shape
     num_pis: int = 0
     n_maj: int | None = None
@@ -47,27 +46,3 @@ BENCH_COLUMNS = [
     "cycles", "d_p_star", "speedup", "verified", "status", "seconds",
 ]
 
-
-@dataclass
-class BenchRow:
-    benchmark: str
-    flow: str
-    k: int | None
-    s_d: int
-    w_d: int
-    report: MappingReport | None
-    verified: bool
-    status: str
-    seconds: float
-
-    def to_dict(self) -> dict:
-        base = {c: "" for c in BENCH_COLUMNS}
-        base.update(benchmark=self.benchmark, flow=self.flow,
-                    k=self.k if self.k is not None else "",
-                    s_d=self.s_d, w_d=self.w_d,
-                    verified=self.verified, status=self.status,
-                    seconds=round(self.seconds, 3))
-        if self.report is not None:
-            rep = self.report.to_dict()
-            base.update((c, rep[c]) for c in BENCH_COLUMNS if c in rep)
-        return base

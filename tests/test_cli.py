@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import signal
 import struct
 import time
 
@@ -14,6 +15,7 @@ from revamp.circuits import (full_adder, parity, ripple_adder, two_bit_xor,
 from revamp.cli import main
 from revamp.isa import CrossbarConfig, Program, write_program
 from revamp.netlist import aig_to_mig, normalize_mig, serialize_mig
+from revamp.reports import BENCH_COLUMNS
 from revamp.simulator import run
 
 
@@ -471,3 +473,88 @@ def test_bench_checks_rows_against_the_input_network(tmp_path, capsys,
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert rows[0]["status"].startswith("MISMATCH")
     assert rows[0]["verified"] == "False"
+
+
+@pytest.fixture
+def parity_dir(tmp_path):
+    # parity16's minimal tree takes the best part of a second to map and
+    # prove; parity4's a few milliseconds
+    for n in (16, 4):
+        (tmp_path / ("parity%d.mig" % n)).write_text(
+            serialize_mig(aig_to_mig(parity(n))))
+    return tmp_path
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_limit_stops_a_late_job(parity_dir, capsys, jobs):
+    t0 = time.monotonic()
+    rc = main(["bench", str(parity_dir), "--flow", "minimal",
+               "--limit-seconds", "0.1", "--jobs", jobs, "--format", "json"])
+    elapsed = time.monotonic() - t0
+    rows = {r["benchmark"]: r for r in json.loads(capsys.readouterr().out)}
+    assert rows["parity16"]["status"] == "timeout"
+    assert 0.1 <= rows["parity16"]["seconds"] < 0.3
+    assert rows["parity4"]["status"] == "ok"
+    assert rc == 1
+    assert elapsed < 0.4
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_limit_that_does_not_expire_changes_nothing(tmp_path, capsys,
+                                                          jobs):
+    """Rows equal the flows' own reports, and the caller's SIGALRM handler
+    is back in place with no timer left armed."""
+    (tmp_path / "fa.aag").write_text(serialize_aig(full_adder()))
+    (tmp_path / "par4.aag").write_text(serialize_aig(parity(4)))
+
+    def handler(signum, frame):
+        raise AssertionError("a bench timer fired in the caller")
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    try:
+        rc = main(["bench", str(tmp_path), "--flow", "area", "delay",
+                   "minimal", "--k", "4", "--rows", "8", "--cols", "8",
+                   "--limit-seconds", "30", "--jobs", jobs,
+                   "--format", "json"])
+        assert signal.getsignal(signal.SIGALRM) is handler
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["benchmark"], r["flow"], r["status"]) for r in rows] == [
+        ("fa", "area", "ok"), ("fa", "delay", "ok"),
+        ("fa", "minimal", "skipped: multi-output"),
+        ("par4", "area", "ok"), ("par4", "delay", "ok"),
+        ("par4", "minimal", "ok")]
+    for row in rows[:2] + rows[3:]:
+        net = cli.load_network(str(tmp_path / (row["benchmark"] + ".aag")))
+        _, report = cli.map_network(net, row["flow"], 4, 8, 8)
+        expected = report.to_dict()
+        assert {c: row[c] for c in BENCH_COLUMNS if c in expected} == {
+            c: expected[c] for c in BENCH_COLUMNS if c in expected}
+
+
+def _no_jobs(nets, args):
+    pytest.fail("a refused bench ran its jobs")
+
+
+@pytest.mark.parametrize("limit", ["0", "-1", "nan", "inf", "1e300"])
+def test_bench_refuses_a_limit_that_is_no_positive_finite_time(
+        capsys, monkeypatch, limit):
+    monkeypatch.setattr(cli, "_run_bench_jobs", _no_jobs)
+    rc = main(["bench", "--builtin", "--limit-seconds", limit])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == ("error: --limit-seconds must be a positive number of "
+                   "seconds up to 1e+09, not %s\n" % float(limit))
+
+
+def test_bench_refuses_a_run_with_no_network_to_map(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CORPUS_ENV, raising=False)
+    monkeypatch.setattr(cli, "_run_bench_jobs", _no_jobs)
+    rc = main(["bench", "--flow", "delay"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == ("error: no network to map: give a directory, "
+                   "$REVAMP_CORPUS or --builtin\n")

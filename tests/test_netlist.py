@@ -148,6 +148,34 @@ def test_mig_roundtrip_random():
         assert _shape(parse_mig(serialize_mig(net))) == _shape(net)
 
 
+@pytest.mark.parametrize("symbols, pi_names, po_names", [
+    ("i0 in a\no0 carry out\n", ["in a", "i1"], ["carry out", "o1"]),
+    ("o0 q x\no1 q y\n", ["i0", "i1"], ["q x", "q y"]),
+], ids=["spaced", "shared-first-word"])
+def test_mig_roundtrip_keeps_names_with_spaces(symbols, pi_names, po_names):
+    # AIGER symbol names may hold spaces, and the MIG text keeps all of them
+    net = aig_to_mig(parse_aiger("aag 3 2 0 2 1\n2\n4\n6\n7\n6 2 4\n"
+                                 + symbols))
+    again = parse_mig(serialize_mig(net))
+    assert [again.nodes[p].name for p in again.pis] == pi_names
+    assert again.output_names == po_names
+    assert _shape(again) == _shape(net)
+
+
+@pytest.mark.parametrize("bad", ["", " a", "a ", "a#b", "a\nb", "a\rb"],
+                         ids=["empty", "leading-space", "trailing-space",
+                              "hash", "newline", "carriage-return"])
+def test_serialize_mig_refuses_a_name_it_cannot_read_back(bad):
+    net = parse_mig("pi 0 a\npo 0 f\n")
+    net.output_names = [bad]
+    with pytest.raises(NetlistError, match="cannot be written"):
+        serialize_mig(net)
+    net = parse_mig("pi 0 a\npo 0 f\n")
+    net.nodes[0].name = bad
+    with pytest.raises(NetlistError, match="cannot be written"):
+        serialize_mig(net)
+
+
 def test_mig_constant_output():
     net = parse_mig("const0 0\npo !0 one\n")
     assert truth_table(net) == [[1]]
