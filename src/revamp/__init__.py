@@ -16,8 +16,8 @@ Subpackages:
 """
 
 from .netlist import (LogicNetwork, Edge, Node, parse_aiger, parse_mig,
-                      serialize_mig, aig_to_mig, normalize_mig, evaluate,
-                      truth_table, levels)
+                      serialize_mig, aig_to_mig, normalize_mig, rebuild,
+                      evaluate, truth_table, levels)
 from .isa import (CrossbarConfig, Program, ReadInstr, ApplyInstr,
                   WordlineSelect, BitlinePair, WsMode, instruction_lengths,
                   encode, decode, format_asm, write_program, read_program)

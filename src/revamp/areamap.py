@@ -60,7 +60,7 @@ from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .lutmap import (LUT_REF, PI_REF, LutGraph, cover_klut, min_dev,
                      storage_capacity)
 from .netlist import (CONST0, MAJ, LogicNetwork, NetlistError, levels,
-                      tree_size)
+                      rebuild, tree_size)
 from .reports import MappingReport
 
 E0, E1, E2 = 0, 1, 2  # working rows: staging, xor scratch, accumulators
@@ -368,12 +368,15 @@ def map_area(network: LogicNetwork, k: int, s_d: int, w_d: int
              ) -> tuple[Program, MappingReport]:
     """Full area-constrained pipeline: cover, schedule, compute, verify-ready.
 
+    The cover is of the network ``rebuild`` cleans without structural
+    hashing: a merged node has several fanouts, and the greedy cover never
+    absorbs such a node, so hashing lengthens the programs.
     Raises :class:`InfeasibleMapping` when the cover's device demand exceeds
     the storage capacity of the requested crossbar (a crossbar of fewer
     than four rows has none), and ``isa.IsaError`` when ``s_d`` x ``w_d``
     is not a crossbar at all (``s_d < 1`` or ``w_d < 2``).
     """
-    graph = cover_klut(network, k)
+    graph = cover_klut(rebuild(network, strash=False), k)
     return map_lut_graph(graph, s_d, w_d)
 
 
@@ -420,6 +423,7 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         min_dev=sched.min_dev,
         s_d=s_d, w_d=w_d,
         **builder.counts(),
+        devices_used=len(builder.touched),
     )
     return program, report
 

@@ -22,8 +22,8 @@ from .areamap import InfeasibleMapping, map_area, map_minimal
 from .delaymap import map_delay
 from .isa import format_asm, read_program, write_program
 from .lutmap import cover_klut, feasible, lut_graph_to_dict, min_dev
-from .netlist import (NetlistError, aig_to_mig, normalize_mig, parse_aiger,
-                      parse_mig)
+from .netlist import (NetlistError, normalize_mig, parse_aiger, parse_mig,
+                      rebuild)
 from .reports import BENCH_COLUMNS
 from .simulator import grid_dump, run_vectors
 from .verifier import EXHAUSTIVE_MAX_PIS, check_equivalence
@@ -49,8 +49,10 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
     """Map ``net`` through one flow: ``(program, report)``.
 
     The program computes ``net`` itself, through whatever the flow builds
-    from it (the MIG, the normalized MIG), and is checked against it.
-    The area flow covers an AIG or a MIG as it is.  Raises
+    from it, and is checked against it.  Every flow maps the network
+    ``netlist.rebuild`` cleans: the area flow an AIG or a MIG folded, the
+    delay and minimal flows a MIG folded and hashed (then normalized for
+    the minimal flow).  Raises
     ``NotApplicable`` for a minimal map of a multi-output network and one
     whose tree has too many MAJ nodes to evaluate; every other error comes
     through unchanged.
@@ -59,7 +61,7 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
         return map_area(net, k, s_d, w_d)
     if flow == "minimal" and len(net.outputs) != 1:
         raise NotApplicable("multi-output")
-    mig = net if net.kind == "mig" else aig_to_mig(net)
+    mig = rebuild(net, "mig")
     if flow == "delay":
         return map_delay(mig, w_d)
     try:
@@ -303,6 +305,9 @@ def cmd_bench(args):
                              load_network(os.path.join(corpus, fn))))
     if not nets and args.builtin:
         nets = circuits.default_corpus()
+    if not nets:
+        raise ValueError("no .aag or .mig file in %s; give --builtin to map "
+                         "the built-in corpus" % corpus)
     rows = _run_bench_jobs(nets, args)
     if args.format == "json":
         doc = json.dumps(rows, indent=2)

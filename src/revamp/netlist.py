@@ -4,7 +4,9 @@ A network is a DAG of nodes in topological order (every fanin id is smaller
 than the node's own id).  Edges carry a complement flag.  The same container
 holds both AIGs (2-input AND nodes) and MIGs (3-input majority nodes); the
 ``kind`` field says which flavour the network is.  Output names are
-unique: a program declares its result locations by name.
+unique: a program declares its result locations by name.  ``rebuild`` is
+the one builder every flow cleans its input with: it folds constants,
+merges equal gates and drops dead ones, and ``aig_to_mig`` is a call of it.
 
 This module also provides the brute-force functional oracle (``evaluate`` /
 ``truth_table``) used by every other part of the mapper to prove equivalence.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PI = "pi"
 CONST0 = "const0"
@@ -49,8 +52,7 @@ class ParseError(NetlistError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Reference to a node, optionally complemented."""
 
     target: int
@@ -244,35 +246,136 @@ def truth_table(network: LogicNetwork) -> list[list[int]]:
             for m in truth_table_ints(network)]
 
 
-# -- AIG <-> MIG -----------------------------------------------------------
+# -- cleaning, and AIG -> MIG -------------------------------------------------
+
+def rebuild(network: LogicNetwork, kind: str | None = None,
+            strash: bool = True) -> LogicNetwork:
+    """``network`` with constants folded, dead gates dropped and, if
+    ``strash``, equal gates merged; functions are unchanged.
+
+    The builder works on literals (2 * node + complement) and reads
+    AND(a, b) as MAJ(a, b, 0).  Two rules, ``M(x, x, y) = x`` and
+    ``M(x, not x, y) = y``, then fold every constant and every
+    ``x AND not x``.  With ``strash`` a gate whose sorted fanin literals
+    match an earlier gate's is that gate.  Gates that no output reaches
+    are dropped.
+
+    The result is of ``kind``: the input's, or a MIG made from an AIG, each
+    AND(a, b) becoming MAJ(a, b, 0).  Every PI is kept, used or not, and
+    the outputs keep their order and names.  The surviving nodes keep
+    their order and names, the constant in the place of the first one; a
+    MIG made from an AIG lists the PIs, then the constant, then the gates.
+    A network with nothing to change is returned as it is.
+    """
+    kind = kind or network.kind
+    hoist = kind != network.kind
+    if hoist and (network.kind, kind) != ("aig", "mig"):
+        raise NetlistError("rebuild makes a MIG of an AIG, not a %s of a %s"
+                           % (kind, network.kind))
+    nodes = network.nodes
+    # staging literals: node 0 is the constant, 1..n_pi the PIs, then gates
+    base = network.num_pis + 1
+    lit = [0] * len(nodes)
+    gates = []  # fanin literals of each gate kept, in source order
+    origin = []  # the source node of each
+    table = {}
+    n_pi = 0
+    first_const = None
+    for i, n in enumerate(nodes):
+        if n.kind == PI:
+            n_pi += 1
+            lit[i] = 2 * n_pi
+            continue
+        if n.kind == CONST0:
+            if first_const is None:
+                first_const = i
+            continue
+        f = n.fanins
+        a = lit[f[0].target] ^ f[0].inverted
+        b = lit[f[1].target] ^ f[1].inverted
+        if n.kind == MAJ:
+            c = lit[f[2].target] ^ f[2].inverted
+            fan = (a, b, c)
+        else:
+            c = 0
+            fan = (a, b)
+        if a == b or a == c or b ^ c == 1:
+            lit[i] = a
+        elif b == c or a ^ c == 1:
+            lit[i] = b
+        elif a ^ b == 1:
+            lit[i] = c
+        else:
+            if strash:
+                key = (tuple(sorted(fan)) if len(fan) == 3 else
+                       (a, b) if a < b else (b, a))
+                hit = table.get(key)
+                if hit is not None:
+                    lit[i] = hit
+                    continue
+                table[key] = 2 * (base + len(gates))
+            lit[i] = 2 * (base + len(gates))
+            gates.append(fan)
+            origin.append(i)
+
+    out_lits = [lit[e.target] ^ e.inverted for e in network.outputs]
+    live = [False] * len(gates)
+    const_live = False
+    for l in out_lits:
+        if l >> 1 >= base:
+            live[(l >> 1) - base] = True
+        const_live |= l < 2
+    for g in range(len(gates) - 1, -1, -1):
+        if live[g]:
+            for l in gates[g]:
+                if l >> 1 >= base:
+                    live[(l >> 1) - base] = True
+                const_live |= l < 2
+    n_live = sum(live)
+    const_live |= hoist and n_live > 0  # for MAJ(a, b, 0)
+    if (not hoist and n_pi + const_live + n_live == len(nodes)
+            and (first_const is not None or not const_live)):
+        return network  # every node kept, each in its own place
+
+    out = LogicNetwork(kind=kind)
+    made = out.nodes
+    by_lit = [None] * (2 * (base + len(gates)))  # staging literal -> Edge
+
+    def add(node: Node, at: int):
+        by_lit[at] = Edge(len(made))
+        by_lit[at + 1] = Edge(len(made), True)
+        made.append(node)
+
+    if hoist:  # aig_to_mig's order: the PIs, the constant, the gates
+        for i in network.pis:
+            add(Node(PI, (), nodes[i].name), lit[i])
+        if const_live:
+            add(Node(CONST0), 0)
+    zero = (by_lit[0],) if hoist else ()
+    for i, n in enumerate(nodes):
+        g = (lit[i] >> 1) - base
+        if n.kind == PI:
+            if not hoist:
+                add(Node(PI, (), n.name), lit[i])
+        elif i == first_const and const_live and not hoist:
+            add(Node(CONST0), 0)
+        elif g >= 0 and origin[g] == i and live[g]:
+            add(Node(MAJ if hoist else n.kind,
+                     tuple([by_lit[l] for l in gates[g]]) + zero, n.name),
+                lit[i])
+    if const_live and by_lit[0] is None:  # an AIG's AND(x, not x)
+        add(Node(CONST0), 0)
+    out.outputs = [by_lit[l] for l in out_lits]
+    out.output_names = list(network.output_names)
+    return out
+
 
 def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
-    """Rewrite every AND(a, b) as MAJ(a, b, 0); functions are unchanged."""
+    """The MIG of an AIG: ``rebuild`` with every AND(a, b) as MAJ(a, b, 0),
+    constants folded, equal gates merged and dead gates dropped."""
     if network.kind != "aig":
         raise NetlistError("aig_to_mig expects an AIG")
-    mig = LogicNetwork(kind="mig")
-    remap: dict[int, int] = {}
-    const_id = None
-    for i, n in enumerate(network.nodes):
-        if n.kind == PI:
-            remap[i] = mig.add_pi(n.name)
-        elif n.kind == CONST0:
-            if const_id is None:
-                const_id = mig.add_const0()
-            remap[i] = const_id
-    if const_id is None and any(n.kind == AND for n in network.nodes):
-        const_id = mig.add_const0()
-    for i, n in enumerate(network.nodes):
-        if n.kind == AND:
-            a, b = n.fanins
-            remap[i] = mig.add_node(MAJ, (
-                Edge(remap[a.target], a.inverted),
-                Edge(remap[b.target], b.inverted),
-                Edge(const_id, False),
-            ), name=n.name)
-    for e, name in zip(network.outputs, network.output_names):
-        mig.add_output(Edge(remap[e.target], e.inverted), name)
-    return mig
+    return rebuild(network, "mig")
 
 
 # -- MIG normalization -------------------------------------------------------
@@ -293,7 +396,8 @@ def tree_size(network: LogicNetwork) -> int:
 def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     """Rewrite a MIG so each node has canonical fanin polarity.
 
-    Complements are pushed with the majority self-duality
+    The MIG is cleaned by ``rebuild`` first: ``M(x, not x, y)`` can no
+    longer be seen once x is built apart for each polarity.  Complements are pushed with the majority self-duality
     ``not M(a,b,c) == M(not a, not b, not c)``: a node built complemented
     complements its fanins instead.  Each node inverts its internal fanin
     with the lowest source id, unless a primary-input or constant fanin is
@@ -307,10 +411,12 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     referenced again, so the output has at most two MAJ nodes per source
     node.  ``map_minimal`` evaluates it as the per-output trees, one MAJ
     evaluation per tree node, so a network whose trees would exceed
-    ``MAX_TREE_NODES`` (``tree_size``) is refused before anything is built.
+    ``MAX_TREE_NODES`` (``tree_size``, counted on the cleaned MIG) is
+    refused before any normal form is built.
     """
     if network.kind != "mig":
         raise NetlistError("normalize_mig expects a MIG")
+    network = rebuild(network)
     size = tree_size(network)
     if size > MAX_TREE_NODES:
         raise NetlistError("normalized trees would have %d MAJ nodes, more "
@@ -482,14 +588,14 @@ def parse_aiger(text: str) -> LogicNetwork:
     for s in lines[idx:]:
         if s.startswith("c"):
             break
-        parts = s.split(None, 1)
+        parts = s.split(None, 1)  # a name keeps its inner spaces
         if (len(parts) == 2 and parts[0][:1] in ("i", "o")
                 and parts[0][1:].isdecimal()):
-            pos = int(parts[0][1:])
+            pos, name = int(parts[0][1:]), parts[1].rstrip()
             if parts[0][0] == "i" and pos < n_in:
-                net.nodes[pos].name = parts[1]  # input pos is node pos
+                net.nodes[pos].name = name  # input pos is node pos
             elif parts[0][0] == "o":
-                out_names[pos] = parts[1]
+                out_names[pos] = name
 
     for pos, ((lit,), ln) in enumerate(outputs):
         try:

@@ -29,7 +29,7 @@ class MappingReport:
     # serial-baseline comparison (9 memory cycles per majority node)
     d_p_star: int | None = None
     speedup: float | None = None
-    # depth-bounded mapper accounting
+    # devices some Apply drives (every flow); the depth-bounded bound
     devices_used: int | None = None
     device_bound: int | None = None
 

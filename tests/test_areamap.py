@@ -20,7 +20,7 @@ from revamp.lutmap import (Lut, LutGraph, assign_levels, cover_klut, min_dev,
                            storage_capacity)
 from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
                             normalize_mig, parse_mig, pi_patterns,
-                            random_aig, random_mig)
+                            random_aig, random_mig, rebuild)
 from revamp.simulator import run, run_vectors
 from revamp.verifier import check_equivalence
 
@@ -376,7 +376,9 @@ def test_map_area_computes_device_demand_once(monkeypatch):
 def test_map_area_extracts_each_function_once(monkeypatch):
     import revamp.areamap as areamap
     net = multiplier(4)
-    functions = {(l.tt, len(l.inputs)) for l in cover_klut(net, 4).luts}
+    # map_area covers the network with its constant logic folded
+    graph = cover_klut(rebuild(net, strash=False), 4)
+    functions = {(l.tt, len(l.inputs)) for l in graph.luts}
     calls = []
 
     def counted(tt, arity):
@@ -390,7 +392,7 @@ def test_map_area_extracts_each_function_once(monkeypatch):
         program, _ = map_area(net, 4, s_d, w_d)
         assert sorted(calls) == sorted(functions), (s_d, w_d)
         assert check_equivalence(net, program).ok
-    assert len(functions) < len(cover_klut(net, 4).luts)
+    assert len(functions) < len(graph.luts)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -439,7 +441,8 @@ def test_map_area_maps_random_migs():
                 try:
                     program, _ = map_area(net, k, s_d, w_d)
                 except InfeasibleMapping as err:
-                    assert err.needed == min_dev(cover_klut(net, k))
+                    assert err.needed == min_dev(
+                        cover_klut(rebuild(net, strash=False), k))
                     continue
                 assert check_equivalence(net, program).ok, (seed, k, s_d)
                 mapped += 1
@@ -572,20 +575,20 @@ PINNED_AREA_PROGRAMS = [
         (16, 16): "e4a35c89c707edf1d227c92f6fc38449"
                   "68341231ca8c1b1fd50f3b284ed0406a"}),
     ("mult4", lambda: multiplier(4), {
-        (256, 32): "192e3bf36cafcfcb061fce4c8ed504d4"
-                   "56e41604d3691e913f9321dd1bff4175",
-        (16, 16): "8f310d72346f71e580d869d524fb390b"
-                  "4b0e1d4101e53663708a615e77a23439"}),
+        (256, 32): "e34b6d070e9ce1adc54160d615315337"
+                   "d804f96cdaf5e139c7bda298fee12fe9",
+        (16, 16): "0c93f021d41988c54687858b0abbcd37"
+                  "f325a72e62acaf54b23d7fa1a97f6166"}),
     ("cmp8", lambda: comparator(8), {
         (256, 32): "439e1538ced4c38e8f31102456c866f1"
                    "14367e846239a782fe582d41b98db78a",
         (16, 16): "33ad60465fada3b72273fe20289d0fd4"
                   "20ed087a1f34e388d6b85b944a3b26e7"}),
     ("rand16", lambda: random_aig(16, 120, seed=5, num_outputs=4), {
-        (256, 32): "588f507acb87132d013ee4eee6ebf336"
-                   "cf431d13bc24bb3aa6c9266d2fab600a",
-        (16, 16): "31ad20343bc2b15fa6e64bcd8a9b9f1f"
-                  "c03b45634e0f3355982c242ef1734a46"}),
+        (256, 32): "8db4c440355bde15c8e53251280e2fbb"
+                   "ef9443ef49153dbffee8aa524c1a4977",
+        (16, 16): "be6f554d7cbd4b62e5650b9b5c046975"
+                  "e6e15581cec3a8258b6173692421bfed"}),
 ]
 
 PINNED_MINIMAL_PROGRAMS = [
@@ -595,9 +598,9 @@ PINNED_MINIMAL_PROGRAMS = [
      "c70a17ce9b32f6332f5552a59adc1715eca99897cbe55a673c7d93edae1793d7"),
     ("parity12", lambda: aig_to_mig(parity(12)),
      "4284eeb798fd285e00eb11f8458032685270fe861d2096b9b48089880d773aa9"),
-    # 200 MAJ nodes whose tree has 7,243
+    # 200 MAJ nodes whose tree has 7,243; folded and hashed, 60 and 2,095
     ("randmig200", lambda: random_mig(6, 200, seed=23),
-     "6f1fe6ee3259ff578e181775d1deca0269d3d502658dc9706d6ff49e465851dd"),
+     "2b6cabd9e52550f4a3a10f307a4ef4a98a4394c4cf60aa7def01f3e770e8cab0"),
 ]
 
 

@@ -315,11 +315,12 @@ def test_verify_refuses_exhaustive_with_random(workdir, capsys):
 
 
 def test_bench_empty_corpus(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no network here\n")
     rc = main(["bench", str(tmp_path), "--format", "csv"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    rows = list(csv.DictReader(out.splitlines()))
-    assert rows == []
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == ("error: no .aag or .mig file in %s; give --builtin to "
+                   "map the built-in corpus\n" % tmp_path)
 
 
 def test_bench_small_corpus(tmp_path, capsys):

@@ -111,13 +111,15 @@ def test_builder_shares_one_object_per_distinct_instruction(corpus_programs):
     assert distinct < total // 4  # the programs repeat themselves
 
 
-def test_minimal_devices_used_counts_the_programs_devices(corpus_programs):
+def test_devices_used_counts_the_programs_devices(corpus_programs):
+    flows = set()
     for flow, name, _, program, report in corpus_programs:
-        if flow == "minimal":
-            devices = {(i.w, j) for i in program.instructions
-                       if isinstance(i, ApplyInstr)
-                       for j, pair in enumerate(i.pairs) if pair.valid}
-            assert report.devices_used == len(devices), name
+        devices = {(i.w, j) for i in program.instructions
+                   if isinstance(i, ApplyInstr)
+                   for j, pair in enumerate(i.pairs) if pair.valid}
+        assert report.devices_used == len(devices), (flow, name)
+        flows.add(flow)
+    assert flows == {"area", "delay", "minimal"}
 
 
 def _unshared(program: Program) -> Program:
