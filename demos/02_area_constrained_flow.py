@@ -2,11 +2,12 @@
 
 The flow covers the AIG with k-input LUTs, checks the device demand against
 the crossbar's storage capacity (three rows always stay reserved as the
-working area), schedules each LUT onto a storage device, expands its
-function to an exclusive sum of products, computes the cubes on the working
-rows, folds them with an XOR tree and writes the value back.  The result is
-an ordinary machine program, so the last step just runs it against the
-network's truth table.
+working area), schedules each LUT onto a storage device and expands its
+function to an exclusive sum of products.  The LUTs of one level are then
+computed side by side on working row e2, one cube per bitline; each LUT's
+cubes are folded in place by an XOR tree and the values are written back.
+The result is an ordinary machine program, so the last step just runs it
+against the network's truth table.
 """
 
 from revamp.areamap import InfeasibleMapping, map_area

@@ -2,10 +2,11 @@
 
 The crossbar is split into a working area of three wordlines (rows 0..2,
 called e0/e1/e2 below) and storage rows for intermediate LUT results.  Each
-LUT of the cover is scheduled onto a storage device, its function is
-expanded to an ESOP and computed cube-by-cube on e2, the cube results are
-folded with an XOR reduction tree, and the value is written back to the
-scheduled device.
+LUT of the cover is scheduled onto a storage device and expanded to an
+ESOP.  A level's LUTs are computed side by side on e2, one bitline per
+cube; each LUT's cubes are folded in place by an XOR reduction tree, and
+the values are written back to the scheduled devices.  Bit 0 of e0 is the
+only staging device; e1 is reserved but unused.
 
 Machine idioms used throughout (device update is M3(Z, wl, not bl)):
 
@@ -16,35 +17,24 @@ Machine idioms used throughout (device update is M3(Z, wl, not bl)):
 
 so the bitline always carries the *complement* of the value contributed to
 the majority.  Whenever a wire of the wrong polarity is needed it is staged
-through a spare device first: one step (``_emit_staged``) loads the
-complement there, reads it out, applies it and resets the device.  All
-bitline wires of one Apply must come from a single source (the input
-register or one read-out word); wires from different words force separate
-instructions.
+through e0 first: one step (``_emit_staged``) loads the complement there,
+reads it out, applies it and resets the device.  All bitline wires of one
+Apply must come from a single source (the input register or one read-out
+word); wires from different words force separate instructions.
 
 Storage convention: a finished LUT value is written back in complemented
-form (one instruction, and positive literals of it can then be applied
-directly), except for LUTs that drive primary outputs, which are stored
-positively so the declared result locations hold the output values as-is.
+form (one instruction per word, and positive literals of it can then be
+applied directly), except for LUTs that drive primary outputs, which are
+stored positively so the declared result locations hold the output values.
 
-Scheduling buckets the LUTs by level once and walks the levels in one pass;
-the device demand it checks first (``lutmap.min_dev``) is one pass too.  A
-cover carries few distinct functions, so within one mapping each distinct
-truth table has its ESOP cover extracted once; nothing is kept between
-mappings.  Every LUT is then emitted by the same two emitters
-(``compute_esop``, ``write_back``) on the builder itself, with its own
-sources and destination; the builder alone decides read elision and
+Scheduling walks the levels once, after one pass for the device demand
+(``lutmap.min_dev``), and each distinct truth table has its ESOP cover
+extracted once per mapping.  The builder alone decides read elision and
 interning.  The cover may come from an AIG or a MIG.
 
 The depth-bounded mapper (``map_minimal``) lives here too, with a layout
-of its own: a single-output normalized MIG of depth k is evaluated as its
-tree, a shared node once per reference, with at most 2(k+1) devices on a
-two-bitline crossbar.  Row 0 holds the inverter device and the final host,
-and each tree level gets one operand row; none of the working rows, ESOP
-covers or storage schedule above is used.  It shares
-``codegen.ProgramBuilder`` with the LUT flow, as the delay flow does, and
-the staging step, which it runs on its inverter device where the LUT flow
-uses e0.
+of its own (see its docstring); it shares the builder with both other
+flows, and the staging step, which it runs on its inverter device.
 """
 
 from __future__ import annotations
@@ -63,7 +53,7 @@ from .netlist import (CONST0, MAJ, LogicNetwork, NetlistError, levels,
                       rebuild, tree_size)
 from .reports import MappingReport
 
-E0, E1, E2 = 0, 1, 2  # working rows: staging, xor scratch, accumulators
+E0, E2 = 0, 2  # working rows: staging, cube accumulators (e1 is unused)
 
 
 class InfeasibleMapping(RuntimeError):
@@ -172,97 +162,101 @@ def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
 
 
 def xor_reduction_round(builder: ProgramBuilder, pairs: list[tuple[int, int]]):
-    """Fold pairs of e2 values in parallel: (lo, hi) -> lo xor hi at lo.
+    """Fold pairs of e2 values in place: (lo, hi) -> lo xor hi at lo.
 
-    Uses x1 xor x2 = x1.not(x2) + not(x1 + not(x2)) with the AND formed in
-    place on e2 and the OR on a scratch device of e1; pairs of the same
-    round share every instruction.
-    """
+    With lo = x and hi = y, one AND Apply crosses each pair from the
+    read-out (lo = x.not(y), hi = y.not(x)); hi is reset and takes its own
+    complement, and an OR Apply of hi onto lo leaves x.not(y) + y.not(x).
+    Eight instructions touch only e2, and pairs of a round share every one."""
     if not pairs:
         return
-    same = {lo: lo for lo, _ in pairs}
     cross = dict(pairs)
+    his = list(cross.values())
     builder.read(E2)
-    builder.apply_from_dmr(E0, WsMode.ONE, same)
-    builder.read(E0)
-    builder.apply_from_dmr(E1, WsMode.ONE, same)
+    builder.apply_from_dmr(E2, WsMode.ZERO, {**cross, **dict(zip(his, cross))})
     builder.read(E2)
-    builder.apply_from_dmr(E2, WsMode.ZERO, cross)
-    builder.apply_from_dmr(E1, WsMode.ONE, cross)
-    builder.read(E1)
-    builder.apply_from_dmr(E2, WsMode.ONE, same)
-    builder.reset_bits(E0, same)
-    builder.reset_bits(E1, same)
-    builder.reset_bits(E2, cross.values())
+    builder.reset_bits(E2, his)
+    builder.apply_from_dmr(E2, WsMode.ONE, dict(zip(his, his)))
+    builder.read(E2)
+    builder.apply_from_dmr(E2, WsMode.ONE, cross)
+    builder.reset_bits(E2, his)
 
 
-def xor_reduce(builder: ProgramBuilder, bits: list[int]) -> int:
-    """XOR-reduction tree over e2 bit positions; returns the surviving bit."""
-    live = sorted(bits)
-    while len(live) > 1:
-        pairs = [(live[i], live[i + 1]) for i in range(0, len(live) - 1, 2)]
-        xor_reduction_round(builder, pairs)
+def xor_reduce(builder: ProgramBuilder, groups: list[list[int]]) -> list[int]:
+    """XOR-reduction trees over groups of ascending e2 bits, one round of
+    every group at a time; returns each group's first bit, which ends up
+    holding the group's XOR."""
+    live = [bits for bits in groups if len(bits) > 1]
+    while live:
+        xor_reduction_round(builder, [
+            pair for bits in live for pair in zip(bits[::2], bits[1::2])])
         # the lower bit of each pair, then an odd last one: still ascending
-        live = live[::2]
-    return live[0]
+        live = [bits[::2] for bits in live if len(bits) > 2]
+    return [bits[0] for bits in groups]
 
 
-def compute_esop(builder: ProgramBuilder, cover: EsopCover,
-                 sources: list[VarSource]) -> int:
-    """Compute a whole cover on the working area, batching cubes when the
-    cover is wider than the bitlines; returns the e2 bit holding the value.
-
-    A batch's XOR lands on its lowest bitline, so the running XOR of the
-    finished batches stays parked on bitline 0 while each next batch of
-    cubes is computed on bitlines 1 and up.
-    """
+def compute_esop(builder: ProgramBuilder,
+                 covers: list[tuple[list[Cube], list[VarSource]]],
+                 first: int = 0) -> list[int]:
+    """Compute covers, given as (cubes, sources), side by side on e2 from
+    bitline ``first``, one bitline per cube (an empty cover takes one that
+    stays 0); returns each cover's result bit.  The covers share one
+    variable space and every XOR round; a lone cover wider than the row
+    goes in chunks on bitlines 1 and up, each XORed into bitline 0."""
     w_d = builder.config.w_d
-    cubes = cover.cubes
-    if not cubes:
-        return 0  # constant 0: a reset device already holds it
-    pos = 0
-    while pos < len(cubes):
-        first = 1 if pos else 0
-        batch = cubes[pos:pos + w_d - first]
-        bits = list(range(first, first + len(batch)))
-        compute_cube_batch(builder, batch, bits, sources)
-        bit = xor_reduce(builder, bits)
-        if first:
-            xor_reduction_round(builder, [(0, bit)])
-        pos += len(batch)
-    return 0
+    lone, sources = covers[0]
+    if len(lone) > w_d - first:
+        compute_esop(builder, [(lone[:w_d], sources)])
+        for pos in range(w_d, len(lone), w_d - 1):
+            xor_reduction_round(builder, [(0, *compute_esop(
+                builder, [(lone[pos:pos + w_d - 1], sources)], 1))])
+        return [0]
+    space: dict[VarSource, int] = {}
+    cubes, bits, groups = [], [], []
+    for cover, sources in covers:
+        keep = not space  # the first cover's variables keep their places
+        var = [space.setdefault(src, len(space)) for src in sources]
+        cubes += cover if keep else [Cube(*(
+            sum(1 << x for v, x in enumerate(var) if mask >> v & 1)
+            for mask in (c.pos, c.neg))) for c in cover]
+        bits += range(first, first + len(cover))
+        groups.append(list(range(first, first + (len(cover) or 1))))
+        first += len(cover) or 1
+    compute_cube_batch(builder, cubes, bits, list(space))
+    return xor_reduce(builder, groups)
 
 
-def write_back(builder: ProgramBuilder, result_bit: int, word: int, bit: int,
-               store_inverted: bool):
-    """Move the e2 result into a (reset) storage device and clear e2.
-
-    A single bitline write stores the complement; a positive store goes
-    through one extra staging device on e0.
-    """
+def write_back(builder: ProgramBuilder,
+               stores: list[tuple[int, tuple[int, int], bool]]):
+    """Move e2 results, given as (e2 bit, device, store inverted), into
+    reset storage devices and clear e2.  One read of e2 and one Apply per
+    word store the complements; each positive store is staged through e0."""
     builder.read(E2)
-    if store_inverted:
-        builder.apply_from_dmr(word, WsMode.ONE, {bit: result_bit})
-    else:
-        _emit_staged(builder, (E0, 0), builder.apply_from_dmr, result_bit,
-                     word, [bit], {bit})
-    builder.reset_bits(E2, [result_bit])
+    by_word: dict[int, dict[int, int]] = {}
+    for result, (word, bit), inverted in stores:
+        if inverted:
+            by_word.setdefault(word, {})[bit] = result
+    for word, wires in by_word.items():
+        builder.apply_from_dmr(word, WsMode.ONE, wires)
+    for result, (word, bit), inverted in stores:
+        if not inverted:
+            builder.read(E2)
+            _emit_staged(builder, (E0, 0), builder.apply_from_dmr, result,
+                         word, [bit], {bit})
+    builder.reset_bits(E2, [store[0] for store in stores])
 
 
 # -- standalone cover program ------------------------------------------------------
 
 def gen_esop_program(cover: EsopCover, config: CrossbarConfig
                      ) -> tuple[Program, int]:
-    """Whole-cover program on a crossbar with three working rows.
-
-    Works for any geometry with at least three wordlines and two bitlines.
-    Every variable streams from the input register.
-    """
+    """Whole-cover program on any crossbar of at least three wordlines and
+    two bitlines; every variable streams from the input register."""
     if config.s_d < 3:
         raise ValueError("the working area needs three wordlines")
     sources = [PirVar(v) for v in range(cover.arity)]
     builder = ProgramBuilder(config, cover.arity)
-    bit = compute_esop(builder, cover, sources)
+    bit, = compute_esop(builder, [(cover.cubes, sources)])
     builder.result_locations["f"] = (E2, bit)
     return builder.finish(), bit
 
@@ -382,35 +376,39 @@ def map_area(network: LogicNetwork, k: int, s_d: int, w_d: int
 
 def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
                   ) -> tuple[Program, MappingReport]:
-    """Schedule the LUTs, then compute and store each one in event order.
-
-    A cover carries few distinct functions, so each ``(tt, arity)`` has its
-    ESOP cover extracted once per call; the emitters then run on the
-    builder with each LUT's own sources and destination.
-    """
+    """Schedule the LUTs, then compute and store them in event order, each
+    run of one level's ``place`` events between ``reset`` events in batches
+    of at most W = min(w_D, the widest ESOP cover) e2 bitlines, the ones the
+    widest LUT alone touches.  No LUT reads another of its level, and each
+    destination was free before its batch."""
     config = CrossbarConfig(s_d, w_d)  # refuse a bad geometry up front
     sched = schedule_luts(graph, s_d, w_d)
     builder = ProgramBuilder(config, graph.num_pis)
     is_output = set(graph.outputs)
     placements = sched.placements
-    covers: dict[tuple[int, int], EsopCover] = {}
-
-    for event in sched.events:
-        if event[0] == "reset":
-            _, w, victims = event
-            builder.reset_bits(w, [b for b, _ in victims])
-            continue
-        _, lut_id, w, b = event
-        lut = graph.luts[lut_id]
-        key = (lut.tt, len(lut.inputs))
-        cover = covers.get(key)
-        if cover is None:
-            cover = covers[key] = extract_esop(*key)
-        sources = [PirVar(ref) if kind == PI_REF else
-                   StoredVar(*placements[ref], ref not in is_output)
-                   for kind, ref in lut.inputs]
-        bit = compute_esop(builder, cover, sources)
-        write_back(builder, bit, w, b, lut_id not in is_output)
+    keys = [(lut.tt, len(lut.inputs)) for lut in graph.luts]
+    covers = {key: extract_esop(*key).cubes for key in dict.fromkeys(keys)}
+    cubes = [covers[key] for key in keys]
+    need = [max(1, len(c)) for c in cubes]  # e2 bitlines of each LUT
+    width = min(w_d, max(need, default=1))
+    batch, used = [], 0  # the open batch's LUTs and e2 bitlines
+    # the last, empty reset emits the last batch
+    for event in sched.events + [("reset", E2, [])]:
+        lut = graph.luts[event[1]] if event[0] == "place" else None
+        if batch and (lut is None or lut.level != batch[0].level
+                      or used + need[lut.id] > width):
+            bits = compute_esop(builder, [(cubes[l.id], [
+                PirVar(ref) if kind == PI_REF else
+                StoredVar(*placements[ref], ref not in is_output)
+                for kind, ref in l.inputs]) for l in batch])
+            write_back(builder, [(bit, placements[l.id], l.id not in is_output)
+                                 for bit, l in zip(bits, batch)])
+            batch, used = [], 0
+        if lut is None:
+            builder.reset_bits(event[1], [b for b, _ in event[2]])
+        else:
+            batch.append(lut)
+            used += need[lut.id]
 
     for lut_id, name in zip(graph.outputs, graph.output_names):
         builder.result_locations[name] = placements[lut_id]

@@ -163,11 +163,11 @@ class BlockElement:
 
 @dataclass(eq=False)
 class Block:
-    """Elements that must share a word; ``inputs`` holds the values of the
-    input (``"i"``) elements, once each."""
+    """Elements that must share a word; during formation ``inputs`` holds
+    the values of the input (``"i"``) elements, once each, then None."""
     id: int
     elements: list[BlockElement] = field(default_factory=list)
-    inputs: set[ValueRef] = field(default_factory=set)
+    inputs: set[ValueRef] | None = field(default_factory=set)
 
     def __len__(self):
         return len(self.elements)
@@ -399,6 +399,8 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
                     if el in todo]
         merge(sites[l])
 
+    for b in blocks.values():  # nothing after formation reads them
+        b.inputs = None
     return BlockFormation(list(blocks.values()), sites, output_elements)
 
 
@@ -551,7 +553,7 @@ def gen_program_delay(mig: LogicNetwork, formation: BlockFormation,
         builder.result_locations[name] = spots[el]
 
     counts = builder.counts()
-    n_maj = sum(1 for n in mig.nodes if n.kind == MAJ)
+    n_maj = len({s.node for level in formation.sites.values() for s in level})
     d_p_star = 9 * n_maj
     total = packing.n_words * packing.w_d
     report = MappingReport(

@@ -7,11 +7,13 @@ import pytest
 
 from conftest import LEAF_OUTPUT_MIGS
 from revamp.areamap import (E2, InfeasibleMapping, PirVar, StoredVar,
-                            compute_cube_batch, gen_esop_program, map_area,
-                            map_lut_graph, map_minimal, schedule_luts,
-                            xor_reduce)
-from revamp.circuits import (AigBuilder, comparator, full_adder, multiplier,
-                             parity, ripple_adder, two_bit_xor)
+                            compute_cube_batch, compute_esop,
+                            gen_esop_program, map_area, map_lut_graph,
+                            map_minimal, schedule_luts, write_back,
+                            xor_reduce, xor_reduction_round)
+from revamp.circuits import (AigBuilder, comparator, default_corpus,
+                             full_adder, multiplier, parity, ripple_adder,
+                             two_bit_xor)
 from revamp.codegen import ProgramBuilder
 from revamp.esop import Cube, EsopCover, extract_esop
 from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, IsaError,
@@ -236,7 +238,7 @@ def test_xor_reduction_tree():
             builder.apply_from_pir(E2, WsMode.ONE, {
                 b: (SLOT_CONST0 if v else SLOT_CONST1)
                 for b, v in zip(bits, values)})
-            result = xor_reduce(builder, bits)
+            result, = xor_reduce(builder, [bits])
             if m == 1:
                 assert len(builder.instructions) == 1  # no reduction emitted
             from revamp.isa import Program
@@ -252,10 +254,34 @@ def test_xor_reduction_tree():
 def test_xor_reduction_four_terms_two_rounds():
     cfg = CrossbarConfig(3, 4)
     builder = ProgramBuilder(cfg, 0)
-    result = xor_reduce(builder, [0, 1, 2, 3])
-    # two rounds of twelve instructions each; pairs share instructions
-    assert len(builder.instructions) == 24
+    result, = xor_reduce(builder, [[0, 1, 2, 3]])
+    # two rounds of eight instructions each; pairs share instructions
+    assert len(builder.instructions) == 16
     assert result == 0
+
+
+def test_xor_round_in_place_on_row_two():
+    """One round folds four pairs at once, holding the four input pairs
+    (x, y): each low bit ends as x xor y, each high bit reset, and every
+    Apply of the round writes row 2 only."""
+    from revamp.isa import SLOT_CONST0, SLOT_CONST1, Program
+    pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    values = list(itertools.product((0, 1), repeat=2))
+    cfg = CrossbarConfig(3, 8)
+    builder = ProgramBuilder(cfg, 0)
+    # a complemented load of the constant's complement deposits each value
+    builder.apply_from_pir(E2, WsMode.ONE, {
+        bit: SLOT_CONST0 if v else SLOT_CONST1
+        for pair, xy in zip(pairs, values) for bit, v in zip(pair, xy)})
+    start = len(builder.instructions)
+    xor_reduction_round(builder, pairs)
+    assert len(builder.instructions) - start == 8
+    assert {i.w for i in builder.instructions[start:]} == {E2}
+    state, _ = run(Program(cfg, builder.instructions, builder.pir_schedule,
+                           {}, 0), [])
+    for (lo, hi), (x, y) in zip(pairs, values):
+        assert (state.dcm[E2][lo], state.dcm[E2][hi]) == (x ^ y, 0)
+    assert not any(state.dcm[0]) and not any(state.dcm[1])
 
 
 def test_esop_program_minimal_geometry():
@@ -288,7 +314,6 @@ def test_esop_program_wider_crossbars():
 
 def test_stored_operand_sources():
     """Mixing a streamed variable with one held complemented in storage."""
-    from revamp.areamap import compute_esop
     from revamp.isa import SLOT_CONST0, SLOT_CONST1, Program
     cfg = CrossbarConfig(5, 2)
     cover = extract_esop(0b0110, 2)  # xor of the two variables
@@ -298,7 +323,7 @@ def test_stored_operand_sources():
         # applying v1 through the bitline stores its complement at (3,1)
         b.apply_from_pir(3, WsMode.ONE,
                          {1: SLOT_CONST1 if v1 else SLOT_CONST0})
-        bit = compute_esop(b, cover, sources)
+        bit, = compute_esop(b, [(cover.cubes, sources)])
         prog = Program(cfg, b.instructions, b.pir_schedule, {}, 1)
         for a in (0, 1):
             state, _ = run(prog, [a])
@@ -449,6 +474,79 @@ def test_map_area_maps_random_migs():
     assert mapped > 100
 
 
+def _working_devices(program):
+    """Devices of rows 0..2 that some Apply of ``program`` writes."""
+    return {(i.w, j) for i in set(program.instructions)
+            if isinstance(i, ApplyInstr) and i.w <= E2
+            for j, pair in enumerate(i.pairs) if pair.valid}
+
+
+def _one_lut_per_batch(graph, s_d, w_d):
+    """The area program of ``graph`` with each LUT computed and stored on
+    its own, by the emitters and schedule ``map_lut_graph`` uses."""
+    sched = schedule_luts(graph, s_d, w_d)
+    builder = ProgramBuilder(CrossbarConfig(s_d, w_d), graph.num_pis)
+    outputs = set(graph.outputs)
+    for event in sched.events:
+        if event[0] == "reset":
+            builder.reset_bits(event[1], [b for b, _ in event[2]])
+            continue
+        lut = graph.luts[event[1]]
+        sources = [PirVar(ref) if kind == "pi" else
+                   StoredVar(*sched.placements[ref], ref not in outputs)
+                   for kind, ref in lut.inputs]
+        cubes = extract_esop(lut.tt, len(lut.inputs)).cubes
+        bit, = compute_esop(builder, [(cubes, sources)])
+        write_back(builder, [(bit, event[2:], lut.id not in outputs)])
+    for lut_id, name in zip(graph.outputs, graph.output_names):
+        builder.result_locations[name] = sched.placements[lut_id]
+    return builder.finish()
+
+
+def test_level_batches_stay_in_place_and_save_instructions():
+    """Seeded networks and the builtin corpus at k 3/4/6 on 8, 16 and 64
+    rows of 4, 16 and 32 bitlines.  Every area program verifies on all
+    input vectors and writes no working device but the staging device
+    (0, 0) and the e2 bitlines below W = min(w_D, the widest cover).
+    Where two LUTs placed one after the other in a level fit W together,
+    the program is shorter than the same schedule mapped one LUT per
+    batch; elsewhere it is that program."""
+    nets = [net for _, net in default_corpus()] + [
+        random_aig(5 + seed % 8, 16 + 8 * seed, seed=300 + seed,
+                   num_outputs=1 + seed % 3) for seed in range(8)]
+    seen = {"mapped": 0, "batched": 0}
+    for net in nets:
+        for k in (3, 4, 6):
+            graph = cover_klut(rebuild(net, strash=False), k)
+            bits = {l.id: max(1, len(extract_esop(l.tt, len(l.inputs)).cubes))
+                    for l in graph.luts}
+            for s_d, w_d in itertools.product((8, 16, 64), (4, 16, 32)):
+                try:
+                    program, report = map_lut_graph(graph, s_d, w_d)
+                except InfeasibleMapping:
+                    continue
+                case = (net.output_names, k, s_d, w_d)
+                result = check_equivalence(net, program, mode="exhaustive")
+                assert result.ok, case
+                width = min(w_d, max(bits.values(), default=1))
+                assert _working_devices(program) <= {(0, 0)} | {
+                    (E2, j) for j in range(width)}, case
+                events = schedule_luts(graph, s_d, w_d).events
+                shared = any(
+                    a[0] == b[0] == "place"
+                    and bits[a[1]] + bits[b[1]] <= width
+                    and graph.luts[a[1]].level == graph.luts[b[1]].level
+                    for a, b in zip(events, events[1:]))
+                single = _one_lut_per_batch(graph, s_d, w_d).instructions
+                if shared:
+                    assert report.i_total < len(single), case
+                else:
+                    assert program.instructions == single, case
+                seen["mapped"] += 1
+                seen["batched"] += shared
+    assert seen["mapped"] > 500 and seen["batched"] > 250, seen
+
+
 # -- depth-bounded mapper ------------------------------------------------------------
 
 def _tree_mig(depth, num_pis, seed):
@@ -570,25 +668,25 @@ def test_minimal_map_of_a_deep_chain_stays_linear():
 # digests of the containers emitted by the bit-by-bit codec
 PINNED_AREA_PROGRAMS = [
     ("add8", lambda: ripple_adder(8), {
-        (256, 32): "c4712642b464b4052d8f0f807be076fe"
-                   "6157752c1e971c40bb8575e9cfd9aeec",
-        (16, 16): "e4a35c89c707edf1d227c92f6fc38449"
-                  "68341231ca8c1b1fd50f3b284ed0406a"}),
+        (256, 32): "484c5b8c70d437814b474a6865bacdc5"
+                   "ce899641f4fe2da6540efb8b13f4c567",
+        (16, 16): "f7b52d42ba6ca10e6983e3becc49b699"
+                  "749568f27a9e11532b37427978c2c405"}),
     ("mult4", lambda: multiplier(4), {
-        (256, 32): "e34b6d070e9ce1adc54160d615315337"
-                   "d804f96cdaf5e139c7bda298fee12fe9",
-        (16, 16): "0c93f021d41988c54687858b0abbcd37"
-                  "f325a72e62acaf54b23d7fa1a97f6166"}),
+        (256, 32): "1c3dfc186c24aebd340b1aa9728bfebd"
+                   "0660a9ee61fca3e4aea028222bd07a5d",
+        (16, 16): "4ca312a326ca811282a02040c2cccb59"
+                  "788fd76dd78a1762cea8c78eeb6c3d7e"}),
     ("cmp8", lambda: comparator(8), {
-        (256, 32): "439e1538ced4c38e8f31102456c866f1"
-                   "14367e846239a782fe582d41b98db78a",
-        (16, 16): "33ad60465fada3b72273fe20289d0fd4"
-                  "20ed087a1f34e388d6b85b944a3b26e7"}),
+        (256, 32): "aa3309ac60ba7ae4f5c695636d5b85bb"
+                   "3359df9675d4bb7990c678d56e86a9c6",
+        (16, 16): "929e72dadf0973411c4463398dd7cca4"
+                  "68ce231aef75c9a1894f5d490da7f5f4"}),
     ("rand16", lambda: random_aig(16, 120, seed=5, num_outputs=4), {
-        (256, 32): "8db4c440355bde15c8e53251280e2fbb"
-                   "ef9443ef49153dbffee8aa524c1a4977",
-        (16, 16): "be6f554d7cbd4b62e5650b9b5c046975"
-                  "e6e15581cec3a8258b6173692421bfed"}),
+        (256, 32): "d0fd075611c755c31a51830e061ffecf"
+                   "deb99170baf7ec44aa82666aa42be6de",
+        (16, 16): "3c6c513dea21649a6daef5ea4153f141"
+                  "510a6e048beba9846c992693c484caf8"}),
 ]
 
 PINNED_MINIMAL_PROGRAMS = [
@@ -666,7 +764,7 @@ def test_twin_tree_programs_byte_identical():
 
 # digest of 200 containers: 100 seeded random covers at 3x2 and at 3x4
 PINNED_ESOP_PROGRAMS = (
-    "1ceb16a4bbb2a81e229d3b4a8ea398d8a37b73b3586cf405f62e66ba9a9369de")
+    "18e0a6336d9d95d5e40d3735ea8954f7247dbe07b0747ceabf088c0ce39e5b8d")
 
 
 def test_esop_programs_byte_identical():
