@@ -30,7 +30,7 @@ stored positively so the declared result locations hold the output values.
 Scheduling walks the levels once, after one pass for the device demand
 (``lutmap.min_dev``), and each distinct truth table has its ESOP cover
 extracted once per mapping.  The builder alone decides read elision and
-interning.  The cover may come from an AIG or a MIG.
+interning.
 
 The depth-bounded mapper (``map_minimal``) lives here too, with a layout
 of its own (see its docstring); it shares the builder with both other
@@ -50,7 +50,7 @@ from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .lutmap import (LUT_REF, PI_REF, LutGraph, cover_klut, min_dev,
                      storage_capacity)
 from .netlist import (CONST0, MAJ, LogicNetwork, NetlistError, levels,
-                      rebuild, tree_size)
+                      tree_size)
 from .reports import MappingReport
 
 E0, E2 = 0, 2  # working rows: staging, cube accumulators (e1 is unused)
@@ -362,16 +362,13 @@ def map_area(network: LogicNetwork, k: int, s_d: int, w_d: int
              ) -> tuple[Program, MappingReport]:
     """Full area-constrained pipeline: cover, schedule, compute, verify-ready.
 
-    The cover is of the network ``rebuild`` cleans without structural
-    hashing: a merged node has several fanouts, and the greedy cover never
-    absorbs such a node, so hashing lengthens the programs.
-    Raises :class:`InfeasibleMapping` when the cover's device demand exceeds
-    the storage capacity of the requested crossbar (a crossbar of fewer
-    than four rows has none), and ``isa.IsaError`` when ``s_d`` x ``w_d``
-    is not a crossbar at all (``s_d < 1`` or ``w_d < 2``).
+    ``network`` is an AIG or a MIG; ``cover_klut`` covers the MIG it
+    cleans to.  Raises :class:`InfeasibleMapping` when the cover's device
+    demand exceeds the storage capacity of the requested crossbar (a
+    crossbar of fewer than four rows has none), and ``isa.IsaError`` when
+    ``s_d`` x ``w_d`` is not a crossbar at all (``s_d < 1`` or ``w_d < 2``).
     """
-    graph = cover_klut(rebuild(network, strash=False), k)
-    return map_lut_graph(graph, s_d, w_d)
+    return map_lut_graph(cover_klut(network, k), s_d, w_d)
 
 
 def map_lut_graph(graph: LutGraph, s_d: int, w_d: int

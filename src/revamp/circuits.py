@@ -175,7 +175,8 @@ def two_bit_xor_program() -> Program:
 
 def default_corpus() -> list[tuple[str, LogicNetwork]]:
     """Small verification corpus: adders, multiplier slices, comparators
-    and random AIGs, all within 12 primary inputs."""
+    and random AIGs, all within 12 primary inputs.  The random AIGs' seeds
+    are ones whose gates survive cleaning: 14, 18 and 23 of them."""
     return [
         ("full_adder", full_adder()),
         ("adder2", ripple_adder(2)),
@@ -187,7 +188,7 @@ def default_corpus() -> list[tuple[str, LogicNetwork]]:
         ("cmp3", comparator(3)),
         ("cmp4", comparator(4)),
         ("parity8", parity(8)),
-        ("rand8", random_aig(8, 24, seed=7)),
-        ("rand10", random_aig(10, 40, seed=11)),
-        ("rand12", random_aig(12, 56, seed=13)),
+        ("rand8", random_aig(8, 24, seed=214)),
+        ("rand10", random_aig(10, 40, seed=287)),
+        ("rand12", random_aig(12, 56, seed=3)),
     ]

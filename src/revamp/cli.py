@@ -49,19 +49,19 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
     """Map ``net`` through one flow: ``(program, report)``.
 
     The program computes ``net`` itself, through whatever the flow builds
-    from it, and is checked against it.  Every flow maps the network
-    ``netlist.rebuild`` cleans: the area flow an AIG or a MIG folded, the
-    delay and minimal flows a MIG folded and hashed (then normalized for
-    the minimal flow).  Raises
-    ``NotApplicable`` for a minimal map of a multi-output network and one
-    whose tree has too many MAJ nodes to evaluate; every other error comes
-    through unchanged.
+    from it, and is checked against it.  Every flow maps the MIG
+    ``netlist.rebuild`` cleans ``net`` to, an AIG or a MIG alike: the area
+    flow covers it folded (``lutmap.cover_klut`` cleans its own input),
+    the delay and minimal flows map it folded and hashed (then normalized
+    for the minimal flow).  Raises ``NotApplicable`` for a minimal map of
+    a multi-output network and one whose tree has too many MAJ nodes to
+    evaluate; every other error comes through unchanged.
     """
     if flow == "area":
         return map_area(net, k, s_d, w_d)
     if flow == "minimal" and len(net.outputs) != 1:
         raise NotApplicable("multi-output")
-    mig = rebuild(net, "mig")
+    mig = rebuild(net)
     if flow == "delay":
         return map_delay(mig, w_d)
     try:
@@ -144,25 +144,26 @@ def _read_vectors(path, num_pis):
 def cmd_simulate(args):
     with open(args.program, "rb") as fh:
         program = read_program(fh.read())
-    vectors = ([[0] * program.num_pis] if args.inputs is None
-               else _read_vectors(args.inputs, program.num_pis))
-    record = args.trace is not None or args.step_grid
-    if vectors:  # one bit-parallel run; bit k of each mask is vector k's
+    if args.inputs is None:  # the all-zero vector, its inputs not printed
+        vectors, masks, width = None, [0] * program.num_pis, 1
+    else:  # one bit-parallel run; bit k of each mask is vector k's
+        vectors = _read_vectors(args.inputs, program.num_pis)
         masks = [int("".join(str(vec[i]) for vec in reversed(vectors)), 2)
-                 for i in range(program.num_pis)]
-        state, trace = run_vectors(program, masks, len(vectors),
-                                   record_trace=record,
+                 for i in range(program.num_pis)] if vectors else []
+        width = len(vectors)
+    record = args.trace is not None or args.step_grid
+    if width:
+        state, trace = run_vectors(program, masks, width, record_trace=record,
                                    record_state=args.step_grid)
     out = []
     traces = []
-    for k, vec in enumerate(vectors):
+    for k in range(width):
         alone = state.vector(k)
-        out.append({
-            "inputs": vec,
-            "cycles": alone.cycles,
-            "results": {name: alone.dcm[w][b]
-                        for name, (w, b) in program.result_locations.items()},
-        })
+        row = {} if vectors is None else {"inputs": vectors[k]}
+        row["cycles"] = alone.cycles
+        row["results"] = {name: alone.dcm[w][b] for name, (w, b)
+                          in program.result_locations.items()}
+        out.append(row)
         if record:
             steps = trace.vector(k)
         if args.trace:
@@ -332,7 +333,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("cover",
-                       help="partition an AIG or MIG into k-input LUTs")
+                       help="the k-input LUT cover map-area maps")
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--auto-k", action="store_true",
                    help="sweep k downward until the cover fits the crossbar")
@@ -357,7 +358,9 @@ def build_parser():
 
     c = sub.add_parser("simulate", help="run a program on the machine model")
     c.add_argument("program")
-    c.add_argument("--inputs", help="file of 0/1 vectors, one per line")
+    c.add_argument("--inputs", help="file of 0/1 vectors, one per line; "
+                   "without it the all-zero vector runs, and each result "
+                   "row leaves out its inputs")
     c.add_argument("--trace", help="write a JSON step trace")
     c.add_argument("--grid", action="store_true",
                    help="dump the final crossbar contents")

@@ -1,13 +1,14 @@
-"""Covering an AIG or a MIG with k-input LUTs and sizing the result.
+"""Covering a network with k-input LUTs and sizing the result.
 
-The cover is a deterministic greedy cut growth: starting from the node's
-fanins, single-fanout internal leaves are absorbed into the cone while the
-leaf count stays within k, preferring absorptions that shrink the cut.
-Multi-fanout nodes become LUT roots of their own, so shared logic is never
-duplicated.  A cone's truth table is evaluated gate by gate through
-``netlist.gate_mask``, so AND and MAJ gates are covered alike.  Optimality
-is a non-goal; correctness is proved functionally against the source
-network.
+The cover is of the cleaned MIG ``netlist.rebuild`` makes of its input,
+so an AIG and its MIG cover the same way.  It is a deterministic greedy cut
+growth: starting from the node's fanins, single-fanout internal leaves are
+absorbed into the cone while the leaf count stays within k, preferring
+absorptions that shrink the cut; the constant fanin of MAJ(a, b, 0) is
+never a leaf.  Multi-fanout nodes become LUT roots of their own, so shared
+logic is never duplicated.  A cone's truth table is evaluated gate by gate
+through ``netlist.gate_mask``.  Optimality is a non-goal; correctness is
+proved functionally against the source network.
 
 Device sizing follows the scheduling argument for level-ordered computation:
 a level's population includes nodes of lower levels that feed past it
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .netlist import (CONST0, PI, LogicNetwork, NetlistError, gate_mask,
-                      pi_patterns)
+from .netlist import (CONST0, MAJ, PI, LogicNetwork, NetlistError,
+                      gate_mask, pi_patterns, rebuild)
 
 # LUT inputs are tagged references: ("pi", pi_index) or ("lut", lut_id).
 PI_REF = "pi"
@@ -77,24 +78,23 @@ def _cone_tt(network: LogicNetwork, root: int, leaves: list[int]) -> int:
 
 def _grow_cut(network: LogicNetwork, root: int, k: int,
               fanout: list[int]) -> list[int]:
-    node = network.nodes[root]
+    """Leaves of ``root``'s cone: its fanins, then the cheapest absorption
+    of a single-fanout gate leaf while the leaves stay within k.  The
+    constant is never a leaf: the cone's table reads it as 0."""
+    nodes = network.nodes
     cut = []
-    for e in node.fanins:
-        if e.target not in cut:
+    for e in nodes[root].fanins:
+        if e.target not in cut and nodes[e.target].kind != CONST0:
             cut.append(e.target)
     while True:
         best = None
         for leaf in cut:
-            ln = network.nodes[leaf]
-            if ln.kind == PI:
-                continue
-            if ln.kind != CONST0 and fanout[leaf] > 1:
+            if nodes[leaf].kind == PI or fanout[leaf] > 1:
                 continue  # cut the cone at multi-fanout frontiers
-            expansion = [e.target for e in ln.fanins]
             new = [x for x in cut if x != leaf]
-            for x in expansion:
-                if x not in new:
-                    new.append(x)
+            for e in nodes[leaf].fanins:
+                if e.target not in new and nodes[e.target].kind != CONST0:
+                    new.append(e.target)
             if len(new) > k:
                 continue
             delta = len(new) - len(cut)
@@ -107,10 +107,17 @@ def _grow_cut(network: LogicNetwork, root: int, k: int,
 
 
 def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
-    """Partition an AIG or a MIG into single-output functions of at most k
-    inputs."""
+    """Partition the MIG ``rebuild`` cleans ``network`` to into
+    single-output functions of at most k inputs.
+
+    The cleaning folds constants but does not hash: a merged node has
+    several fanouts, and the greedy cover never absorbs such a node, so
+    hashing would give more LUTs.  Every PI is kept, so the LUT inputs
+    number the source network's PIs.
+    """
     if not 2 <= k <= 16:
         raise NetlistError("k must be in 2..16")
+    network = rebuild(network, strash=False)
     nodes = network.nodes
     fanout = network.fanout_counts()
     pi_of = {nid: i for i, nid in enumerate(network.pis)}
@@ -153,8 +160,8 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
     for e, name in zip(network.outputs, network.output_names):
         key = (e.target, e.inverted)
         if key not in out_lut:
-            kind = network.nodes[e.target].kind
-            gate = kind not in (PI, CONST0)
+            kind = nodes[e.target].kind
+            gate = kind == MAJ
             if gate and (not e.inverted or fanout[e.target] == 1):
                 lut = graph.luts[ensure_lut(e.target)]
                 if e.inverted:  # no other reference needs the plain value

@@ -5,8 +5,9 @@ than the node's own id).  Edges carry a complement flag.  The same container
 holds both AIGs (2-input AND nodes) and MIGs (3-input majority nodes); the
 ``kind`` field says which flavour the network is.  Output names are
 unique: a program declares its result locations by name.  ``rebuild`` is
-the one builder every flow cleans its input with: it folds constants,
-merges equal gates and drops dead ones, and ``aig_to_mig`` is a call of it.
+the one builder every flow cleans its input with: it makes a MIG of an AIG
+or a MIG, folds constants, merges equal gates and drops dead ones, and
+``aig_to_mig`` is a call of it.
 
 This module also provides the brute-force functional oracle (``evaluate`` /
 ``truth_table``) used by every other part of the mapper to prove equivalence.
@@ -248,30 +249,24 @@ def truth_table(network: LogicNetwork) -> list[list[int]]:
 
 # -- cleaning, and AIG -> MIG -------------------------------------------------
 
-def rebuild(network: LogicNetwork, kind: str | None = None,
-            strash: bool = True) -> LogicNetwork:
-    """``network`` with constants folded, dead gates dropped and, if
-    ``strash``, equal gates merged; functions are unchanged.
+def rebuild(network: LogicNetwork, strash: bool = True) -> LogicNetwork:
+    """The cleaned MIG of ``network``, an AIG or a MIG: constants folded,
+    dead gates dropped and, if ``strash``, equal gates merged; functions
+    are unchanged.
 
-    The builder works on literals (2 * node + complement) and reads
-    AND(a, b) as MAJ(a, b, 0).  Two rules, ``M(x, x, y) = x`` and
-    ``M(x, not x, y) = y``, then fold every constant and every
-    ``x AND not x``.  With ``strash`` a gate whose sorted fanin literals
-    match an earlier gate's is that gate.  Gates that no output reaches
-    are dropped.
+    The builder works on literals (2 * node + complement) and stages
+    AND(a, b) as the triple (a, b, 0), that is MAJ(a, b, 0).  Two rules,
+    ``M(x, x, y) = x`` and ``M(x, not x, y) = y``, then fold every
+    constant and every ``x AND not x``.  A gate left has three distinct
+    literals, none the complement of another, so with ``strash`` a gate
+    with the same set of fanin literals as an earlier gate is that gate.
+    Gates that no output reaches are dropped.
 
-    The result is of ``kind``: the input's, or a MIG made from an AIG, each
-    AND(a, b) becoming MAJ(a, b, 0).  Every PI is kept, used or not, and
-    the outputs keep their order and names.  The surviving nodes keep
-    their order and names, the constant in the place of the first one; a
-    MIG made from an AIG lists the PIs, then the constant, then the gates.
-    A network with nothing to change is returned as it is.
+    The result lists every PI in order, used or not, then the constant if
+    anything reads it, then the kept gates in source order with their
+    names; the outputs keep their order and names.  A MIG already in that
+    form, with nothing to change, is returned as it is.
     """
-    kind = kind or network.kind
-    hoist = kind != network.kind
-    if hoist and (network.kind, kind) != ("aig", "mig"):
-        raise NetlistError("rebuild makes a MIG of an AIG, not a %s of a %s"
-                           % (kind, network.kind))
     nodes = network.nodes
     # staging literals: node 0 is the constant, 1..n_pi the PIs, then gates
     base = network.num_pis + 1
@@ -280,25 +275,17 @@ def rebuild(network: LogicNetwork, kind: str | None = None,
     origin = []  # the source node of each
     table = {}
     n_pi = 0
-    first_const = None
     for i, n in enumerate(nodes):
         if n.kind == PI:
             n_pi += 1
             lit[i] = 2 * n_pi
             continue
         if n.kind == CONST0:
-            if first_const is None:
-                first_const = i
             continue
         f = n.fanins
         a = lit[f[0].target] ^ f[0].inverted
         b = lit[f[1].target] ^ f[1].inverted
-        if n.kind == MAJ:
-            c = lit[f[2].target] ^ f[2].inverted
-            fan = (a, b, c)
-        else:
-            c = 0
-            fan = (a, b)
+        c = lit[f[2].target] ^ f[2].inverted if n.kind == MAJ else 0
         if a == b or a == c or b ^ c == 1:
             lit[i] = a
         elif b == c or a ^ c == 1:
@@ -307,15 +294,14 @@ def rebuild(network: LogicNetwork, kind: str | None = None,
             lit[i] = c
         else:
             if strash:
-                key = (tuple(sorted(fan)) if len(fan) == 3 else
-                       (a, b) if a < b else (b, a))
+                key = frozenset((a, b, c))
                 hit = table.get(key)
                 if hit is not None:
                     lit[i] = hit
                     continue
                 table[key] = 2 * (base + len(gates))
             lit[i] = 2 * (base + len(gates))
-            gates.append(fan)
+            gates.append((a, b, c))
             origin.append(i)
 
     out_lits = [lit[e.target] ^ e.inverted for e in network.outputs]
@@ -331,13 +317,13 @@ def rebuild(network: LogicNetwork, kind: str | None = None,
                 if l >> 1 >= base:
                     live[(l >> 1) - base] = True
                 const_live |= l < 2
-    n_live = sum(live)
-    const_live |= hoist and n_live > 0  # for MAJ(a, b, 0)
-    if (not hoist and n_pi + const_live + n_live == len(nodes)
-            and (first_const is not None or not const_live)):
+    if (network.kind == "mig"
+            and n_pi + const_live + sum(live) == len(nodes)
+            and all(n.kind == PI for n in nodes[:n_pi])
+            and (not const_live or nodes[n_pi].kind == CONST0)):
         return network  # every node kept, each in its own place
 
-    out = LogicNetwork(kind=kind)
+    out = LogicNetwork(kind="mig")
     made = out.nodes
     by_lit = [None] * (2 * (base + len(gates)))  # staging literal -> Edge
 
@@ -346,36 +332,26 @@ def rebuild(network: LogicNetwork, kind: str | None = None,
         by_lit[at + 1] = Edge(len(made), True)
         made.append(node)
 
-    if hoist:  # aig_to_mig's order: the PIs, the constant, the gates
-        for i in network.pis:
-            add(Node(PI, (), nodes[i].name), lit[i])
-        if const_live:
-            add(Node(CONST0), 0)
-    zero = (by_lit[0],) if hoist else ()
     for i, n in enumerate(nodes):
-        g = (lit[i] >> 1) - base
         if n.kind == PI:
-            if not hoist:
-                add(Node(PI, (), n.name), lit[i])
-        elif i == first_const and const_live and not hoist:
-            add(Node(CONST0), 0)
-        elif g >= 0 and origin[g] == i and live[g]:
-            add(Node(MAJ if hoist else n.kind,
-                     tuple([by_lit[l] for l in gates[g]]) + zero, n.name),
-                lit[i])
-    if const_live and by_lit[0] is None:  # an AIG's AND(x, not x)
+            add(Node(PI, (), n.name), lit[i])
+    if const_live:
         add(Node(CONST0), 0)
+    for g, (a, b, c) in enumerate(gates):
+        if live[g]:
+            add(Node(MAJ, (by_lit[a], by_lit[b], by_lit[c]),
+                     nodes[origin[g]].name), 2 * (base + g))
     out.outputs = [by_lit[l] for l in out_lits]
     out.output_names = list(network.output_names)
     return out
 
 
 def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
-    """The MIG of an AIG: ``rebuild`` with every AND(a, b) as MAJ(a, b, 0),
-    constants folded, equal gates merged and dead gates dropped."""
+    """The MIG of an AIG: ``rebuild`` with equal gates merged, each
+    AND(a, b) a MAJ(a, b, 0).  A MIG is refused."""
     if network.kind != "aig":
         raise NetlistError("aig_to_mig expects an AIG")
-    return rebuild(network, "mig")
+    return rebuild(network)
 
 
 # -- MIG normalization -------------------------------------------------------

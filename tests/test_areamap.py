@@ -22,7 +22,7 @@ from revamp.lutmap import (Lut, LutGraph, assign_levels, cover_klut, min_dev,
                            storage_capacity)
 from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
                             normalize_mig, parse_mig, pi_patterns,
-                            random_aig, random_mig, rebuild)
+                            random_aig, random_mig)
 from revamp.simulator import run, run_vectors
 from revamp.verifier import check_equivalence
 
@@ -401,8 +401,7 @@ def test_map_area_computes_device_demand_once(monkeypatch):
 def test_map_area_extracts_each_function_once(monkeypatch):
     import revamp.areamap as areamap
     net = multiplier(4)
-    # map_area covers the network with its constant logic folded
-    graph = cover_klut(rebuild(net, strash=False), 4)
+    graph = cover_klut(net, 4)
     functions = {(l.tt, len(l.inputs)) for l in graph.luts}
     calls = []
 
@@ -466,8 +465,7 @@ def test_map_area_maps_random_migs():
                 try:
                     program, _ = map_area(net, k, s_d, w_d)
                 except InfeasibleMapping as err:
-                    assert err.needed == min_dev(
-                        cover_klut(rebuild(net, strash=False), k))
+                    assert err.needed == min_dev(cover_klut(net, k))
                     continue
                 assert check_equivalence(net, program).ok, (seed, k, s_d)
                 mapped += 1
@@ -517,7 +515,7 @@ def test_level_batches_stay_in_place_and_save_instructions():
     seen = {"mapped": 0, "batched": 0}
     for net in nets:
         for k in (3, 4, 6):
-            graph = cover_klut(rebuild(net, strash=False), k)
+            graph = cover_klut(net, k)
             bits = {l.id: max(1, len(extract_esop(l.tt, len(l.inputs)).cubes))
                     for l in graph.luts}
             for s_d, w_d in itertools.product((8, 16, 64), (4, 16, 32)):

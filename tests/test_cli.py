@@ -10,10 +10,10 @@ import pytest
 from conftest import LEAF_OUTPUT_MIGS, serialize_aig
 from revamp import cli, netlist
 from revamp.areamap import map_minimal
-from revamp.circuits import (full_adder, parity, ripple_adder, two_bit_xor,
-                             two_bit_xor_program)
+from revamp.circuits import (full_adder, multiplier, parity, ripple_adder,
+                             two_bit_xor, two_bit_xor_program)
 from revamp.cli import main
-from revamp.isa import CrossbarConfig, Program, write_program
+from revamp.isa import MAX_PIS, CrossbarConfig, Program, write_program
 from revamp.netlist import aig_to_mig, normalize_mig, serialize_mig
 from revamp.reports import BENCH_COLUMNS
 from revamp.simulator import run
@@ -40,6 +40,20 @@ def test_cover_auto_k(workdir, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["min_dev"] <= 4
+
+
+def test_cover_reports_the_cover_map_area_maps(tmp_path, capsys):
+    """mult3's constant logic folds away before the cover, so it fits an
+    8x4 crossbar for cover and map-area alike."""
+    aag = tmp_path / "mult3.aag"
+    aag.write_text(serialize_aig(multiplier(3)))
+    geometry = ["--k", "4", "--rows", "8", "--cols", "4"]
+    assert main(["cover", *geometry, str(aag)]) == 0
+    assert json.loads(capsys.readouterr().out)["min_dev"] == 18
+    report = tmp_path / "mult3.json"
+    assert main(["map-area", *geometry, str(aag), "-o",
+                 str(tmp_path / "mult3.rvmp"), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["min_dev"] == 18
 
 
 @pytest.mark.parametrize("k", ["1", "0"])
@@ -282,6 +296,19 @@ def test_simulate_refuses_a_container_declaring_too_many_inputs(
     assert captured.err == ("error: %d primary inputs, more than the 1048576 "
                             "a program may declare\n" % num_pis)
     assert not captured.out
+
+
+def test_simulate_without_inputs_prints_no_input_vector(workdir, capsys):
+    """Without --inputs the all-zero vector runs, and its row leaves the
+    vector out: a container declaring the most inputs prints a short
+    result."""
+    prog = workdir / "wide.rvmp"
+    prog.write_bytes(write_program(Program(CrossbarConfig(4, 4), [], {},
+                                           {"z": (3, 3)}, MAX_PIS)))
+    assert main(["simulate", str(prog)]) == 0
+    out = capsys.readouterr().out
+    assert len(out) < 1024
+    assert json.loads(out) == [{"cycles": 2, "results": {"z": 0}}]
 
 
 def test_verify_exit_code_on_mismatch(workdir, capsys, tmp_path):

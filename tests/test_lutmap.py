@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from revamp.circuits import AigBuilder, full_adder, parity, ripple_adder
+from revamp.circuits import (AigBuilder, default_corpus, full_adder, parity,
+                             ripple_adder)
 from revamp.lutmap import (PI_REF, Lut, LutGraph, _cone_tt, _grow_cut,
                            assign_levels, cover_klut, feasible,
                            lut_truth_table, min_dev)
-from revamp.netlist import (AND, Edge, LogicNetwork, evaluate_masks,
-                            parse_aiger, pi_patterns, random_aig,
+from revamp.netlist import (AND, CONST0, MAJ, Edge, LogicNetwork,
+                            evaluate_masks, parse_aiger, parse_mig,
+                            pi_patterns, random_aig, rebuild, serialize_mig,
                             truth_table_ints)
 
 
@@ -39,18 +41,30 @@ def lut_graph_truth_tables(graph: LutGraph) -> list[int]:
 def test_trivial_cover_one_lut_per_and():
     net = random_aig(num_pis=4, num_ands=10, seed=1)
     graph = cover_klut(net, 2)
-    # only the output cone is covered, one LUT per reachable AND
-    reach = set()
-    stack = [e.target for e in net.outputs]
-    while stack:
-        nid = stack.pop()
-        if nid in reach or net.nodes[nid].kind != AND:
-            continue
-        reach.add(nid)
-        stack.extend(e.target for e in net.nodes[nid].fanins)
-    assert len(graph.luts) == len(reach)
+    # the cover is of the cleaned network, one LUT per gate it keeps, but
+    # for a gate read once by a gate over one of its own fanins, AND(x,
+    # AND(x, y)): that cone still has two leaves
+    mig = rebuild(net, strash=False)
+    fanout = mig.fanout_counts()
+    leaves = [{e.target for e in n.fanins
+               if mig.nodes[e.target].kind != CONST0} for n in mig.nodes]
+    gates = [i for i, n in enumerate(mig.nodes) if n.kind == MAJ]
+    absorbed = [g for g in gates for r in gates if g in leaves[r]
+                and fanout[g] == 1 and len(leaves[r] - {g} | leaves[g]) <= 2]
+    assert len(graph.luts) == len(gates) - len(absorbed) == 4
     assert all(len(l.inputs) <= 2 for l in graph.luts)
     assert lut_graph_truth_tables(graph) == truth_table_ints(net)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_a_mig_covers_like_its_aig(k):
+    """The cover of a MIG read from text equals the cover of the AIG it
+    was written from: the constant of MAJ(a, b, 0) takes no LUT input."""
+    for name, net in default_corpus():
+        mig = parse_mig(serialize_mig(rebuild(net, strash=False)))
+        aig_graph, mig_graph = cover_klut(net, k), cover_klut(mig, k)
+        assert mig_graph.luts == aig_graph.luts, (name, k)
+        assert mig_graph.outputs == aig_graph.outputs, (name, k)
 
 
 def test_cover_partitions_two_luts():

@@ -307,6 +307,11 @@ def test_aig_to_mig_single_and():
     assert len(majs) == 1 and len(majs[0].fanins) == 3
 
 
+def test_aig_to_mig_refuses_a_mig():
+    with pytest.raises(NetlistError, match="expects an AIG"):
+        aig_to_mig(random_mig(3, 4))
+
+
 def test_truth_table_refuses_wide_networks():
     net = random_aig(num_pis=17, num_ands=4, seed=0)
     with pytest.raises(NetlistError, match="random"):
@@ -430,17 +435,18 @@ def _nodes(net):
     (lambda: parity(16), 0)], ids=["ripple_adder", "comparator", "parity"])
 def test_rebuild_leaves_circuits_with_nothing_to_fold_node_for_node(build,
                                                                     merged):
-    # nothing folds in these circuits; the comparator builds each bit's
-    # AND(!a, b) twice, for its equality and its less-than, and structural
-    # hashing merges the two
+    # nothing folds in these circuits, so an AIG comes back as its MIG,
+    # gate for gate; the comparator builds each bit's AND(!a, b) twice,
+    # for its equality and its less-than, and structural hashing merges
+    # the two
     net = build()
-    assert rebuild(net, strash=False) is net
     plain = _plain_conversion(net)
+    clean = rebuild(net, strash=False)
+    assert (_nodes(clean), clean.outputs) == (_nodes(plain), plain.outputs)
     assert rebuild(plain, strash=False) is plain
     mig = aig_to_mig(net)
     assert len(plain.nodes) - len(mig.nodes) == merged
     if not merged:
-        assert rebuild(net) is net
         assert _nodes(mig) == _nodes(plain)
         assert (mig.outputs, mig.output_names) == (plain.outputs,
                                                    plain.output_names)
@@ -452,8 +458,8 @@ def test_rebuild_twice_gives_the_same_nodes():
     nets += [random_mig(6, 30, seed=s, num_outputs=3) for s in range(20)]
     nets.append(multiplier(4))
     for net in nets:
-        for kind, strash in ((None, True), (None, False), ("mig", True)):
-            first = rebuild(net, kind, strash)
+        for strash in (True, False):
+            first = rebuild(net, strash=strash)
             again = rebuild(first, strash=strash)
             assert _nodes(again) == _nodes(first)
             assert again.outputs == first.outputs
@@ -475,11 +481,6 @@ def test_rebuild_is_equivalent_on_random_networks():
                 assert out.output_names == net.output_names
             shrunk += len(variants[0].nodes) < len(net.nodes)
     assert shrunk > 300
-
-
-def test_rebuild_refuses_to_turn_a_mig_into_an_aig():
-    with pytest.raises(NetlistError, match="MIG of an AIG"):
-        rebuild(random_mig(3, 4), "aig")
 
 
 # -- normalization ---------------------------------------------------------------
