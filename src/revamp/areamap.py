@@ -5,8 +5,8 @@ called e0/e1/e2 below) and storage rows for intermediate LUT results.  Each
 LUT of the cover is scheduled onto a storage device and expanded to an
 ESOP.  A level's LUTs are computed side by side on e2, one bitline per
 cube; each LUT's cubes are folded in place by an XOR reduction tree, and
-the values are written back to the scheduled devices.  Bit 0 of e0 is the
-only staging device; e1 is reserved but unused.
+the values are written back to the scheduled devices.  The bits of e0,
+from bit 0 up, are the staging bank; e1 is reserved but unused.
 
 Machine idioms used throughout (device update is M3(Z, wl, not bl)):
 
@@ -16,16 +16,20 @@ Machine idioms used throughout (device update is M3(Z, wl, not bl)):
     reset             wl=0, bitline 1        ->  0
 
 so the bitline always carries the *complement* of the value contributed to
-the majority.  Whenever a wire of the wrong polarity is needed it is staged
-through e0 first: one step (``_emit_staged``) loads the complement there,
-reads it out, applies it and resets the device.  All bitline wires of one
-Apply must come from a single source (the input register or one read-out
-word); wires from different words force separate instructions.
+the majority.  All bitline wires of one Apply must come from a single
+source (the input register or one read-out word), so a cube batch is
+emitted source by source: each source is loaded once and its wires go out
+in rounds of at most one wire per bitline.  A value needed in the polarity
+its source does not hold is staged: its source loads the complement onto
+a bank bit of e0, together with its other staged values, and the bank,
+filled by every source of the batch, is read once, applied in rounds and
+reset (``_emit_bank``).
 
 Storage convention: a finished LUT value is written back in complemented
 form (one instruction per word, and positive literals of it can then be
 applied directly), except for LUTs that drive primary outputs, which are
-stored positively so the declared result locations hold the output values.
+stored positively so the declared result locations hold the output values;
+a batch's positive stores go through the staging bank together.
 
 Scheduling walks the levels once, after one pass for the device demand
 (``lutmap.min_dev``), and each distinct truth table has its ESOP cover
@@ -34,7 +38,8 @@ interning.
 
 The depth-bounded mapper (``map_minimal``) lives here too, with a layout
 of its own (see its docstring); it shares the builder with both other
-flows, and the staging step, which it runs on its inverter device.
+flows, and the staging step, which it runs with a bank of one bit, its
+inverter device.
 """
 
 from __future__ import annotations
@@ -70,10 +75,12 @@ class PirVar(NamedTuple):
     """Variable streamed on the input register (positive value)."""
     pi: int
     inverted = False  # the register carries the plain value
+    word = None  # the register needs no read
 
-    def load(self, builder: ProgramBuilder):
-        """The Apply and wire value that put the held value on a bitline."""
-        return builder.apply_from_pir, self.pi
+    @property
+    def wire(self) -> int:
+        """The wire value that carries the held value: its PIR slot."""
+        return self.pi
 
 
 class StoredVar(NamedTuple):
@@ -82,83 +89,114 @@ class StoredVar(NamedTuple):
     bit: int
     inverted: bool = False
 
-    def load(self, builder: ProgramBuilder):
-        """Read the word out; the held value is then wire ``bit``."""
-        builder.read(self.word)
-        return builder.apply_from_dmr, self.bit
+    @property
+    def wire(self) -> int:
+        """The wire value that carries the held value: its bit of the word."""
+        return self.bit
 
 
 VarSource = PirVar | StoredVar
 
 
+def _load(builder: ProgramBuilder, word: int | None):
+    """The Apply that drives a source's wires: the input register's
+    (``word`` None), or the data register's once ``word`` is read out."""
+    if word is None:
+        return builder.apply_from_pir
+    builder.read(word)
+    return builder.apply_from_dmr
+
+
 # -- cube computation ----------------------------------------------------------------
 
-def _emit_wire_group(apply, val, row, bitlines, fresh):
-    """Apply wire ``val`` to the ``bitlines`` of ``row`` through ``apply``
-    (the builder's ``apply_from_pir`` or ``apply_from_dmr``), splitting
-    first-literal loads (wordline 1) on ``fresh`` devices from AND
-    accumulation (wordline 0)."""
-    loads = [j for j in bitlines if j in fresh]
-    ands = [j for j in bitlines if j not in fresh]
+def _emit_rounds(apply, row: int, lines: dict[int, list[int]],
+                 fresh: set[int]):
+    """Apply ``lines`` (bitline -> its wire values, all from the source of
+    ``apply``) to ``row``, consuming the lists.  One Apply at wordline 1
+    loads a wire onto every ``fresh`` bitline; then each round, one Apply
+    at wordline 0, ANDs at most one more wire into each bitline."""
+    loads = {j: vals.pop() for j, vals in lines.items() if j in fresh}
     if loads:
-        apply(row, WsMode.ONE, dict.fromkeys(loads, val))
+        apply(row, WsMode.ONE, loads)
         fresh.difference_update(loads)
-    if ands:
-        apply(row, WsMode.ZERO, dict.fromkeys(ands, val))
+    rest = [(j, vals) for j, vals in lines.items() if vals]
+    while rest:
+        apply(row, WsMode.ZERO, {j: vals.pop() for j, vals in rest})
+        rest = [(j, vals) for j, vals in rest if vals]
 
 
-def _emit_staged(builder: ProgramBuilder, stage: tuple[int, int], apply, val,
-                 row, bitlines, fresh):
-    """``_emit_wire_group`` of the complement of wire ``val``, staged
-    through the reset device ``stage`` and reset there after."""
-    word, bit = stage
-    apply(word, WsMode.ONE, {bit: val})
-    builder.read(word)
-    _emit_wire_group(builder.apply_from_dmr, bit, row, bitlines, fresh)
-    builder.reset_bits(word, [bit])
+def _emit_bank(builder: ProgramBuilder, row: int, lines: dict[int, list[int]],
+               fresh: set[int], held: int):
+    """Read the staging bank (e0 bits below ``held``), apply ``lines``
+    (bitline -> bank bits) to ``row`` in rounds and reset the bank."""
+    builder.read(E0)
+    _emit_rounds(builder.apply_from_dmr, row, lines, fresh)
+    builder.reset_bits(E0, range(held))
 
 
 def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
-                       bits: list[int], sources: list[VarSource]):
-    """Compute each cube on its e2 bitline; devices must start at zero.
+                       bits: list[int], sources: list[list[VarSource]]):
+    """Compute each cube on its e2 bitline, cube i from the variable
+    sources ``sources[i]``; the devices must start at zero.
 
-    Variables are handled one at a time, most frequent first.  A source
-    loads the wire it holds (the plain value on the input register, the
-    stored polarity from the crossbar); as the device complements the
-    bitline, it serves the literals of the other polarity directly, and the
-    rest are staged through e0.
+    The literals are grouped by the source that holds their wire: the
+    input register (the primary inputs, and the constant of the empty
+    cubes) or one stored word.  As the device complements the bitline, a
+    source serves the literals of the polarity opposite to the one it
+    holds directly.  Each source is loaded once (a word is read once) and
+    emits those wires in rounds (``_emit_rounds``); the source that reaches
+    the most bitlines goes first, so most first literals load together.
+    A value whose other polarity is wanted goes to the staging bank, e0
+    bits 0 and up, once however many cubes want it: each source loads its
+    share onto the bank with one Apply, and when the bank is full or every
+    source is done, it is read once, applied in rounds and reset.  A
+    source whose staged values outlast the bank loads again for the rest.
     """
-    fresh = set(bits)
-    empties = [bit for c, bit in zip(cubes, bits) if not (c.pos or c.neg)]
-    if empties:
-        builder.apply_from_pir(E2, WsMode.ONE,
-                               dict.fromkeys(empties, SLOT_CONST0))
-        fresh.difference_update(empties)
-
-    # per variable, the target bitlines whose wire must carry its
-    # complement (a literal v: the device complements the bitline) and
-    # those whose wire must carry v itself (a literal not-v), in one pass
-    want_comp: dict[int, list[int]] = {}
-    want_plain: dict[int, list[int]] = {}
-    for c, bit in zip(cubes, bits):
-        for mask, wants in ((c.pos, want_comp), (c.neg, want_plain)):
+    # per source (a word, or None for the input register): its direct
+    # wires by bitline, and its staged wires with their bitlines
+    groups: dict[int | None, tuple[dict, dict]] = {}
+    for c, bit, srcs in zip(cubes, bits, sources):
+        if not (c.pos or c.neg):
+            groups.setdefault(None, ({}, {}))[0][bit] = [SLOT_CONST0]
+        for mask, pos in ((c.pos, True), (c.neg, False)):
             while mask:
                 low = mask & -mask
-                wants.setdefault(low.bit_length() - 1, []).append(bit)
                 mask ^= low
-    order = sorted(want_comp.keys() | want_plain.keys(), key=lambda v: (
-        -len(want_comp.get(v, ())) - len(want_plain.get(v, ())), v))
+                src = srcs[low.bit_length() - 1]
+                group = groups.get(src.word)
+                if group is None:
+                    group = groups[src.word] = ({}, {})
+                # a literal v wants the complement of v on its wire
+                if src.inverted == pos:
+                    group[0].setdefault(bit, []).append(src.wire)
+                else:
+                    group[1].setdefault(src.wire, []).append(bit)
 
-    for var in order:
-        src = sources[var]
-        comp = want_comp.get(var, ())
-        plain = want_plain.get(var, ())
-        direct, staged = (comp, plain) if src.inverted else (plain, comp)
-        apply, val = src.load(builder)
-        if direct:
-            _emit_wire_group(apply, val, E2, direct, fresh)
-        if staged:
-            _emit_staged(builder, (E0, 0), apply, val, E2, staged, fresh)
+    fresh = set(bits)
+    w_d = builder.config.w_d
+    bank: dict[int, list[int]] = {}  # e2 bitline -> its bank bits
+    held = 0  # bank bits loaded
+    for word, (lines, staged) in sorted(groups.items(),
+                                        key=lambda group: -len(group[1][0])):
+        apply = _load(builder, word)
+        if lines:
+            _emit_rounds(apply, E2, lines, fresh)
+        wires: dict[int, int] = {}  # this source's bank bits -> wires
+        for val, targets in staged.items():
+            if apply is None:  # the bank was emptied: load again
+                apply = _load(builder, word)
+            wires[held] = val
+            for j in targets:
+                bank.setdefault(j, []).append(held)
+            held += 1
+            if held == w_d:  # a full bank: empty it
+                apply(E0, WsMode.ONE, wires)
+                _emit_bank(builder, E2, bank, fresh, held)
+                wires, bank, held, apply = {}, {}, 0, None
+        if wires:
+            apply(E0, WsMode.ONE, wires)
+    if held:
+        _emit_bank(builder, E2, bank, fresh, held)
 
 
 def xor_reduction_round(builder: ProgramBuilder, pairs: list[tuple[int, int]]):
@@ -200,8 +238,8 @@ def compute_esop(builder: ProgramBuilder,
                  first: int = 0) -> list[int]:
     """Compute covers, given as (cubes, sources), side by side on e2 from
     bitline ``first``, one bitline per cube (an empty cover takes one that
-    stays 0); returns each cover's result bit.  The covers share one
-    variable space and every XOR round; a lone cover wider than the row
+    stays 0); returns each cover's result bit.  The covers share one cube
+    batch and every XOR round; a lone cover wider than the row
     goes in chunks on bitlines 1 and up, each XORed into bitline 0."""
     w_d = builder.config.w_d
     lone, sources = covers[0]
@@ -211,38 +249,46 @@ def compute_esop(builder: ProgramBuilder,
             xor_reduction_round(builder, [(0, *compute_esop(
                 builder, [(lone[pos:pos + w_d - 1], sources)], 1))])
         return [0]
-    space: dict[VarSource, int] = {}
-    cubes, bits, groups = [], [], []
-    for cover, sources in covers:
-        keep = not space  # the first cover's variables keep their places
-        var = [space.setdefault(src, len(space)) for src in sources]
-        cubes += cover if keep else [Cube(*(
-            sum(1 << x for v, x in enumerate(var) if mask >> v & 1)
-            for mask in (c.pos, c.neg))) for c in cover]
+    cubes, bits, sources, groups = [], [], [], []
+    for cover, srcs in covers:
+        cubes += cover
         bits += range(first, first + len(cover))
+        sources += [srcs] * len(cover)
         groups.append(list(range(first, first + (len(cover) or 1))))
         first += len(cover) or 1
-    compute_cube_batch(builder, cubes, bits, list(space))
+    compute_cube_batch(builder, cubes, bits, sources)
     return xor_reduce(builder, groups)
+
+
+def _store(builder: ProgramBuilder, stores: list[tuple[int, tuple[int, int]]]):
+    """Apply each data-register wire of ``stores``, given as (wire, device),
+    to its reset device: one Apply at wordline 1 per word."""
+    by_word: dict[int, dict[int, int]] = {}
+    for val, (word, bit) in stores:
+        by_word.setdefault(word, {})[bit] = val
+    for word, wires in by_word.items():
+        builder.apply_from_dmr(word, WsMode.ONE, wires)
 
 
 def write_back(builder: ProgramBuilder,
                stores: list[tuple[int, tuple[int, int], bool]]):
     """Move e2 results, given as (e2 bit, device, store inverted), into
     reset storage devices and clear e2.  One read of e2 and one Apply per
-    word store the complements; each positive store is staged through e0."""
+    word store the complements.  The positive stores go through the
+    staging bank together: one Apply loads their complements onto e0 bits
+    0 and up, one read of e0 and one Apply per word store them, and one
+    reset clears the bank."""
     builder.read(E2)
-    by_word: dict[int, dict[int, int]] = {}
-    for result, (word, bit), inverted in stores:
-        if inverted:
-            by_word.setdefault(word, {})[bit] = result
-    for word, wires in by_word.items():
-        builder.apply_from_dmr(word, WsMode.ONE, wires)
-    for result, (word, bit), inverted in stores:
-        if not inverted:
-            builder.read(E2)
-            _emit_staged(builder, (E0, 0), builder.apply_from_dmr, result,
-                         word, [bit], {bit})
+    _store(builder, [(result, dest) for result, dest, inverted in stores
+                     if inverted])
+    positive = [(result, dest) for result, dest, inverted in stores
+                if not inverted]
+    if positive:
+        builder.apply_from_dmr(E0, WsMode.ONE, {
+            i: result for i, (result, _) in enumerate(positive)})
+        builder.read(E0)
+        _store(builder, [(i, dest) for i, (_, dest) in enumerate(positive)])
+        builder.reset_bits(E0, range(len(positive)))
     builder.reset_bits(E2, [store[0] for store in stores])
 
 
@@ -418,6 +464,7 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         min_dev=sched.min_dev,
         s_d=s_d, w_d=w_d,
         **builder.counts(),
+        i_staging=[instr.w for instr in builder.instructions].count(E0),
         devices_used=len(builder.touched),
     )
     return program, report
@@ -467,8 +514,9 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         if negated:
             builder.apply_from_pir(word, WsMode.ONE, {bit: line})
         else:
-            _emit_staged(builder, INVERTER, builder.apply_from_pir, line,
-                         word, [bit], {bit})
+            # a one-bit staging bank on the inverter device
+            builder.apply_from_pir(E0, WsMode.ONE, {0: line})
+            _emit_bank(builder, word, {bit: [0]}, {bit}, 1)
 
     def pick_roles(node):
         """Split the three fanins into bitline / wordline / host roles.

@@ -39,17 +39,17 @@ at 0, and each update keeps them within ``full``.  :func:`device_step` stays
 the reference for the three forms.
 
 A PIR Apply's bitlines come from the input register, whose values are
-fixed for the run.  So the run builds the mask of every slot (the inputs,
-0 and ``full``) and its complement once, and folds each distinct pair of a
-PIR Apply and slot tuple once into per-line actions that refer to these
-shared masks.  With ``wl`` 0 (ZERO) a line becomes ``z = 0`` when ``nbl`` is
-0, is dropped when ``nbl`` is ``full``, and is ``z &= nbl`` otherwise; with
-``wl`` equal to ``full`` (ONE) it becomes ``z = full``, is dropped when
-``nbl`` is 0, or is ``z |= nbl``.  A FROM_SOURCE line folds the same way
-when its wordline's mask is 0 or ``full``, and otherwise keeps the majority
-form with ``nbl`` from the table.  A set or reset from a constant slot thus
-does no full-width work.  Applies from the data register stay as written
-above.
+fixed for the run.  So the run builds the mask of a slot (an input, 0 or
+``full``) and its complement once, when it first looks the slot up, and
+folds each distinct pair of a PIR Apply and slot tuple once into per-line
+actions that refer to these shared masks.  With ``wl`` 0 (ZERO) a line
+becomes ``z = 0`` when ``nbl`` is 0, is dropped when ``nbl`` is ``full``,
+and is ``z &= nbl`` otherwise; with ``wl`` equal to ``full`` (ONE) it
+becomes ``z = full``, is dropped when ``nbl`` is 0, or is ``z |= nbl``.  A
+FROM_SOURCE line folds the same way when its wordline's mask is 0 or
+``full``, and otherwise keeps the majority form with ``nbl`` from the
+table.  A set or reset from a constant slot thus does no full-width work.
+Applies from the data register stay as written above.
 
 A machine state refuses a geometry of more than ``MAX_DEVICES`` devices
 before it allocates anything, since a container header may declare any
@@ -219,6 +219,18 @@ def _fold(apply: tuple, slots: tuple[int, ...], masks: dict, inv: dict,
     return wl, tuple(actions)
 
 
+class _Memo(dict):
+    """A dict that makes a missing key's value with ``make`` and keeps it."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def run_vectors(program: Program, input_masks: list[int], width: int,
                 record_trace: bool = False, record_state: bool = False
                 ) -> tuple[MachineState, Trace]:
@@ -237,9 +249,10 @@ def run_vectors(program: Program, input_masks: list[int], width: int,
     full = (1 << width) - 1
     state = MachineState(cfg, full=full)
     dcm = state.dcm
-    masks = {SLOT_CONST0: 0, SLOT_CONST1: full}
-    masks.update((i, input_masks[i] & full) for i in range(num_pis))
-    inv = {s: full ^ m for s, m in masks.items()}  # bitline complements
+    # the mask of each slot and its complement, made when first looked up
+    masks = _Memo(lambda s: input_masks[s] & full)
+    masks.update({SLOT_CONST0: 0, SLOT_CONST1: full})
+    inv = _Memo(lambda s: full ^ masks[s])  # bitline complements
     trace = Trace()
     ops = {}  # id of an instruction -> its op tuple (see _op)
     checked = set()  # ids of the slot tuples checked so far

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -172,36 +173,43 @@ def _e2_states_after_steps(builder, num_pis, width, masks):
 
 
 def test_cube_batch_reference_panels():
-    """Two three-literal cubes walk through the documented grid states."""
-    cfg = CrossbarConfig(3, 2)
-    builder = ProgramBuilder(cfg, 3)
+    """Two three-literal cubes, a !b c and !a b c, from the input register
+    walk through the documented e2 states, source by source.  The register
+    loads !b and !a directly in one Apply; a, b and c go through the
+    staging bank, which on four bitlines is loaded once and applied in two
+    rounds, and on two is filled twice.  The bank ends reset, and e2 holds
+    the two cubes."""
     cubes = [Cube(pos=0b101, neg=0b010),   # a !b c
              Cube(pos=0b110, neg=0b001)]   # !a b c
-    sources = [PirVar(0), PirVar(1), PirVar(2)]
-    compute_cube_batch(builder, cubes, [0, 1], sources)
-
     masks = pi_patterns(3)
     full = (1 << 8) - 1
     a, b, c = masks
     na, nb = full & ~a, full & ~b
-    states = _e2_states_after_steps(builder, 3, 8, masks)
-    panels = [(a, na), (a & nb, na & b), (a & nb & c, na & b & c)]
-    # every panel appears, in order, among the accumulator states
-    it = iter(states)
-    for want in panels:
-        for got in it:
-            if got == want:
-                break
-        else:
-            pytest.fail("panel %r not reached; states %r" % (want, states))
-    assert states[-1] == panels[-1]
+    direct = (nb, na)
+    for w_d, panels, count in (
+            # one bank fill of (!a, !c, !b): rounds (c, b), then (a, c)
+            (4, [direct, (nb & c, na & b), (a & nb & c, na & b & c)], 6),
+            # bank fills (!a, !c), then (!b)
+            (2, [direct, (nb & c, na & c), (a & nb & c, na & c),
+                 (a & nb & c, na & b & c)], 10)):
+        builder = ProgramBuilder(CrossbarConfig(3, w_d), 3)
+        compute_cube_batch(builder, cubes, [0, 1],
+                           [[PirVar(0), PirVar(1), PirVar(2)]] * 2)
+        assert len(builder.instructions) == count, w_d
+        states = [s[:2] for s in _e2_states_after_steps(builder, 3, 8, masks)]
+        assert states == panels, w_d
+        from revamp.isa import Program
+        state, _ = run_vectors(Program(builder.config, builder.instructions,
+                                       builder.pir_schedule, {}, 3), masks, 8)
+        assert state.dcm[0] == [0] * w_d and state.dcm[1] == [0] * w_d
+        assert state.dcm[E2][:2] == [a & nb & c, na & b & c]
 
 
 def test_single_positive_cube():
     cfg = CrossbarConfig(3, 2)
     cover = EsopCover([Cube(pos=0b11)], 2)
     builder = ProgramBuilder(cfg, 2)
-    compute_cube_batch(builder, cover.cubes, [0], [PirVar(0), PirVar(1)])
+    compute_cube_batch(builder, cover.cubes, [0], [[PirVar(0), PirVar(1)]])
     from revamp.isa import Program
     prog = Program(cfg, builder.instructions, builder.pir_schedule, {}, 2)
     for a, b in itertools.product((0, 1), repeat=2):
@@ -213,7 +221,7 @@ def test_empty_cube_is_single_set_instruction():
     cfg = CrossbarConfig(3, 2)
     cover = EsopCover([Cube()], 0)
     builder = ProgramBuilder(cfg, 0)
-    compute_cube_batch(builder, cover.cubes, [0], [])
+    compute_cube_batch(builder, cover.cubes, [0], [[]])
     assert len(builder.instructions) == 1
     instr = builder.instructions[0]
     assert isinstance(instr, ApplyInstr)
@@ -504,8 +512,9 @@ def _one_lut_per_batch(graph, s_d, w_d):
 def test_level_batches_stay_in_place_and_save_instructions():
     """Seeded networks and the builtin corpus at k 3/4/6 on 8, 16 and 64
     rows of 4, 16 and 32 bitlines.  Every area program verifies on all
-    input vectors and writes no working device but the staging device
-    (0, 0) and the e2 bitlines below W = min(w_D, the widest cover).
+    input vectors and writes no working device but the staging bank (e0
+    bits below w_D) and the e2 bitlines below W = min(w_D, the widest
+    cover).
     Where two LUTs placed one after the other in a level fit W together,
     the program is shorter than the same schedule mapped one LUT per
     batch; elsewhere it is that program."""
@@ -527,8 +536,9 @@ def test_level_batches_stay_in_place_and_save_instructions():
                 result = check_equivalence(net, program, mode="exhaustive")
                 assert result.ok, case
                 width = min(w_d, max(bits.values(), default=1))
-                assert _working_devices(program) <= {(0, 0)} | {
-                    (E2, j) for j in range(width)}, case
+                assert _working_devices(program) <= {
+                    (row, j) for row, bound in ((0, w_d), (E2, width))
+                    for j in range(bound)}, case
                 events = schedule_luts(graph, s_d, w_d).events
                 shared = any(
                     a[0] == b[0] == "place"
@@ -543,6 +553,99 @@ def test_level_batches_stay_in_place_and_save_instructions():
                 seen["mapped"] += 1
                 seen["batched"] += shared
     assert seen["mapped"] > 500 and seen["batched"] > 250, seen
+
+
+def test_cube_batches_read_each_source_once_per_bank_fill(monkeypatch):
+    """Seeded networks and the builtin corpus at k 3/4/6 on 8, 16 and 64
+    rows of 4, 16 and 32 bitlines.  In each cube batch every stored word
+    is read at most once per fill of the staging bank (a fill ends where
+    the bank is read), and the e2 Applies drawn from each source (the
+    input register, a stored word or one bank fill) number at most twice
+    that source's most literals on one bitline: one round per literal,
+    split into a load and an AND Apply.  Every program verifies on all
+    input vectors."""
+    import revamp.areamap as areamap
+    from revamp.isa import ReadInstr
+    batches = []
+    real = areamap.compute_cube_batch
+
+    def recorded(builder, cubes, bits, sources):
+        start = len(builder.instructions)
+        real(builder, cubes, bits, sources)
+        batches.append((builder.instructions[start:], cubes, bits, sources))
+
+    monkeypatch.setattr(areamap, "compute_cube_batch", recorded)
+    nets = [net for _, net in default_corpus()] + [
+        random_aig(5 + seed % 8, 16 + 8 * seed, seed=300 + seed,
+                   num_outputs=1 + seed % 3) for seed in range(8)]
+    seen = {"mapped": 0, "batches": 0, "bank fills": 0, "word reads": 0}
+    for net in nets:
+        for k in (3, 4, 6):
+            graph = cover_klut(net, k)
+            for s_d, w_d in ((8, 4), (16, 16), (64, 32)):
+                batches.clear()
+                try:
+                    program, _ = map_lut_graph(graph, s_d, w_d)
+                except InfeasibleMapping:
+                    continue
+                case = (net.output_names, k, s_d, w_d)
+                assert check_equivalence(net, program, mode="exhaustive").ok
+                seen["mapped"] += 1
+                for instrs, cubes, bits, sources in batches:
+                    # literals per (source, bitline): a word, None for the
+                    # register, "bank" for the literals staged on e0
+                    literals = Counter()
+                    for c, bit, srcs in zip(cubes, bits, sources):
+                        literals[None, bit] += not (c.pos or c.neg)
+                        for v, src in enumerate(srcs):
+                            for pos, mask in ((True, c.pos), (False, c.neg)):
+                                if mask >> v & 1:
+                                    literals[src.word if src.inverted == pos
+                                             else "bank", bit] += 1
+                    most = Counter()
+                    for (src, _), n in literals.items():
+                        most[src] = max(most[src], n)
+                    applies = Counter()
+                    reads = Counter()
+                    source, fills = None, 0
+                    for instr in instrs:
+                        if isinstance(instr, ReadInstr):
+                            assert instr.w != E2, case
+                            if instr.w == 0:
+                                source, fills = "bank", fills + 1
+                                reads.clear()
+                            else:
+                                source = instr.w
+                                reads[source] += 1
+                                assert reads[source] == 1, case
+                                seen["word reads"] += 1
+                        elif instr.w == E2:
+                            key = None if instr.source == SRC_PIR else source
+                            applies[key, fills if key == "bank" else 0] += 1
+                    for (key, _), n in applies.items():
+                        assert n <= 2 * most[key], (case, key)
+                    seen["batches"] += 1
+                    seen["bank fills"] += fills
+    assert seen["mapped"] > 150 and all(seen.values()), seen
+
+
+def test_area_report_counts_the_staging_instructions():
+    """``i_staging`` counts the Reads and Applies on e0.  By hand for add8
+    at k=4 on 256x32: of its 23 LUTs (W = 4 bitlines), the 9 results are
+    stored positively, each through a write-back that loads the bank,
+    reads it and resets it (3).  The 5 batches of level 1 want positive
+    inputs and the sum LUT of level 2 one complemented stored value: one
+    source loads the bank, then the read and the reset (3 each).  The 7
+    carry LUTs of levels 2 to 8 stage positive inputs from the register
+    and a complemented stored value from its word (4 each)."""
+    from revamp.isa import ReadInstr
+    program, report = map_area(ripple_adder(8), 4, 256, 32)
+    assert report.i_staging == 9 * 3 + 6 * 3 + 7 * 4 == 73
+    decoded = read_program(write_program(program)).instructions
+    assert report.i_staging == sum(i.w == 0 for i in decoded)
+    assert sum(isinstance(i, ReadInstr) and i.w == 0
+               for i in decoded) == 9 + 6 + 7
+    assert report.to_dict()["i_staging"] == 73
 
 
 # -- depth-bounded mapper ------------------------------------------------------------
@@ -666,25 +769,25 @@ def test_minimal_map_of_a_deep_chain_stays_linear():
 # digests of the containers emitted by the bit-by-bit codec
 PINNED_AREA_PROGRAMS = [
     ("add8", lambda: ripple_adder(8), {
-        (256, 32): "484c5b8c70d437814b474a6865bacdc5"
-                   "ce899641f4fe2da6540efb8b13f4c567",
-        (16, 16): "f7b52d42ba6ca10e6983e3becc49b699"
-                  "749568f27a9e11532b37427978c2c405"}),
+        (256, 32): "b429c56783ed3d8712438dfdf30d7dad"
+                   "4e46e6321b34e00cc97fcb34bab5c1c6",
+        (16, 16): "c64d1ac98de11f1a163d904aeaf3aba9"
+                  "6b0e8fab28b30b87d53af93b360ab468"}),
     ("mult4", lambda: multiplier(4), {
-        (256, 32): "1c3dfc186c24aebd340b1aa9728bfebd"
-                   "0660a9ee61fca3e4aea028222bd07a5d",
-        (16, 16): "4ca312a326ca811282a02040c2cccb59"
-                  "788fd76dd78a1762cea8c78eeb6c3d7e"}),
+        (256, 32): "df3a466cb517008d325e468730a79f47"
+                   "e14a2ed311e92741d804263484f8f898",
+        (16, 16): "237a8a306e84274e253edbd54d12ce9b"
+                  "a18703f74012ba57c2c0a4060d4c35f8"}),
     ("cmp8", lambda: comparator(8), {
-        (256, 32): "aa3309ac60ba7ae4f5c695636d5b85bb"
-                   "3359df9675d4bb7990c678d56e86a9c6",
-        (16, 16): "929e72dadf0973411c4463398dd7cca4"
-                  "68ce231aef75c9a1894f5d490da7f5f4"}),
+        (256, 32): "6d84b80660abbc4f661d03464f1f979e"
+                   "be80cbf21db7c051cff05e2e8e268396",
+        (16, 16): "7421358449a1ec4f3366c0f5d59f3fe5"
+                  "48221631015021bf115d528700edf0dc"}),
     ("rand16", lambda: random_aig(16, 120, seed=5, num_outputs=4), {
-        (256, 32): "d0fd075611c755c31a51830e061ffecf"
-                   "deb99170baf7ec44aa82666aa42be6de",
-        (16, 16): "3c6c513dea21649a6daef5ea4153f141"
-                  "510a6e048beba9846c992693c484caf8"}),
+        (256, 32): "3096ae89f847d59a4b6c9ce8f35ebd6d"
+                   "d87c736e221a54f524a1d8824e8adaf3",
+        (16, 16): "54f12a3472d1b5984bffebd4399415cf"
+                  "d905468362f22966239959614a1518df"}),
 ]
 
 PINNED_MINIMAL_PROGRAMS = [
@@ -762,7 +865,7 @@ def test_twin_tree_programs_byte_identical():
 
 # digest of 200 containers: 100 seeded random covers at 3x2 and at 3x4
 PINNED_ESOP_PROGRAMS = (
-    "18e0a6336d9d95d5e40d3735ea8954f7247dbe07b0747ceabf088c0ce39e5b8d")
+    "5bff17fac8bbec88f09f66313b170eaff38d6f5b2ac4f8b88a8d5d4dac3c7182")
 
 
 def test_esop_programs_byte_identical():
