@@ -409,7 +409,18 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader is gone: exit as SIGPIPE would end the process, with
+        # stdout on the null device so the flush at exit is quiet (SIGPIPE
+        # itself stays ignored, as bench's process pool needs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

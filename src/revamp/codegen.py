@@ -48,8 +48,9 @@ class ProgramBuilder:
         # Read: w -> instruction.  Apply: (w, source, mode, wb, sorted
         # wires) -> instruction, or (instruction, slots) from the PIR.  The
         # wires fix the pairs and, in sorted order, the PIR slot positions.
-        # Every PIR Apply also maps to itself, as its slots are not part of
-        # it, so the values hold each distinct Apply.
+        # A PIR Apply's slots are not part of it, so each is also kept
+        # under (w, source, mode, None, sorted bitline -> position pairs),
+        # and the values hold each distinct Apply.
         self._interned = {}
         self._dmr_word = None  # word a Read would be redundant for
         self._dmr_loaded = False
@@ -150,10 +151,12 @@ class ProgramBuilder:
                 position[code] = len(position)
                 slots[position[code]] = code
             wire_vals[j] = position[code]
-        instr = ApplyInstr(w, SRC_PIR, WordlineSelect(mode, 0),
-                           self._pairs(wire_vals))
-        # wires of other PIs at the same positions give an equal instruction
-        instr = self._interned.setdefault(instr, instr)
+        # wires of other PIs at the same positions share one instruction
+        key = (w, SRC_PIR, mode, None, tuple(wire_vals.items()))
+        instr = self._interned.get(key)
+        if instr is None:
+            instr = self._interned[key] = ApplyInstr(
+                w, SRC_PIR, WordlineSelect(mode, 0), self._pairs(wire_vals))
         return instr, tuple(slots)
 
     def reset_bits(self, w: int, bits):

@@ -103,9 +103,6 @@ class BitlinePair:
     val: int = 0
 
 
-NOP_PAIR = BitlinePair(False, 0)
-
-
 @dataclass(frozen=True)
 class ReadInstr:
     w: int

@@ -4,10 +4,14 @@ A network is a DAG of nodes in topological order (every fanin id is smaller
 than the node's own id).  Edges carry a complement flag.  The same container
 holds both AIGs (2-input AND nodes) and MIGs (3-input majority nodes); the
 ``kind`` field says which flavour the network is.  Output names are
-unique: a program declares its result locations by name.  ``rebuild`` is
-the one builder every flow cleans its input with: it makes a MIG of an AIG
-or a MIG, folds constants, merges equal gates and drops dead ones, and
-``aig_to_mig`` is a call of it.
+unique: a program declares its result locations by name.
+
+One builder, ``MigBuilder``, makes every MIG this module emits.  It works
+on integer literals, folds constants, merges equal gates on request, drops
+gates no output reaches and emits one output form.  ``rebuild``, which
+every flow cleans its input with, feeds it each gate of an AIG or a MIG;
+``aig_to_mig`` is a call of ``rebuild``, and ``normalize_mig`` feeds the
+builder each gate once per polarity it is needed in.
 
 This module also provides the brute-force functional oracle (``evaluate`` /
 ``truth_table``) used by every other part of the mapper to prove equivalence.
@@ -247,103 +251,115 @@ def truth_table(network: LogicNetwork) -> list[list[int]]:
             for m in truth_table_ints(network)]
 
 
-# -- cleaning, and AIG -> MIG -------------------------------------------------
+# -- the MIG builder, cleaning, and AIG -> MIG ---------------------------------
+
+class MigBuilder:
+    """A MIG built gate by gate on integer literals, 2 * node + complement:
+    node 0 is the constant, nodes 1..n the PIs named ``pi_names``, and each
+    gate made is the next node.
+
+    ``maj`` folds ``M(x, x, y) = x`` and ``M(x, not x, y) = y``, so a gate
+    made has three distinct literals, none the complement of another; with
+    ``strash`` a gate with the same set of fanin literals as an earlier gate
+    is that gate.  ``network`` emits the one output form: every PI in
+    order, used or not, then the constant if anything reads it, then the
+    gates that reach an output, in the order made, with their names.
+    """
+
+    def __init__(self, pi_names, strash=True):
+        self.pi_names = pi_names
+        self.base = len(pi_names) + 1  # the first gate's node
+        self.gates = []  # fanin literals of each gate, in the order made
+        self.names = []
+        self.table = {} if strash else None
+
+    def maj(self, a, b, c, name=None) -> int:
+        """Literal of MAJ(a, b, c), folded, merged or made."""
+        if a == b or a == c or b ^ c == 1:
+            return a
+        if b == c or a ^ c == 1:
+            return b
+        if a ^ b == 1:
+            return c
+        at = 2 * (self.base + len(self.gates))
+        if self.table is not None:
+            hit = self.table.setdefault(frozenset((a, b, c)), at)
+            if hit != at:
+                return hit
+        self.gates.append((a, b, c))
+        self.names.append(name)
+        return at
+
+    def live(self, outputs) -> list[bool]:
+        """Per node, whether it is kept for the output literals
+        ``outputs``: every PI, and the constant and gates they reach."""
+        base = self.base
+        live = [False] + [True] * (base - 1) + [False] * len(self.gates)
+        for l in outputs:
+            live[l >> 1] = True
+        for g in range(len(self.gates) - 1, -1, -1):
+            if live[base + g]:
+                for l in self.gates[g]:
+                    live[l >> 1] = True
+        return live
+
+    def network(self, outputs, output_names, live) -> LogicNetwork:
+        """The MIG of output literals ``outputs`` named ``output_names``,
+        keeping the nodes ``live`` (``self.live(outputs)``) marks."""
+        out = LogicNetwork(kind="mig")
+        made = out.nodes
+        by_lit = [None] * (2 * len(live))  # literal -> Edge
+
+        def add(node: Node, at: int):
+            by_lit[at] = Edge(len(made))
+            by_lit[at + 1] = Edge(len(made), True)
+            made.append(node)
+
+        for j, name in enumerate(self.pi_names):
+            add(Node(PI, (), name), 2 * j + 2)
+        if live[0]:
+            add(Node(CONST0), 0)
+        for g, (a, b, c) in enumerate(self.gates, self.base):
+            if live[g]:
+                add(Node(MAJ, (by_lit[a], by_lit[b], by_lit[c]),
+                         self.names[g - self.base]), 2 * g)
+        out.outputs = [by_lit[l] for l in outputs]
+        out.output_names = list(output_names)
+        return out
+
 
 def rebuild(network: LogicNetwork, strash: bool = True) -> LogicNetwork:
     """The cleaned MIG of ``network``, an AIG or a MIG: constants folded,
     dead gates dropped and, if ``strash``, equal gates merged; functions
     are unchanged.
 
-    The builder works on literals (2 * node + complement) and stages
-    AND(a, b) as the triple (a, b, 0), that is MAJ(a, b, 0).  Two rules,
-    ``M(x, x, y) = x`` and ``M(x, not x, y) = y``, then fold every
-    constant and every ``x AND not x``.  A gate left has three distinct
-    literals, none the complement of another, so with ``strash`` a gate
-    with the same set of fanin literals as an earlier gate is that gate.
-    Gates that no output reaches are dropped.
-
-    The result lists every PI in order, used or not, then the constant if
-    anything reads it, then the kept gates in source order with their
-    names; the outputs keep their order and names.  A MIG already in that
-    form, with nothing to change, is returned as it is.
+    Each gate goes through a ``MigBuilder`` in source order, AND(a, b) as
+    MAJ(a, b, 0), so the result is in the builder's one output form, with
+    the outputs' order and names.  A MIG already in that form, with
+    nothing to change, is returned as it is.
     """
     nodes = network.nodes
-    # staging literals: node 0 is the constant, 1..n_pi the PIs, then gates
-    base = network.num_pis + 1
-    lit = [0] * len(nodes)
-    gates = []  # fanin literals of each gate kept, in source order
-    origin = []  # the source node of each
-    table = {}
+    builder = MigBuilder([n.name for n in nodes if n.kind == PI], strash)
+    maj = builder.maj
+    lit = [0] * len(nodes)  # the builder literal of each node
     n_pi = 0
     for i, n in enumerate(nodes):
         if n.kind == PI:
             n_pi += 1
             lit[i] = 2 * n_pi
-            continue
-        if n.kind == CONST0:
-            continue
-        f = n.fanins
-        a = lit[f[0].target] ^ f[0].inverted
-        b = lit[f[1].target] ^ f[1].inverted
-        c = lit[f[2].target] ^ f[2].inverted if n.kind == MAJ else 0
-        if a == b or a == c or b ^ c == 1:
-            lit[i] = a
-        elif b == c or a ^ c == 1:
-            lit[i] = b
-        elif a ^ b == 1:
-            lit[i] = c
-        else:
-            if strash:
-                key = frozenset((a, b, c))
-                hit = table.get(key)
-                if hit is not None:
-                    lit[i] = hit
-                    continue
-                table[key] = 2 * (base + len(gates))
-            lit[i] = 2 * (base + len(gates))
-            gates.append((a, b, c))
-            origin.append(i)
-
+        elif n.kind != CONST0:
+            f = n.fanins
+            lit[i] = maj(lit[f[0].target] ^ f[0].inverted,
+                         lit[f[1].target] ^ f[1].inverted,
+                         lit[f[2].target] ^ f[2].inverted
+                         if n.kind == MAJ else 0, n.name)
     out_lits = [lit[e.target] ^ e.inverted for e in network.outputs]
-    live = [False] * len(gates)
-    const_live = False
-    for l in out_lits:
-        if l >> 1 >= base:
-            live[(l >> 1) - base] = True
-        const_live |= l < 2
-    for g in range(len(gates) - 1, -1, -1):
-        if live[g]:
-            for l in gates[g]:
-                if l >> 1 >= base:
-                    live[(l >> 1) - base] = True
-                const_live |= l < 2
-    if (network.kind == "mig"
-            and n_pi + const_live + sum(live) == len(nodes)
+    live = builder.live(out_lits)
+    if (network.kind == "mig" and sum(live) == len(nodes)
             and all(n.kind == PI for n in nodes[:n_pi])
-            and (not const_live or nodes[n_pi].kind == CONST0)):
+            and (not live[0] or nodes[n_pi].kind == CONST0)):
         return network  # every node kept, each in its own place
-
-    out = LogicNetwork(kind="mig")
-    made = out.nodes
-    by_lit = [None] * (2 * (base + len(gates)))  # staging literal -> Edge
-
-    def add(node: Node, at: int):
-        by_lit[at] = Edge(len(made))
-        by_lit[at + 1] = Edge(len(made), True)
-        made.append(node)
-
-    for i, n in enumerate(nodes):
-        if n.kind == PI:
-            add(Node(PI, (), n.name), lit[i])
-    if const_live:
-        add(Node(CONST0), 0)
-    for g, (a, b, c) in enumerate(gates):
-        if live[g]:
-            add(Node(MAJ, (by_lit[a], by_lit[b], by_lit[c]),
-                     nodes[origin[g]].name), 2 * (base + g))
-    out.outputs = [by_lit[l] for l in out_lits]
-    out.output_names = list(network.output_names)
-    return out
+    return builder.network(out_lits, network.output_names, live)
 
 
 def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
@@ -373,7 +389,8 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     """Rewrite a MIG so each node has canonical fanin polarity.
 
     The MIG is cleaned by ``rebuild`` first: ``M(x, not x, y)`` can no
-    longer be seen once x is built apart for each polarity.  Complements are pushed with the majority self-duality
+    longer be seen once x is built apart for each polarity.  Complements
+    are pushed with the majority self-duality
     ``not M(a,b,c) == M(not a, not b, not c)``: a node built complemented
     complements its fanins instead.  Each node inverts its internal fanin
     with the lowest source id, unless a primary-input or constant fanin is
@@ -385,10 +402,14 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
 
     A source node is built once per polarity it is needed in and then
     referenced again, so the output has at most two MAJ nodes per source
-    node.  ``map_minimal`` evaluates it as the per-output trees, one MAJ
-    evaluation per tree node, so a network whose trees would exceed
-    ``MAX_TREE_NODES`` (``tree_size``, counted on the cleaned MIG) is
-    refused before any normal form is built.
+    node.  Two linear passes do it: one from the outputs down marks each
+    (node, polarity) needed, and one up feeds those gates, in source
+    order and plain before complemented, to a ``MigBuilder`` that does not
+    merge, so the result is in ``rebuild``'s output form.  ``map_minimal``
+    evaluates it as the per-output trees, one MAJ evaluation per tree
+    node, so a network whose trees would exceed ``MAX_TREE_NODES``
+    (``tree_size``, counted on the cleaned MIG) is refused before any
+    normal form is built.
     """
     if network.kind != "mig":
         raise NetlistError("normalize_mig expects a MIG")
@@ -398,25 +419,16 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
         raise NetlistError("normalized trees would have %d MAJ nodes, more "
                            "than the limit of %d" % (size, MAX_TREE_NODES))
     nodes = network.nodes
-    out = LogicNetwork(kind="mig")
-    made: dict[tuple[int, bool], int] = {}  # (source node, flipped) -> id
-    const_id = None
-    for i, n in enumerate(nodes):
-        if n.kind == PI:
-            made[i, False] = out.add_pi(n.name)
-
-    def leaf(nid):
-        nonlocal const_id
-        if nodes[nid].kind == PI:
-            return made[nid, False]
-        if const_id is None:
-            const_id = out.add_const0()
-        return const_id
+    pi_names = [n.name for n in nodes if n.kind == PI]
+    # builder literals of the leaves: in rebuild's form PI j is node j and
+    # the constant, if any, node len(pi_names)
+    leaf = [2 * j + 2 for j in range(len(pi_names))] + [0]
 
     def fanins(nid: int, flipped: bool):
         """``(target, inverted, internal)`` per fanin of node ``nid`` built
-        complemented if ``flipped``; an internal fanin's ``inverted`` is
-        the polarity its child is built in."""
+        complemented if ``flipped``, and the position of the fanin whose
+        edge is complemented (-1 if none); an internal fanin's
+        ``inverted`` is the polarity its child is built in."""
         ops = [(e.target, e.inverted ^ flipped, nodes[e.target].kind == MAJ)
                for e in nodes[nid].fanins]
         internal = [j for j, (_, _, is_maj) in enumerate(ops) if is_maj]
@@ -427,38 +439,30 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
             return ops, j
         return ops, -1
 
-    def build(root: int, flipped: bool) -> int:
-        """Output id of node ``root`` built complemented if ``flipped``.
-
-        Depth first, fanins in order, each node after its fanins; the stack
-        holds the open nodes, so a deep chain needs no recursion.
-        """
-        stack = [(root, flipped)]
-        while stack:
-            key = stack[-1]
-            if key in made:
-                stack.pop()
-                continue
-            ops, flip = fanins(*key)
-            todo = [(t, inv) for t, inv, internal in ops
-                    if internal and (t, inv) not in made]
-            if todo:
-                stack += reversed(todo)
-                continue
-            stack.pop()
-            made[key] = out.add_node(MAJ, [
-                Edge(made[t, inv], j == flip) if internal
-                else Edge(leaf(t), inv)
-                for j, (t, inv, internal) in enumerate(ops)],
-                name=nodes[key[0]].name)
-        return made[root, flipped]
-
-    for e, name in zip(network.outputs, network.output_names):
-        if nodes[e.target].kind == MAJ:
-            out.add_output(Edge(build(e.target, e.inverted)), name)
-        else:
-            out.add_output(Edge(leaf(e.target), e.inverted), name)
-    return out
+    # down: each (source node, flipped) needed, complemented first, from
+    # the last node to the first, so a node's fanins are marked before
+    # the walk reaches them
+    plans = {}  # needed (source node, flipped) -> its fanins
+    need = {(e.target, e.inverted) for e in network.outputs
+            if nodes[e.target].kind == MAJ}
+    for nid in range(len(nodes) - 1, -1, -1):
+        for key in ((nid, True), (nid, False)):
+            if key in need:
+                ops, _ = plans[key] = fanins(*key)
+                need.update((t, inv) for t, inv, internal in ops if internal)
+    # up: source order, plain before complemented
+    builder = MigBuilder(pi_names, strash=False)
+    made = {}  # (source node, flipped) -> builder literal
+    for key in reversed(plans):
+        ops, flip = plans[key]
+        made[key] = builder.maj(*[
+            made[t, inv] ^ (j == flip) if internal else leaf[t] ^ inv
+            for j, (t, inv, internal) in enumerate(ops)],
+            name=nodes[key[0]].name)
+    out_lits = [made[e.target, e.inverted] if nodes[e.target].kind == MAJ
+                else leaf[e.target] ^ e.inverted for e in network.outputs]
+    return builder.network(out_lits, network.output_names,
+                           builder.live(out_lits))
 
 
 # -- ASCII AIGER -------------------------------------------------------------

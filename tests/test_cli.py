@@ -1,17 +1,20 @@
 import csv
 import hashlib
 import json
+import os
 import signal
 import struct
+import subprocess
+import sys
 import time
 
 import pytest
 
 from conftest import LEAF_OUTPUT_MIGS, serialize_aig
 from revamp import cli, netlist
-from revamp.areamap import map_minimal
-from revamp.circuits import (full_adder, multiplier, parity, ripple_adder,
-                             two_bit_xor, two_bit_xor_program)
+from revamp.areamap import InfeasibleMapping, map_minimal
+from revamp.circuits import (default_corpus, full_adder, multiplier, parity,
+                             ripple_adder, two_bit_xor, two_bit_xor_program)
 from revamp.cli import main
 from revamp.isa import MAX_PIS, CrossbarConfig, Program, write_program
 from revamp.netlist import aig_to_mig, normalize_mig, serialize_mig
@@ -330,6 +333,39 @@ def test_verify_exit_code_on_mismatch(workdir, capsys, tmp_path):
     assert rc == 2
 
 
+def _run_with_stdout_closed(unbuffered, *argv):
+    """``revamp argv`` in a new process whose stdout is a pipe with no
+    reader: ``(exit code, stderr)``.  Unbuffered, the first write fails;
+    buffered, the flush of what was written."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "revamp.cli", *argv],
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(w)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_as_sigpipe_would(workdir, unbuffered):
+    prog = workdir / "fa.rvmp"
+    assert main(["map-area", "--k", "4", "--rows", "8", "--cols", "8",
+                 str(workdir / "fa.aag"), "-o", str(prog)]) == 0
+    assert _run_with_stdout_closed(unbuffered, "verify",
+                                   str(workdir / "fa.aag"),
+                                   str(prog)) == (141, "")
+    # a refused input is still bad input, whatever stdout is
+    rc, err = _run_with_stdout_closed(unbuffered, "verify",
+                                      str(workdir / "fa.aag"),
+                                      str(workdir / "missing.rvmp"))
+    assert rc == 2 and err.startswith("error: ")
+
+
 def test_verify_refuses_exhaustive_with_random(workdir, capsys):
     prog = workdir / "fa.rvmp"
     main(["map-area", "--k", "4", "--rows", "8", "--cols", "8",
@@ -586,3 +622,35 @@ def test_bench_refuses_a_run_with_no_network_to_map(capsys, monkeypatch):
     assert rc == 2 and out == ""
     assert err == ("error: no network to map: give a directory, "
                    "$REVAMP_CORPUS or --builtin\n")
+
+
+# sha256 over the containers every flow emits for ``default_corpus()``: the
+# area flow at k 3/4/6 on 8x4, 16x16 and 64x32 ("infeasible" for a job that
+# would not fit; every job fits today), the delay flow at w_D 4/16/32 and
+# the minimal flow on each single-output network; a refactor of any flow
+# must keep these bytes
+CORPUS_PROGRAMS = (
+    "b8e2dc1aaf6dd5b1d4d6658b257e636e6f877a8eb31d1e2f7f300dedb085b1c1")
+
+
+def test_corpus_programs_byte_identical():
+    jobs = [("area", k, s_d, w_d) for k in (3, 4, 6)
+            for s_d, w_d in ((8, 4), (16, 16), (64, 32))]
+    jobs += [("delay", None, 0, w_d) for w_d in (4, 16, 32)]
+    jobs += [("minimal", None, 0, 0)]
+    digest = hashlib.sha256()
+    count = 0
+    for name, net in default_corpus():
+        for job in jobs:
+            try:
+                program, _ = cli.map_network(net, *job)
+            except cli.NotApplicable:
+                continue
+            except InfeasibleMapping:
+                data = b"infeasible"
+            else:
+                data = write_program(program)
+            digest.update(repr((name,) + job).encode() + data)
+            count += 1
+    assert count == 160
+    assert digest.hexdigest() == CORPUS_PROGRAMS

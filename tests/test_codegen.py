@@ -6,8 +6,8 @@ from revamp.areamap import map_area, map_minimal
 from revamp.circuits import default_corpus, parity, ripple_adder
 from revamp.codegen import ProgramBuilder
 from revamp.delaymap import map_delay
-from revamp.isa import (ApplyInstr, CrossbarConfig, IsaError, Program,
-                        ReadInstr, WsMode, write_program)
+from revamp.isa import (SLOT_CONST0, ApplyInstr, CrossbarConfig, IsaError,
+                        Program, ReadInstr, WsMode, write_program)
 from revamp.netlist import LogicNetwork, aig_to_mig, normalize_mig, pi_patterns
 from revamp.simulator import PIPELINE_FILL, run_vectors
 
@@ -22,6 +22,21 @@ def test_counts_split_reads_and_applies():
     builder.apply_from_dmr(1, WsMode.ONE, {1: 0})
     assert builder.counts() == {"i_apply": 2, "i_read": 1, "i_total": 3,
                                 "cycles": 3 + PIPELINE_FILL}
+
+
+def test_pir_applies_at_the_same_positions_share_one_instruction():
+    """PIR Applies whose wires read other inputs at the same slot positions
+    are one instruction object, each with its own slots; other positions
+    give another instruction."""
+    builder = ProgramBuilder(CrossbarConfig(3, 4), 3)
+    builder.apply_from_pir(1, WsMode.ONE, {0: 0, 2: 1})
+    builder.apply_from_pir(1, WsMode.ONE, {0: 2, 2: 0})
+    builder.apply_from_pir(1, WsMode.ONE, {0: 0, 2: 0})
+    first, second, third = builder.instructions
+    assert first is second and first != third
+    c0 = SLOT_CONST0
+    assert builder.pir_schedule == {0: (0, 1, c0, c0), 1: (2, 0, c0, c0),
+                                    2: (0, c0, c0, c0)}
 
 
 def test_every_flow_reports_the_simulated_counts():
