@@ -5,7 +5,8 @@ the crossbar's storage capacity (three rows always stay reserved as the
 working area), schedules each LUT onto a storage device and expands its
 function to an exclusive sum of products.  The LUTs of one level are then
 computed side by side on working row e2, one cube per bitline; each LUT's
-cubes are folded in place by an XOR tree and the values are written back.
+cubes are folded by an XOR tree whose rounds alternate between working
+rows e2 and e0, and the last round stores each value in its device.
 The result is an ordinary machine program, so the last step just runs it
 against the network's truth table.
 """

@@ -4,9 +4,11 @@ The crossbar is split into a working area of three wordlines (rows 0..2,
 called e0/e1/e2 below) and storage rows for intermediate LUT results.  Each
 LUT of the cover is scheduled onto a storage device and expanded to an
 ESOP.  A level's LUTs are computed side by side on e2, one bitline per
-cube; each LUT's cubes are folded in place by an XOR reduction tree, and
-the values are written back to the scheduled devices.  The bits of e0,
-from bit 0 up, are the staging bank; e1 is reserved but unused.
+cube, and each LUT's cubes are folded by an XOR reduction tree whose
+rounds alternate between e2 and e0: a round reads one row and leaves its
+results, complemented, on the other (``xor_round``).  The bits of e0, from
+bit 0 up, are also the staging bank, which is empty while the rounds run;
+e1 is reserved but unused.
 
 Machine idioms used throughout (device update is M3(Z, wl, not bl)):
 
@@ -23,13 +25,19 @@ in rounds of at most one wire per bitline.  A value needed in the polarity
 its source does not hold is staged: its source loads the complement onto
 a bank bit of e0, together with its other staged values, and the bank,
 filled by every source of the batch, is read once, applied in rounds and
-reset (``_emit_bank``).
+reset (``_emit_bank``).  ``MappingReport.i_staging`` counts these loads,
+reads, Applies and resets, and the staging of plain stores below.
 
-Storage convention: a finished LUT value is written back in complemented
-form (one instruction per word, and positive literals of it can then be
-applied directly), except for LUTs that drive primary outputs, which are
-stored positively so the declared result locations hold the output values;
-a batch's positive stores go through the staging bank together.
+Storage convention: each value carries a polarity, 1 where its device
+holds the complement.  The last XOR round of a batch stores each LUT's
+value straight into its device, at the polarity the tree gives it; a LUT
+without a round (one cube) is stored complemented by write-back.  A LUT
+that drives a primary output must be stored plain, so that the declared
+result locations hold the output values: one that the last round would
+store complemented lands on the other working row instead and is
+complemented on its way to storage, and one without a round goes through
+the staging bank with the batch's other plain stores.  A consumer reads
+each stored value at its own polarity.
 
 Scheduling walks the levels once, after one pass for the device demand
 (``lutmap.min_dev``), and each distinct truth table has its ESOP cover
@@ -129,9 +137,11 @@ def _emit_bank(builder: ProgramBuilder, row: int, lines: dict[int, list[int]],
                fresh: set[int], held: int):
     """Read the staging bank (e0 bits below ``held``), apply ``lines``
     (bitline -> bank bits) to ``row`` in rounds and reset the bank."""
+    start = len(builder.instructions)
     builder.read(E0)
     _emit_rounds(builder.apply_from_dmr, row, lines, fresh)
     builder.reset_bits(E0, range(held))
+    builder.i_staging += len(builder.instructions) - start
 
 
 def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
@@ -191,73 +201,136 @@ def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
             held += 1
             if held == w_d:  # a full bank: empty it
                 apply(E0, WsMode.ONE, wires)
+                builder.i_staging += 1
                 _emit_bank(builder, E2, bank, fresh, held)
                 wires, bank, held, apply = {}, {}, 0, None
         if wires:
             apply(E0, WsMode.ONE, wires)
+            builder.i_staging += 1
     if held:
         _emit_bank(builder, E2, bank, fresh, held)
 
 
-def xor_reduction_round(builder: ProgramBuilder, pairs: list[tuple[int, int]]):
-    """Fold pairs of e2 values in place: (lo, hi) -> lo xor hi at lo.
+def xor_round(builder: ProgramBuilder, row: int,
+              pairs: list[tuple[int, int]], moved: list[int],
+              dests: dict[int, tuple[int, int]] | None = None):
+    """One XOR round: fold each pair (lo, hi) of working row ``row`` (R) and
+    move each ``moved`` bit m, onto the other working row (O), which must
+    be zero at those bits; a bit in ``dests`` goes to that device (w, j)
+    instead of to O at its own bit.
 
     With lo = x and hi = y, one AND Apply crosses each pair from the
-    read-out (lo = x.not(y), hi = y.not(x)); hi is reset and takes its own
-    complement, and an OR Apply of hi onto lo leaves x.not(y) + y.not(x).
-    Eight instructions touch only e2, and pairs of a round share every one."""
-    if not pairs:
-        return
+    read-out (lo = x.not(y), hi = y.not(x)).  From a second read, an OR
+    Apply per target word loads not(lo) and not(m), and an AND Apply of hi
+    leaves not(x xor y) at lo's target.  One reset clears R's bits.  Six
+    instructions when every target is on O, shared by every value of the
+    round; two Applies more for each other word."""
     cross = dict(pairs)
-    his = list(cross.values())
-    builder.read(E2)
-    builder.apply_from_dmr(E2, WsMode.ZERO, {**cross, **dict(zip(his, cross))})
-    builder.read(E2)
-    builder.reset_bits(E2, his)
-    builder.apply_from_dmr(E2, WsMode.ONE, dict(zip(his, his)))
-    builder.read(E2)
-    builder.apply_from_dmr(E2, WsMode.ONE, cross)
-    builder.reset_bits(E2, his)
+    other = E0 + E2 - row
+    targets: dict[int, tuple[dict, dict]] = {}  # word -> (loads, ANDs)
+    for bit in [*cross, *moved]:
+        w, j = dests.get(bit, (other, bit)) if dests else (other, bit)
+        if w not in targets:
+            targets[w] = {}, {}
+        loads, ands = targets[w]
+        loads[j] = bit
+        if bit in cross:
+            ands[j] = cross[bit]
+    builder.read(row)
+    if cross:
+        builder.apply_from_dmr(row, WsMode.ZERO,
+                               {**cross, **{hi: lo for lo, hi in pairs}})
+        builder.read(row)
+    for w, (loads, ands) in targets.items():
+        builder.apply_from_dmr(w, WsMode.ONE, loads)
+        if ands:
+            builder.apply_from_dmr(w, WsMode.ZERO, ands)
+    builder.reset_bits(row, [*cross, *cross.values(), *moved])
 
 
-def xor_reduce(builder: ProgramBuilder, groups: list[list[int]]) -> list[int]:
-    """XOR-reduction trees over groups of ascending e2 bits, one round of
-    every group at a time; returns each group's first bit, which ends up
-    holding the group's XOR."""
-    live = [bits for bits in groups if len(bits) > 1]
-    while live:
-        xor_reduction_round(builder, [
-            pair for bits in live for pair in zip(bits[::2], bits[1::2])])
-        # the lower bit of each pair, then an odd last one: still ascending
-        live = [bits[::2] for bits in live if len(bits) > 2]
-    return [bits[0] for bits in groups]
+def xor_reduce(builder: ProgramBuilder, groups: list[list[tuple[int, int]]],
+               dests: list[tuple[tuple[int, int], bool] | None] | None = None
+               ) -> tuple[int, list[int | None], list[int]]:
+    """XOR-reduction trees over groups of e2 values, each group given as
+    ascending (bit, polarity) pairs, where a value of polarity 1 is held
+    complemented.  Each round (``xor_round``) folds the pairs of every
+    group and moves every other value to the other working row, so rounds
+    alternate between e2 and e0: a pair's result has polarity
+    p_x ^ p_y ^ 1, and a moved value's polarity flips.
+
+    Returns (row, bits, polarities): each group's XOR is at its first bit
+    of ``row``.  ``dests`` gives each group a storage device and whether
+    it must hold the plain value, or None.  The last round stores each
+    such group's result straight into its device, unless the device must
+    hold the plain value and the result there would be complemented; that
+    one stays on ``row``.  A stored group's bit is None, and its polarity
+    is that of the stored value."""
+    row = E2
+    bits = [[b for b, _ in values] for values in groups]
+    pols = [[p for _, p in values] for values in groups]
+    longest = max(map(len, bits))
+    while longest > 1:
+        pairs, moved, stores = [], [], {}
+        for g, (these, ps) in enumerate(zip(bits, pols)):
+            pairs += zip(these[::2], these[1::2])
+            folded = [x ^ y ^ 1 for x, y in zip(ps[::2], ps[1::2])]
+            if len(these) % 2:
+                moved.append(these[-1])
+                folded.append(ps[-1] ^ 1)
+            bits[g], pols[g] = these[::2], folded
+            if longest == 2 and dests and dests[g]:  # the last round
+                device, plain = dests[g]
+                if not (plain and folded[0]):
+                    stores[these[0]] = device
+                    bits[g] = [None]
+        xor_round(builder, row, pairs, moved, stores)
+        row = E0 + E2 - row
+        longest = (longest + 1) // 2
+    return row, [these[0] for these in bits], [ps[0] for ps in pols]
 
 
 def compute_esop(builder: ProgramBuilder,
                  covers: list[tuple[list[Cube], list[VarSource]]],
-                 first: int = 0) -> list[int]:
+                 dests: list[tuple[tuple[int, int], bool] | None] | None = None
+                 ) -> tuple[int, list[int | None], list[int]]:
     """Compute covers, given as (cubes, sources), side by side on e2 from
-    bitline ``first``, one bitline per cube (an empty cover takes one that
-    stays 0); returns each cover's result bit.  The covers share one cube
-    batch and every XOR round; a lone cover wider than the row
-    goes in chunks on bitlines 1 and up, each XORed into bitline 0."""
+    bitline 0, one bitline per cube (an empty cover takes one that stays
+    0).  The covers share one cube batch and every XOR round; ``dests``
+    and the result are those of ``xor_reduce``.
+
+    A lone cover wider than the row goes in chunks: the first on every
+    bitline, each next one on bitlines 1 and up, reduced together with
+    the XOR so far at bitline 0.  That XOR moves back to e2 (one round
+    with no pair) when it lands on e0, which the next batch stages on."""
     w_d = builder.config.w_d
     lone, sources = covers[0]
-    if len(lone) > w_d - first:
-        compute_esop(builder, [(lone[:w_d], sources)])
-        for pos in range(w_d, len(lone), w_d - 1):
-            xor_reduction_round(builder, [(0, *compute_esop(
-                builder, [(lone[pos:pos + w_d - 1], sources)], 1))])
-        return [0]
+    if len(lone) > w_d:
+        carry: list[tuple[int, int]] = []  # the XOR so far, at e2 bit 0
+        pos = 0
+        while pos < len(lone):
+            chunk = lone[pos:pos + w_d - len(carry)]
+            pos += len(chunk)
+            bits = list(range(len(carry), len(carry) + len(chunk)))
+            compute_cube_batch(builder, chunk, bits, [sources] * len(chunk))
+            row, (bit,), (p,) = xor_reduce(
+                builder, [carry + [(b, 0) for b in bits]],
+                dests if pos == len(lone) else None)
+            if row == E0 and pos < len(lone):
+                xor_round(builder, E0, [], [bit])
+                row, p = E2, p ^ 1
+            carry = [(bit, p)]
+        return row, [bit], [p]
     cubes, bits, sources, groups = [], [], [], []
+    first = 0
     for cover, srcs in covers:
         cubes += cover
         bits += range(first, first + len(cover))
         sources += [srcs] * len(cover)
-        groups.append(list(range(first, first + (len(cover) or 1))))
+        groups.append([(b, 0) for b in range(first,
+                                             first + (len(cover) or 1))])
         first += len(cover) or 1
     compute_cube_batch(builder, cubes, bits, sources)
-    return xor_reduce(builder, groups)
+    return xor_reduce(builder, groups, dests)
 
 
 def _store(builder: ProgramBuilder, stores: list[tuple[int, tuple[int, int]]]):
@@ -270,26 +343,38 @@ def _store(builder: ProgramBuilder, stores: list[tuple[int, tuple[int, int]]]):
         builder.apply_from_dmr(word, WsMode.ONE, wires)
 
 
-def write_back(builder: ProgramBuilder,
-               stores: list[tuple[int, tuple[int, int], bool]]):
-    """Move e2 results, given as (e2 bit, device, store inverted), into
-    reset storage devices and clear e2.  One read of e2 and one Apply per
-    word store the complements.  The positive stores go through the
-    staging bank together: one Apply loads their complements onto e0 bits
-    0 and up, one read of e0 and one Apply per word store them, and one
-    reset clears the bank."""
-    builder.read(E2)
-    _store(builder, [(result, dest) for result, dest, inverted in stores
-                     if inverted])
-    positive = [(result, dest) for result, dest, inverted in stores
-                if not inverted]
-    if positive:
-        builder.apply_from_dmr(E0, WsMode.ONE, {
-            i: result for i, (result, _) in enumerate(positive)})
-        builder.read(E0)
-        _store(builder, [(i, dest) for i, (_, dest) in enumerate(positive)])
-        builder.reset_bits(E0, range(len(positive)))
-    builder.reset_bits(E2, [store[0] for store in stores])
+def write_back(builder: ProgramBuilder, row: int,
+               stores: list[tuple[int | None, int, tuple[int, int], bool]]
+               ) -> list[int]:
+    """Move results of working row ``row``, given as (bit, polarity,
+    device, plain), into reset storage devices and clear their bits;
+    returns the polarity each device holds.  A result whose bit is None
+    is stored already (see ``xor_reduce``).
+
+    One read of ``row`` and one Apply per word store the complements,
+    which for a result of polarity 1 is the plain value.  A plain store of
+    a polarity-0 result, which only e2 holds after a batch with no XOR
+    round, goes through the staging bank with the others: one Apply loads
+    their complements onto e0 bits 0 and up, one read of e0 and one Apply
+    per word store them, and one reset clears the bank."""
+    left = [store for store in stores if store[0] is not None]
+    if left:
+        builder.read(row)
+        _store(builder, [(bit, dest) for bit, p, dest, plain in left
+                         if p or not plain])
+        staged = [(bit, dest) for bit, p, dest, plain in left
+                  if plain and not p]
+        if staged:
+            start = len(builder.instructions)
+            builder.apply_from_dmr(E0, WsMode.ONE, {
+                i: bit for i, (bit, _) in enumerate(staged)})
+            builder.read(E0)
+            _store(builder, [(i, dest) for i, (_, dest) in enumerate(staged)])
+            builder.reset_bits(E0, range(len(staged)))
+            builder.i_staging += len(builder.instructions) - start
+        builder.reset_bits(row, [store[0] for store in left])
+    return [p if bit is None else 0 if plain else 1 - p
+            for bit, p, _, plain in stores]
 
 
 # -- standalone cover program ------------------------------------------------------
@@ -297,12 +382,23 @@ def write_back(builder: ProgramBuilder,
 def gen_esop_program(cover: EsopCover, config: CrossbarConfig
                      ) -> tuple[Program, int]:
     """Whole-cover program on any crossbar of at least three wordlines and
-    two bitlines; every variable streams from the input register."""
+    two bitlines; every variable streams from the input register.  The
+    result location, an e2 bit, holds the cover's plain value."""
     if config.s_d < 3:
         raise ValueError("the working area needs three wordlines")
     sources = [PirVar(v) for v in range(cover.arity)]
     builder = ProgramBuilder(config, cover.arity)
-    bit, = compute_esop(builder, [(cover.cubes, sources)])
+    row, (bit,), (p,) = compute_esop(builder, [(cover.cubes, sources)])
+    # the result sits at bit 0 and every other working device is zero.  A
+    # move complements, so a complemented result moves onto e2 (to bit 1
+    # from e2 itself), and a plain one on e0 first moves to e0 bit 1
+    if row == E0 and not p:
+        xor_round(builder, E0, [], [bit], {bit: (E0, 1)})
+        bit, p = 1, 1
+    if p:
+        to = bit if row == E0 else 1
+        xor_round(builder, row, [], [bit], {bit: (E2, to)})
+        bit = to
     builder.result_locations["f"] = (E2, bit)
     return builder.finish(), bit
 
@@ -435,17 +531,20 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
     need = [max(1, len(c)) for c in cubes]  # e2 bitlines of each LUT
     width = min(w_d, max(need, default=1))
     batch, used = [], 0  # the open batch's LUTs and e2 bitlines
+    polarity = {}  # LUT -> 1 where its device holds the complement
     # the last, empty reset emits the last batch
     for event in sched.events + [("reset", E2, [])]:
         lut = graph.luts[event[1]] if event[0] == "place" else None
         if batch and (lut is None or lut.level != batch[0].level
                       or used + need[lut.id] > width):
-            bits = compute_esop(builder, [(cubes[l.id], [
+            dests = [(placements[l.id], l.id in is_output) for l in batch]
+            row, bits, pols = compute_esop(builder, [(cubes[l.id], [
                 PirVar(ref) if kind == PI_REF else
-                StoredVar(*placements[ref], ref not in is_output)
-                for kind, ref in l.inputs]) for l in batch])
-            write_back(builder, [(bit, placements[l.id], l.id not in is_output)
-                                 for bit, l in zip(bits, batch)])
+                StoredVar(*placements[ref], polarity[ref])
+                for kind, ref in l.inputs]) for l in batch], dests)
+            polarity.update(zip((l.id for l in batch), write_back(
+                builder, row, [(bit, p, *dest)
+                               for bit, p, dest in zip(bits, pols, dests)])))
             batch, used = [], 0
         if lut is None:
             builder.reset_bits(event[1], [b for b, _ in event[2]])
@@ -464,7 +563,7 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         min_dev=sched.min_dev,
         s_d=s_d, w_d=w_d,
         **builder.counts(),
-        i_staging=[instr.w for instr in builder.instructions].count(E0),
+        i_staging=builder.i_staging,
         devices_used=len(builder.touched),
     )
     return program, report

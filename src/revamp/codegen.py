@@ -25,11 +25,18 @@ again would.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 
 from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR, ApplyInstr,
                   BitlinePair, CrossbarConfig, Program, ReadInstr,
                   WordlineSelect, WsMode)
 from .simulator import PIPELINE_FILL
+
+
+@lru_cache(maxsize=None)
+def _select(mode: WsMode, wb: int) -> WordlineSelect:
+    """One shared wordline select per (mode, wb), made on first use."""
+    return WordlineSelect(mode, wb)
 
 
 class ProgramBuilder:
@@ -56,13 +63,11 @@ class ProgramBuilder:
         self._dmr_loaded = False
         self._pir_at = []  # indices of PIR Applies, ascending
         self._read_at = []  # indices of Reads, ascending
-
-    @property
-    def touched(self) -> set[tuple[int, int]]:
-        """Devices ``(w, j)`` that some Apply drives through a valid pair."""
-        return {(instr.w, j) for instr in self._interned.values()
-                if isinstance(instr, ApplyInstr)
-                for j, pair in enumerate(instr.pairs) if pair.valid}
+        # devices (w, j) that some Apply drives through a valid pair,
+        # recorded as each distinct Apply is made
+        self.touched: set[tuple[int, int]] = set()
+        # instructions the flow counts as staging (the area flow's bank)
+        self.i_staging = 0
 
     def counts(self) -> dict[str, int]:
         """Instruction mix and cycle count, keyed as in ``MappingReport``."""
@@ -119,7 +124,9 @@ class ProgramBuilder:
         instr = self._interned.get(key)
         if instr is None:
             instr = self._interned[key] = ApplyInstr(
-                w, SRC_DMR, WordlineSelect(mode, wb), self._pairs(wires))
+                w, SRC_DMR, _select(mode, wb), self._pairs(wires))
+            for j in wires:
+                self.touched.add((w, j))
         self.instructions.append(instr)
         if w == self._dmr_word:
             self._dmr_word = None
@@ -156,7 +163,9 @@ class ProgramBuilder:
         instr = self._interned.get(key)
         if instr is None:
             instr = self._interned[key] = ApplyInstr(
-                w, SRC_PIR, WordlineSelect(mode, 0), self._pairs(wire_vals))
+                w, SRC_PIR, _select(mode, 0), self._pairs(wire_vals))
+            for j in wire_vals:
+                self.touched.add((w, j))
         return instr, tuple(slots)
 
     def reset_bits(self, w: int, bits):

@@ -180,8 +180,9 @@ def validate_instruction(instr: Instruction, config: CrossbarConfig):
     if len(instr.pairs) != config.w_d:
         raise IsaError("apply needs exactly %d (v val) pairs, got %d"
                        % (config.w_d, len(instr.pairs)))
+    w_d = config.w_d
     for p in instr.pairs:
-        if not 0 <= p.val < config.w_d:
+        if not 0 <= p.val < w_d:
             raise IsaError("val %d out of range" % p.val)
 
 

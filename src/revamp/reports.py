@@ -23,7 +23,7 @@ class MappingReport:
     i_read: int = 0
     i_total: int = 0
     cycles: int = 0
-    # area flow: the Reads and Applies on the staging row e0
+    # area flow: the staging bank's loads, reads, Applies and resets
     i_staging: int | None = None
     # delay-flow packing statistics
     n_blocks: int | None = None

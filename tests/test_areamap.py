@@ -7,16 +7,16 @@ from collections import Counter
 import pytest
 
 from conftest import LEAF_OUTPUT_MIGS
-from revamp.areamap import (E2, InfeasibleMapping, PirVar, StoredVar,
+from revamp.areamap import (E0, E2, InfeasibleMapping, PirVar, StoredVar,
                             compute_cube_batch, compute_esop,
                             gen_esop_program, map_area, map_lut_graph,
                             map_minimal, schedule_luts, write_back,
-                            xor_reduce, xor_reduction_round)
+                            xor_reduce, xor_round)
 from revamp.circuits import (AigBuilder, comparator, default_corpus,
                              full_adder, multiplier, parity, ripple_adder,
                              two_bit_xor)
 from revamp.codegen import ProgramBuilder
-from revamp.esop import Cube, EsopCover, extract_esop
+from revamp.esop import Cube, EsopCover, cover_truth_table, extract_esop
 from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, IsaError,
                         WsMode, read_program, write_program)
 from revamp.lutmap import (Lut, LutGraph, assign_levels, cover_klut, min_dev,
@@ -160,16 +160,18 @@ def test_schedule_rejects_infeasible():
 
 # -- cube programs --------------------------------------------------------------
 
-def _e2_states_after_steps(builder, num_pis, width, masks):
+def _word_states(builder, num_pis, width, masks):
+    """(word, post-state) of every step of the builder's program."""
     from revamp.isa import Program
     prog = Program(builder.config, builder.instructions,
                    builder.pir_schedule, {}, num_pis)
     _, trace = run_vectors(prog, masks, width, record_trace=True)
-    states = []
-    for step in trace.steps:
-        if step.word == E2:
-            states.append(tuple(step.post))
-    return states
+    return [(step.word, tuple(step.post)) for step in trace.steps]
+
+
+def _e2_states_after_steps(builder, num_pis, width, masks):
+    return [post for word, post in _word_states(builder, num_pis, width,
+                                                masks) if word == E2]
 
 
 def test_cube_batch_reference_panels():
@@ -246,9 +248,11 @@ def test_xor_reduction_tree():
             builder.apply_from_pir(E2, WsMode.ONE, {
                 b: (SLOT_CONST0 if v else SLOT_CONST1)
                 for b, v in zip(bits, values)})
-            result, = xor_reduce(builder, [bits])
+            row, (result,), (p,) = xor_reduce(builder,
+                                              [[(b, 0) for b in bits]])
             if m == 1:
                 assert len(builder.instructions) == 1  # no reduction emitted
+                assert (row, result, p) == (E2, bits[0], 0)
             from revamp.isa import Program
             prog = Program(cfg, builder.instructions, builder.pir_schedule,
                            {}, 0)
@@ -256,40 +260,123 @@ def test_xor_reduction_tree():
             want = 0
             for v in values:
                 want ^= v
-            assert state.dcm[E2][result] == want
+            assert state.dcm[row][result] == want ^ p
+            # nothing else is left on the working rows
+            assert sum(map(sum, state.dcm)) == state.dcm[row][result]
 
 
 def test_xor_reduction_four_terms_two_rounds():
     cfg = CrossbarConfig(3, 4)
     builder = ProgramBuilder(cfg, 0)
-    result, = xor_reduce(builder, [[0, 1, 2, 3]])
-    # two rounds of eight instructions each; pairs share instructions
-    assert len(builder.instructions) == 16
-    assert result == 0
+    row, bits, pols = xor_reduce(builder, [[(b, 0) for b in range(4)]])
+    # two rounds of six instructions each, e2 -> e0 -> e2; pairs share
+    # instructions, and each fold complements: not(not(a^b) ^ not(c^d))
+    assert len(builder.instructions) == 12
+    assert (row, bits, pols) == (E2, [0], [1])
 
 
-def test_xor_round_in_place_on_row_two():
-    """One round folds four pairs at once, holding the four input pairs
-    (x, y): each low bit ends as x xor y, each high bit reset, and every
-    Apply of the round writes row 2 only."""
-    from revamp.isa import SLOT_CONST0, SLOT_CONST1, Program
+def test_xor_round_moves_results_to_the_other_row():
+    """One round folds four pairs and moves two unpaired values, holding
+    the four input pairs (x, y) and the values 0 and 1 on e2, through the
+    documented states: the cross Apply leaves x.not(y) and y.not(x) on
+    e2, then e0 takes not(x.not(y)) and not(m), then not(x xor y), and
+    the reset clears e2.  Six instructions, and none writes e1."""
+    from revamp.isa import SLOT_CONST0, SLOT_CONST1
     pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    values = list(itertools.product((0, 1), repeat=2))
-    cfg = CrossbarConfig(3, 8)
-    builder = ProgramBuilder(cfg, 0)
+    xys = list(itertools.product((0, 1), repeat=2))
+    moved, ms = [8, 9], [0, 1]
+    builder = ProgramBuilder(CrossbarConfig(3, 10), 0)
     # a complemented load of the constant's complement deposits each value
+    e2 = dict(zip(moved, ms))
+    e2.update((bit, v) for pair, xy in zip(pairs, xys)
+              for bit, v in zip(pair, xy))
     builder.apply_from_pir(E2, WsMode.ONE, {
-        bit: SLOT_CONST0 if v else SLOT_CONST1
-        for pair, xy in zip(pairs, values) for bit, v in zip(pair, xy)})
+        bit: SLOT_CONST0 if v else SLOT_CONST1 for bit, v in e2.items()})
     start = len(builder.instructions)
-    xor_reduction_round(builder, pairs)
-    assert len(builder.instructions) - start == 8
-    assert {i.w for i in builder.instructions[start:]} == {E2}
-    state, _ = run(Program(cfg, builder.instructions, builder.pir_schedule,
-                           {}, 0), [])
-    for (lo, hi), (x, y) in zip(pairs, values):
-        assert (state.dcm[E2][lo], state.dcm[E2][hi]) == (x ^ y, 0)
-    assert not any(state.dcm[0]) and not any(state.dcm[1])
+    xor_round(builder, E2, pairs, moved)
+    assert len(builder.instructions) - start == 6
+    states = _word_states(builder, 0, 1, [])[start:]
+    loaded = tuple(e2[j] for j in range(10))
+    crossed = [0] * 10
+    for (lo, hi), (x, y) in zip(pairs, xys):
+        crossed[lo], crossed[hi] = x & ~y & 1, y & ~x & 1
+    crossed[8:] = ms
+    ones, folded = [0] * 10, [0] * 10
+    for (lo, _), (x, y) in zip(pairs, xys):
+        ones[lo] = 1 - (x & ~y & 1)
+        folded[lo] = 1 - (x ^ y)
+    for m, v in zip(moved, ms):
+        ones[m] = folded[m] = 1 - v
+    assert states == [(E2, loaded), (E2, tuple(crossed)), (E2, tuple(crossed)),
+                      (E0, tuple(ones)), (E0, tuple(folded)),
+                      (E2, (0,) * 10)]
+    assert 1 not in {i.w for i in builder.instructions}
+
+
+def _random_cube(rng, arity):
+    pos = rng.getrandbits(arity)
+    return Cube(pos=pos, neg=rng.getrandbits(arity) & ~pos)
+
+
+def test_xor_rounds_store_each_group_at_its_polarity():
+    """Seeded batches of groups of 1..w_D random cubes, with mixed round
+    counts, through ``compute_esop`` and ``write_back`` with a storage
+    device for most groups, plain (an output) or not: on every input
+    vector each device holds its group's XOR at the polarity returned, a
+    plain one the plain value; a group without a device stays on the
+    returned row at its polarity, and the other working devices end at
+    zero.  Groups are stored by the last round, from the other row after
+    it, or, with no round at all, from e2 directly or through the
+    staging bank."""
+    from revamp.isa import Program
+    rng = random.Random(29)
+    seen = Counter()
+    for trial in range(300):
+        w_d = rng.choice((2, 3, 4, 5, 8, 16))
+        arity = rng.randrange(1, 5)
+        sizes = [rng.randrange(1, w_d + 1)]
+        while sum(sizes) < w_d and rng.random() < 0.7:
+            sizes.append(rng.randrange(1, w_d - sum(sizes) + 1))
+        covers = [[_random_cube(rng, arity) for _ in range(n)] for n in sizes]
+        cfg = CrossbarConfig(5, w_d)  # storage rows 3 and 4
+        devices = rng.sample([(w, j) for w in (3, 4) for j in range(w_d)],
+                             len(covers))
+        dests = [(dev, rng.random() < 0.5) if rng.random() < 0.8 else None
+                 for dev in devices]
+        builder = ProgramBuilder(cfg, arity)
+        sources = [PirVar(v) for v in range(arity)]
+        row, bits, pols = compute_esop(
+            builder, [(cubes, sources) for cubes in covers], dests)
+        stored = write_back(builder, row, [
+            (bit, p, *dest) for bit, p, dest in zip(bits, pols, dests)
+            if dest])
+        state, _ = run_vectors(Program(cfg, builder.instructions,
+                                       builder.pir_schedule, {}, arity),
+                               pi_patterns(arity), 1 << arity)
+        full = (1 << (1 << arity)) - 1
+        stored = iter(stored)
+        held = set()
+        rounds = max(sizes) > 1
+        for cubes, bit, p, dest in zip(covers, bits, pols, dests):
+            f = cover_truth_table(EsopCover(cubes, arity))
+            case = (trial, sizes, dests)
+            if dest is None:
+                assert state.dcm[row][bit] == f ^ (full * p), case
+                held.add((row, bit))
+                seen["kept"] += 1
+                continue
+            (w, j), plain = dest
+            got = next(stored)
+            assert state.dcm[w][j] == f ^ (full * got), case
+            assert not (plain and got), case
+            seen["fused" if bit is None else
+                 "from the other row" if rounds else
+                 "staged" if plain else "from e2"] += 1
+        assert not any(state.dcm[r][j] for r in range(3) for j in range(w_d)
+                       if (r, j) not in held), trial
+        seen["mixed round counts"] += len({(n - 1).bit_length()
+                                           for n in sizes}) > 1
+    assert len(seen) == 6 and min(seen.values()) > 10, seen
 
 
 def test_esop_program_minimal_geometry():
@@ -331,11 +418,11 @@ def test_stored_operand_sources():
         # applying v1 through the bitline stores its complement at (3,1)
         b.apply_from_pir(3, WsMode.ONE,
                          {1: SLOT_CONST1 if v1 else SLOT_CONST0})
-        bit, = compute_esop(b, [(cover.cubes, sources)])
+        row, (bit,), (p,) = compute_esop(b, [(cover.cubes, sources)])
         prog = Program(cfg, b.instructions, b.pir_schedule, {}, 1)
         for a in (0, 1):
             state, _ = run(prog, [a])
-            assert state.dcm[E2][bit] == a ^ v1
+            assert state.dcm[row][bit] == a ^ v1 ^ p
 
 
 # -- full area flow ---------------------------------------------------------------
@@ -493,17 +580,19 @@ def _one_lut_per_batch(graph, s_d, w_d):
     sched = schedule_luts(graph, s_d, w_d)
     builder = ProgramBuilder(CrossbarConfig(s_d, w_d), graph.num_pis)
     outputs = set(graph.outputs)
+    polarity = {}
     for event in sched.events:
         if event[0] == "reset":
             builder.reset_bits(event[1], [b for b, _ in event[2]])
             continue
         lut = graph.luts[event[1]]
         sources = [PirVar(ref) if kind == "pi" else
-                   StoredVar(*sched.placements[ref], ref not in outputs)
+                   StoredVar(*sched.placements[ref], polarity[ref])
                    for kind, ref in lut.inputs]
         cubes = extract_esop(lut.tt, len(lut.inputs)).cubes
-        bit, = compute_esop(builder, [(cubes, sources)])
-        write_back(builder, [(bit, event[2:], lut.id not in outputs)])
+        dest = (event[2:], lut.id in outputs)
+        row, (bit,), (p,) = compute_esop(builder, [(cubes, sources)], [dest])
+        polarity[lut.id], = write_back(builder, row, [(bit, p, *dest)])
     for lut_id, name in zip(graph.outputs, graph.output_names):
         builder.result_locations[name] = sched.placements[lut_id]
     return builder.finish()
@@ -629,23 +718,54 @@ def test_cube_batches_read_each_source_once_per_bank_fill(monkeypatch):
     assert seen["mapped"] > 150 and all(seen.values()), seen
 
 
-def test_area_report_counts_the_staging_instructions():
-    """``i_staging`` counts the Reads and Applies on e0.  By hand for add8
-    at k=4 on 256x32: of its 23 LUTs (W = 4 bitlines), the 9 results are
-    stored positively, each through a write-back that loads the bank,
-    reads it and resets it (3).  The 5 batches of level 1 want positive
-    inputs and the sum LUT of level 2 one complemented stored value: one
-    source loads the bank, then the read and the reset (3 each).  The 7
-    carry LUTs of levels 2 to 8 stage positive inputs from the register
-    and a complemented stored value from its word (4 each)."""
+def test_area_report_counts_the_staging_instructions(monkeypatch):
+    """``i_staging`` counts the staging bank's loads, reads, the Applies
+    from it and its resets.  By hand for add8 at k=4 on 256x32: of its 23
+    LUTs (W = 4 bitlines) none is stored through the bank, since each sum
+    LUT (an output) lands complemented on the other working row and its
+    write-back complements it again.  The 5 batches of level 1 stage
+    positive literals from the register: one load, a read, one round of
+    Applies (two in the first batch) and a reset.  The sum LUT of level 2
+    stages one complemented stored value (4).  Each carry LUT of levels 2
+    to 7 stages positive inputs from the register and a complemented
+    stored value from its word: two loads, a read, three rounds and a
+    reset (7); the carry out of level 8 applies four rounds (8).  The
+    other sum LUTs stage nothing."""
+    import revamp.areamap as areamap
     from revamp.isa import ReadInstr
-    program, report = map_area(ripple_adder(8), 4, 256, 32)
-    assert report.i_staging == 9 * 3 + 6 * 3 + 7 * 4 == 73
-    decoded = read_program(write_program(program)).instructions
-    assert report.i_staging == sum(i.w == 0 for i in decoded)
-    assert sum(isinstance(i, ReadInstr) and i.w == 0
-               for i in decoded) == 9 + 6 + 7
-    assert report.to_dict()["i_staging"] == 73
+    fills = []
+    real = areamap._emit_bank
+
+    def recorded(builder, *args):
+        start = len(builder.instructions)
+        real(builder, *args)
+        fills.append(builder.instructions[start:])
+
+    monkeypatch.setattr(areamap, "_emit_bank", recorded)
+    _, report = map_area(ripple_adder(8), 4, 256, 32)
+    # each bank fill: a read of e0, rounds of Applies, a reset of e0
+    kinds = Counter(
+        "read" if isinstance(i, ReadInstr) and i.w == E0 else
+        "reset" if i.source == SRC_PIR and i.w == E0 else "round"
+        for fill in fills for i in fill)
+    assert kinds == {"read": 5 + 1 + 6 + 1, "round": 6 + 1 + 6 * 3 + 4,
+                     "reset": 5 + 1 + 6 + 1}
+    loads = 5 + 1 + 6 * 2 + 2
+    assert report.i_staging - sum(kinds.values()) == loads
+    assert report.i_staging == 5 * 4 + 1 + 4 + 6 * 7 + 8 == 75
+    assert report.to_dict()["i_staging"] == 75
+
+
+def test_mult8_area_program_spreads_the_xor_rounds_wear():
+    """The XOR rounds alternate between e2 and e0, so the most-written
+    device of mult8's area program on 256x32 takes 482 write pulses (an
+    Apply driving it through a valid pair), where rounds kept on e2 alone
+    put 708 on device (2,1)."""
+    program, _ = map_area(multiplier(8), 4, 256, 32)
+    pulses = Counter((i.w, j) for i in program.instructions
+                     if isinstance(i, ApplyInstr)
+                     for j, pair in enumerate(i.pairs) if pair.valid)
+    assert max(pulses.values()) < 708
 
 
 # -- depth-bounded mapper ------------------------------------------------------------
@@ -769,25 +889,25 @@ def test_minimal_map_of_a_deep_chain_stays_linear():
 # digests of the containers emitted by the bit-by-bit codec
 PINNED_AREA_PROGRAMS = [
     ("add8", lambda: ripple_adder(8), {
-        (256, 32): "b429c56783ed3d8712438dfdf30d7dad"
-                   "4e46e6321b34e00cc97fcb34bab5c1c6",
-        (16, 16): "c64d1ac98de11f1a163d904aeaf3aba9"
-                  "6b0e8fab28b30b87d53af93b360ab468"}),
+        (256, 32): "4546d5f3a6d199f12a9fbfc805e2f679"
+                   "28853e03bce6615d03fa2edaf17bda42",
+        (16, 16): "e425d22e44c887e118cef221e7a6f4f7"
+                  "f35f3ef2b790973eb4711ba62bd56581"}),
     ("mult4", lambda: multiplier(4), {
-        (256, 32): "df3a466cb517008d325e468730a79f47"
-                   "e14a2ed311e92741d804263484f8f898",
-        (16, 16): "237a8a306e84274e253edbd54d12ce9b"
-                  "a18703f74012ba57c2c0a4060d4c35f8"}),
+        (256, 32): "2e04fb7f46404cb7585253a0aefba234"
+                   "f812ae57a687245d5cae8e0bf13203f1",
+        (16, 16): "eb0b16dd0418004b6e4474e706588938"
+                  "3619427a7827c590bc7fbe7ba2993aac"}),
     ("cmp8", lambda: comparator(8), {
-        (256, 32): "6d84b80660abbc4f661d03464f1f979e"
-                   "be80cbf21db7c051cff05e2e8e268396",
-        (16, 16): "7421358449a1ec4f3366c0f5d59f3fe5"
-                  "48221631015021bf115d528700edf0dc"}),
+        (256, 32): "b08aaba40bc4937e3546a0f10c4d49b4"
+                   "c8b13e07a422108a3e0630bd92f99d46",
+        (16, 16): "f7bcc12d88f4b31c6c244dff04f26007"
+                  "7dfc6112ba14c2eb679d49a77e14b733"}),
     ("rand16", lambda: random_aig(16, 120, seed=5, num_outputs=4), {
-        (256, 32): "3096ae89f847d59a4b6c9ce8f35ebd6d"
-                   "d87c736e221a54f524a1d8824e8adaf3",
-        (16, 16): "54f12a3472d1b5984bffebd4399415cf"
-                  "d905468362f22966239959614a1518df"}),
+        (256, 32): "4895af171562c250fc1d6548c9c8d28c"
+                   "9824af33a80375e7be8af7b2a00fe944",
+        (16, 16): "8a4467ed7f33a1213512ba68492982de"
+                  "b4f0becd631155b6c4f73fc491945ad5"}),
 ]
 
 PINNED_MINIMAL_PROGRAMS = [
@@ -865,7 +985,7 @@ def test_twin_tree_programs_byte_identical():
 
 # digest of 200 containers: 100 seeded random covers at 3x2 and at 3x4
 PINNED_ESOP_PROGRAMS = (
-    "5bff17fac8bbec88f09f66313b170eaff38d6f5b2ac4f8b88a8d5d4dac3c7182")
+    "96357d33b0c41ed8bebcb3df4fa0924f8cb1ee37ccf22f24b1331dc5cfbf8b5a")
 
 
 def test_esop_programs_byte_identical():

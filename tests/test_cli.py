@@ -630,7 +630,7 @@ def test_bench_refuses_a_run_with_no_network_to_map(capsys, monkeypatch):
 # the minimal flow on each single-output network; a refactor of any flow
 # must keep these bytes
 CORPUS_PROGRAMS = (
-    "b8e2dc1aaf6dd5b1d4d6658b257e636e6f877a8eb31d1e2f7f300dedb085b1c1")
+    "d8918c154e6040c31187f4d76cb426a12cedd8901c1d1437b70ce45f6cd11fb3")
 
 
 def test_corpus_programs_byte_identical():
