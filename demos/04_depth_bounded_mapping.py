@@ -5,7 +5,9 @@ that (wherever the leaf pattern allows) each node carries exactly one
 complemented fanin; a node needed in both polarities is built twice, once
 each.  The mapper then evaluates the network as its tree on a two-bitline
 crossbar: one operand row per level, the device at (0,0) doubling as the
-input inverter, and the output accumulating at (0,1).
+input inverter, and the output accumulating at (0,1).  It knows what each
+device holds and keeps every value until the device must change, so a
+value the crossbar still holds is copied rather than computed again.
 """
 
 import random

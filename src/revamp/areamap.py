@@ -45,9 +45,8 @@ extracted once per mapping.  The builder alone decides read elision and
 interning.
 
 The depth-bounded mapper (``map_minimal``) lives here too, with a layout
-of its own (see its docstring); it shares the builder with both other
-flows, and the staging step, which it runs with a bank of one bit, its
-inverter device.
+of its own and an index of what each of its devices holds (see its
+docstring); it shares only the builder with the other flows.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ from .esop import Cube, EsopCover, extract_esop
 from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .lutmap import (LUT_REF, PI_REF, LutGraph, cover_klut, min_dev,
                      storage_capacity)
-from .netlist import (CONST0, MAJ, LogicNetwork, NetlistError, levels,
-                      tree_size)
+from .netlist import CONST0, MAJ, LogicNetwork, NetlistError, levels
 from .reports import MappingReport
 
 E0, E2 = 0, 2  # working rows: staging, cube accumulators (e1 is unused)
@@ -575,19 +573,29 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     """Map a normalized single-output MIG with at most 2(depth+1) devices.
 
     The network must have a single output, and every node at most one
-    complemented edge to an internal node (see ``normalize_mig``).  It is
-    evaluated as its tree: a node referenced twice is computed twice.  Row
-    0 holds the inverter device at bitline 0 and the final host at bitline
-    1; each tree level gets one operand row where its wordline/bitline
-    inputs wait to be read out and applied to the host.
+    complemented edge to an internal node (see ``normalize_mig``).  Row 0
+    holds the inverter device at bitline 0 and the final host at bitline
+    1; each level gets one operand row.  A node computed onto a device
+    places its wordline operand at bitline 1 of its level's row, the
+    complement of its bitline operand at bitline 0 and its host operand on
+    the device itself, then applies the row to the host.  A subtree writes
+    only the rows below its root's level, its target device and the
+    inverter, so no operand waiting in a higher row is disturbed.
 
-    What a node emits is fixed by the node, the device it is computed onto
-    and the builder's read state, so each such triple is emitted once and
-    later replayed from the builder's own instruction list
-    (``ProgramBuilder.replay``): the program is the one a node-by-node walk
-    of the tree emits.  The memo keeps each stretch as an index range;
-    keeping copies would cost memory quadratic in depth on a chain, whose
-    every node is distinct and nested in the next.
+    The mapper knows what every device holds, as a literal (node,
+    complemented), and which devices hold each literal.  A device keeps its
+    value until it must take another one, and is reset only then; where
+    both devices of a waiting operand row must still change, the first
+    reset clears the row in one Apply.  A value to be placed on a device
+    is, in order of preference: already there; a constant (one Apply); a
+    complemented input, loaded from the input register; copied from a
+    device holding its complement (a Read, often elided, and one Apply);
+    for a plain input, loaded complemented onto the inverter and copied
+    from there; for a node held only in the same polarity, copied through
+    the inverter; and only otherwise computed.  So a node is computed again
+    only once every copy of it has been overwritten, and one MAJ per tree
+    node (``tree_size``) bounds the program's MAJ Applies, which
+    ``MappingReport.n_maj`` counts.
     """
     if mig.kind != "mig":
         raise NetlistError("map_minimal expects a MIG")
@@ -597,25 +605,62 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     out_edge = mig.outputs[0]
     k = lv[out_edge.target]
     config = CrossbarConfig(max(1, k + 1), 2)
-    pis = mig.pis
+    nodes, pis = mig.nodes, mig.pis
     builder = ProgramBuilder(config, len(pis))
     pi_line = {nid: i for i, nid in enumerate(pis)}
-    INVERTER = (0, 0)
+    INVERTER, TARGET = (0, 0), (0, 1)
+    zero = (next((i for i, n in enumerate(nodes) if n.kind == CONST0), -1),
+            False)
+    # device -> the literal it holds, and literal -> the devices holding it
+    held = {(w, b): zero for w in range(config.s_d) for b in (0, 1)}
+    holders: dict[tuple, dict] = {zero: dict.fromkeys(held)}
+    # operand row of a node being computed -> the literals its bitlines take
+    need: dict[int, tuple] = {}
 
-    def load_leaf(nid: int, negated: bool, word: int, bit: int):
-        """Store a PI or constant (possibly complemented) into a reset device."""
-        node = mig.nodes[nid]
-        if node.kind == CONST0:
-            if negated:
-                builder.apply_from_pir(word, WsMode.ONE, {bit: SLOT_CONST0})
-            return
-        line = pi_line[nid]
-        if negated:
-            builder.apply_from_pir(word, WsMode.ONE, {bit: line})
-        else:
-            # a one-bit staging bank on the inverter device
-            builder.apply_from_pir(E0, WsMode.ONE, {0: line})
-            _emit_bank(builder, word, {bit: [0]}, {bit}, 1)
+    def write(dev, lit):
+        devs = holders[held[dev]]
+        del devs[dev]
+        if not devs:
+            del holders[held[dev]]
+        held[dev] = lit
+        holders.setdefault(lit, {})[dev] = None
+
+    def holder(lit):
+        """A device holding ``lit``, one of the read-out word if any."""
+        devs = holders.get(lit)
+        if not devs:
+            return None
+        w = builder.mirrored_word
+        return ((w, 0) if (w, 0) in devs else (w, 1) if (w, 1) in devs
+                else next(iter(devs)))
+
+    def clear(dev):
+        """Reset ``dev`` unless it holds 0, with its row's other device
+        too if that one waits for a value it does not hold yet."""
+        if held[dev] != zero:
+            w, b = dev
+            other = (w, 1 - b)
+            if w in need and held[other] not in (zero, need[w][1 - b]):
+                builder.reset_bits(w, (0, 1))
+                write(other, zero)
+            else:
+                builder.reset_bits(w, (b,))
+            write(dev, zero)
+
+    def copy(src, dst):
+        """Store the complement of ``src``'s value on ``dst``.  The Read
+        comes first, so ``src`` may be ``dst`` itself."""
+        nid, neg = held[src]
+        builder.read(src[0])
+        clear(dst)
+        builder.apply_from_dmr(dst[0], WsMode.ONE, {dst[1]: src[1]})
+        write(dst, (nid, not neg))
+
+    def load(dev, lit):
+        """Load a complemented input from the input register."""
+        clear(dev)
+        builder.apply_from_pir(dev[0], WsMode.ONE, {dev[1]: pi_line[lit[0]]})
+        write(dev, lit)
 
     def pick_roles(node):
         """Split the three fanins into bitline / wordline / host roles.
@@ -647,72 +692,79 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
             lv[fanins[j].target], 0 if j in internal else fanins[j].target, j))
         return fanins[bl], fanins[wl], fanins[host]
 
-    # (node, word, bit, read state) -> (start, end, read state after)
-    emitted: dict[tuple, tuple] = {}
+    n_maj = 0
 
-    def compute(nid: int, word: int, bit: int):
-        """Evaluate the subtree under ``nid`` leaving its value at a device.
+    def place(lit, dev):
+        """Leave the value of literal ``lit`` on device ``dev``.
 
-        A node stores its wordline, bitline and host operands, in that
-        order, then applies its operand row to the host.  Pending steps sit
-        on a stack, popped last first, so a deep chain needs no recursion.
-        A node already emitted onto the same device from the same read
-        state is replayed from the builder's own list.
+        Pending steps sit on a stack, popped last first, so a deep chain
+        needs no recursion: a node computed in place pushes its Apply, then
+        its host, bitline and wordline operands.
         """
-        steps = [("node", nid, word, bit)]
+        nonlocal n_maj
+        steps = [(False, lit, dev)]
         while steps:
-            kind, x, word, bit = steps.pop()
-            if kind == "node":
-                key = (x, word, bit, builder.read_state)
-                if key in emitted:
-                    builder.replay(*emitted[key])
-                    continue
-                bl, wl, host = pick_roles(mig.nodes[x])
-                row = lv[x]  # operand row for this level
-                steps += (("emitted", key, len(builder.instructions), 0),
-                          ("apply", row, word, bit),
-                          ("store", host, word, bit),
-                          # the bitline stores the complement
-                          ("store_complement", bl, row, 0),
-                          ("store", wl, row, 1))
-            elif kind == "emitted":  # x is the key, word the start index
-                emitted[x] = (word, len(builder.instructions),
-                              builder.read_state)
-            elif kind == "apply":
-                builder.read(x)
-                builder.apply_from_dmr(word, WsMode.FROM_SOURCE, {bit: 0},
-                                       wb=1)
-                builder.reset_bits(x, [0, 1])
-            else:  # place operand edge x's value (or its complement)
-                negate = x.inverted ^ (kind == "store_complement")
-                if mig.nodes[x.target].kind != MAJ:
-                    load_leaf(x.target, negate, word, bit)
-                elif negate:
-                    raise NetlistError(
-                        "internal operand needed in complemented form")
+            apply, lit, dev = steps.pop()
+            nid, neg = lit
+            node = nodes[nid]
+            if apply:
+                builder.read(lv[nid])
+                builder.apply_from_dmr(dev[0], WsMode.FROM_SOURCE,
+                                       {dev[1]: 0}, wb=1)
+                write(dev, lit)
+                del need[lv[nid]]
+                n_maj += 1
+            elif held[dev] == lit:
+                pass
+            elif node.kind == CONST0:
+                if neg:  # sets dev whatever it holds
+                    builder.apply_from_pir(dev[0], WsMode.ONE,
+                                           {dev[1]: SLOT_CONST0})
+                    write(dev, lit)
                 else:
-                    steps.append(("node", x.target, word, bit))
+                    clear(dev)
+            elif node.kind != MAJ and neg:
+                load(dev, lit)
+            elif (src := holder((nid, not neg))) is not None:
+                copy(src, dev)
+            elif node.kind != MAJ:
+                load(INVERTER, (nid, True))
+                copy(INVERTER, dev)
+            elif neg:
+                raise NetlistError(
+                    "internal operand needed in complemented form")
+            elif (src := holder(lit)) is not None:
+                # the inverter never holds a plain node, so src is not it
+                copy(src, INVERTER)
+                copy(INVERTER, dev)
+            else:
+                bl, wl, host = pick_roles(node)
+                row = lv[nid]  # operand row for this level
+                # the bitline stores the complement
+                bl_lit = (bl.target, not bl.inverted)
+                wl_lit = (wl.target, wl.inverted)
+                need[row] = (bl_lit, wl_lit)
+                steps += ((True, lit, dev),
+                          (False, (host.target, host.inverted), dev),
+                          (False, bl_lit, (row, 0)),
+                          (False, wl_lit, (row, 1)))
 
     out_name = mig.output_names[0]
-    target = (0, 1)
-    root = mig.nodes[out_edge.target]
-    if root.kind != MAJ:
-        load_leaf(out_edge.target, out_edge.inverted, *target)
-        builder.result_locations[out_name] = target
+    root, inverted = out_edge
+    if nodes[root].kind == MAJ and inverted:
+        # computed plain, complemented onto the inverter
+        place((root, False), TARGET)
+        copy(TARGET, INVERTER)
+        builder.result_locations[out_name] = INVERTER
     else:
-        compute(out_edge.target, *target)
-        if out_edge.inverted:
-            builder.read(0)
-            builder.apply_from_dmr(INVERTER[0], WsMode.ONE, {INVERTER[1]: 1})
-            builder.result_locations[out_name] = INVERTER
-        else:
-            builder.result_locations[out_name] = target
+        place((root, inverted), TARGET)
+        builder.result_locations[out_name] = TARGET
 
     program = builder.finish()
     report = MappingReport(
         flow="minimal",
         num_pis=len(pis),
-        n_maj=tree_size(mig),
+        n_maj=n_maj,
         levels=k,
         s_d=config.s_d, w_d=2,
         **builder.counts(),

@@ -11,20 +11,10 @@ instructions are one shared (immutable) object, and a PIR Apply shares its
 slot tuple too.  The encoder, the validator and the simulator key their
 per-instruction work by object, so each does it once per distinct
 instruction.
-
-A flow that emits the same stretch of program more than once can replay
-it: ``replay(start, end, state)`` re-appends instructions ``start..end-1``
-of the builder's own list with their PIR slot schedules, and sets the
-read-elision state (``read_state``) to ``state``, the one the stretch's
-first emission ended in.  What the builder appends depends only on the
-calls made and on the read state they begin in, so replaying a stretch
-from the read state it began in appends exactly what making its calls
-again would.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 
 from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR, ApplyInstr,
@@ -61,8 +51,7 @@ class ProgramBuilder:
         self._interned = {}
         self._dmr_word = None  # word a Read would be redundant for
         self._dmr_loaded = False
-        self._pir_at = []  # indices of PIR Applies, ascending
-        self._read_at = []  # indices of Reads, ascending
+        self._reads = 0
         # devices (w, j) that some Apply drives through a valid pair,
         # recorded as each distinct Apply is made
         self.touched: set[tuple[int, int]] = set()
@@ -72,31 +61,14 @@ class ProgramBuilder:
     def counts(self) -> dict[str, int]:
         """Instruction mix and cycle count, keyed as in ``MappingReport``."""
         i_total = len(self.instructions)
-        i_read = len(self._read_at)
+        i_read = self._reads
         return {"i_apply": i_total - i_read, "i_read": i_read,
                 "i_total": i_total, "cycles": i_total + PIPELINE_FILL}
 
     @property
-    def read_state(self) -> tuple[int | None, bool]:
-        """What the next Read may skip: ``(mirrored word, anything read)``."""
-        return self._dmr_word, self._dmr_loaded
-
-    def replay(self, start: int, end: int, state: tuple[int | None, bool]):
-        """Append instructions ``start..end-1`` again and set the read state.
-
-        ``state`` is the ``read_state`` the first emission of the stretch
-        ended in.  A stretch is kept as a range, not a copied list, so a
-        flow can remember every stretch it emitted at no cost in memory.
-        """
-        shift = len(self.instructions) - start
-        self.instructions.extend(self.instructions[start:end])
-        moved_pir = _shifted(self._pir_at, start, end, shift)
-        schedule = self.pir_schedule
-        for i in moved_pir:
-            schedule[i] = schedule[i - shift]
-        self._pir_at.extend(moved_pir)
-        self._read_at.extend(_shifted(self._read_at, start, end, shift))
-        self._dmr_word, self._dmr_loaded = state
+    def mirrored_word(self) -> int | None:
+        """The word the data register mirrors, whose Read is skipped."""
+        return self._dmr_word
 
     def read(self, w: int):
         if self._dmr_word == w:
@@ -104,7 +76,7 @@ class ProgramBuilder:
         instr = self._interned.get(w)
         if instr is None:
             instr = self._interned[w] = ReadInstr(w)
-        self._read_at.append(len(self.instructions))
+        self._reads += 1
         self.instructions.append(instr)
         self._dmr_word = w
         self._dmr_loaded = True
@@ -138,7 +110,6 @@ class ProgramBuilder:
         if entry is None:
             entry = self._interned[key] = self._pir_apply(w, mode, key[4])
         instr, slots = entry
-        self._pir_at.append(len(self.instructions))
         self.pir_schedule[len(self.instructions)] = slots
         self.instructions.append(instr)
         if w == self._dmr_word:
@@ -177,7 +148,3 @@ class ProgramBuilder:
         return Program(self.config, self.instructions, self.pir_schedule,
                        self.result_locations, self.num_pis)
 
-
-def _shifted(at: list[int], start: int, end: int, shift: int) -> list[int]:
-    """The ascending indices of ``at`` in ``start..end-1``, plus ``shift``."""
-    return [i + shift for i in at[bisect_left(at, start):bisect_left(at, end)]]

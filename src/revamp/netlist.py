@@ -40,8 +40,8 @@ _ARITY = {PI: 0, CONST0: 0, AND: 2, MAJ: 3}
 # widest network evaluated on all 2^k input vectors (2^16 bits per mask)
 EXHAUSTIVE_MAX_PIS = 16
 
-# most MAJ evaluations normalize_mig accepts (map_minimal computes one per
-# tree node, so this bounds the program): parity16 needs 98,301, parity24 25M
+# most tree nodes normalize_mig accepts (map_minimal computes at most one MAJ
+# per tree node, so this bounds the program): parity16 has 98,301, parity24 25M
 MAX_TREE_NODES = 1 << 20
 
 
@@ -375,8 +375,8 @@ def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
 def tree_size(network: LogicNetwork) -> int:
     """MAJ nodes in the per-output trees of ``network``, counted in one
     pass without building them: a MAJ node counts 1 plus the sizes of its
-    MAJ fanins, summed over outputs.  ``map_minimal`` evaluates one MAJ per
-    tree node."""
+    MAJ fanins, summed over outputs.  ``map_minimal`` evaluates at most one
+    MAJ per tree node, fewer where it copies a value the crossbar holds."""
     nodes = network.nodes
     sizes = [0] * len(nodes)
     for i, n in enumerate(nodes):  # fanins come before their node
@@ -406,8 +406,8 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     (node, polarity) needed, and one up feeds those gates, in source
     order and plain before complemented, to a ``MigBuilder`` that does not
     merge, so the result is in ``rebuild``'s output form.  ``map_minimal``
-    evaluates it as the per-output trees, one MAJ evaluation per tree
-    node, so a network whose trees would exceed ``MAX_TREE_NODES``
+    evaluates it as the per-output trees, at most one MAJ evaluation per
+    tree node, so a network whose trees would exceed ``MAX_TREE_NODES``
     (``tree_size``, counted on the cleaned MIG) is refused before any
     normal form is built.
     """

@@ -1,8 +1,10 @@
 """Shared golden fixtures: the hand-assembled two-bit XOR program, the
 five-input reference MIG used across the mapping tests, the leaf-output
-MIGs of the depth-bounded flow, an ASCII AIGER
-writer for the ``.aag`` files the CLI tests read, and the fixpoint check
-of delay-flow block merging."""
+MIGs of the depth-bounded flow, a layered MIG whose tree is far larger
+than its network, an ASCII AIGER writer for the ``.aag`` files the CLI
+tests read, and the fixpoint check of delay-flow block merging."""
+
+import random
 
 from revamp.circuits import two_bit_xor_program  # noqa: F401  (re-export)
 from revamp.netlist import AND, CONST0, MAJ, Edge, LogicNetwork, NetlistError
@@ -31,6 +33,23 @@ def example_mig() -> LogicNetwork:
     s3 = net.add_node(MAJ, (Edge(s1), Edge(c), Edge(s2, True)), name="s3")
     s4 = net.add_node(MAJ, (Edge(s3), Edge(d), Edge(e)), name="s4")
     net.add_output(Edge(s4), "s4")
+    return net
+
+
+def layered_mig(num_pis: int, width: int, depth: int,
+                seed: int = 0) -> LogicNetwork:
+    """Seeded MIG of ``depth`` layers of ``width`` MAJ nodes.  Each node
+    takes three distinct nodes of the layer below, each in a random
+    polarity, and the output is the first node of the top layer.  So the
+    network stays a few dozen nodes while its tree grows as 3^depth."""
+    rng = random.Random(seed)
+    net = LogicNetwork(kind="mig")
+    layer = [net.add_pi("x%d" % i) for i in range(num_pis)]
+    for _ in range(depth):
+        layer = [net.add_node(MAJ, tuple(Edge(t, rng.random() < 0.5)
+                                         for t in rng.sample(layer, 3)))
+                 for _ in range(width)]
+    net.add_output(Edge(layer[0]), "f")
     return net
 
 

@@ -21,9 +21,9 @@ from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, IsaError,
                         WsMode, read_program, write_program)
 from revamp.lutmap import (Lut, LutGraph, assign_levels, cover_klut, min_dev,
                            storage_capacity)
-from revamp.netlist import (MAJ, Edge, LogicNetwork, aig_to_mig,
-                            normalize_mig, parse_mig, pi_patterns,
-                            random_aig, random_mig)
+from revamp.netlist import (EXHAUSTIVE_MAX_PIS, MAJ, Edge, LogicNetwork,
+                            aig_to_mig, normalize_mig, parse_mig,
+                            pi_patterns, random_aig, random_mig, tree_size)
 from revamp.simulator import run, run_vectors
 from revamp.verifier import check_equivalence
 
@@ -834,17 +834,49 @@ def builder_maj_applies(program):
 
 
 def test_map_minimal_maps_a_node_used_in_both_polarities():
-    """A node referenced plainly and complemented is computed once per
-    reference, as in the tree: the report counts three MAJ evaluations."""
+    """A node referenced plainly and complemented is computed once; its
+    other reference copies the device that holds it.  The report counts
+    the program's two MAJ Applies, not the tree's three nodes."""
     net = LogicNetwork(kind="mig")
     a, b, c = (net.add_pi() for _ in range(3))
     shared = net.add_node(MAJ, (Edge(a), Edge(b), Edge(c, True)))
     root = net.add_node(MAJ, (Edge(shared), Edge(shared, True), Edge(a)))
     net.add_output(Edge(root))
     program, report = map_minimal(net)
-    assert report.n_maj == 3
+    assert report.n_maj == builder_maj_applies(program) == 2
+    assert tree_size(net) == 3
     assert report.devices_used <= report.device_bound
     assert check_equivalence(net, program).ok
+
+
+@pytest.mark.parametrize("n", range(4, 20))
+def test_minimal_parity_copies_held_values(n):
+    """Parity's tree has 3(2^(n-1) - 1) MAJ nodes over a DAG of about 4n:
+    a value the crossbar still holds is copied rather than computed again,
+    so the program stays within 20 instructions per input.  Proven on
+    every vector up to 16 inputs, on 4,096 random vectors above."""
+    net = parity(n)
+    program, report = map_minimal(normalize_mig(aig_to_mig(net)))
+    assert report.i_total <= 20 * n
+    assert report.devices_used <= report.device_bound
+    assert report.s_d == report.levels + 1
+    mode = "exhaustive" if n <= EXHAUSTIVE_MAX_PIS else "random"
+    result = check_equivalence(net, program, mode=mode, n=4096)
+    assert result.ok and result.mode == mode
+
+
+def test_minimal_random_migs_verify_within_the_bound():
+    """200 seeded MIGs of 6-12 inputs and 10-300 nodes, each proven on
+    every input vector, with at most one MAJ Apply per tree node."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        mig = random_mig(rng.randint(6, 12), rng.randint(10, 300), seed=seed)
+        tree = normalize_mig(mig)
+        program, report = map_minimal(tree)
+        assert report.devices_used <= report.device_bound, seed
+        assert report.n_maj == builder_maj_applies(program), seed
+        assert report.n_maj <= tree_size(tree), seed
+        assert check_equivalence(mig, program, mode="exhaustive").ok, seed
 
 
 @pytest.mark.parametrize("n", [600, 3000])
@@ -869,10 +901,10 @@ def test_minimal_flow_maps_deep_and_chain(n):
 
 
 def test_minimal_map_of_a_deep_chain_stays_linear():
-    """Every subtree of a 3000-input AND chain is distinct, so each one is
-    remembered and none replayed.  The memo holds index ranges, not copied
-    instruction lists, which on this chain would grow with the square of
-    its depth."""
+    """A 3000-input AND chain has 3000 levels, so 6002 devices, and every
+    subtree is distinct.  Each write updates the held-value index and each
+    lookup finds a holder in constant time; a scan of the devices per
+    lookup would make this chain quadratic."""
     b = AigBuilder()
     acc = b.pi()
     for _ in range(2999):
@@ -912,21 +944,21 @@ PINNED_AREA_PROGRAMS = [
 
 PINNED_MINIMAL_PROGRAMS = [
     ("parity8", lambda: aig_to_mig(parity(8)),
-     "d4928222d4c78711ae6b9d72b8f0fc4a2b4d4d245e2c614f49fa7906d2faf50d"),
+     "7ef8e593c35212ec7f64639d74cffb1bc91938ae503b18981650086a47cbc301"),
     ("randmig", lambda: random_mig(8, 20, seed=4),
-     "c70a17ce9b32f6332f5552a59adc1715eca99897cbe55a673c7d93edae1793d7"),
+     "2342e92ad21d413d7a051b154cc2288d2f2ae0647ad8a7b53e79d33fef9b57d5"),
     ("parity12", lambda: aig_to_mig(parity(12)),
-     "4284eeb798fd285e00eb11f8458032685270fe861d2096b9b48089880d773aa9"),
+     "790e8009035252feef2e6890c5a8359ac13ebb0a0f8199598dbf18e38397ac04"),
     # 200 MAJ nodes whose tree has 7,243; folded and hashed, 60 and 2,095
     ("randmig200", lambda: random_mig(6, 200, seed=23),
-     "2b6cabd9e52550f4a3a10f307a4ef4a98a4394c4cf60aa7def01f3e770e8cab0"),
+     "5e30d344640029898c97dc44f9c071d1d5a6c9af4112b5ca438a450ada1d9a1c"),
 ]
 
 
 def _twin_tree(first_swapped, second_swapped):
     """Fanout-free tree ``MAJ(A, B, y)`` with ``A = MAJ(!N, p, q)`` and ``B``
-    alike, so both copies of ``N = MAJ(C, D, x)`` are computed onto the
-    same device from the same read state.  ``C`` and ``D`` share a level;
+    alike, so the two copies of ``N = MAJ(C, D, x)``, distinct nodes, are
+    computed onto the same device.  ``C`` and ``D`` share a level;
     each copy creates them in the order given, so their ids follow fanin
     order in neither, one or both copies."""
     net = LogicNetwork(kind="mig")
@@ -948,7 +980,7 @@ def _twin_tree(first_swapped, second_swapped):
 # ``pick_roles`` breaks ties between internal fanins of a level by fanin
 # position, not by id, so every numbering of the twin tree emits one program
 TWIN_PROGRAM = (
-    "e77719e6cbe2f90c6819f97c1ada4a47f28332d0d67b5b5be2f31d1fb4f87e0e")
+    "3f3bd4ef2ef9f26f768ff25839d42d0676cef7be8cd43a573ecfd8b257691f10")
 
 
 def _digest_and_reread(program):
@@ -979,7 +1011,7 @@ def test_twin_tree_programs_byte_identical():
         net = _twin_tree(*swaps)
         program, report = map_minimal(net)
         assert _digest_and_reread(program) == TWIN_PROGRAM, swaps
-        assert (report.i_total, report.devices_used) == (76, 10)
+        assert (report.i_total, report.devices_used) == (57, 10)
         assert check_equivalence(net, program).ok
 
 

@@ -63,39 +63,6 @@ def test_finish_leaves_validation_to_encode_and_execute():
         run_vectors(program, [0b10], 2)
 
 
-def test_replay_appends_what_emitting_again_would():
-    """A stretch with PIR Applies and an elided Read, replayed from the read
-    state it began in, gives the program that emitting it again gives;
-    a replayed stretch replays too."""
-    def stretch(builder):
-        builder.apply_from_pir(1, WsMode.ONE, {0: 0, 1: 1})
-        builder.read(1)
-        builder.read(1)  # elided
-        builder.apply_from_dmr(2, WsMode.ONE, {0: 1})
-        builder.reset_bits(1, [0, 1])
-        builder.apply_from_pir(2, WsMode.ZERO, {1: 0})
-
-    config = CrossbarConfig(3, 2)
-    emitted, replayed = ProgramBuilder(config, 2), ProgramBuilder(config, 2)
-    for builder in (emitted, replayed):
-        builder.read(0)
-        builder.reset_bits(0, [0])  # the stretch's own final read state
-        start = len(builder.instructions)
-        stretch(builder)
-    for _ in range(3):
-        stretch(emitted)
-    end = len(replayed.instructions)
-    replayed.replay(start, end, replayed.read_state)
-    replayed.replay(start, len(replayed.instructions), replayed.read_state)
-    assert replayed.instructions == emitted.instructions
-    first = replayed.instructions[start:end]
-    assert all(a is b for a, b in zip(replayed.instructions[start:],
-                                      first * 4))
-    assert replayed.pir_schedule == emitted.pir_schedule
-    assert replayed.read_state == emitted.read_state
-    assert write_program(replayed.finish()) == write_program(emitted.finish())
-
-
 @pytest.fixture(scope="module")
 def corpus_programs():
     """(flow, name, num_pis, program, report) over the default corpus: area
@@ -121,9 +88,10 @@ def test_builder_shares_one_object_per_distinct_instruction(corpus_programs):
     for flow, name, _, program, _ in corpus_programs:
         instrs = program.instructions
         assert len({id(i) for i in instrs}) == len(set(instrs)), (flow, name)
-        total += len(instrs)
-        distinct += len(set(instrs))
-    assert distinct < total // 4  # the programs repeat themselves
+        if flow == "minimal":
+            total += len(instrs)
+            distinct += len(set(instrs))
+    assert distinct < total // 4  # the minimal programs repeat themselves
 
 
 def test_devices_used_counts_the_programs_devices(corpus_programs):

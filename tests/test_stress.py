@@ -54,8 +54,8 @@ def test_delay_flow_at_depth():
 
 
 def test_counts_equal_a_scan_of_the_program():
-    """Reads counted as they are emitted, replays included, match the
-    program in every flow."""
+    """Reads counted as they are emitted match the program in every
+    flow."""
     tree = normalize_mig(aig_to_mig(parity(10)))
     for program, report in (map_area(multiplier(4), 4, 64, 16),
                             map_delay(aig_to_mig(ripple_adder(16)), 8),
