@@ -1,11 +1,11 @@
 """Depth-bounded mapping: a k-level majority tree on 2(k+1) devices.
 
-Normalization first pushes complements with the majority self-duality so
-that (wherever the leaf pattern allows) each node carries exactly one
-complemented fanin; a node needed in both polarities is built twice, once
-each.  The mapper then evaluates the network as its tree on a two-bitline
-crossbar: one operand row per level, the device at (0,0) doubling as the
-input inverter, and the output accumulating at (0,1).  It knows what each
+The mapper takes the MIG ``rebuild`` cleans the tree to and evaluates it
+as its tree on a two-bitline crossbar: one operand row per level, the
+device at (0,0) doubling as the input inverter, and the output
+accumulating at (0,1).  It pushes complements itself with the majority
+self-duality, not M(a,b,c) = M(not a, not b, not c): a node needed
+complemented is computed from its complemented fanins.  It knows what each
 device holds and keeps every value until the device must change, so a
 value the crossbar still holds is copied rather than computed again.
 """
@@ -13,7 +13,7 @@ value the crossbar still holds is copied rather than computed again.
 import random
 
 from revamp.areamap import map_minimal
-from revamp.netlist import MAJ, Edge, LogicNetwork, normalize_mig
+from revamp.netlist import MAJ, Edge, LogicNetwork, rebuild
 from revamp.verifier import check_equivalence
 
 
@@ -34,9 +34,9 @@ def random_tree(depth, num_pis, seed):
 
 print("depth  devices  bound  instructions  cycles  equivalent")
 for depth in range(1, 7):
-    mig = normalize_mig(random_tree(depth, num_pis=4, seed=depth))
-    program, report = map_minimal(mig)
-    ok = check_equivalence(mig, program).ok
+    tree = random_tree(depth, num_pis=4, seed=depth)
+    program, report = map_minimal(rebuild(tree))
+    ok = check_equivalence(tree, program).ok
     print("%5d  %7d  %5d  %12d  %6d  %s"
           % (depth, report.devices_used, report.device_bound,
              report.i_total, report.cycles, ok))

@@ -569,11 +569,18 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
 
 # -- depth-bounded minimal-device mapper ----------------------------------------------
 
-def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
-    """Map a normalized single-output MIG with at most 2(depth+1) devices.
+# program length past which map_minimal refuses a network; it is checked
+# before each step, so a program may end a step's few instructions past it
+MAX_MINIMAL_INSTRUCTIONS = 1 << 20
 
-    The network must have a single output, and every node at most one
-    complemented edge to an internal node (see ``normalize_mig``).  Row 0
+
+def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
+    """Map a single-output MIG with at most 2(depth+1) devices.
+
+    Any MIG is taken; the CLI gives it the one ``rebuild`` cleans its
+    input to.  A complemented node is computed by majority self-duality,
+    ``not M(a,b,c) == M(not a, not b, not c)``: its fanins are taken
+    complemented (``pick_roles``), so no normal form is needed.  Row 0
     holds the inverter device at bitline 0 and the final host at bitline
     1; each level gets one operand row.  A node computed onto a device
     places its wordline operand at bitline 1 of its level's row, the
@@ -593,9 +600,11 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     for a plain input, loaded complemented onto the inverter and copied
     from there; for a node held only in the same polarity, copied through
     the inverter; and only otherwise computed.  So a node is computed again
-    only once every copy of it has been overwritten, and one MAJ per tree
-    node (``tree_size``) bounds the program's MAJ Applies, which
-    ``MappingReport.n_maj`` counts.
+    only once every copy of it has been overwritten; ``MappingReport.n_maj``
+    counts the program's MAJ Applies.  The program still grows with the
+    tree where the crossbar no longer holds a value, so mapping stops with
+    ``NetlistError`` as soon as the program grows past
+    ``MAX_MINIMAL_INSTRUCTIONS``.
     """
     if mig.kind != "mig":
         raise NetlistError("map_minimal expects a MIG")
@@ -662,31 +671,32 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         builder.apply_from_pir(dev[0], WsMode.ONE, {dev[1]: pi_line[lit[0]]})
         write(dev, lit)
 
-    def pick_roles(node):
-        """Split the three fanins into bitline / wordline / host roles.
+    def pick_roles(node, neg):
+        """Split the three fanins of ``node``, complemented if ``neg`` (by
+        majority self-duality, each fanin complemented), into bitline /
+        wordline / host roles.
 
         The bitline role stores the complement of its effective value (the
-        device update re-complements it).  A complemented edge to an
-        internal node must take the bitline so the stored value is the
-        child's plain result; otherwise any PI or constant fanin works since
-        leaves load in either polarity.
+        device update re-complements it).  It takes the first complemented
+        internal fanin, so the stored value is the child's plain result;
+        otherwise a leaf, plain first, since leaves load in either
+        polarity; otherwise the lowest-id internal fanin, whose complement
+        is then computed the same way.
         """
         fanins = node.fanins
+        if neg:
+            fanins = [e.flip() for e in fanins]
         internal = [j for j, e in enumerate(fanins)
-                    if mig.nodes[e.target].kind == MAJ]
+                    if nodes[e.target].kind == MAJ]
         inv_internal = [j for j in internal if fanins[j].inverted]
-        if len(inv_internal) > 1:
-            raise NetlistError("more than one complemented internal fanin; "
-                               "run normalize_mig first")
+        leaves = [j for j in range(3) if j not in internal]
         if inv_internal:
             bl = inv_internal[0]
-        else:
-            leaves = [j for j in range(3) if j not in internal]
-            if not leaves:
-                raise NetlistError("all-internal node without a complemented "
-                                   "fanin; run normalize_mig first")
+        elif leaves:
             plain = [j for j in leaves if not fanins[j].inverted]
             bl = min(plain or leaves, key=lambda j: fanins[j].target)
+        else:
+            bl = min(internal, key=lambda j: fanins[j].target)
         # leaves (level 0) by id, internal fanins of a level by position
         wl, host = sorted((j for j in range(3) if j != bl), key=lambda j: (
             lv[fanins[j].target], 0 if j in internal else fanins[j].target, j))
@@ -704,6 +714,9 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         nonlocal n_maj
         steps = [(False, lit, dev)]
         while steps:
+            if len(builder.instructions) > MAX_MINIMAL_INSTRUCTIONS:
+                raise NetlistError("the program would exceed %d instructions"
+                                   % MAX_MINIMAL_INSTRUCTIONS)
             apply, lit, dev = steps.pop()
             nid, neg = lit
             node = nodes[nid]
@@ -730,15 +743,11 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
             elif node.kind != MAJ:
                 load(INVERTER, (nid, True))
                 copy(INVERTER, dev)
-            elif neg:
-                raise NetlistError(
-                    "internal operand needed in complemented form")
             elif (src := holder(lit)) is not None:
-                # the inverter never holds a plain node, so src is not it
                 copy(src, INVERTER)
                 copy(INVERTER, dev)
             else:
-                bl, wl, host = pick_roles(node)
+                bl, wl, host = pick_roles(node, neg)
                 row = lv[nid]  # operand row for this level
                 # the bitline stores the complement
                 bl_lit = (bl.target, not bl.inverted)
@@ -749,16 +758,8 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
                           (False, bl_lit, (row, 0)),
                           (False, wl_lit, (row, 1)))
 
-    out_name = mig.output_names[0]
-    root, inverted = out_edge
-    if nodes[root].kind == MAJ and inverted:
-        # computed plain, complemented onto the inverter
-        place((root, False), TARGET)
-        copy(TARGET, INVERTER)
-        builder.result_locations[out_name] = INVERTER
-    else:
-        place((root, inverted), TARGET)
-        builder.result_locations[out_name] = TARGET
+    place(tuple(out_edge), TARGET)
+    builder.result_locations[mig.output_names[0]] = TARGET
 
     program = builder.finish()
     report = MappingReport(

@@ -22,8 +22,7 @@ from .areamap import InfeasibleMapping, map_area, map_minimal
 from .delaymap import map_delay
 from .isa import format_asm, read_program, write_program
 from .lutmap import cover_klut, feasible, lut_graph_to_dict, min_dev
-from .netlist import (NetlistError, normalize_mig, parse_aiger, parse_mig,
-                      rebuild)
+from .netlist import NetlistError, parse_aiger, parse_mig, rebuild
 from .reports import BENCH_COLUMNS
 from .simulator import grid_dump, run_vectors
 from .verifier import EXHAUSTIVE_MAX_PIS, check_equivalence
@@ -52,10 +51,11 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
     from it, and is checked against it.  Every flow maps the MIG
     ``netlist.rebuild`` cleans ``net`` to, an AIG or a MIG alike: the area
     flow covers it folded (``lutmap.cover_klut`` cleans its own input),
-    the delay and minimal flows map it folded and hashed (then normalized
-    for the minimal flow).  Raises ``NotApplicable`` for a minimal map of
-    a multi-output network and one whose tree has too many MAJ nodes to
-    evaluate; every other error comes through unchanged.
+    the delay and minimal flows map it folded and hashed, and the minimal
+    flow pushes complements itself.  Raises ``NotApplicable`` for a
+    minimal map of a multi-output network and one whose program would
+    exceed ``areamap.MAX_MINIMAL_INSTRUCTIONS``; every other error comes
+    through unchanged.
     """
     if flow == "area":
         return map_area(net, k, s_d, w_d)
@@ -65,10 +65,9 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
     if flow == "delay":
         return map_delay(mig, w_d)
     try:
-        mig = normalize_mig(mig)
-    except NetlistError as exc:  # a MIG is refused only for its tree size
+        return map_minimal(mig)
+    except NetlistError as exc:  # a cleaned MIG is refused only for length
         raise NotApplicable("too large: %s" % exc) from None
-    return map_minimal(mig)
 
 
 def _check_mode(net) -> str:

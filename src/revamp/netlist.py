@@ -11,7 +11,10 @@ on integer literals, folds constants, merges equal gates on request, drops
 gates no output reaches and emits one output form.  ``rebuild``, which
 every flow cleans its input with, feeds it each gate of an AIG or a MIG;
 ``aig_to_mig`` is a call of ``rebuild``, and ``normalize_mig`` feeds the
-builder each gate once per polarity it is needed in.
+builder each gate once per polarity it is needed in.  The depth-bounded
+mapper takes ``rebuild``'s MIG as it is and pushes complements itself, so
+no mapping path normalizes; ``normalize_mig`` stays for the benchmark
+harness, which maps its normal form.
 
 This module also provides the brute-force functional oracle (``evaluate`` /
 ``truth_table``) used by every other part of the mapper to prove equivalence.
@@ -39,10 +42,6 @@ _ARITY = {PI: 0, CONST0: 0, AND: 2, MAJ: 3}
 
 # widest network evaluated on all 2^k input vectors (2^16 bits per mask)
 EXHAUSTIVE_MAX_PIS = 16
-
-# most tree nodes normalize_mig accepts (map_minimal computes at most one MAJ
-# per tree node, so this bounds the program): parity16 has 98,301, parity24 25M
-MAX_TREE_NODES = 1 << 20
 
 
 class NetlistError(ValueError):
@@ -372,19 +371,6 @@ def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
 
 # -- MIG normalization -------------------------------------------------------
 
-def tree_size(network: LogicNetwork) -> int:
-    """MAJ nodes in the per-output trees of ``network``, counted in one
-    pass without building them: a MAJ node counts 1 plus the sizes of its
-    MAJ fanins, summed over outputs.  ``map_minimal`` evaluates at most one
-    MAJ per tree node, fewer where it copies a value the crossbar holds."""
-    nodes = network.nodes
-    sizes = [0] * len(nodes)
-    for i, n in enumerate(nodes):  # fanins come before their node
-        if n.kind == MAJ:
-            sizes[i] = 1 + sum(sizes[e.target] for e in n.fanins)
-    return sum(sizes[e.target] for e in network.outputs)
-
-
 def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     """Rewrite a MIG so each node has canonical fanin polarity.
 
@@ -396,28 +382,19 @@ def normalize_mig(network: LogicNetwork) -> LogicNetwork:
     with the lowest source id, unless a primary-input or constant fanin is
     already inverted; no node can emit the complement of a raw leaf, so
     leaf edges keep their polarity.  So every node carries at most one
-    complemented edge to an internal node, which is what the depth-bounded
-    mapper relies on, and exactly one complemented edge whenever it has an
-    internal fanin and no inverted leaf.
+    complemented edge to an internal node, and exactly one complemented
+    edge whenever it has an internal fanin and no inverted leaf.
 
     A source node is built once per polarity it is needed in and then
     referenced again, so the output has at most two MAJ nodes per source
     node.  Two linear passes do it: one from the outputs down marks each
     (node, polarity) needed, and one up feeds those gates, in source
     order and plain before complemented, to a ``MigBuilder`` that does not
-    merge, so the result is in ``rebuild``'s output form.  ``map_minimal``
-    evaluates it as the per-output trees, at most one MAJ evaluation per
-    tree node, so a network whose trees would exceed ``MAX_TREE_NODES``
-    (``tree_size``, counted on the cleaned MIG) is refused before any
-    normal form is built.
+    merge, so the result is in ``rebuild``'s output form.
     """
     if network.kind != "mig":
         raise NetlistError("normalize_mig expects a MIG")
     network = rebuild(network)
-    size = tree_size(network)
-    if size > MAX_TREE_NODES:
-        raise NetlistError("normalized trees would have %d MAJ nodes, more "
-                           "than the limit of %d" % (size, MAX_TREE_NODES))
     nodes = network.nodes
     pi_names = [n.name for n in nodes if n.kind == PI]
     # builder literals of the leaves: in rebuild's form PI j is node j and

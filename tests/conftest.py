@@ -1,7 +1,8 @@
 """Shared golden fixtures: the hand-assembled two-bit XOR program, the
 five-input reference MIG used across the mapping tests, the leaf-output
 MIGs of the depth-bounded flow, a layered MIG whose tree is far larger
-than its network, an ASCII AIGER writer for the ``.aag`` files the CLI
+than its network, the tree-size reference the depth-bounded flow's MAJ
+count is held to, an ASCII AIGER writer for the ``.aag`` files the CLI
 tests read, and the fixpoint check of delay-flow block merging."""
 
 import random
@@ -51,6 +52,19 @@ def layered_mig(num_pis: int, width: int, depth: int,
                  for _ in range(width)]
     net.add_output(Edge(layer[0]), "f")
     return net
+
+
+def tree_size(network: LogicNetwork) -> int:
+    """MAJ nodes in the per-output trees of ``network``, counted in one
+    pass without building them: a MAJ node counts 1 plus the sizes of its
+    MAJ fanins, summed over outputs.  ``map_minimal`` evaluates at most one
+    MAJ per tree node, fewer where it copies a value the crossbar holds."""
+    nodes = network.nodes
+    sizes = [0] * len(nodes)
+    for i, n in enumerate(nodes):  # fanins come before their node
+        if n.kind == MAJ:
+            sizes[i] = 1 + sum(sizes[e.target] for e in n.fanins)
+    return sum(sizes[e.target] for e in network.outputs)
 
 
 def sharing_pairs_that_overflow(formation, w_d: int) -> int:

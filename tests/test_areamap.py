@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import LEAF_OUTPUT_MIGS
+from conftest import LEAF_OUTPUT_MIGS, layered_mig, tree_size
+from revamp import areamap
 from revamp.areamap import (E0, E2, InfeasibleMapping, PirVar, StoredVar,
                             compute_cube_batch, compute_esop,
                             gen_esop_program, map_area, map_lut_graph,
@@ -22,8 +23,9 @@ from revamp.isa import (SRC_PIR, ApplyInstr, CrossbarConfig, IsaError,
 from revamp.lutmap import (Lut, LutGraph, assign_levels, cover_klut, min_dev,
                            storage_capacity)
 from revamp.netlist import (EXHAUSTIVE_MAX_PIS, MAJ, Edge, LogicNetwork,
-                            aig_to_mig, normalize_mig, parse_mig,
-                            pi_patterns, random_aig, random_mig, tree_size)
+                            NetlistError, aig_to_mig, normalize_mig,
+                            parse_mig, pi_patterns, random_aig, random_mig,
+                            rebuild)
 from revamp.simulator import run, run_vectors
 from revamp.verifier import check_equivalence
 
@@ -849,34 +851,50 @@ def test_map_minimal_maps_a_node_used_in_both_polarities():
     assert check_equivalence(net, program).ok
 
 
-@pytest.mark.parametrize("n", range(4, 20))
+@pytest.mark.parametrize("n", [*range(4, 21), 24, 64])
 def test_minimal_parity_copies_held_values(n):
     """Parity's tree has 3(2^(n-1) - 1) MAJ nodes over a DAG of about 4n:
     a value the crossbar still holds is copied rather than computed again,
-    so the program stays within 20 instructions per input.  Proven on
-    every vector up to 16 inputs, on 4,096 random vectors above."""
+    so the program stays within 20 instructions per input, from the
+    normal form and from ``rebuild``'s MIG, whose complements the mapper
+    pushes itself.  Proven on every vector up to 16 inputs, on 4,096
+    random vectors above."""
     net = parity(n)
-    program, report = map_minimal(normalize_mig(aig_to_mig(net)))
-    assert report.i_total <= 20 * n
-    assert report.devices_used <= report.device_bound
-    assert report.s_d == report.levels + 1
+    mig = aig_to_mig(net)
     mode = "exhaustive" if n <= EXHAUSTIVE_MAX_PIS else "random"
-    result = check_equivalence(net, program, mode=mode, n=4096)
-    assert result.ok and result.mode == mode
+    for form in (normalize_mig(mig), mig):
+        program, report = map_minimal(form)
+        assert report.i_total <= 20 * n
+        assert report.devices_used <= report.device_bound
+        assert report.s_d == report.levels + 1
+        result = check_equivalence(net, program, mode=mode, n=4096)
+        assert result.ok and result.mode == mode
 
 
 def test_minimal_random_migs_verify_within_the_bound():
-    """200 seeded MIGs of 6-12 inputs and 10-300 nodes, each proven on
-    every input vector, with at most one MAJ Apply per tree node."""
+    """200 seeded MIGs of 6-12 inputs and 10-300 nodes, each mapped from
+    its normal form and from ``rebuild``'s MIG and proven on every input
+    vector, with at most one MAJ Apply per tree node."""
     for seed in range(200):
         rng = random.Random(seed)
         mig = random_mig(rng.randint(6, 12), rng.randint(10, 300), seed=seed)
-        tree = normalize_mig(mig)
-        program, report = map_minimal(tree)
-        assert report.devices_used <= report.device_bound, seed
-        assert report.n_maj == builder_maj_applies(program), seed
-        assert report.n_maj <= tree_size(tree), seed
-        assert check_equivalence(mig, program, mode="exhaustive").ok, seed
+        for form in (normalize_mig(mig), rebuild(mig)):
+            program, report = map_minimal(form)
+            assert report.devices_used <= report.device_bound, seed
+            assert report.n_maj == builder_maj_applies(program), seed
+            assert report.n_maj <= tree_size(form), seed
+            assert check_equivalence(mig, program, mode="exhaustive").ok, seed
+
+
+def test_minimal_refuses_a_program_past_the_bound(monkeypatch):
+    """The program's length, not the network's tree, bounds the flow: at a
+    bound of 10,000 a 76-node layered MIG is refused as soon as its
+    program passes it, while parity4 maps."""
+    monkeypatch.setattr(areamap, "MAX_MINIMAL_INSTRUCTIONS", 10_000)
+    with pytest.raises(NetlistError, match="exceed 10000 instructions"):
+        map_minimal(rebuild(layered_mig(16, 6, 12, seed=1)))
+    program, _ = map_minimal(aig_to_mig(parity(4)))
+    assert len(program.instructions) <= 10_000
 
 
 @pytest.mark.parametrize("n", [600, 3000])

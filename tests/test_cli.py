@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import time
 import pytest
 
 from conftest import LEAF_OUTPUT_MIGS, layered_mig, serialize_aig
-from revamp import cli, netlist
+from revamp import areamap, cli, netlist
 from revamp.areamap import InfeasibleMapping, map_minimal
 from revamp.circuits import (default_corpus, full_adder, multiplier, parity,
                              ripple_adder, two_bit_xor, two_bit_xor_program)
@@ -513,29 +514,51 @@ def test_bench_minimal_maps_leaf_outputs(tmp_path, capsys):
         for name in ("b", "const0", "not_b", "not_const0")]
 
 
-def test_bench_skips_a_tree_too_large(tmp_path, capsys):
-    # parity24's normalized tree would have 25,165,821 MAJ nodes
+def test_bench_skips_a_tree_too_large(tmp_path, capsys, monkeypatch):
+    """The minimal flow is bounded by its program's length, not by the
+    network's tree: parity24, whose tree has 25,165,821 MAJ nodes, maps
+    and verifies, and a network whose program would pass the bound is
+    skipped, or refused by ``map-minimal``, as soon as it does."""
     (tmp_path / "par24.aag").write_text(serialize_aig(parity(24)))
     (tmp_path / "par4.aag").write_text(serialize_aig(parity(4)))
-    rc = main(["bench", str(tmp_path), "--flow", "minimal"])
-    assert rc == 0
+    assert main(["bench", str(tmp_path), "--flow", "minimal"]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert [r["benchmark"] for r in rows] == ["par24", "par4"]
+    assert [(r["benchmark"], r["status"], r["verified"]) for r in rows] == [
+        ("par24", "ok", "True"), ("par4", "ok", "True")]
+
+    big = tmp_path / "big"
+    big.mkdir()
+    (big / "layers16.mig").write_text(
+        serialize_mig(layered_mig(16, 6, 12, seed=1)))
+    (big / "parity4.mig").write_text(serialize_mig(aig_to_mig(parity(4))))
+    monkeypatch.setattr(areamap, "MAX_MINIMAL_INSTRUCTIONS", 10_000)
+    t0 = time.monotonic()
+    assert main(["bench", str(big), "--flow", "minimal"]) == 0
+    assert time.monotonic() - t0 < 1.0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["benchmark"] for r in rows] == ["layers16", "parity4"]
     assert rows[0]["status"].startswith("skipped: too large")
-    assert "25165821" in rows[0]["status"]
+    assert "10000" in rows[0]["status"]
     assert rows[1]["status"] == "ok"
+    prog = tmp_path / "layers16.rvmp"
+    assert main(["map-minimal", str(big / "layers16.mig"), "-o",
+                 str(prog)]) == 2
+    assert capsys.readouterr().err == (
+        "map-minimal does not apply: too large: the program would exceed "
+        "10000 instructions\n")
+    assert not prog.exists()
 
 
 def test_bench_checks_rows_against_the_input_network(tmp_path, capsys,
                                                      monkeypatch):
-    """A minimal row proves conversion, normalization and mapping together:
-    a normalization that complements the output reads as a mismatch."""
-    def complemented(mig):
-        tree = netlist.normalize_mig(mig)
-        tree.outputs = [e.flip() for e in tree.outputs]
-        return tree
+    """A minimal row proves conversion and mapping together: a conversion
+    that complements the output reads as a mismatch."""
+    def complemented(net):
+        mig = netlist.rebuild(net)
+        return dataclasses.replace(
+            mig, outputs=[e.flip() for e in mig.outputs])
 
-    monkeypatch.setattr(cli, "normalize_mig", complemented)
+    monkeypatch.setattr(cli, "rebuild", complemented)
     (tmp_path / "par4.aag").write_text(serialize_aig(parity(4)))
     rc = main(["bench", str(tmp_path), "--flow", "minimal"])
     assert rc == 1
@@ -546,9 +569,9 @@ def test_bench_checks_rows_against_the_input_network(tmp_path, capsys,
 
 @pytest.fixture
 def late_dir(tmp_path):
-    # 76 nodes whose tree has 265,720: the minimal flow computes most of it
-    # again, over a second to map and prove, where parity4 takes a few
-    # milliseconds
+    # 76 nodes whose tree has 265,720: the minimal flow computes much of it
+    # again, 187,961 instructions and most of a second to map and prove,
+    # where parity4 takes a few milliseconds
     (tmp_path / "layers16.mig").write_text(
         serialize_mig(layered_mig(16, 6, 12, seed=1)))
     (tmp_path / "parity4.mig").write_text(serialize_mig(aig_to_mig(parity(4))))
@@ -633,10 +656,11 @@ def test_bench_refuses_a_run_with_no_network_to_map(capsys, monkeypatch):
 # sha256 over the containers every flow emits for ``default_corpus()``: the
 # area flow at k 3/4/6 on 8x4, 16x16 and 64x32 ("infeasible" for a job that
 # would not fit; every job fits today), the delay flow at w_D 4/16/32 and
-# the minimal flow on each single-output network; a refactor of any flow
-# must keep these bytes
+# the minimal flow on each single-output network, mapped from ``rebuild``'s
+# MIG (parity8, rand8, rand10 and rand12: 57, 59, 104 and 136
+# instructions); a refactor of any flow must keep these bytes
 CORPUS_PROGRAMS = (
-    "be800bf21c128cf4628ff21bbc99cd7dc73a0cfcf684990be37c73cd73414345")
+    "0f3929767f9567ed073450c36996fd42e008c17aa4b2c763fbae6305cd98a735")
 
 
 def test_corpus_programs_byte_identical():
