@@ -4,11 +4,12 @@ The crossbar is split into a working area of three wordlines (rows 0..2,
 called e0/e1/e2 below) and storage rows for intermediate LUT results.  Each
 LUT of the cover is scheduled onto a storage device and expanded to an
 ESOP.  A level's LUTs are computed side by side on e2, one bitline per
-cube, and each LUT's cubes are folded by an XOR reduction tree whose
-rounds alternate between e2 and e0: a round reads one row and leaves its
-results, complemented, on the other (``xor_round``).  The bits of e0, from
-bit 0 up, are also the staging bank, which is empty while the rounds run;
-e1 is reserved but unused.
+cube, in batches as wide as the row (a LUT of more cubes than w_D goes
+alone, in chunks), and each LUT's cubes are folded by an XOR reduction
+tree whose rounds alternate between e2 and e0: a round reads one row and
+leaves its results, complemented, on the other (``xor_round``).  The bits
+of e0, from bit 0 up, are also the staging bank, which is empty while the
+rounds run; e1 is reserved but unused.
 
 Machine idioms used throughout (device update is M3(Z, wl, not bl)):
 
@@ -424,13 +425,16 @@ def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
     The LUTs are bucketed by level once, each value counts down its
     unscheduled consumers, and the rows sit in a list sorted by free
     devices, so a level costs its LUTs and a bisection per row it fills.
+    A demand above the storage capacity is refused, and so is any LUT on
+    a crossbar of three rows, which has no storage row.
     """
     capacity = storage_capacity(s_d, w_d)
     need = min_dev(graph)
-    if need > capacity:
-        raise InfeasibleMapping(need, capacity)
-
     storage_rows = list(range(3, s_d))
+    if need > capacity or (graph.luts and not storage_rows):
+        # each LUT takes a device, which three rows do not offer
+        raise InfeasibleMapping(max(need, 1), capacity)
+
     free = {w: set(range(w_d)) for w in storage_rows}
     # (free devices, -row) of every storage row, ascending: the first entry
     # with enough room is the fullest row that fits, ties to the higher row
@@ -515,8 +519,8 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
                   ) -> tuple[Program, MappingReport]:
     """Schedule the LUTs, then compute and store them in event order, each
     run of one level's ``place`` events between ``reset`` events in batches
-    of at most W = min(w_D, the widest ESOP cover) e2 bitlines, the ones the
-    widest LUT alone touches.  No LUT reads another of its level, and each
+    of at most W = w_D e2 bitlines; a LUT of more cubes than that is a
+    batch of its own.  No LUT reads another of its level, and each
     destination was free before its batch."""
     config = CrossbarConfig(s_d, w_d)  # refuse a bad geometry up front
     sched = schedule_luts(graph, s_d, w_d)
@@ -527,14 +531,13 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
     covers = {key: extract_esop(*key).cubes for key in dict.fromkeys(keys)}
     cubes = [covers[key] for key in keys]
     need = [max(1, len(c)) for c in cubes]  # e2 bitlines of each LUT
-    width = min(w_d, max(need, default=1))
     batch, used = [], 0  # the open batch's LUTs and e2 bitlines
     polarity = {}  # LUT -> 1 where its device holds the complement
     # the last, empty reset emits the last batch
     for event in sched.events + [("reset", E2, [])]:
         lut = graph.luts[event[1]] if event[0] == "place" else None
         if batch and (lut is None or lut.level != batch[0].level
-                      or used + need[lut.id] > width):
+                      or used + need[lut.id] > w_d):
             dests = [(placements[l.id], l.id in is_output) for l in batch]
             row, bits, pols = compute_esop(builder, [(cubes[l.id], [
                 PirVar(ref) if kind == PI_REF else

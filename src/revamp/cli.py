@@ -49,10 +49,9 @@ def map_network(net, flow: str, k: int | None, s_d: int, w_d: int):
 
     The program computes ``net`` itself, through whatever the flow builds
     from it, and is checked against it.  Every flow maps the MIG
-    ``netlist.rebuild`` cleans ``net`` to, an AIG or a MIG alike: the area
-    flow covers it folded (``lutmap.cover_klut`` cleans its own input),
-    the delay and minimal flows map it folded and hashed, and the minimal
-    flow pushes complements itself.  Raises ``NotApplicable`` for a
+    ``netlist.rebuild`` cleans ``net`` to, folded and hashed, an AIG or a
+    MIG alike (``lutmap.cover_klut`` cleans its own input), and the
+    minimal flow pushes complements itself.  Raises ``NotApplicable`` for a
     minimal map of a multi-output network and one whose program would
     exceed ``areamap.MAX_MINIMAL_INSTRUCTIONS``; every other error comes
     through unchanged.

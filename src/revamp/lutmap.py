@@ -1,14 +1,15 @@
 """Covering a network with k-input LUTs and sizing the result.
 
-The cover is of the cleaned MIG ``netlist.rebuild`` makes of its input,
-so an AIG and its MIG cover the same way.  It is a deterministic greedy cut
-growth: starting from the node's fanins, single-fanout internal leaves are
-absorbed into the cone while the leaf count stays within k, preferring
-absorptions that shrink the cut; the constant fanin of MAJ(a, b, 0) is
-never a leaf.  Multi-fanout nodes become LUT roots of their own, so shared
-logic is never duplicated.  A cone's truth table is evaluated gate by gate
-through ``netlist.gate_mask``.  Optimality is a non-goal; correctness is
-proved functionally against the source network.
+The cover is of the cleaned, hashed MIG ``netlist.rebuild`` makes of its
+input, so an AIG and its MIG cover the same way.  It is a priority-cut
+cover (Mishchenko et al., "Combinational and Sequential Mapping with
+Priority Cuts", ICCAD 2007): one pass in node order keeps a few cuts per
+gate, ranked by area flow, then depth, and picks the best; a second, from
+the outputs down, makes a LUT of each gate the chosen cuts need.  A cut may
+take in a node with several fanouts, so shared logic may be duplicated;
+the constant fanin of MAJ(a, b, 0) is never a leaf.  A cone's truth table
+is evaluated gate by gate through ``netlist.gate_mask``.  Optimality is a
+non-goal; correctness is proved functionally against the source network.
 
 Device sizing follows the scheduling argument for level-ordered computation:
 a level's population includes nodes of lower levels that feed past it
@@ -20,15 +21,18 @@ LUTs and one over the levels.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .esop import extract_esop
 from .netlist import (CONST0, MAJ, PI, LogicNetwork, NetlistError,
                       gate_mask, pi_patterns, rebuild)
 
 # LUT inputs are tagged references: ("pi", pi_index) or ("lut", lut_id).
 PI_REF = "pi"
 LUT_REF = "lut"
+CUTS_KEPT = 3  # priority cuts each gate keeps, besides itself
 
 
 @dataclass
@@ -56,70 +60,125 @@ def lut_truth_table(lut: Lut) -> list[int]:
 
 def _cone_tt(network: LogicNetwork, root: int, leaves: list[int]) -> int:
     """Packed truth table of the cone under ``root`` over the given leaves."""
+    nodes = network.nodes
     full = (1 << (1 << len(leaves))) - 1
     vals = dict(zip(leaves, pi_patterns(len(leaves))))
-    stack = [root]  # explicit post-order: a deep cone must not recurse
+    cone, stack = {root}, [root]  # no recursion: a cone may be deep
     while stack:
-        nid = stack[-1]
-        if nid in vals:
-            stack.pop()
-            continue
-        node = network.nodes[nid]
-        if node.kind == PI:
+        for e in nodes[stack.pop()].fanins:
+            if e.target not in vals and e.target not in cone:
+                cone.add(e.target)
+                stack.append(e.target)
+    for nid in sorted(cone):  # each fanin before its gate
+        if nodes[nid].kind == PI:
             raise NetlistError("cone leaked past a primary input")
-        pending = [e.target for e in node.fanins if e.target not in vals]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        vals[nid] = gate_mask(node, vals, full)
+        vals[nid] = gate_mask(nodes[nid], vals, full)
     return vals[root]
 
 
-def _grow_cut(network: LogicNetwork, root: int, k: int,
-              fanout: list[int]) -> list[int]:
-    """Leaves of ``root``'s cone: its fanins, then the cheapest absorption
-    of a single-fanout gate leaf while the leaves stay within k.  The
-    constant is never a leaf: the cone's table reads it as 0."""
+def _leaves(mask: int) -> list[int]:
+    """The node ids of a cut's leaf mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _best_cuts(network: LogicNetwork, k: int, fanout: list[int]) -> list[int]:
+    """Per node, the leaf mask of its best cut (0 for a leaf), by priority
+    cuts in one pass over the nodes in order.
+
+    A cut is a mask over node ids.  A gate merges one offered cut of each
+    fanin, and keeps the ``CUTS_KEPT`` best merges within k leaves; it
+    offers those and itself to its fanouts, the constant offers the empty
+    cut and a PI only itself.  Merges rank by area flow, then depth, then
+    leaves, then mask.  The area flow of a cut is its cost plus the flows
+    of its leaves, over the gate's fanout, and a gate's flow and depth are
+    its best cut's.  A cut costs one LUT, or, above four leaves, its ESOP
+    cubes over eight when that is more; as no cost is below 1, a wide
+    cut's ESOP is extracted only when the cut could still be kept.  A
+    majority of three fanins with no merge within k (at k = 2) keeps its
+    fanins as its one cut.
+    """
     nodes = network.nodes
-    cut = []
-    for e in nodes[root].fanins:
-        if e.target not in cut and nodes[e.target].kind != CONST0:
-            cut.append(e.target)
-    while True:
-        best = None
-        for leaf in cut:
-            if nodes[leaf].kind == PI or fanout[leaf] > 1:
-                continue  # cut the cone at multi-fanout frontiers
-            new = [x for x in cut if x != leaf]
-            for e in nodes[leaf].fanins:
-                if e.target not in new and nodes[e.target].kind != CONST0:
-                    new.append(e.target)
-            if len(new) > k:
+    flow = [0.0] * len(nodes)
+    depth = [0] * len(nodes)
+    best = [0] * len(nodes)
+    offered: list[tuple[int, ...]] = [()] * len(nodes)
+    costs: dict[tuple[int, int], float] = {}  # (table, arity) -> cost
+    for nid, node in enumerate(nodes):
+        if node.kind == PI:
+            offered[nid] = (1 << nid,)
+            continue
+        if node.kind == CONST0:
+            offered[nid] = (0,)
+            continue
+        f0, f1, f2 = node.fanins
+        a, b, c = offered[f0.target], offered[f1.target], offered[f2.target]
+        if c == (0,):  # AND(a, b) as MAJ(a, b, 0): the constant adds no leaf
+            merged = {x | y for x in a for y in b}
+        else:
+            merged = {x | y | z for x in a for y in b for z in c}
+        # (flow times fanout, leaf depth, leaves, mask, leaf flows), a cut
+        # above four leaves at cost 1 until its own cost is needed
+        ranked = []
+        for m in merged:
+            size = m.bit_count()
+            if size > k:
                 continue
-            delta = len(new) - len(cut)
-            if best is None or (delta, leaf) < (best[0], best[1]):
-                best = (delta, leaf, new)
-        if best is None:
-            break
-        cut = best[2]
-    return sorted(cut)
+            s, d, rest = 0.0, 0, m
+            while rest:  # the leaves, last first
+                leaf = rest.bit_length() - 1
+                rest ^= 1 << leaf
+                s += flow[leaf]
+                if depth[leaf] > d:
+                    d = depth[leaf]
+            ranked.append((1 + s, d, size, m, s))
+        if not ranked:
+            m = a[-1] | b[-1] | c[-1]
+            s = sum(flow[x] for x in _leaves(m))
+            ranked.append((1 + s, max(depth[x] for x in _leaves(m)), 3, m, s))
+        ranked.sort()
+        kept = ranked[:CUTS_KEPT]
+        if k > 4:  # the best at their own costs
+            kept = []
+            for key in ranked:
+                if len(kept) == CUTS_KEPT and kept[-1] < key:
+                    break
+                if key[2] > 4:
+                    table = _cone_tt(network, nid, _leaves(key[3])), key[2]
+                    if table not in costs:
+                        costs[table] = max(1, len(
+                            extract_esop(*table).cubes) / 8)
+                    key = (costs[table] + key[4], *key[1:])
+                insort(kept, key)
+                del kept[CUTS_KEPT:]
+        flow[nid] = kept[0][0] / fanout[nid]
+        depth[nid] = kept[0][1] + 1
+        kept = [key[3] for key in kept]
+        best[nid] = kept[0]
+        offered[nid] = (*kept, 1 << nid)
+    return best
 
 
 def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
     """Partition the MIG ``rebuild`` cleans ``network`` to into
     single-output functions of at most k inputs.
 
-    The cleaning folds constants but does not hash: a merged node has
-    several fanouts, and the greedy cover never absorbs such a node, so
-    hashing would give more LUTs.  Every PI is kept, so the LUT inputs
-    number the source network's PIs.
+    Each gate the cover needs, from the outputs down, is the root of a
+    LUT over the leaves of its best priority cut (``_best_cuts``); a leaf
+    that is a gate is needed in turn.  A gate inside one LUT's cone may be
+    the root of another too.  Every PI is kept, so the LUT inputs number
+    the source network's PIs.
     """
     if not 2 <= k <= 16:
         raise NetlistError("k must be in 2..16")
-    network = rebuild(network, strash=False)
+    network = rebuild(network)
     nodes = network.nodes
     fanout = network.fanout_counts()
+    best = _best_cuts(network, k, fanout)
     pi_of = {nid: i for i, nid in enumerate(network.pis)}
 
     graph = LutGraph(k=k, num_pis=network.num_pis)
@@ -135,7 +194,7 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
             if nid in lut_of:
                 continue
             if cut is None:
-                cut = _grow_cut(network, nid, k, fanout)
+                cut = _leaves(best[nid])
                 stack.append((nid, cut))
                 for leaf in reversed(cut):  # first leaf on top
                     if leaf not in lut_of and nodes[leaf].kind != PI:

@@ -327,10 +327,9 @@ class MigBuilder:
         return out
 
 
-def rebuild(network: LogicNetwork, strash: bool = True) -> LogicNetwork:
+def rebuild(network: LogicNetwork) -> LogicNetwork:
     """The cleaned MIG of ``network``, an AIG or a MIG: constants folded,
-    dead gates dropped and, if ``strash``, equal gates merged; functions
-    are unchanged.
+    equal gates merged and dead gates dropped; functions are unchanged.
 
     Each gate goes through a ``MigBuilder`` in source order, AND(a, b) as
     MAJ(a, b, 0), so the result is in the builder's one output form, with
@@ -338,7 +337,7 @@ def rebuild(network: LogicNetwork, strash: bool = True) -> LogicNetwork:
     nothing to change, is returned as it is.
     """
     nodes = network.nodes
-    builder = MigBuilder([n.name for n in nodes if n.kind == PI], strash)
+    builder = MigBuilder([n.name for n in nodes if n.kind == PI])
     maj = builder.maj
     lit = [0] * len(nodes)  # the builder literal of each node
     n_pi = 0
@@ -362,8 +361,8 @@ def rebuild(network: LogicNetwork, strash: bool = True) -> LogicNetwork:
 
 
 def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
-    """The MIG of an AIG: ``rebuild`` with equal gates merged, each
-    AND(a, b) a MAJ(a, b, 0).  A MIG is refused."""
+    """The MIG of an AIG: ``rebuild``, each AND(a, b) a MAJ(a, b, 0).  A
+    MIG is refused."""
     if network.kind != "aig":
         raise NetlistError("aig_to_mig expects an AIG")
     return rebuild(network)

@@ -468,7 +468,8 @@ def test_map_area_infeasibility_reports_numbers():
 def test_map_area_boundary_acceptance():
     """Storage equal to the demand maps and one device less is refused;
     a one-bitline geometry is no crossbar at all."""
-    for net, need in ((two_bit_xor(), 2), (full_adder(), 3)):
+    for net, need in ((two_bit_xor(), 2), (full_adder(), 2),
+                      (ripple_adder(2), 3)):
         graph = cover_klut(net, 4)
         assert min_dev(graph) == need
         program, _ = map_lut_graph(graph, 4, need)  # capacity == demand
@@ -477,6 +478,22 @@ def test_map_area_boundary_acceptance():
         map_lut_graph(graph, 4, need - 1)
     with pytest.raises(IsaError, match="w_D must be >= 2"):
         map_lut_graph(graph, 4, 1)
+
+
+def test_schedule_refuses_a_crossbar_without_storage_rows(monkeypatch):
+    """The scheduler itself refuses LUTs on three rows or fewer, whatever
+    the demand bound says: with the bound forced to 0 it raises
+    ``InfeasibleMapping``, not an ``IndexError``."""
+    import revamp.areamap as areamap
+    monkeypatch.setattr(areamap, "min_dev", lambda graph: 0)
+    graph = cover_klut(full_adder(), 4)
+    for s_d in (1, 2, 3):
+        with pytest.raises(InfeasibleMapping) as err:
+            schedule_luts(graph, s_d, 8)
+        assert (err.value.needed, err.value.capacity) == (1, 0)
+        with pytest.raises(InfeasibleMapping):
+            map_area(full_adder(), 4, s_d, 8)
+    assert schedule_luts(LutGraph(k=4, num_pis=0), 3, 8).events == []
 
 
 def test_map_area_computes_device_demand_once(monkeypatch):
@@ -603,9 +620,8 @@ def _one_lut_per_batch(graph, s_d, w_d):
 def test_level_batches_stay_in_place_and_save_instructions():
     """Seeded networks and the builtin corpus at k 3/4/6 on 8, 16 and 64
     rows of 4, 16 and 32 bitlines.  Every area program verifies on all
-    input vectors and writes no working device but the staging bank (e0
-    bits below w_D) and the e2 bitlines below W = min(w_D, the widest
-    cover).
+    input vectors and writes no working device on e1: a batch fills at
+    most W = w_D bitlines of e2, and the staging bank is e0.
     Where two LUTs placed one after the other in a level fit W together,
     the program is shorter than the same schedule mapped one LUT per
     batch; elsewhere it is that program."""
@@ -626,14 +642,12 @@ def test_level_batches_stay_in_place_and_save_instructions():
                 case = (net.output_names, k, s_d, w_d)
                 result = check_equivalence(net, program, mode="exhaustive")
                 assert result.ok, case
-                width = min(w_d, max(bits.values(), default=1))
                 assert _working_devices(program) <= {
-                    (row, j) for row, bound in ((0, w_d), (E2, width))
-                    for j in range(bound)}, case
+                    (row, j) for row in (E0, E2) for j in range(w_d)}, case
                 events = schedule_luts(graph, s_d, w_d).events
                 shared = any(
                     a[0] == b[0] == "place"
-                    and bits[a[1]] + bits[b[1]] <= width
+                    and bits[a[1]] + bits[b[1]] <= w_d
                     and graph.luts[a[1]].level == graph.luts[b[1]].level
                     for a, b in zip(events, events[1:]))
                 single = _one_lut_per_batch(graph, s_d, w_d).instructions
@@ -722,17 +736,17 @@ def test_cube_batches_read_each_source_once_per_bank_fill(monkeypatch):
 
 def test_area_report_counts_the_staging_instructions(monkeypatch):
     """``i_staging`` counts the staging bank's loads, reads, the Applies
-    from it and its resets.  By hand for add8 at k=4 on 256x32: of its 23
-    LUTs (W = 4 bitlines) none is stored through the bank, since each sum
-    LUT (an output) lands complemented on the other working row and its
-    write-back complements it again.  The 5 batches of level 1 stage
-    positive literals from the register: one load, a read, one round of
-    Applies (two in the first batch) and a reset.  The sum LUT of level 2
-    stages one complemented stored value (4).  Each carry LUT of levels 2
-    to 7 stages positive inputs from the register and a complemented
-    stored value from its word: two loads, a read, three rounds and a
-    reset (7); the carry out of level 8 applies four rounds (8).  The
-    other sum LUTs stage nothing."""
+    from it and its resets.  By hand for add8 at k=4 on 256x32: its 15
+    LUTs take one batch a level, and each has an XOR round, so none is
+    stored through the bank.  Level 1 computes s0, s1 and the carry into
+    bit 2 over the four inputs of bits 0 and 1 (9 bitlines) and stages
+    their positive literals from the register: one load, a read, three
+    rounds of Applies and a reset (6).  Each level 2 to 7 computes the sum
+    and carry of one bit from its two inputs and the carry below, stored
+    complemented, so that carry's positive literals read its word
+    directly; the inputs' positive literals are staged: one load, a read,
+    two rounds and a reset (5).  The carry out of level 7 reads the carry
+    below negated, so that word loads onto the bank too (6)."""
     import revamp.areamap as areamap
     from revamp.isa import ReadInstr
     fills = []
@@ -750,19 +764,18 @@ def test_area_report_counts_the_staging_instructions(monkeypatch):
         "read" if isinstance(i, ReadInstr) and i.w == E0 else
         "reset" if i.source == SRC_PIR and i.w == E0 else "round"
         for fill in fills for i in fill)
-    assert kinds == {"read": 5 + 1 + 6 + 1, "round": 6 + 1 + 6 * 3 + 4,
-                     "reset": 5 + 1 + 6 + 1}
-    loads = 5 + 1 + 6 * 2 + 2
+    assert kinds == {"read": 1 + 6, "round": 3 + 6 * 2, "reset": 1 + 6}
+    loads = 1 + 6 + 1
     assert report.i_staging - sum(kinds.values()) == loads
-    assert report.i_staging == 5 * 4 + 1 + 4 + 6 * 7 + 8 == 75
-    assert report.to_dict()["i_staging"] == 75
+    assert report.i_staging == 6 + 5 * 5 + 6 == 37
+    assert report.to_dict()["i_staging"] == 37
 
 
 def test_mult8_area_program_spreads_the_xor_rounds_wear():
     """The XOR rounds alternate between e2 and e0, so the most-written
-    device of mult8's area program on 256x32 takes 482 write pulses (an
+    device of mult8's area program on 256x32 takes 128 write pulses (an
     Apply driving it through a valid pair), where rounds kept on e2 alone
-    put 708 on device (2,1)."""
+    put 708 on device (2,1) of the greedy cover's program."""
     program, _ = map_area(multiplier(8), 4, 256, 32)
     pulses = Counter((i.w, j) for i in program.instructions
                      if isinstance(i, ApplyInstr)
@@ -939,25 +952,25 @@ def test_minimal_map_of_a_deep_chain_stays_linear():
 # digests of the containers emitted by the bit-by-bit codec
 PINNED_AREA_PROGRAMS = [
     ("add8", lambda: ripple_adder(8), {
-        (256, 32): "4546d5f3a6d199f12a9fbfc805e2f679"
-                   "28853e03bce6615d03fa2edaf17bda42",
-        (16, 16): "e425d22e44c887e118cef221e7a6f4f7"
-                  "f35f3ef2b790973eb4711ba62bd56581"}),
+        (256, 32): "5d36099ce1cea3e909cda70819c86c26"
+                   "159050495ffde24caf6dd8ec295a4f47",
+        (16, 16): "5fb720b35a91fc81027597c186283f6a"
+                  "2ff103339da02ac0d40793a215a8fcf7"}),
     ("mult4", lambda: multiplier(4), {
-        (256, 32): "2e04fb7f46404cb7585253a0aefba234"
-                   "f812ae57a687245d5cae8e0bf13203f1",
-        (16, 16): "eb0b16dd0418004b6e4474e706588938"
-                  "3619427a7827c590bc7fbe7ba2993aac"}),
+        (256, 32): "87f083e2b7347a72fbe7d57012571031"
+                   "545aaeec71ea5cb52327646a764925d2",
+        (16, 16): "c2090fdd5b709fd7fc7b1d0fb6d67b79"
+                  "84d97e22f90b08c3f73730d48fc22907"}),
     ("cmp8", lambda: comparator(8), {
-        (256, 32): "b08aaba40bc4937e3546a0f10c4d49b4"
-                   "c8b13e07a422108a3e0630bd92f99d46",
-        (16, 16): "f7bcc12d88f4b31c6c244dff04f26007"
-                  "7dfc6112ba14c2eb679d49a77e14b733"}),
+        (256, 32): "409cf5b44bdde252fca90812a67d0180"
+                   "e35c2342ee75722468ff9f03b50df6db",
+        (16, 16): "25dbdee5e0d0adc6b1b0ca0e836d7d9d"
+                  "88fff06c4984a8a180d3fb4227115375"}),
     ("rand16", lambda: random_aig(16, 120, seed=5, num_outputs=4), {
-        (256, 32): "4895af171562c250fc1d6548c9c8d28c"
-                   "9824af33a80375e7be8af7b2a00fe944",
-        (16, 16): "8a4467ed7f33a1213512ba68492982de"
-                  "b4f0becd631155b6c4f73fc491945ad5"}),
+        (256, 32): "7ef5e3ea3e624579feee7dc61e498d0d"
+                   "97a3a4a5a4f08fae07cd321d4153d721",
+        (16, 16): "cb56de0e0ff0a3a34a335d23b4b64377"
+                  "22c2eac4804091e74d3c1bd675d65bfb"}),
 ]
 
 PINNED_MINIMAL_PROGRAMS = [

@@ -1,16 +1,19 @@
 import random
+import time
 
 import pytest
 
-from revamp.circuits import (AigBuilder, default_corpus, full_adder, parity,
-                             ripple_adder)
-from revamp.lutmap import (PI_REF, Lut, LutGraph, _cone_tt, _grow_cut,
-                           assign_levels, cover_klut, feasible,
+from revamp.areamap import map_area
+from revamp.circuits import (AigBuilder, default_corpus, full_adder,
+                             multiplier, parity, ripple_adder)
+from revamp.lutmap import (PI_REF, Lut, LutGraph, _best_cuts, _cone_tt,
+                           _leaves, assign_levels, cover_klut, feasible,
                            lut_truth_table, min_dev)
-from revamp.netlist import (AND, CONST0, MAJ, Edge, LogicNetwork,
+from revamp.netlist import (AND, CONST0, MAJ, Edge, LogicNetwork, aig_to_mig,
                             evaluate_masks, parse_aiger, parse_mig,
                             pi_patterns, random_aig, rebuild, serialize_mig,
                             truth_table_ints)
+from revamp.verifier import check_equivalence
 
 
 def evaluate_lut_graph_masks(graph: LutGraph, pi_masks: list[int],
@@ -41,17 +44,12 @@ def lut_graph_truth_tables(graph: LutGraph) -> list[int]:
 def test_trivial_cover_one_lut_per_and():
     net = random_aig(num_pis=4, num_ands=10, seed=1)
     graph = cover_klut(net, 2)
-    # the cover is of the cleaned network, one LUT per gate it keeps, but
-    # for a gate read once by a gate over one of its own fanins, AND(x,
-    # AND(x, y)): that cone still has two leaves
-    mig = rebuild(net, strash=False)
-    fanout = mig.fanout_counts()
-    leaves = [{e.target for e in n.fanins
-               if mig.nodes[e.target].kind != CONST0} for n in mig.nodes]
-    gates = [i for i, n in enumerate(mig.nodes) if n.kind == MAJ]
-    absorbed = [g for g in gates for r in gates if g in leaves[r]
-                and fanout[g] == 1 and len(leaves[r] - {g} | leaves[g]) <= 2]
-    assert len(graph.luts) == len(gates) - len(absorbed) == 4
+    # the cover is of the cleaned network, which keeps five gates, one LUT
+    # per gate but for AND(AND(x, !y), !y): that cone still has the two
+    # leaves x and y, so it takes its inner gate in
+    mig = rebuild(net)
+    assert sum(n.kind == MAJ for n in mig.nodes) == 5
+    assert len(graph.luts) == 4
     assert all(len(l.inputs) <= 2 for l in graph.luts)
     assert lut_graph_truth_tables(graph) == truth_table_ints(net)
 
@@ -61,7 +59,7 @@ def test_a_mig_covers_like_its_aig(k):
     """The cover of a MIG read from text equals the cover of the AIG it
     was written from: the constant of MAJ(a, b, 0) takes no LUT input."""
     for name, net in default_corpus():
-        mig = parse_mig(serialize_mig(rebuild(net, strash=False)))
+        mig = parse_mig(serialize_mig(rebuild(net)))
         aig_graph, mig_graph = cover_klut(net, k), cover_klut(mig, k)
         assert mig_graph.luts == aig_graph.luts, (name, k)
         assert mig_graph.outputs == aig_graph.outputs, (name, k)
@@ -303,9 +301,9 @@ def _scalar_cone(net, root, leaves, leaf_bits):
     for i, n in enumerate(net.nodes[:root + 1]):
         if i in leaf_bits:
             vals.append(leaf_bits[i])
-        elif n.kind == AND:
-            a, b = (vals[e.target] ^ e.inverted for e in n.fanins)
-            vals.append(a & b)
+        elif n.kind == MAJ:
+            ops = [vals[e.target] ^ e.inverted for e in n.fanins]
+            vals.append(int(sum(ops) >= 2))
         else:
             vals.append(0)
     return vals[root]
@@ -323,15 +321,65 @@ def test_cone_tt_matches_scalar_reference():
             net.add_node(AND, (Edge(rng.randrange(hi), rng.random() < 0.5),
                                Edge(rng.randrange(hi), rng.random() < 0.5)))
         net.add_output(Edge(len(net.nodes) - 1))
-        fanout = net.fanout_counts()
+        mig = rebuild(net)
+        fanout = mig.fanout_counts()
         for k in (2, 4, 6):
-            for root in (i for i, n in enumerate(net.nodes)
-                         if n.kind == AND):
-                cut = _grow_cut(net, root, k, fanout)
-                tt = _cone_tt(net, root, cut)
+            best = _best_cuts(mig, k, fanout)
+            for root in (i for i, n in enumerate(mig.nodes)
+                         if n.kind == MAJ):
+                cut = _leaves(best[root])
+                tt = _cone_tt(mig, root, cut)
                 for a in range(1 << len(cut)):
                     bits = {leaf: (a >> i) & 1 for i, leaf in enumerate(cut)}
-                    assert (tt >> a) & 1 == _scalar_cone(net, root, cut, bits)
+                    assert (tt >> a) & 1 == _scalar_cone(mig, root, cut, bits)
+
+
+def test_parity_covers_as_a_chain_of_four_input_luts():
+    """Each XOR reads the one before it through both its inner ANDs, so
+    every XOR but the last has two fanouts; the priority cuts take such
+    nodes into a cone, so 64 inputs take 21 LUTs of four inputs, one a
+    level (a cover cut at every node of several fanouts takes 63 LUTs of
+    two inputs)."""
+    graph = cover_klut(parity(64), 4)
+    assert len(graph.luts) == 21
+    assert max(l.level for l in graph.luts) == 21
+    assert all(len(l.inputs) == 4 for l in graph.luts)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 16])
+def test_cover_luts_fit_k_and_read_no_constant(k):
+    nets = [net for _, net in default_corpus()]
+    nets += [aig_to_mig(net) for net in nets[:4]]
+    for net in nets:
+        graph = cover_klut(net, k)
+        assert all(len(l.inputs) <= k for l in graph.luts)
+        mig = rebuild(net)
+        const = {i for i, n in enumerate(mig.nodes) if n.kind == CONST0}
+        best = _best_cuts(mig, k, mig.fanout_counts())
+        assert not any(set(_leaves(m)) & const for m in best)
+        # a LUT reads each input once
+        assert all(len(set(l.inputs)) == len(l.inputs) for l in graph.luts)
+
+
+def test_cover_is_deterministic():
+    for net in (multiplier(6), random_aig(12, 150, seed=4, num_outputs=5)):
+        for k in (4, 8):
+            first, again = cover_klut(net, k), cover_klut(net, k)
+            assert first.luts == again.luts
+            assert first.outputs == again.outputs
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_mult8_maps_and_verifies_at_every_k(k):
+    """Every k gives a bounded program: never longer than the 2,049
+    instructions mult8 took at k = 4 under the greedy cover, mapped in
+    under two seconds, and proven on all 65,536 input vectors."""
+    net = multiplier(8)
+    start = time.perf_counter()
+    program, report = map_area(net, k, 256, 32)
+    assert time.perf_counter() - start < 2.0
+    assert report.i_total <= 2049
+    assert check_equivalence(net, program).ok
 
 
 def _and_chain(n):

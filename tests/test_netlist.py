@@ -398,7 +398,7 @@ def test_rebuild_keeps_every_input_and_output_name_in_order():
     net.add_output(Edge(g, True), "z")
     net.add_output(Edge(c), "a")
     net.add_output(Edge(f), "m")
-    for out in (rebuild(net), rebuild(net, strash=False), aig_to_mig(net)):
+    for out in (rebuild(net), aig_to_mig(net)):
         assert [out.nodes[p].name for p in out.pis] == ["a", "b", "c"]
         assert out.output_names == ["z", "a", "m"]
         assert [e.inverted for e in out.outputs] == [True, False, False]
@@ -430,26 +430,40 @@ def _nodes(net):
     return [(n.kind, n.fanins, n.name) for n in net.nodes]
 
 
+def _in_output_form(net):
+    """Whether ``net`` is a MIG in the builder's output form with nothing
+    to fold: the PIs, then the constant if a gate or output reads it, then
+    gates of three distinct fanins, each read by a later gate or an
+    output."""
+    n_pi = net.num_pis
+    kinds = [n.kind for n in net.nodes]
+    first = n_pi + (kinds[n_pi:n_pi + 1] == [CONST0])
+    return (net.kind == "mig" and kinds[:n_pi] == [PI] * n_pi
+            and kinds[first:] == [MAJ] * (len(kinds) - first)
+            and all(len({e.target for e in n.fanins}) == 3
+                    for n in net.nodes[first:])
+            and 0 not in net.fanout_counts()[n_pi:])
+
+
 @pytest.mark.parametrize("build, merged", [
     (lambda: ripple_adder(8), 0), (lambda: comparator(8), 8),
     (lambda: parity(16), 0)], ids=["ripple_adder", "comparator", "parity"])
 def test_rebuild_leaves_circuits_with_nothing_to_fold_node_for_node(build,
                                                                     merged):
-    # nothing folds in these circuits, so an AIG comes back as its MIG,
-    # gate for gate; the comparator builds each bit's AND(!a, b) twice,
-    # for its equality and its less-than, and structural hashing merges
-    # the two
+    # nothing folds in these circuits, so an AIG's plain MIG is in the
+    # output form, and without equal gates it comes back gate for gate;
+    # the comparator builds each bit's AND(!a, b) twice, for its equality
+    # and its less-than, and structural hashing merges the two
     net = build()
     plain = _plain_conversion(net)
-    clean = rebuild(net, strash=False)
-    assert (_nodes(clean), clean.outputs) == (_nodes(plain), plain.outputs)
-    assert rebuild(plain, strash=False) is plain
+    assert _in_output_form(plain)
     mig = aig_to_mig(net)
     assert len(plain.nodes) - len(mig.nodes) == merged
     if not merged:
         assert _nodes(mig) == _nodes(plain)
         assert (mig.outputs, mig.output_names) == (plain.outputs,
                                                    plain.output_names)
+        assert rebuild(plain) is plain
     assert rebuild(mig) is mig
 
 
@@ -458,11 +472,10 @@ def test_rebuild_twice_gives_the_same_nodes():
     nets += [random_mig(6, 30, seed=s, num_outputs=3) for s in range(20)]
     nets.append(multiplier(4))
     for net in nets:
-        for strash in (True, False):
-            first = rebuild(net, strash=strash)
-            again = rebuild(first, strash=strash)
-            assert _nodes(again) == _nodes(first)
-            assert again.outputs == first.outputs
+        first = rebuild(net)
+        again = rebuild(first)
+        assert _nodes(again) == _nodes(first)
+        assert again.outputs == first.outputs
 
 
 def test_rebuild_is_equivalent_on_random_networks():
@@ -472,7 +485,7 @@ def test_rebuild_is_equivalent_on_random_networks():
         for net in (random_aig(8, 5 + s % 60, seed=s, num_outputs=outputs),
                     random_mig(8, 5 + s % 60, seed=s, num_outputs=outputs)):
             tables = truth_table_ints(net)
-            variants = [rebuild(net), rebuild(net, strash=False)]
+            variants = [rebuild(net)]
             if net.kind == "aig":
                 variants.append(aig_to_mig(net))
             for out in variants:
@@ -629,7 +642,7 @@ def test_normalize_output_pinned():
     digest = hashlib.sha256()
     for net in nets:
         norm = normalize_mig(net)
-        assert rebuild(norm, strash=False) is norm
+        assert _in_output_form(norm)
         digest.update(repr((
             [(n.kind, [(e.target, e.inverted) for e in n.fanins], n.name)
              for n in norm.nodes],
