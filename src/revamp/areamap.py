@@ -565,7 +565,6 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
         s_d=s_d, w_d=w_d,
         **builder.counts(),
         i_staging=builder.i_staging,
-        devices_used=len(builder.touched),
     )
     return program, report
 
@@ -772,7 +771,6 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         levels=k,
         s_d=config.s_d, w_d=2,
         **builder.counts(),
-        devices_used=len(builder.touched),
         device_bound=2 * (k + 1),
     )
     return program, report

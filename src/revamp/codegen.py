@@ -1,10 +1,10 @@
 """Program construction shared by the area, depth-bounded and delay flows.
 
 Every flow emits the same two-instruction program through one
-:class:`ProgramBuilder`, and reads its instruction counts and cycle count
-from the same place.  The builder does not validate what it builds: the
-program is checked where it is encoded (``isa.write_program``) or executed
-(``simulator.run_vectors``).
+:class:`ProgramBuilder`, and reads its instruction counts, cycle count
+and devices used from the same place.  The builder does not validate what
+it builds: ``Program.validate`` checks the program where it is encoded
+(``isa.write_program``) or executed (``simulator.run_vectors``).
 
 The flows' programs are long and repetitive, so the builder interns: equal
 instructions are one shared (immutable) object, and a PIR Apply shares its
@@ -59,11 +59,13 @@ class ProgramBuilder:
         self.i_staging = 0
 
     def counts(self) -> dict[str, int]:
-        """Instruction mix and cycle count, keyed as in ``MappingReport``."""
+        """Instruction mix, cycle count and devices driven, keyed as in
+        ``MappingReport``."""
         i_total = len(self.instructions)
         i_read = self._reads
         return {"i_apply": i_total - i_read, "i_read": i_read,
-                "i_total": i_total, "cycles": i_total + PIPELINE_FILL}
+                "i_total": i_total, "cycles": i_total + PIPELINE_FILL,
+                "devices_used": len(self.touched)}
 
     @property
     def mirrored_word(self) -> int | None:

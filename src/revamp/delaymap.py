@@ -567,7 +567,6 @@ def gen_program_delay(mig: LogicNetwork, formation: BlockFormation,
         w_util=100.0 * len(spots) / total if total else 100.0,
         d_p_star=d_p_star,
         speedup=d_p_star / counts["cycles"],
-        devices_used=len(builder.touched),
     )
     return builder.finish(), report
 

@@ -24,29 +24,25 @@ instructions, the shift of every field and a table from each ``(v val)``
 code to one shared :class:`BitlinePair`, so a field is one shift and mask
 and equal pairs are one object.  :func:`read_program` keeps a per-call memo
 from instruction bytes to the decoded (immutable) instruction, so each
-distinct word is decoded and checked once and repeats share its object.
-:func:`write_program` mirrors it with a per-call memo from instruction
-object to bytes, so an instruction the program builder shared among many
-positions is packed once.  PIR slot tuples are shared the same way: by
-bytes when read, and packed once per object when written.
+distinct word is decoded once and repeats share its object.  PIR slot
+tuples are shared the same way, by their bytes.
 
-A program's rules live in one set of helpers: :func:`check_instruction`
-(which also tells whether an instruction sources the PIR),
-:func:`unscheduled` for a PIR Apply without a schedule entry,
-:func:`check_num_pis`, :func:`check_schedule_entry` and
-:func:`check_results`.
-``Program.validate`` applies them, and so do the loops that already visit
-every instruction: :func:`write_program` checks an instruction on a packing
-memo miss, :func:`read_program` adds the schedule and result checks to what
-``decode`` checks, and ``simulator.run_vectors`` checks as it compiles.  So
-a program is checked once per call, each distinct instruction and slot
-tuple once.  A program with a single defect gets the same message from
-``validate``, :func:`write_program` and ``run_vectors``; with several,
-which one is named may differ.
-The table has ``2**(1 + bit_bits)`` entries, so a container header is
-untrusted until bounded: the instruction table must fit in the bytes that
-follow it before any instruction is decoded or any table is built, and an
-empty program builds none.
+A program's rules are applied in one place, ``Program.validate``: the
+declared input count, then each distinct instruction object once, then the
+tables (:meth:`Program.check_tables`): a schedule entry for every PIR
+Apply, each distinct slot tuple in range and every result location a
+device.  The first broken rule raises, so ``validate``,
+:func:`write_program` and ``simulator.run_vectors`` name the same defect of
+a program.  ``validate`` returns the distinct instructions by id, and the
+other two work from that: :func:`write_program` packs each distinct
+instruction once, and ``run_vectors`` makes one op of each.
+:func:`read_program` builds its instructions with ``decode``, which checks
+every field, and ends with the table check.
+
+A container header is untrusted until bounded: its input count must not
+exceed ``MAX_PIS``, and the instruction table must fit in the bytes that
+follow it before any instruction is decoded or the codec's pair table
+(``2**(1 + bit_bits)`` entries) is built; an empty program builds none.
 """
 
 from __future__ import annotations
@@ -186,48 +182,11 @@ def validate_instruction(instr: Instruction, config: CrossbarConfig):
             raise IsaError("val %d out of range" % p.val)
 
 
-def check_instruction(i: int, instr: Instruction,
-                      config: CrossbarConfig) -> bool:
-    """Check instruction ``i``; return whether it sources the PIR."""
-    try:
-        validate_instruction(instr, config)
-    except IsaError as exc:
-        raise IsaError("instruction %d: %s" % (i, exc)) from None
-    return isinstance(instr, ApplyInstr) and instr.source == SRC_PIR
-
-
-def unscheduled(i: int) -> IsaError:
-    """The error for PIR Apply ``i`` that has no schedule entry."""
-    return IsaError("instruction %d sources the PIR but has no schedule "
-                    "entry" % i)
-
-
-def check_schedule_entry(i: int, slots: tuple[int, ...],
-                         config: CrossbarConfig, num_pis: int):
-    """Check the PIR slots of schedule entry ``i``."""
-    if len(slots) != config.w_d:
-        raise IsaError("schedule entry %d has %d slots, want %d"
-                       % (i, len(slots), config.w_d))
-    for s in slots:
-        if s >= num_pis or s < SLOT_CONST1:
-            raise IsaError("schedule entry %d references bad slot %d"
-                           % (i, s))
-
-
 def check_num_pis(num_pis: int):
     """Check the declared primary-input count against ``MAX_PIS``."""
     if num_pis > MAX_PIS:
         raise IsaError("%d primary inputs, more than the %d a program may "
                        "declare" % (num_pis, MAX_PIS))
-
-
-def check_results(results: dict[str, tuple[int, int]],
-                  config: CrossbarConfig):
-    """Check that every result location is a device of the crossbar."""
-    for name, (w, b) in results.items():
-        if not (0 <= w < config.s_d and 0 <= b < config.w_d):
-            raise IsaError("result %r at (%d,%d) is out of range"
-                           % (name, w, b))
 
 
 # -- binary codec ------------------------------------------------------------
@@ -354,23 +313,63 @@ class Program:
     result_locations: dict[str, tuple[int, int]] = field(default_factory=dict)
     num_pis: int = 0
 
-    def validate(self):
-        cfg, schedule = self.config, self.pir_schedule
+    def validate(self) -> dict[int, Instruction]:
+        """Apply every rule of a program; return its distinct instructions.
+
+        The rules run in one order: the declared input count, each distinct
+        instruction object once (named by its first position), then
+        :meth:`check_tables`.  The first broken rule raises its
+        ``IsaError``.  The result maps the ``id`` of each instruction object
+        to the object, in order of first use, so the encoder and the
+        simulator work once per distinct instruction from it.
+        """
+        cfg, instrs = self.config, self.instructions
         check_num_pis(self.num_pis)
-        sources_pir = {}  # id -> check_instruction's answer; immutable
-        for i, instr in enumerate(self.instructions):
-            pir = sources_pir.get(id(instr))
-            if pir is None:
-                pir = sources_pir[id(instr)] = check_instruction(i, instr,
-                                                                 cfg)
-            if pir and i not in schedule:
-                raise unscheduled(i)
+        distinct = dict(zip(map(id, instrs), instrs))
+        for instr in distinct.values():
+            try:
+                validate_instruction(instr, cfg)
+            except IsaError as exc:
+                i = list(map(id, instrs)).index(id(instr))
+                raise IsaError("instruction %d: %s" % (i, exc)) from None
+        self.check_tables(distinct.values())
+        return distinct
+
+    def check_tables(self, distinct):
+        """Check the schedule and result tables against the instructions.
+
+        ``distinct`` holds each instruction object of the program once.
+        Every PIR Apply needs a schedule entry, each distinct slot tuple
+        w_D slots that name an input or a constant, and each result
+        location a device of the crossbar.
+        """
+        cfg, schedule, num_pis = self.config, self.pir_schedule, self.num_pis
+        pir_ids = {id(instr) for instr in distinct
+                   if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR}
+        if pir_ids:  # the positions of PIR Applies stream; no list is kept
+            pir_at = itertools.compress(itertools.count(), map(
+                pir_ids.__contains__, map(id, self.instructions)))
+            missing = next(itertools.filterfalse(schedule.__contains__,
+                                                 pir_at), None)
+            if missing is not None:
+                raise IsaError("instruction %d sources the PIR but has no "
+                               "schedule entry" % missing)
         checked = set()  # ids of slot tuples, which entries often share
         for i, slots in schedule.items():
-            if id(slots) not in checked:
-                check_schedule_entry(i, slots, cfg, self.num_pis)
-                checked.add(id(slots))
-        check_results(self.result_locations, cfg)
+            if id(slots) in checked:
+                continue
+            checked.add(id(slots))
+            if len(slots) != cfg.w_d:
+                raise IsaError("schedule entry %d has %d slots, want %d"
+                               % (i, len(slots), cfg.w_d))
+            for s in slots:
+                if s >= num_pis or s < SLOT_CONST1:
+                    raise IsaError("schedule entry %d references bad slot %d"
+                                   % (i, s))
+        for name, (w, b) in self.result_locations.items():
+            if not (0 <= w < cfg.s_d and 0 <= b < cfg.w_d):
+                raise IsaError("result %r at (%d,%d) is out of range"
+                               % (name, w, b))
 
     def to_asm(self) -> str:
         return "\n".join(format_asm(i) for i in self.instructions) + "\n"
@@ -392,9 +391,8 @@ def write_program(program: Program) -> bytes:
 
 
 def _write_program(program: Program) -> bytes:
-    cfg = program.config
-    check_num_pis(program.num_pis)
-    schedule = program.pir_schedule
+    distinct = program.validate()
+    cfg, schedule = program.config, program.pir_schedule
     nbytes = (cfg.w_i + 7) // 8
     # one growing buffer: b"".join over per-instruction pieces would take
     # a buffer descriptor per piece, several times the output's size
@@ -402,21 +400,12 @@ def _write_program(program: Program) -> bytes:
     out += struct.pack("<5I", cfg.s_d, cfg.w_d, cfg.s_i, cfg.w_i,
                        program.num_pis)
     out += struct.pack("<I", len(program.instructions))
-    if program.instructions:  # an empty program needs no codec table
+    if distinct:  # an empty program needs no codec table
         lay = cfg.layout
-        # id -> (bytes, sources the PIR); the program holds every
-        # instruction alive, and each is checked and packed once
-        memo = {}
-        for i, instr in enumerate(program.instructions):
-            entry = memo.get(id(instr))
-            if entry is None:
-                pir = check_instruction(i, instr, cfg)
-                entry = memo[id(instr)] = (
-                    _pack(instr, lay).to_bytes(nbytes, "big"), pir)
-            raw, pir = entry
-            if pir and i not in schedule:
-                raise unscheduled(i)
-            out += raw
+        words = {key: _pack(instr, lay).to_bytes(nbytes, "big")
+                 for key, instr in distinct.items()}
+        for instr in program.instructions:
+            out += words[id(instr)]
     out += struct.pack("<I", len(schedule))
     pack_index = struct.Struct("<I").pack
     pack_slots = struct.Struct("<%di" % cfg.w_d).pack
@@ -425,11 +414,9 @@ def _write_program(program: Program) -> bytes:
         slots = schedule[idx]
         raw = packed.get(id(slots))
         if raw is None:
-            check_schedule_entry(idx, slots, cfg, program.num_pis)
             raw = packed[id(slots)] = pack_slots(*slots)
         out += pack_index(idx)
         out += raw
-    check_results(program.result_locations, cfg)
     out += struct.pack("<I", len(program.result_locations))
     for name, (w, b) in sorted(program.result_locations.items()):
         raw = name.encode("utf-8")
@@ -483,7 +470,6 @@ def _read_program(data: bytes) -> Program:
         slots = slot_memo.get(raw)
         if slots is None:
             slots = slot_memo[raw] = unpack_slots(raw)
-            check_schedule_entry(idx, slots, cfg, num_pis)
         off += 4 * w_d
         if idx in sched:
             raise IsaError("schedule index %d is listed twice" % idx)
@@ -507,14 +493,6 @@ def _read_program(data: bytes) -> Program:
     if off != len(data):
         raise IsaError("%d trailing bytes after the result table"
                        % (len(data) - off))
-    pir_ids = {id(instr) for instr in memo.values()
-               if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR}
-    if pir_ids:  # the positions of PIR Applies stream; no list is kept
-        pir_at = itertools.compress(
-            itertools.count(), map(pir_ids.__contains__, map(id, instrs)))
-        missing = next(itertools.filterfalse(sched.__contains__, pir_at),
-                       None)
-        if missing is not None:
-            raise unscheduled(missing)
-    check_results(results, cfg)
-    return Program(cfg, instrs, sched, results, num_pis)
+    program = Program(cfg, instrs, sched, results, num_pis)
+    program.check_tables(memo.values())
+    return program

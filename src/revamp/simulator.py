@@ -16,14 +16,11 @@ single concrete assignment is the width-1 special case.  The fetch/decode/
 execute pipeline is modelled as a flat two-cycle fill, so a T-instruction
 program takes T + 2 cycles.
 
-:func:`run_vectors` checks a program as it runs it, with the rules of
-``Program.validate`` (shared helpers in :mod:`revamp.isa`): each distinct
-instruction when it is first compiled, each PIR slot tuple when it is first
-resolved, and after the loop the result locations and any schedule entry
-no instruction used.  The input count is checked against ``num_pis`` up
-front.  The program builder shares one object among all equal
-instructions, so the loop turns each distinct instruction object into an
-op tuple once per run: a Read, a DMR Apply ``(w, mode, wb, lines)`` where
+:func:`run_vectors` refuses too few inputs and too large a crossbar, then
+runs ``Program.validate`` and works from the distinct instructions it
+returns.  The program builder shares one object among all equal
+instructions, and the run makes one op tuple of each distinct instruction
+object: a Read, a DMR Apply ``(w, mode, wb, lines)`` where
 ``lines`` lists its valid ``(bitline, val)`` pairs, or a PIR Apply.  The
 device update is written out per wordline mode, with ``nbl = full ^ bl``
 and, for FROM_SOURCE, ``wl`` the source's bit ``wb``:
@@ -60,10 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .isa import (SLOT_CONST0, SLOT_CONST1, CrossbarConfig, Instruction,
-                  Program, ReadInstr, WsMode, check_instruction,
-                  check_results, check_schedule_entry, format_asm,
-                  unscheduled)
+from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_PIR, CrossbarConfig,
+                  Instruction, Program, ReadInstr, WsMode, format_asm)
 
 PIPELINE_FILL = 2
 
@@ -176,21 +171,20 @@ _READ, _PIR = -1, -2  # op codes beside the wordline modes
 _SET, _AND, _OR, _MAJ = range(4)  # folded PIR line actions
 
 
-def _op(i: int, instr: Instruction, config: CrossbarConfig) -> tuple:
-    """The op tuple ``(w, code, a, b)`` of instruction ``i``, once checked.
+def _op(instr: Instruction) -> tuple:
+    """The op tuple ``(w, code, a, b)`` of a checked instruction.
 
     A Read is ``(w, _READ, None, None)`` and a DMR Apply ``(w, mode, wb,
     lines)``.  A PIR Apply is ``(w, _PIR, folds, (mode, wb, lines))``, where
     ``folds`` collects its folded lines per slot tuple as the run meets them.
     """
-    from_pir = check_instruction(i, instr, config)
     if isinstance(instr, ReadInstr):
         return instr.w, _READ, None, None
     # a pair with v=0 leaves its bitline's device alone
     lines = tuple((j, pair.val) for j, pair in enumerate(instr.pairs)
                   if pair.valid)
     mode, wb = int(instr.ws.mode), instr.ws.wb
-    if from_pir:
+    if instr.source == SRC_PIR:
         return instr.w, _PIR, {}, (mode, wb, lines)
     return instr.w, mode, wb, lines
 
@@ -254,31 +248,20 @@ def run_vectors(program: Program, input_masks: list[int], width: int,
     masks.update({SLOT_CONST0: 0, SLOT_CONST1: full})
     inv = _Memo(lambda s: full ^ masks[s])  # bitline complements
     trace = Trace()
-    ops = {}  # id of an instruction -> its op tuple (see _op)
-    checked = set()  # ids of the slot tuples checked so far
+    # id of each distinct instruction -> its op tuple (see _op)
+    ops = {key: _op(instr) for key, instr in program.validate().items()}
     schedule = program.pir_schedule
-    used = 0  # schedule entries the run has used
     last_slots = None
     dmr = state.dmr
     for i, instr in enumerate(program.instructions):
-        op = ops.get(id(instr))
-        if op is None:
-            op = ops[id(instr)] = _op(i, instr, cfg)
-        w, code, a, b = op
+        w, code, a, b = ops[id(instr)]
         row = dcm[w]
         if record_trace:
             pre = list(row)
         if code == _PIR:
-            slots = schedule.get(i)
-            if slots is None:
-                raise unscheduled(i)
-            used += 1
-            last_slots = slots
+            slots = last_slots = schedule[i]
             fold = a.get(id(slots))
             if fold is None:
-                if id(slots) not in checked:
-                    check_schedule_entry(i, slots, cfg, num_pis)
-                    checked.add(id(slots))
                 fold = a[id(slots)] = _fold(b, slots, masks, inv, full)
             wl, actions = fold
             for j, kind, m in actions:
@@ -307,12 +290,6 @@ def run_vectors(program: Program, input_masks: list[int], width: int,
             trace.steps.append(TraceStep(
                 i, instr, w, pre, list(row), list(dmr),
                 [list(r) for r in dcm] if record_state else None))
-    if used < len(schedule):  # some entries no instruction used
-        for i, slots in schedule.items():
-            if id(slots) not in checked:
-                check_schedule_entry(i, slots, cfg, num_pis)
-                checked.add(id(slots))
-    check_results(program.result_locations, cfg)
     state.dmr = dmr
     if last_slots is not None:
         state.pir = [masks[s] for s in last_slots]

@@ -15,13 +15,14 @@ from revamp.simulator import PIPELINE_FILL, run_vectors
 def test_counts_split_reads_and_applies():
     builder = ProgramBuilder(CrossbarConfig(3, 2), 1)
     assert builder.counts() == {"i_apply": 0, "i_read": 0, "i_total": 0,
-                                "cycles": PIPELINE_FILL}
+                                "cycles": PIPELINE_FILL, "devices_used": 0}
     builder.apply_from_pir(0, WsMode.ONE, {0: 0})
     builder.read(0)
     builder.read(0)  # redundant, skipped
     builder.apply_from_dmr(1, WsMode.ONE, {1: 0})
     assert builder.counts() == {"i_apply": 2, "i_read": 1, "i_total": 3,
-                                "cycles": 3 + PIPELINE_FILL}
+                                "cycles": 3 + PIPELINE_FILL,
+                                "devices_used": 2}
 
 
 def test_pir_applies_at_the_same_positions_share_one_instruction():

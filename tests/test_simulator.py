@@ -324,7 +324,7 @@ def test_loop_matches_device_step_reference(width):
         WsMode, (SLOT_CONST0, SLOT_CONST1)))
 
 
-# -- the checks run where the instructions are visited ---------------------
+# -- Program.validate applies every rule, for each of its callers ----------
 
 _BOTH = (BitlinePair(True, 0), BitlinePair(True, 1))
 
@@ -349,7 +349,15 @@ def _move_result(prog):
     prog.result_locations["x0"] = (3, 0)
 
 
-# one defect each in the two-bit XOR program (3x2 crossbar, 4 inputs)
+def _both(*mutations):
+    def mutate(prog):
+        for m in mutations:
+            m(prog)
+    return mutate
+
+
+# defects in the two-bit XOR program (3x2 crossbar, 4 inputs), one each
+# but the last
 _DEFECTS = {
     "read address": (_set_instruction(6, ReadInstr(3)),
                      "instruction 6: read address 3 out of range"),
@@ -375,6 +383,12 @@ _DEFECTS = {
     "unused bad entry": (_set_entry(9, (SLOT_CONST1 - 1, 0)),
                          "schedule entry 9 references bad slot -3"),
     "result": (_move_result, "result 'x0' at (3,0) is out of range"),
+    # two defects: the instruction rules run before the table rules, even
+    # where the bad entry comes first in the instruction stream
+    "bad slot and wb": (_both(_set_entry(4, (2, 4)), _set_instruction(
+        7, ApplyInstr(2, SRC_DMR, WordlineSelect(WsMode.FROM_SOURCE, 2),
+                      _BOTH))),
+        "instruction 7: wb 2 out of range"),
 }
 
 
@@ -418,19 +432,24 @@ def test_container_without_its_only_schedule_entry():
         read_program(cut)
 
 
-@pytest.mark.parametrize("slot, result, message", [
-    (1, (1, 0), "schedule entry 1 references bad slot 1"),
-    (0, (1, 2), "result 'f' at (1,2) is out of range"),
+@pytest.mark.parametrize("slot, result, message, entry", [
+    (1, (1, 0), "schedule entry 1 references bad slot 1", 1),
+    (0, (1, 2), "result 'f' at (1,2) is out of range", 1),
+    (1, (1, 0), "schedule entry 2 references bad slot 1", 2),
 ])
-def test_container_with_one_bad_table_entry(slot, result, message):
-    """A bad slot or result location in a container: the message of
+def test_container_with_one_bad_table_entry(slot, result, message, entry):
+    """A bad slot, in the entry of the PIR Apply or in one no PIR Apply
+    uses, or a bad result location in a container: the message of
     ``Program.validate`` on the same program."""
     prog = _only_entry_program()
+    prog.pir_schedule[2] = (0, SLOT_CONST0)  # instruction 2 is a Read
     data = bytearray(write_program(prog))
-    # the entry's first slot follows its index; the result's bit is last
-    struct.pack_into("<i", data, _entry_count_offset(prog) + 8, slot)
+    # entries of an index and two slots follow their count; the result's
+    # bit is last
+    at = _entry_count_offset(prog) + 4 + 12 * (entry - 1) + 4
+    struct.pack_into("<i", data, at, slot)
     struct.pack_into("<I", data, len(data) - 4, result[1])
-    prog.pir_schedule[1] = (slot, SLOT_CONST0)
+    prog.pir_schedule[entry] = (slot, SLOT_CONST0)
     prog.result_locations["f"] = result
     with pytest.raises(IsaError) as want:
         prog.validate()
