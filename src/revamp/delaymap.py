@@ -1,6 +1,12 @@
 """Delay-focused mapping flow for majority graphs.
 
-The crossbar width is fixed, the word count is an output.  Four phases:
+The crossbar width is fixed, the word count is an output.  ``map_delay``
+first picks the MIG to map: the one it is given, or that MIG with its
+3-input majority and XOR3 cones rewritten (``netlist.rewrite_majority``),
+when the rewrite's ``compute_bound`` is not higher.  The rewrite makes the
+levels fewer, yet its majorities read more distinct wordline values than
+the AND gates' shared constants, and an Apply drives one wordline.  Then
+four phases:
 
 1. *Role assignment.*  Each internal node picks which parent's device hosts
    its computation and which parents feed the wordline and bitline.  The
@@ -48,7 +54,7 @@ The crossbar width is fixed, the word count is an output.  Four phases:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import count
 from operator import attrgetter
@@ -56,7 +62,8 @@ from typing import NamedTuple
 
 from .codegen import ProgramBuilder
 from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
-from .netlist import CONST0, MAJ, PI, Edge, LogicNetwork, NetlistError, levels
+from .netlist import (CONST0, MAJ, PI, Edge, LogicNetwork, NetlistError,
+                      levels, rewrite_majority)
 from .reports import MappingReport
 
 
@@ -79,7 +86,8 @@ def assign_roles(mig: LogicNetwork, lv: list[int] | None = None
 
     Priority: shared or constant parents take the wordline, a complemented
     fanin takes the bitline, the deepest remaining parent hosts (its device
-    is overwritten in place).  Ties break toward the lowest node id.
+    is overwritten in place).  Ties break toward the lowest node id, but
+    of the shared parents the one with the highest id takes the wordline.
     ``lv`` is ``levels(mig)`` when the caller has it already.
     """
     if mig.kind != "mig":
@@ -96,38 +104,85 @@ def assign_roles(mig: LogicNetwork, lv: list[int] | None = None
             key = (e.target, lv[i], e.inverted)
             share_count[key] = share_count.get(key, 0) + 1
 
+    const = [n.kind == CONST0 for n in mig.nodes]
     roles = {}
     for i, n in enumerate(mig.nodes):
         if n.kind != MAJ:
             continue
         edges = list(n.fanins)
-
-        def take(pred, keyfn):
-            picks = [e for e in edges if pred(e)]
-            if not picks:
-                return None
-            e = min(picks, key=keyfn)
-            edges.remove(e)
-            return e
-
-        # constants take the wordline (the instruction drives a literal 0/1
-        # there, costing no device), then parents shared within the level
-        wl = take(lambda e: mig.nodes[e.target].kind == CONST0,
-                  lambda e: e.target)
+        # each pick is the first edge with the least key among those that
+        # qualify; constants take the wordline (the instruction drives a
+        # literal 0/1 there, costing no device), then the parent shared
+        # within the level with the highest id
+        wl = None
+        for e in edges:
+            if const[e.target] and (wl is None or e.target < wl.target):
+                wl = e
         if wl is None:
-            wl = take(lambda e: share_count[(e.target, lv[i],
-                                             e.inverted)] >= 2,
-                      lambda e: -e.target)
-        bl = take(lambda e: e.inverted
-                  and mig.nodes[e.target].kind != CONST0,
-                  lambda e: e.target)
-        host = take(lambda e: True, lambda e: (-lv[e.target], e.target))
+            for e in edges:
+                if share_count[(e.target, lv[i], e.inverted)] >= 2 and (
+                        wl is None or e.target > wl.target):
+                    wl = e
+        if wl is not None:
+            edges.remove(wl)
+        bl = None
+        for e in edges:
+            if e.inverted and not const[e.target] and (
+                    bl is None or e.target < bl.target):
+                bl = e
+        if bl is not None:
+            edges.remove(bl)
+        # the deepest parent hosts
+        host = edges[0]
+        for e in edges[1:]:
+            if lv[e.target] > lv[host.target] or (
+                    lv[e.target] == lv[host.target]
+                    and e.target < host.target):
+                host = e
+        edges.remove(host)
         if wl is None:
-            wl = take(lambda e: True, lambda e: e.target)
+            wl = min(edges, key=attrgetter("target"))
+            edges.remove(wl)
         if bl is None:
             bl = edges.pop()
         roles[i] = NodeRoles(host=host, wl_input=wl, bl_input=bl)
     return roles
+
+
+def compute_bound(mig: LogicNetwork, roles: dict[int, NodeRoles],
+                  lv: list[int]) -> int:
+    """The least compute instructions ``mig`` takes under ``roles``, were
+    every Apply to need its own Read.
+
+    An Apply drives one wordline, so each level takes one Read and one
+    Apply per distinct wordline value among its nodes (a constant, or a
+    parent in one polarity), and each majority value some node reads as a
+    plain bitline takes its negated copy, counted once.  Only the nodes an
+    output reaches count.  The builder skips a Read of the word the data
+    register already mirrors, so for this ISA the bound is an estimate.
+    """
+    wordlines = set()
+    copied = set()
+    for i in live_majority_nodes(mig):
+        r = roles[i]
+        wordlines.add((lv[i], r.wl_input))
+        bl = r.bl_input
+        if not bl.inverted and mig.nodes[bl.target].kind == MAJ:
+            copied.add(bl.target)
+    return 2 * len(wordlines) + len(copied)
+
+
+def live_majority_nodes(mig: LogicNetwork) -> list[int]:
+    """The MAJ nodes some output reaches."""
+    nodes = mig.nodes
+    live = [False] * len(nodes)
+    for e in mig.outputs:
+        live[e.target] = True
+    for i in range(len(nodes) - 1, -1, -1):
+        if live[i]:
+            for e in nodes[i].fanins:
+                live[e.target] = True
+    return [i for i, n in enumerate(nodes) if live[i] and n.kind == MAJ]
 
 
 # -- blocks --------------------------------------------------------------------
@@ -560,6 +615,7 @@ def gen_program_delay(mig: LogicNetwork, formation: BlockFormation,
         flow="delay",
         num_pis=mig.num_pis,
         n_maj=n_maj,
+        n_maj_mapped=n_maj,
         levels=max(formation.sites, default=0),
         s_d=builder.config.s_d, w_d=packing.w_d,
         **counts,
@@ -572,12 +628,35 @@ def gen_program_delay(mig: LogicNetwork, formation: BlockFormation,
 
 
 def map_delay(mig: LogicNetwork, w_d: int) -> tuple[Program, MappingReport]:
-    """Whole delay-constrained pipeline: roles, blocks, packing, generation."""
+    """Whole delay-constrained pipeline: the MIG to map, roles, blocks,
+    packing, generation.
+
+    Levels and roles are computed once per MIG considered, and the chosen
+    MIG's go on to ``form_blocks``.  The report's ``n_maj``, ``levels``,
+    ``d_p_star`` and ``speedup`` describe ``mig``; ``n_maj_mapped`` counts
+    the MAJ nodes of the MIG mapped.
+    """
     if mig.kind != "mig":
         raise NetlistError("map_delay expects a MIG (use aig_to_mig)")
     if w_d < 2:
         raise NetlistError("w_D must be at least 2")
     lv = levels(mig)
-    formation = form_blocks(mig, assign_roles(mig, lv), w_d, lv)
+    roles = assign_roles(mig, lv)
+    mapped, mapped_lv, mapped_roles = mig, lv, roles
+    rewritten = rewrite_majority(mig)
+    if rewritten is not mig:
+        rw_lv = levels(rewritten)
+        rw_roles = assign_roles(rewritten, rw_lv)
+        if (compute_bound(rewritten, rw_roles, rw_lv)
+                <= compute_bound(mig, roles, lv)):
+            mapped, mapped_lv, mapped_roles = rewritten, rw_lv, rw_roles
+    formation = form_blocks(mapped, mapped_roles, w_d, mapped_lv)
     packing = pack_blocks(formation.blocks, w_d)
-    return gen_program_delay(mig, formation, packing)
+    program, report = gen_program_delay(mapped, formation, packing)
+    if mapped is not mig:  # n_maj, levels and d_p_star describe the input
+        n_maj = len(live_majority_nodes(mig))
+        report = replace(
+            report, n_maj=n_maj, d_p_star=9 * n_maj,
+            speedup=9 * n_maj / report.cycles,
+            levels=max((lv[e.target] for e in mig.outputs), default=0))
+    return program, report

@@ -325,30 +325,34 @@ class Program:
         """
         cfg, instrs = self.config, self.instructions
         check_num_pis(self.num_pis)
-        distinct = dict(zip(map(id, instrs), instrs))
+        ids = list(map(id, instrs))  # one walk serves every rule below
+        distinct = dict(zip(ids, instrs))
         for instr in distinct.values():
             try:
                 validate_instruction(instr, cfg)
             except IsaError as exc:
-                i = list(map(id, instrs)).index(id(instr))
+                i = ids.index(id(instr))
                 raise IsaError("instruction %d: %s" % (i, exc)) from None
-        self.check_tables(distinct.values())
+        self.check_tables(distinct.values(), ids)
         return distinct
 
-    def check_tables(self, distinct):
+    def check_tables(self, distinct, ids=None):
         """Check the schedule and result tables against the instructions.
 
-        ``distinct`` holds each instruction object of the program once.
-        Every PIR Apply needs a schedule entry, each distinct slot tuple
-        w_D slots that name an input or a constant, and each result
-        location a device of the crossbar.
+        ``distinct`` holds each instruction object of the program once, and
+        ``ids``, when the caller has it, the ``id`` of the instruction at
+        each position.  Every PIR Apply needs a schedule entry, each
+        distinct slot tuple w_D slots that name an input or a constant, and
+        each result location a device of the crossbar.
         """
         cfg, schedule, num_pis = self.config, self.pir_schedule, self.num_pis
         pir_ids = {id(instr) for instr in distinct
                    if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR}
-        if pir_ids:  # the positions of PIR Applies stream; no list is kept
+        if pir_ids:  # stream the positions of PIR Applies
+            if ids is None:
+                ids = map(id, self.instructions)
             pir_at = itertools.compress(itertools.count(), map(
-                pir_ids.__contains__, map(id, self.instructions)))
+                pir_ids.__contains__, ids))
             missing = next(itertools.filterfalse(schedule.__contains__,
                                                  pir_at), None)
             if missing is not None:

@@ -14,7 +14,9 @@ every flow cleans its input with, feeds it each gate of an AIG or a MIG;
 builder each gate once per polarity it is needed in.  The depth-bounded
 mapper takes ``rebuild``'s MIG as it is and pushes complements itself, so
 no mapping path normalizes; ``normalize_mig`` stays for the benchmark
-harness, which maps its normal form.
+harness, which maps its normal form.  ``rewrite_majority`` feeds the
+builder each gate, or one majority (three for an XOR3) in place of a
+3-input cone it finds by cut enumeration; only the delay flow calls it.
 
 This module also provides the brute-force functional oracle (``evaluate`` /
 ``truth_table``) used by every other part of the mapper to prove equivalence.
@@ -29,6 +31,7 @@ exhaustive mode shares.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -366,6 +369,128 @@ def aig_to_mig(network: LogicNetwork) -> LogicNetwork:
     if network.kind != "aig":
         raise NetlistError("aig_to_mig expects an AIG")
     return rebuild(network)
+
+
+# -- majority rewriting --------------------------------------------------------
+
+_LEAF = (0xAA, 0xCC, 0xF0)  # 8-bit tables of a cut's leaves 0, 1 and 2
+_XOR3, _XNOR3 = 0x96, 0x69
+
+
+def _majority_tables() -> dict[int, tuple[int, int]]:
+    """Each table of a 3-input majority in some polarity -> (the leaves it
+    complements, as bits 0-2, and whether the output is complemented),
+    complementing at most one leaf: M(not a, not b, not c) = not M(a, b, c)."""
+    out = {}
+    for p in (0, 1, 2, 4):
+        a, b, c = (t ^ 0xFF if p >> j & 1 else t for j, t in enumerate(_LEAF))
+        t = (a & b) | (a & c) | (b & c)
+        out[t], out[t ^ 0xFF] = (p, 0), (p, 1)
+    return out
+
+
+_MAJORITY = _majority_tables()
+
+
+@functools.cache
+def _stretch(table: int, at: tuple[int, ...]) -> int:
+    """``table`` over leaves 0..len(at)-1, as a table over a cut holding
+    its leaf j at position ``at[j]``; at most 256 tables times 16
+    placements are ever asked for, so the cache stays small."""
+    out = 0
+    for x in range(8):
+        k = 0
+        for j, pos in enumerate(at):
+            k |= (x >> pos & 1) << j
+        out |= (table >> k & 1) << x
+    return out
+
+
+def _first_cut(fanins, cuts) -> tuple[tuple[int, ...], int]:
+    """The first merge of at most three leaves of one cut per fanin, in
+    fanin order and each fanin's ``cuts`` in their order: the sorted leaf
+    tuple and the gate's 8-bit table over it.  The fanins' own nodes
+    always qualify, so there is one."""
+    e0, e1, e2 = fanins
+    for l0, t0 in cuts[e0.target]:
+        for l1, t1 in cuts[e1.target]:
+            u01 = set(l0).union(l1)
+            if len(u01) > 3:
+                continue
+            for l2, t2 in cuts[e2.target]:
+                leaves = tuple(sorted(u01.union(l2)))
+                if len(leaves) > 3:
+                    continue
+                at = leaves.index
+                a = _stretch(t0, tuple(map(at, l0))) ^ 0xFF * e0[1]
+                b = _stretch(t1, tuple(map(at, l1))) ^ 0xFF * e1[1]
+                c = _stretch(t2, tuple(map(at, l2))) ^ 0xFF * e2[1]
+                return leaves, (a & b) | (a & c) | (b & c)
+    raise AssertionError("a gate's fanins are a cut of it")
+
+
+def rewrite_majority(mig: LogicNetwork) -> LogicNetwork:
+    """``mig`` with each 3-input majority and XOR3 cone made of majorities.
+
+    One pass in node order finds the cones.  Besides its trivial cut, each
+    gate keeps one cut of at most three leaves, with its 8-bit table: the
+    first such merge of one cut per fanin, each fanin's kept cut tried
+    before its trivial one, so the deepest small cone is found first.  A
+    gate whose kept cut has three leaves, other than its own fanins, and
+    is a majority in some polarity becomes one MAJ of the leaves; one that
+    is XOR3 or XNOR3 becomes ``M(not M(a,b,c), c, M(a,b,not c))`` with c
+    the last leaf, whose M(a, b, c) the hashing ``MigBuilder`` shares with
+    a carry over the same leaves.  Every other gate is built from its
+    fanins as it is, so the result has ``rebuild``'s output form.  A MIG
+    with no such cone is returned as it is.
+    """
+    if mig.kind != "mig":
+        raise NetlistError("rewrite_majority expects a MIG")
+    nodes = mig.nodes
+    cuts: list = [None] * len(nodes)  # per node, its cuts, trivial last
+    cones = {}  # gate -> its kept cut, for the gates rewritten
+    for i, n in enumerate(nodes):
+        if n.kind == CONST0:
+            cuts[i] = (((), 0),)
+            continue
+        trivial = ((i,), _LEAF[0])
+        if n.kind == PI:
+            cuts[i] = (trivial,)
+            continue
+        leaves, table = cut = _first_cut(n.fanins, cuts)
+        cuts[i] = (cut, trivial)
+        if len(leaves) == 3 and (table in _MAJORITY or table == _XOR3
+                                 or table == _XNOR3) and set(leaves) != {
+                                     e.target for e in n.fanins}:
+            cones[i] = cut
+    if not cones:
+        return mig
+    builder = MigBuilder([n.name for n in nodes if n.kind == PI])
+    maj = builder.maj
+    lit = [0] * len(nodes)  # the builder literal of each node
+    n_pi = 0
+    for i, n in enumerate(nodes):
+        if n.kind == PI:
+            n_pi += 1
+            lit[i] = 2 * n_pi
+        elif i in cones:
+            leaves, table = cones[i]
+            a, b, c = (lit[x] for x in leaves)
+            if table in _MAJORITY:
+                p, neg = _MAJORITY[table]
+                lit[i] = maj(a ^ p & 1, b ^ p >> 1 & 1, c ^ p >> 2,
+                             n.name) ^ neg
+            else:
+                lit[i] = maj(maj(a, b, c) ^ 1, c, maj(a, b, c ^ 1),
+                             n.name) ^ (table == _XNOR3)
+        elif n.kind != CONST0:
+            f = n.fanins
+            lit[i] = maj(lit[f[0].target] ^ f[0].inverted,
+                         lit[f[1].target] ^ f[1].inverted,
+                         lit[f[2].target] ^ f[2].inverted, n.name)
+    out_lits = [lit[e.target] ^ e.inverted for e in mig.outputs]
+    return builder.network(out_lits, mig.output_names,
+                           builder.live(out_lits))
 
 
 # -- MIG normalization -------------------------------------------------------

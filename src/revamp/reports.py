@@ -12,6 +12,8 @@ class MappingReport:
     # network / cover shape
     num_pis: int = 0
     n_maj: int | None = None
+    # delay flow: the MAJ nodes of the MIG mapped, rewritten or not
+    n_maj_mapped: int | None = None
     n_lut: int | None = None
     levels: int | None = None
     min_dev: int | None = None

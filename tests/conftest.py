@@ -3,12 +3,15 @@ five-input reference MIG used across the mapping tests, the leaf-output
 MIGs of the depth-bounded flow, a layered MIG whose tree is far larger
 than its network, the tree-size reference the depth-bounded flow's MAJ
 count is held to, an ASCII AIGER writer for the ``.aag`` files the CLI
-tests read, and the fixpoint check of delay-flow block merging."""
+tests read, the fixpoint check of delay-flow block merging and the MIG
+the delay flow chooses to map."""
 
 import random
 
 from revamp.circuits import two_bit_xor_program  # noqa: F401  (re-export)
-from revamp.netlist import AND, CONST0, MAJ, Edge, LogicNetwork, NetlistError
+from revamp.delaymap import assign_roles, compute_bound
+from revamp.netlist import (AND, CONST0, MAJ, Edge, LogicNetwork,
+                            NetlistError, levels, rewrite_majority)
 
 
 # two PIs and a constant; the one output is a leaf, plain or complemented
@@ -83,6 +86,20 @@ def sharing_pairs_that_overflow(formation, w_d: int) -> int:
                 assert len(blocks[i]) + len(blocks[j]) - len(shared) \
                     > w_d, (blocks[i].id, blocks[j].id, w_d)
     return pairs
+
+
+def delay_mapped_mig(mig: LogicNetwork) -> LogicNetwork:
+    """The MIG ``map_delay`` maps for ``mig``, chosen by its stated rule:
+    the majority rewrite when that rewrite's compute bound is not higher,
+    else ``mig``."""
+    rewritten = rewrite_majority(mig)
+    if rewritten is mig:
+        return mig
+
+    def bound(m):
+        lv = levels(m)
+        return compute_bound(m, assign_roles(m, lv), lv)
+    return rewritten if bound(rewritten) <= bound(mig) else mig
 
 
 def serialize_aig(network: LogicNetwork) -> str:

@@ -165,6 +165,8 @@ def test_map_delay_and_disassemble(workdir, capsys):
     assert rc == 0
     report = json.loads(rep.read_text())
     assert report["flow"] == "delay" and report["w_util"] > 0
+    # the full adder's nine gates, mapped as its majority rewrite's three
+    assert (report["n_maj"], report["n_maj_mapped"]) == (9, 3)
     rc = main(["verify", str(workdir / "fa.mig"), str(prog)])
     assert rc == 0
     capsys.readouterr()
@@ -658,9 +660,12 @@ def test_bench_refuses_a_run_with_no_network_to_map(capsys, monkeypatch):
 # would not fit; every job fits today), the delay flow at w_D 4/16/32 and
 # the minimal flow on each single-output network, mapped from ``rebuild``'s
 # MIG (parity8, rand8, rand10 and rand12: 57, 59, 104 and 136
-# instructions); a refactor of any flow must keep these bytes
+# instructions); a refactor of any flow must keep these bytes.  The delay
+# jobs of the adders and parity8 map their majority rewrite (their 15
+# programs 417 instructions, 684 before; all 39 delay programs 1,577,
+# 1,844 before)
 CORPUS_PROGRAMS = (
-    "380402b18c0ad464e9313f03f28709133333e0f24108535424e58b204430f3e7")
+    "b70aa6aa54421ac8ea0094f110de24857b593c22509d9eb3338ebcd0ed71441d")
 
 
 def test_corpus_programs_byte_identical():

@@ -3,16 +3,19 @@ import hashlib
 import random
 import time
 
-from conftest import example_mig, sharing_pairs_that_overflow
+from conftest import (delay_mapped_mig, example_mig,
+                      sharing_pairs_that_overflow)
 from revamp import delaymap
-from revamp.circuits import (comparator, full_adder, multiplier, parity,
-                             ripple_adder)
+from revamp.circuits import (comparator, default_corpus, full_adder,
+                             multiplier, parity, ripple_adder)
 from revamp.cli import map_network
-from revamp.delaymap import (ValueRef, assign_roles, form_blocks,
-                             gen_program_delay, map_delay, pack_blocks)
-from revamp.isa import format_asm, write_program
-from revamp.netlist import (MAJ, PI, Edge, LogicNetwork, aig_to_mig,
-                            levels, pi_patterns, random_aig, random_mig)
+from revamp.delaymap import (ValueRef, assign_roles, compute_bound,
+                             form_blocks, gen_program_delay, map_delay,
+                             pack_blocks)
+from revamp.isa import ApplyInstr, format_asm, write_program
+from revamp.netlist import (AND, MAJ, PI, Edge, LogicNetwork, aig_to_mig,
+                            levels, pi_patterns, random_aig, random_mig,
+                            rewrite_majority)
 from revamp.simulator import run_vectors
 from revamp.verifier import check_equivalence, optimal_packing
 
@@ -274,7 +277,9 @@ def live_majority_nodes(mig):
 
 
 def test_reports_match_the_formation_and_packing():
-    """Every block figure of the report, rebuilt from the phases alone."""
+    """Every block figure of the report, rebuilt from the phases alone on
+    the MIG the report names by its ``n_maj_mapped``; ``n_maj``,
+    ``levels`` and ``d_p_star`` describe the MIG given."""
     # outputs that are complemented inputs and constants need no scratch word
     loads = LogicNetwork(kind="mig")
     x, y = loads.add_pi("x"), loads.add_pi("y")
@@ -283,17 +288,23 @@ def test_reports_match_the_formation_and_packing():
     loads.add_output(Edge(y, True), "ny")
     migs = [random_mig(4 + seed % 5, 10 + 3 * seed, seed=500 + seed,
                        num_outputs=1 + seed % 3) for seed in range(12)]
+    migs += [aig_to_mig(net) for net in (ripple_adder(3), parity(6),
+                                         multiplier(3))]
+    rewritten = []
     for mig in migs + [loads]:
         n_maj = live_majority_nodes(mig)
         depth = max(levels(mig)[e.target] for e in mig.outputs)
-        roles = assign_roles(mig)
+        mapped = delay_mapped_mig(mig)
+        rewritten.append(mapped is not mig)
+        roles = assign_roles(mapped)
         for w_d in (2, 3, 4, 8, 32):
-            formation = form_blocks(mig, roles, w_d)
+            formation = form_blocks(mapped, roles, w_d)
             packing = pack_blocks(formation.blocks, w_d)
             _, report = map_delay(mig, w_d)
             placed = [el.value for b in formation.blocks for el in b.elements]
-            plain_pi = any(mig.nodes[v.node].kind == PI and not v.negated
+            plain_pi = any(mapped.nodes[v.node].kind == PI and not v.negated
                            for v in placed)
+            assert report.n_maj_mapped == live_majority_nodes(mapped)
             assert report.n_blocks == len(formation.blocks)
             assert report.w_util == \
                 100.0 * len(placed) / (packing.n_words * w_d)
@@ -301,6 +312,9 @@ def test_reports_match_the_formation_and_packing():
             assert report.levels == depth
             assert report.d_p_star == 9 * n_maj
             assert report.speedup == report.d_p_star / report.cycles
+    # both ways: the adder's rewrite is mapped, the multiplier as given
+    assert rewritten[12:15] == [True, True, False] and sum(rewritten) == 11
+
 
 def test_negated_internal_copies():
     # node s feeds one consumer plain and one complemented, so a single
@@ -326,16 +340,19 @@ def test_word_capacity_never_exceeded():
             assert all(n <= w_d for n in packing.occupancy.values())
 
 
-# digests of the containers emitted before block merging used indexes
+# digests of the containers emitted since map_delay maps the majority
+# rewrite when its compute bound is not higher: add8 58 instructions (101
+# before), parity16 46 (126); mult3, cmp8 and rand16 keep their MIG and
+# their bytes
 PINNED_PROGRAMS = [
     ("add8", lambda: ripple_adder(8),
-     "c01dbefea4d25a147f98485bf9c7850d14c53c6c0e41813f0d610d8fa5c8df53"),
+     "b115b9d9611a6c7e7b8fa25d30a4eedce60f2b4b9f2d9b47f1d2240e3ad6114b"),
     ("mult3", lambda: multiplier(3),
      "6b752d3844e6ca17bdd0e8ec7e81d4f8d65107a7a170130c0d8599f808a5de24"),
     ("cmp8", lambda: comparator(8),
      "9b038a654726b50a30048496505f47ee5009607374f4f8f85975054577a0db6a"),
     ("parity16", lambda: parity(16),
-     "5a3ddc22cd7e774c8ee9a98a762b98f03d3c74019511697bdc3ff8d363b706a3"),
+     "eff6e73474f08404613a532e7dec63a7e1940ec3cf3a838bb34621af6fd69a84"),
     ("rand16", lambda: random_aig(16, 200, seed=3, num_outputs=6),
      "2033d04a41bb40db464b2c137683cc14f9d13a100f1da4ee483203f8609aeb8d"),
 ]
@@ -348,19 +365,77 @@ def test_delay_programs_byte_identical():
         assert got == digest, name
 
 
-def test_map_delay_computes_levels_once(monkeypatch):
+def test_map_delay_computes_levels_once_per_mig_considered(monkeypatch):
     calls = []
     monkeypatch.setattr(delaymap, "levels",
                         lambda mig: calls.append(mig) or levels(mig))
-    mig = aig_to_mig(ripple_adder(4))
-    program, _ = map_delay(mig, 8)
-    assert len(calls) == 1
-    # the phases called one by one compute it themselves, to the same end
+    # an adder's rewrite is considered and mapped; a lone AND has no cone
+    # to rewrite, so only the MIG given is considered
+    lone = LogicNetwork(kind="aig")
+    p, q = lone.add_pi("p"), lone.add_pi("q")
+    lone.add_output(Edge(lone.add_node(AND, (Edge(p), Edge(q)))), "f")
+    for net, considered in ((ripple_adder(4), 2), (lone, 1)):
+        mig = aig_to_mig(net)
+        calls.clear()
+        program, _ = map_delay(mig, 8)
+        assert len(calls) == considered
+        # the phases called one by one on the MIG mapped compute them
+        # themselves, to the same end
+        mapped = delay_mapped_mig(mig)
+        assert (mapped is not mig) == (considered == 2)
+        roles = assign_roles(mapped)
+        formation = form_blocks(mapped, roles, 8)
+        again, _ = gen_program_delay(mapped, formation,
+                                     pack_blocks(formation.blocks, 8))
+        assert write_program(again) == write_program(program)
+
+
+def test_map_delay_is_never_longer_than_the_mig_given():
+    """Over the builtin corpus, mapping the MIG chosen never takes more
+    instructions or words than mapping the MIG given through the phases."""
+    shorter = 0
+    for name, net in default_corpus():
+        mig = aig_to_mig(net)
+        roles = assign_roles(mig)
+        for w_d in (4, 8, 16, 32):
+            formation = form_blocks(mig, roles, w_d)
+            unrewritten, _ = gen_program_delay(
+                mig, formation, pack_blocks(formation.blocks, w_d))
+            program, _ = map_delay(mig, w_d)
+            got, was = len(program.instructions), len(
+                unrewritten.instructions)
+            assert got <= was, (name, w_d, got, was)
+            assert program.config.s_d <= unrewritten.config.s_d, (name, w_d)
+            shorter += got < was
+    assert shorter >= 20
+
+
+def test_ripple_adder_8_maps_its_rewrite_in_three_words():
+    """Its carries become one MAJ each and its sums XOR3 cones sharing
+    them: 25 MAJ nodes on 9 levels where the AIG's MIG has 67 on 16."""
+    program, report = map_delay(aig_to_mig(ripple_adder(8)), 32)
+    words = {ins.w for ins in program.instructions
+             if isinstance(ins, ApplyInstr)}
+    assert (report.i_total, len(words), report.devices_used) == (58, 3, 68)
+    assert (report.n_maj, report.n_maj_mapped, report.levels) == (67, 25, 16)
+    assert max(levels(rewrite_majority(aig_to_mig(ripple_adder(8))))) == 9
+    assert check_equivalence(ripple_adder(8), program).ok
+
+
+def test_compute_bound_counts_wordlines_per_level_and_negated_copies():
+    """Two ANDs of one level share the constant wordline (one Read and one
+    Apply); a MAJ reading one of them as a plain bitline also reads a
+    wordline of its own and needs a negated copy: 2 + 2 + 1."""
+    mig = LogicNetwork(kind="mig")
+    a, b, c = (mig.add_pi(x) for x in "abc")
+    zero = mig.add_const0()
+    g = mig.add_node(MAJ, (Edge(a), Edge(b), Edge(zero)))
+    h = mig.add_node(MAJ, (Edge(b), Edge(c), Edge(zero)))
+    top = mig.add_node(MAJ, (Edge(g), Edge(h), Edge(c)))
+    mig.add_output(Edge(top), "f")
     roles = assign_roles(mig)
-    formation = form_blocks(mig, roles, 8)
-    again, _ = gen_program_delay(mig, formation,
-                                 pack_blocks(formation.blocks, 8))
-    assert write_program(again) == write_program(program)
+    assert roles[top].bl_input == Edge(h)  # plain, so a copy of not h
+    assert compute_bound(mig, roles, levels(mig)) == 5
 
 
 def _block_tags(formation):

@@ -6,13 +6,14 @@ import time
 import pytest
 
 from conftest import example_mig, serialize_aig
-from revamp.circuits import comparator, multiplier, parity, ripple_adder
+from revamp.circuits import (AigBuilder, comparator, default_corpus,
+                             full_adder, multiplier, parity, ripple_adder)
 from revamp.netlist import (AND, CONST0, MAJ, PI, Edge, LogicNetwork,
                             NetlistError, ParseError, aig_to_mig, evaluate,
                             evaluate_masks, gate_mask, levels, normalize_mig,
                             parse_aiger, parse_mig, pi_patterns, random_aig,
-                            random_mig, rebuild, serialize_mig, truth_table,
-                            truth_table_ints)
+                            random_mig, rebuild, rewrite_majority,
+                            serialize_mig, truth_table, truth_table_ints)
 
 
 def _shape(net):
@@ -494,6 +495,74 @@ def test_rebuild_is_equivalent_on_random_networks():
                 assert out.output_names == net.output_names
             shrunk += len(variants[0].nodes) < len(net.nodes)
     assert shrunk > 300
+
+
+# -- majority rewriting ----------------------------------------------------------
+
+def test_rewrite_majority_keeps_every_function():
+    """Exhaustively, over the builtin corpus and 100 seeded random AIGs and
+    MIGs, cleaned and (for a MIG) as generated."""
+    nets = [net for _, net in default_corpus()]
+    for s in range(100):
+        shape = (3 + s % 8, 4 + s % 50)
+        nets.append(random_aig(*shape, seed=700 + s, num_outputs=1 + s % 4))
+        nets.append(random_mig(*shape, seed=800 + s, num_outputs=1 + s % 4))
+    rewritten = 0
+    for net in nets:
+        tables = truth_table_ints(net)
+        for mig in [rebuild(net)] + ([net] if net.kind == "mig" else []):
+            out = rewrite_majority(mig)
+            assert truth_table_ints(out) == tables
+            assert [n.name for n in out.nodes if n.kind == PI] == \
+                [n.name for n in net.nodes if n.kind == PI]
+            assert out.output_names == net.output_names
+            rewritten += out is not mig
+    assert rewritten > 100
+
+
+def test_rewrite_majority_makes_a_full_adder_of_three_majorities():
+    """The carry is one MAJ of the inputs, and the sum's XOR3 shares it:
+    M(not M(a,b,c), c, M(a,b,not c)), two levels where the AIG has four."""
+    mig = aig_to_mig(full_adder())
+    out = rewrite_majority(mig)
+    a, b, c = (Edge(i) for i in out.pis)
+    carry = out.outputs[out.output_names.index("cout")]
+    assert out.nodes[carry.target].fanins == (a, b, c)
+    assert sum(n.kind == MAJ for n in out.nodes) == 3
+    assert max(levels(out)[e.target] for e in out.outputs) == 2
+    assert max(levels(mig)[e.target] for e in mig.outputs) == 4
+
+
+def _and_chain(n):
+    b = AigBuilder()
+    acc = b.pi()
+    for _ in range(n - 1):
+        acc = b.and_(acc, b.pi())
+    b.output(acc, "y")
+    return b.build()
+
+
+def test_rewrite_majority_returns_a_mig_with_no_cone_as_it_is():
+    one = LogicNetwork(kind="mig")
+    a, b, c = (one.add_pi(x) for x in "abc")
+    one.add_output(Edge(one.add_node(MAJ, (Edge(a), Edge(b, True),
+                                           Edge(c)))), "m")
+    for mig in (aig_to_mig(_and_chain(8)), one):
+        assert rewrite_majority(mig) is mig
+    with pytest.raises(NetlistError, match="expects a MIG"):
+        rewrite_majority(full_adder())
+
+
+@pytest.mark.parametrize("net", [parity(2000), _and_chain(3000)],
+                         ids=["parity2000", "and_chain3000"])
+def test_rewrite_majority_is_linear(net):
+    """Cuts hold leaf tuples of their own, so a gate costs the same
+    however many nodes come before it."""
+    mig = aig_to_mig(net)
+    t0 = time.perf_counter()
+    out = rewrite_majority(mig)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(out.nodes) <= len(mig.nodes)
 
 
 # -- normalization ---------------------------------------------------------------

@@ -6,7 +6,7 @@ same generators with wider ranges.
 
 import random
 
-from conftest import sharing_pairs_that_overflow
+from conftest import delay_mapped_mig, sharing_pairs_that_overflow
 from revamp.areamap import map_area, map_minimal
 from revamp.circuits import multiplier, parity, ripple_adder
 from revamp.delaymap import assign_roles, form_blocks, map_delay
@@ -39,16 +39,18 @@ def test_delay_flow_stress_converted():
 
 def test_delay_flow_at_depth():
     """A 128-bit adder (depth ~256) and a 12-bit multiplier map, verify on
-    seeded random vectors and leave no input merge that fits."""
+    seeded random vectors and leave no input merge that fits in the MIG
+    mapped (the adder's majority rewrite, the multiplier as it is)."""
     for net in (ripple_adder(128), multiplier(12)):
         mig = aig_to_mig(net)
-        roles = assign_roles(mig)
+        mapped = delay_mapped_mig(mig)
+        roles = assign_roles(mapped)
         for w_d in (8, 32):
             program, report = map_delay(mig, w_d)
             res = check_equivalence(mig, program, mode="random", seed=w_d,
                                     n=4096)
             assert res.ok, (net.num_pis, w_d, res.counterexample)
-            formation = form_blocks(mig, roles, w_d)
+            formation = form_blocks(mapped, roles, w_d)
             assert report.n_blocks == len(formation.blocks)
             sharing_pairs_that_overflow(formation, w_d)
 
