@@ -42,7 +42,8 @@ formation = form_blocks(mig, roles, w_d=3)
 print("\nblocks (values that must share a word; ! marks a complemented copy):")
 for blk in formation.blocks:
     print("  block %d: %s" % (blk.id, [
-        ("!" if el.value.negated else "") + names[el.value.node] + ":" + el.tag
+        ("!" if el.value.inverted else "") + names[el.value.target]
+        + ":" + el.tag
         for el in blk.elements]))
 
 packing = pack_blocks(formation.blocks, 3)

@@ -62,7 +62,7 @@ from .esop import Cube, EsopCover, extract_esop
 from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .lutmap import (LUT_REF, PI_REF, LutGraph, cover_klut, min_dev,
                      storage_capacity)
-from .netlist import CONST0, MAJ, LogicNetwork, NetlistError, levels
+from .netlist import CONST0, MAJ, Edge, LogicNetwork, NetlistError, levels
 from .reports import MappingReport
 
 E0, E2 = 0, 2  # working rows: staging, cube accumulators (e1 is unused)
@@ -591,9 +591,9 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     only the rows below its root's level, its target device and the
     inverter, so no operand waiting in a higher row is disturbed.
 
-    The mapper knows what every device holds, as a literal (node,
-    complemented), and which devices hold each literal.  A device keeps its
-    value until it must take another one, and is reset only then; where
+    The mapper knows what every device holds, as a literal (an ``Edge``),
+    and which devices hold each literal.  A device keeps its value until
+    it must take another one, and is reset only then; where
     both devices of a waiting operand row must still change, the first
     reset clears the row in one Apply.  A value to be placed on a device
     is, in order of preference: already there; a constant (one Apply); a
@@ -620,8 +620,7 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     builder = ProgramBuilder(config, len(pis))
     pi_line = {nid: i for i, nid in enumerate(pis)}
     INVERTER, TARGET = (0, 0), (0, 1)
-    zero = (next((i for i, n in enumerate(nodes) if n.kind == CONST0), -1),
-            False)
+    zero = Edge(next((i for i, n in enumerate(nodes) if n.kind == CONST0), -1))
     # device -> the literal it holds, and literal -> the devices holding it
     held = {(w, b): zero for w in range(config.s_d) for b in (0, 1)}
     holders: dict[tuple, dict] = {zero: dict.fromkeys(held)}
@@ -661,17 +660,17 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     def copy(src, dst):
         """Store the complement of ``src``'s value on ``dst``.  The Read
         comes first, so ``src`` may be ``dst`` itself."""
-        nid, neg = held[src]
+        lit = held[src].flip()
         builder.read(src[0])
         clear(dst)
         builder.apply_from_dmr(dst[0], WsMode.ONE, {dst[1]: src[1]})
-        write(dst, (nid, not neg))
+        write(dst, lit)
 
-    def load(dev, lit):
-        """Load a complemented input from the input register."""
+    def load(dev, nid):
+        """Load input ``nid`` complemented from the input register."""
         clear(dev)
-        builder.apply_from_pir(dev[0], WsMode.ONE, {dev[1]: pi_line[lit[0]]})
-        write(dev, lit)
+        builder.apply_from_pir(dev[0], WsMode.ONE, {dev[1]: pi_line[nid]})
+        write(dev, Edge(nid, True))
 
     def pick_roles(node, neg):
         """Split the three fanins of ``node``, complemented if ``neg`` (by
@@ -739,11 +738,11 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
                 else:
                     clear(dev)
             elif node.kind != MAJ and neg:
-                load(dev, lit)
-            elif (src := holder((nid, not neg))) is not None:
+                load(dev, nid)
+            elif (src := holder(lit.flip())) is not None:
                 copy(src, dev)
             elif node.kind != MAJ:
-                load(INVERTER, (nid, True))
+                load(INVERTER, nid)
                 copy(INVERTER, dev)
             elif (src := holder(lit)) is not None:
                 copy(src, INVERTER)
@@ -751,16 +750,12 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
             else:
                 bl, wl, host = pick_roles(node, neg)
                 row = lv[nid]  # operand row for this level
-                # the bitline stores the complement
-                bl_lit = (bl.target, not bl.inverted)
-                wl_lit = (wl.target, wl.inverted)
-                need[row] = (bl_lit, wl_lit)
-                steps += ((True, lit, dev),
-                          (False, (host.target, host.inverted), dev),
-                          (False, bl_lit, (row, 0)),
-                          (False, wl_lit, (row, 1)))
+                bl = bl.flip()  # the bitline stores the complement
+                need[row] = (bl, wl)
+                steps += ((True, lit, dev), (False, host, dev),
+                          (False, bl, (row, 0)), (False, wl, (row, 1)))
 
-    place(tuple(out_edge), TARGET)
+    place(out_edge, TARGET)
     builder.result_locations[mig.output_names[0]] = TARGET
 
     program = builder.finish()

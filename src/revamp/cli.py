@@ -20,7 +20,7 @@ import time
 from . import circuits
 from .areamap import InfeasibleMapping, map_area, map_minimal
 from .delaymap import map_delay
-from .isa import format_asm, read_program, write_program
+from .isa import CrossbarConfig, format_asm, read_program, write_program
 from .lutmap import cover_klut, feasible, lut_graph_to_dict, min_dev
 from .netlist import NetlistError, parse_aiger, parse_mig, rebuild
 from .reports import BENCH_COLUMNS
@@ -82,10 +82,12 @@ def _write(path, data):
 
 def cmd_cover(args):
     net = load_network(args.netlist)
-    if args.rows is not None and not args.cols:
-        print("--rows needs --cols for the feasibility check",
-              file=sys.stderr)
-        return 2
+    if args.rows is not None:
+        if not args.cols:
+            print("error: --rows needs --cols for the feasibility check",
+                  file=sys.stderr)
+            return 2
+        CrossbarConfig(args.rows, args.cols)  # refuse a bad geometry
     ks = [args.k]  # first, so cover_klut refuses a k out of range either way
     if args.auto_k:
         ks += range(args.k - 1, 1, -1)

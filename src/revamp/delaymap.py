@@ -33,11 +33,11 @@ four phases:
    from input value to blocks lives across levels, so a level costs time
    in the blocks it touches, not in the network's depth.  A level descends
    through its elements block by block, oldest block first and each
-   block's in place order.  Negated copies of internal values get a
-   single plain instance to be copied from.  The result is the blocks,
-   each level's sites (one node computed on one host device, with its
-   wordline element or constant and its bitline element) and the output
-   elements.
+   block's in place order.  Values are the MIG's own ``Edge`` literals.
+   Negated copies of internal values get a single plain instance to be
+   copied from.  The result is the blocks, each level's sites (one node
+   computed on one host device, with its wordline element or constant and
+   its bitline element) and the output elements.
 
 3. *Packing.*  Blocks are first-fit packed into words (a classic 2-factor
    approximation of the bin-packing optimum, checked in tests against an
@@ -58,19 +58,12 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import count
 from operator import attrgetter
-from typing import NamedTuple
 
 from .codegen import ProgramBuilder
 from .isa import SLOT_CONST0, CrossbarConfig, Program, WsMode
 from .netlist import (CONST0, MAJ, PI, Edge, LogicNetwork, NetlistError,
                       levels, rewrite_majority)
 from .reports import MappingReport
-
-
-class ValueRef(NamedTuple):
-    """A node's value, possibly complemented."""
-    node: int
-    negated: bool = False
 
 
 @dataclass
@@ -199,7 +192,7 @@ class BlockElement:
 
     __slots__ = ("value", "tag", "merged_into", "block")
 
-    def __init__(self, value: ValueRef, tag: str):
+    def __init__(self, value: Edge, tag: str):
         self.value = value
         self.tag = tag
         self.merged_into = None
@@ -212,8 +205,8 @@ class BlockElement:
         return el
 
     def __repr__(self):
-        return "<%s%s %s>" % ("!" if self.value.negated else "",
-                              self.value.node, self.tag)
+        return "<%s%s %s>" % ("!" if self.value.inverted else "",
+                              self.value.target, self.tag)
 
 
 @dataclass(eq=False)
@@ -222,7 +215,7 @@ class Block:
     the values of the input (``"i"``) elements, once each, then None."""
     id: int
     elements: list[BlockElement] = field(default_factory=list)
-    inputs: set[ValueRef] | None = field(default_factory=set)
+    inputs: set[Edge] | None = field(default_factory=set)
 
     def __len__(self):
         return len(self.elements)
@@ -265,7 +258,7 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
     # level -> elements given a plain internal value of that level
     pending: dict[int, list[BlockElement]] = {}
     # input value -> the blocks holding it
-    holders: dict[ValueRef, set[Block]] = {}
+    holders: dict[Edge, set[Block]] = {}
     # ids of the blocks the next input phase visits; the queue holds them
     # negated, so the newest pops first
     dirty: set[int] = set()
@@ -283,14 +276,14 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
     def register(el: BlockElement):
         # a plain internal value is computed at its level; a negated one is
         # copied from a plain instance, so make sure exactly one exists
-        node, negated = el.value
+        node, inverted = el.value
         if not is_internal(node):
             return
-        if not negated:
+        if not inverted:
             positive_seen.add(node)
             pending.setdefault(lv[node], []).append(el)
         elif node not in positive_seen:
-            new_block([make_el(ValueRef(node, False))])
+            new_block([make_el(Edge(node))])
 
     def new_block(elements: list[BlockElement]) -> Block:
         b = Block(next(next_id), elements)
@@ -303,26 +296,26 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
         mark(b)
         return b
 
-    def make_el(ref: ValueRef) -> BlockElement:
+    def make_el(ref: Edge) -> BlockElement:
         el = BlockElement(ref, "i")
         register(el)
         return el
 
     def descend(el: BlockElement) -> Site:
-        nid = el.value.node
+        nid = el.value.target
         r = roles[nid]
         if el.tag == "i":
             el.block.inputs.discard(el.value)
             holders[el.value].discard(el.block)
         el.tag = "h"  # the device now hosts this node's computation
-        el.value = ValueRef(r.host.target, r.host.inverted)
+        el.value = r.host
         register(el)
-        wl_ref = ValueRef(r.wl_input.target, r.wl_input.inverted)
+        wl_ref = r.wl_input
         # the device re-complements the bitline, so store the complement
-        bl_ref = ValueRef(r.bl_input.target, not r.bl_input.inverted)
+        bl_ref = r.bl_input.flip()
         spawned = []
-        if mig.nodes[wl_ref.node].kind == CONST0:
-            wl = int(wl_ref.negated)
+        if mig.nodes[wl_ref.target].kind == CONST0:
+            wl = int(wl_ref.inverted)
         else:
             wl = make_el(wl_ref)
             spawned.append(wl)
@@ -441,7 +434,7 @@ def form_blocks(mig: LogicNetwork, roles: dict[int, NodeRoles], w_d: int,
 
     output_elements = []
     for e in mig.outputs:
-        el = BlockElement(ValueRef(e.target, e.inverted), "h")
+        el = BlockElement(e, "h")
         new_block([el])
         register(el)
         output_elements.append(el)
@@ -515,13 +508,14 @@ def gen_pi_load(builder: ProgramBuilder, spots, mig: LogicNetwork,
     direct: dict[int, dict[int, int]] = {}
     positives: list[tuple[int, int, int]] = []  # (word, bit, pi line)
     for el, (w, b) in spots.items():
-        kind = mig.nodes[el.value.node].kind
+        nid, inverted = el.value
+        kind = mig.nodes[nid].kind
         if kind == PI:
-            if el.value.negated:
-                direct.setdefault(w, {})[b] = pi_line[el.value.node]
+            if inverted:
+                direct.setdefault(w, {})[b] = pi_line[nid]
             else:
-                positives.append((w, b, pi_line[el.value.node]))
-        elif kind == CONST0 and el.value.negated:
+                positives.append((w, b, pi_line[nid]))
+        elif kind == CONST0 and inverted:
             direct.setdefault(w, {})[b] = SLOT_CONST0
     for w in sorted(direct):
         builder.apply_from_pir(w, WsMode.ONE, direct[w])
@@ -560,11 +554,11 @@ def gen_program_delay(mig: LogicNetwork, formation: BlockFormation,
         placed = (el for b in packing.word_blocks[w] for el in b.elements)
         for bit, el in enumerate(placed):
             spots[el] = (w, bit)
-            ref = el.value
-            kind = mig.nodes[ref.node].kind
-            if kind == MAJ and ref.negated:
-                negated.setdefault(ref.node, []).append(el)
-            elif kind == PI and not ref.negated:
+            nid, inverted = el.value
+            kind = mig.nodes[nid].kind
+            if kind == MAJ and inverted:
+                negated.setdefault(nid, []).append(el)
+            elif kind == PI and not inverted:
                 staged = True
     scratch = packing.n_words if staged else None
     s_d = packing.n_words + (1 if staged else 0)
@@ -653,10 +647,8 @@ def map_delay(mig: LogicNetwork, w_d: int) -> tuple[Program, MappingReport]:
     formation = form_blocks(mapped, mapped_roles, w_d, mapped_lv)
     packing = pack_blocks(formation.blocks, w_d)
     program, report = gen_program_delay(mapped, formation, packing)
-    if mapped is not mig:  # n_maj, levels and d_p_star describe the input
-        n_maj = len(live_majority_nodes(mig))
-        report = replace(
-            report, n_maj=n_maj, d_p_star=9 * n_maj,
-            speedup=9 * n_maj / report.cycles,
-            levels=max((lv[e.target] for e in mig.outputs), default=0))
-    return program, report
+    n_maj = len(live_majority_nodes(mig))  # the report describes the input
+    return program, replace(
+        report, n_maj=n_maj, d_p_star=9 * n_maj,
+        speedup=9 * n_maj / report.cycles,
+        levels=max((lv[e.target] for e in mig.outputs), default=0))

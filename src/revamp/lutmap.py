@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .esop import extract_esop
-from .netlist import (CONST0, MAJ, PI, LogicNetwork, NetlistError,
+from .netlist import (CONST0, MAJ, PI, Edge, LogicNetwork, NetlistError,
                       gate_mask, pi_patterns, rebuild)
 
 # LUT inputs are tagged references: ("pi", pi_index) or ("lut", lut_id).
@@ -215,32 +215,31 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
     # one LUT per output edge; a complemented edge folds into the root LUT
     # itself when the root only feeds that output, otherwise it gets an
     # inverter LUT; PI and constant outputs get buffer/constant LUTs
-    out_lut: dict[tuple[int, bool], int] = {}
+    out_lut: dict[Edge, int] = {}
     for e, name in zip(network.outputs, network.output_names):
-        key = (e.target, e.inverted)
-        if key not in out_lut:
+        if e not in out_lut:
             kind = nodes[e.target].kind
             gate = kind == MAJ
             if gate and (not e.inverted or fanout[e.target] == 1):
                 lut = graph.luts[ensure_lut(e.target)]
                 if e.inverted:  # no other reference needs the plain value
                     lut.tt ^= (1 << (1 << len(lut.inputs))) - 1
-                out_lut[key] = lut.id
+                out_lut[e] = lut.id
             elif gate:
                 src = ensure_lut(e.target)
                 lid = len(graph.luts)
                 graph.luts.append(Lut(lid, ((LUT_REF, src),), 0b01))
-                out_lut[key] = lid
+                out_lut[e] = lid
             elif kind == PI:
                 lid = len(graph.luts)
                 tt = 0b01 if e.inverted else 0b10
                 graph.luts.append(Lut(lid, ((PI_REF, pi_of[e.target]),), tt))
-                out_lut[key] = lid
+                out_lut[e] = lid
             else:  # constant output
                 lid = len(graph.luts)
                 graph.luts.append(Lut(lid, (), 1 if e.inverted else 0))
-                out_lut[key] = lid
-        graph.outputs.append(out_lut[key])
+                out_lut[e] = lid
+        graph.outputs.append(out_lut[e])
         graph.output_names.append(name)
 
     assign_levels(graph)

@@ -8,15 +8,15 @@ unique: a program declares its result locations by name.
 
 One builder, ``MigBuilder``, makes every MIG this module emits.  It works
 on integer literals, folds constants, merges equal gates on request, drops
-gates no output reaches and emits one output form.  ``rebuild``, which
-every flow cleans its input with, feeds it each gate of an AIG or a MIG;
-``aig_to_mig`` is a call of ``rebuild``, and ``normalize_mig`` feeds the
-builder each gate once per polarity it is needed in.  The depth-bounded
-mapper takes ``rebuild``'s MIG as it is and pushes complements itself, so
-no mapping path normalizes; ``normalize_mig`` stays for the benchmark
-harness, which maps its normal form.  ``rewrite_majority`` feeds the
-builder each gate, or one majority (three for an XOR3) in place of a
-3-input cone it finds by cut enumeration; only the delay flow calls it.
+gates no output reaches and emits one output form.  One gate walk feeds it
+each gate of an AIG or a MIG, for ``rebuild``, which every flow cleans its
+input with (``aig_to_mig`` is a call of it), and for ``rewrite_majority``,
+which only the delay flow calls: it finds 3-input cones by cut enumeration
+and the walk makes each one majority (three for an XOR3).
+``normalize_mig`` feeds the builder each gate once per polarity.  The
+depth-bounded mapper pushes complements itself on ``rebuild``'s MIG, so
+only the benchmark harness normalizes.  Outside the builder every literal
+is an ``Edge``.
 
 This module also provides the brute-force functional oracle (``evaluate`` /
 ``truth_table``) used by every other part of the mapper to prove equivalence.
@@ -339,6 +339,13 @@ def rebuild(network: LogicNetwork) -> LogicNetwork:
     the outputs' order and names.  A MIG already in that form, with
     nothing to change, is returned as it is.
     """
+    return _build(network, {})
+
+
+def _build(network: LogicNetwork, cones: dict) -> LogicNetwork:
+    """``rebuild``'s gate walk; a gate in ``cones``, mapped to its cut's
+    sorted leaves and 8-bit table, is built from the leaves instead of its
+    fanins (``rewrite_majority``)."""
     nodes = network.nodes
     builder = MigBuilder([n.name for n in nodes if n.kind == PI])
     maj = builder.maj
@@ -348,6 +355,16 @@ def rebuild(network: LogicNetwork) -> LogicNetwork:
         if n.kind == PI:
             n_pi += 1
             lit[i] = 2 * n_pi
+        elif i in cones:
+            leaves, table = cones[i]
+            a, b, c = (lit[x] for x in leaves)
+            if table in _MAJORITY:
+                p, neg = _MAJORITY[table]
+                lit[i] = maj(a ^ p & 1, b ^ p >> 1 & 1, c ^ p >> 2,
+                             n.name) ^ neg
+            else:
+                lit[i] = maj(maj(a, b, c) ^ 1, c, maj(a, b, c ^ 1),
+                             n.name) ^ (table == _XNOR3)
         elif n.kind != CONST0:
             f = n.fanins
             lit[i] = maj(lit[f[0].target] ^ f[0].inverted,
@@ -356,7 +373,7 @@ def rebuild(network: LogicNetwork) -> LogicNetwork:
                          if n.kind == MAJ else 0, n.name)
     out_lits = [lit[e.target] ^ e.inverted for e in network.outputs]
     live = builder.live(out_lits)
-    if (network.kind == "mig" and sum(live) == len(nodes)
+    if (not cones and network.kind == "mig" and sum(live) == len(nodes)
             and all(n.kind == PI for n in nodes[:n_pi])
             and (not live[0] or nodes[n_pi].kind == CONST0)):
         return network  # every node kept, each in its own place
@@ -440,9 +457,9 @@ def rewrite_majority(mig: LogicNetwork) -> LogicNetwork:
     is a majority in some polarity becomes one MAJ of the leaves; one that
     is XOR3 or XNOR3 becomes ``M(not M(a,b,c), c, M(a,b,not c))`` with c
     the last leaf, whose M(a, b, c) the hashing ``MigBuilder`` shares with
-    a carry over the same leaves.  Every other gate is built from its
-    fanins as it is, so the result has ``rebuild``'s output form.  A MIG
-    with no such cone is returned as it is.
+    a carry over the same leaves.  The cones go through ``rebuild``'s gate
+    walk, so the result has its output form.  A MIG with no such cone is
+    returned as it is.
     """
     if mig.kind != "mig":
         raise NetlistError("rewrite_majority expects a MIG")
@@ -463,34 +480,7 @@ def rewrite_majority(mig: LogicNetwork) -> LogicNetwork:
                                  or table == _XNOR3) and set(leaves) != {
                                      e.target for e in n.fanins}:
             cones[i] = cut
-    if not cones:
-        return mig
-    builder = MigBuilder([n.name for n in nodes if n.kind == PI])
-    maj = builder.maj
-    lit = [0] * len(nodes)  # the builder literal of each node
-    n_pi = 0
-    for i, n in enumerate(nodes):
-        if n.kind == PI:
-            n_pi += 1
-            lit[i] = 2 * n_pi
-        elif i in cones:
-            leaves, table = cones[i]
-            a, b, c = (lit[x] for x in leaves)
-            if table in _MAJORITY:
-                p, neg = _MAJORITY[table]
-                lit[i] = maj(a ^ p & 1, b ^ p >> 1 & 1, c ^ p >> 2,
-                             n.name) ^ neg
-            else:
-                lit[i] = maj(maj(a, b, c) ^ 1, c, maj(a, b, c ^ 1),
-                             n.name) ^ (table == _XNOR3)
-        elif n.kind != CONST0:
-            f = n.fanins
-            lit[i] = maj(lit[f[0].target] ^ f[0].inverted,
-                         lit[f[1].target] ^ f[1].inverted,
-                         lit[f[2].target] ^ f[2].inverted, n.name)
-    out_lits = [lit[e.target] ^ e.inverted for e in mig.outputs]
-    return builder.network(out_lits, mig.output_names,
-                           builder.live(out_lits))
+    return _build(mig, cones) if cones else mig
 
 
 # -- MIG normalization -------------------------------------------------------

@@ -207,7 +207,7 @@ def test_criterion_8_delay_flow_golden():
         roles = assign_roles(mig)
         formation = form_blocks(mig, roles, 3)
         names = {i: (n.name or "") for i, n in enumerate(mig.nodes)}
-        rendered = [[("!" if el.value.negated else "") + names[el.value.node]
+        rendered = [[("!" if el.value.inverted else "") + names[el.value.target]
                      for el in b.elements] for b in formation.blocks]
         assert rendered == [["a", "c", "a"], ["d", "!e"], ["b", "c", "!c"]]
 
@@ -267,13 +267,13 @@ def test_criterion_9_delay_flow_equivalence():
 
 def test_criterion_10_packing_quality():
     with criterion(10, "first-fit within twice the optimum", 60.0):
-        from revamp.delaymap import Block, BlockElement, ValueRef
+        from revamp.delaymap import Block, BlockElement
         rng = random.Random(99)
         for _ in range(100):
             w_d = rng.randrange(2, 9)
             sizes = [rng.randrange(1, w_d + 1)
                      for _ in range(rng.randrange(1, 13))]
-            blocks = [Block(i + 1, [BlockElement(ValueRef(0), "i")] * s)
+            blocks = [Block(i + 1, [BlockElement(Edge(0), "i")] * s)
                       for i, s in enumerate(sizes)]
             ff = pack_blocks(blocks, w_d).n_words
             assert ff <= 2 * optimal_packing(sizes, w_d)

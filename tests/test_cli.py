@@ -68,6 +68,24 @@ def test_cover_auto_k_refuses_a_k_below_two(workdir, capsys, k):
         assert capsys.readouterr().err == "error: k must be in 2..16\n"
 
 
+@pytest.mark.parametrize("geometry, message", [
+    (["--rows", "8", "--cols", "1"], "w_D must be >= 2"),
+    (["--rows", "8", "--cols", "-4"], "w_D must be >= 2"),
+    (["--rows", "0", "--cols", "4"], "S_D must be >= 1"),
+    (["--rows", "8"], "--rows needs --cols for the feasibility check"),
+], ids=["one-bitline", "negative-bitlines", "no-rows", "no-cols"])
+def test_cover_refuses_a_geometry_map_area_refuses(workdir, capsys,
+                                                   geometry, message):
+    for sweep in ([], ["--auto-k"]):
+        rc = main(["cover", "--k", "4", *sweep, *geometry,
+                   str(workdir / "fa.mig")])
+        assert (rc, capsys.readouterr().err) == (2, "error: %s\n" % message)
+    if "--cols" in geometry:
+        rc = main(["map-area", "--k", "4", *geometry, str(workdir / "fa.mig"),
+                   "-o", str(workdir / "fa.rvmp")])
+        assert (rc, capsys.readouterr().err) == (2, "error: %s\n" % message)
+
+
 def test_map_area_simulate_verify(workdir, capsys):
     prog = workdir / "fa.rvmp"
     rep = workdir / "rep.json"

@@ -9,9 +9,8 @@ from revamp import delaymap
 from revamp.circuits import (comparator, default_corpus, full_adder,
                              multiplier, parity, ripple_adder)
 from revamp.cli import map_network
-from revamp.delaymap import (ValueRef, assign_roles, compute_bound,
-                             form_blocks, gen_program_delay, map_delay,
-                             pack_blocks)
+from revamp.delaymap import (assign_roles, compute_bound, form_blocks,
+                             gen_program_delay, map_delay, pack_blocks)
 from revamp.isa import ApplyInstr, format_asm, write_program
 from revamp.netlist import (AND, MAJ, PI, Edge, LogicNetwork, aig_to_mig,
                             levels, pi_patterns, random_aig, random_mig,
@@ -69,7 +68,7 @@ def _block_names(mig, formation):
     names = _names(mig)
     out = []
     for b in formation.blocks:
-        out.append([("!" if el.value.negated else "") + names[el.value.node]
+        out.append([("!" if el.value.inverted else "") + names[el.value.target]
                     for el in b.elements])
     return out
 
@@ -133,8 +132,8 @@ def test_pack_reference_blocks():
 
 def test_pack_two_small_blocks_share_word():
     from revamp.delaymap import Block, BlockElement
-    blocks = [Block(1, [BlockElement(ValueRef(0), "i")] * 2),
-              Block(2, [BlockElement(ValueRef(1), "i")] * 2)]
+    blocks = [Block(1, [BlockElement(Edge(0), "i")] * 2),
+              Block(2, [BlockElement(Edge(1), "i")] * 2)]
     packing = pack_blocks(blocks, 4)
     assert packing.n_words == 1
 
@@ -146,7 +145,7 @@ def test_first_fit_within_twice_optimal():
         w_d = rng.randrange(2, 9)
         sizes = [rng.randrange(1, w_d + 1)
                  for _ in range(rng.randrange(1, 13))]
-        blocks = [Block(i + 1, [BlockElement(ValueRef(0), "i")] * s)
+        blocks = [Block(i + 1, [BlockElement(Edge(0), "i")] * s)
                   for i, s in enumerate(sizes)]
         ff = pack_blocks(blocks, w_d).n_words
         opt = optimal_packing(sizes, w_d)
@@ -302,7 +301,7 @@ def test_reports_match_the_formation_and_packing():
             packing = pack_blocks(formation.blocks, w_d)
             _, report = map_delay(mig, w_d)
             placed = [el.value for b in formation.blocks for el in b.elements]
-            plain_pi = any(mapped.nodes[v.node].kind == PI and not v.negated
+            plain_pi = any(mapped.nodes[v.target].kind == PI and not v.inverted
                            for v in placed)
             assert report.n_maj_mapped == live_majority_nodes(mapped)
             assert report.n_blocks == len(formation.blocks)
@@ -439,8 +438,8 @@ def test_compute_bound_counts_wordlines_per_level_and_negated_copies():
 
 
 def _block_tags(formation):
-    return [(b.id, " ".join(("!" if el.value.negated else "")
-                            + str(el.value.node) + el.tag
+    return [(b.id, " ".join(("!" if el.value.inverted else "")
+                            + str(el.value.target) + el.tag
                             for el in b.elements))
             for b in formation.blocks]
 

@@ -553,6 +553,26 @@ def test_rewrite_majority_returns_a_mig_with_no_cone_as_it_is():
         rewrite_majority(full_adder())
 
 
+# sha256 over serialize_mig(rewrite_majority(m)) for the cleaned builtin
+# corpus, adders of 8, 32 and 64 bits, multipliers of 3, 4 and 8 bits,
+# comparator(12) and parity(32), then 200 seeded random MIGs as generated
+PINNED_REWRITES = (
+    "c5b06c2acb8b3f9c5b75ba86e1e4600812a61f772e498fc2a66fa92bf3cd0b47")
+
+
+def test_rewrite_majority_output_pinned():
+    nets = [rebuild(net) for _, net in default_corpus()]
+    nets += [rebuild(net) for net in (
+        ripple_adder(8), ripple_adder(32), ripple_adder(64), multiplier(3),
+        multiplier(4), multiplier(8), comparator(12), parity(32))]
+    nets += [random_mig(3 + s % 8, 4 + s % 40, seed=900 + s,
+                        num_outputs=1 + s % 4) for s in range(200)]
+    digest = hashlib.sha256()
+    for mig in nets:
+        digest.update(serialize_mig(rewrite_majority(mig)).encode())
+    assert digest.hexdigest() == PINNED_REWRITES
+
+
 @pytest.mark.parametrize("net", [parity(2000), _and_chain(3000)],
                          ids=["parity2000", "and_chain3000"])
 def test_rewrite_majority_is_linear(net):
