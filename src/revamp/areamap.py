@@ -42,8 +42,9 @@ each stored value at its own polarity.
 
 Scheduling walks the levels once, after one pass for the device demand
 (``lutmap.min_dev``), and each distinct truth table has its ESOP cover
-extracted once per mapping.  The builder alone decides read elision and
-interning.
+extracted once per mapping.  A LUT reads each input from its ``Source``,
+the input register or the input's stored device.  The builder alone
+decides read elision and interning, and makes the report.
 
 The depth-bounded mapper (``map_minimal``) lives here too, with a layout
 of its own and an index of what each of its devices holds (see its
@@ -78,31 +79,13 @@ class InfeasibleMapping(RuntimeError):
 
 # -- operand sources ---------------------------------------------------------------
 
-class PirVar(NamedTuple):
-    """Variable streamed on the input register (positive value)."""
-    pi: int
-    inverted = False  # the register carries the plain value
-    word = None  # the register needs no read
-
-    @property
-    def wire(self) -> int:
-        """The wire value that carries the held value: its PIR slot."""
-        return self.pi
-
-
-class StoredVar(NamedTuple):
-    """Variable held in the crossbar, possibly in complemented form."""
-    word: int
-    bit: int
+class Source(NamedTuple):
+    """Where a variable is held: on the input register (``word`` None),
+    whose ``wire`` is the PI slot, or at bit ``wire`` of a stored word,
+    complemented where ``inverted``.  The register holds plain values."""
+    word: int | None
+    wire: int
     inverted: bool = False
-
-    @property
-    def wire(self) -> int:
-        """The wire value that carries the held value: its bit of the word."""
-        return self.bit
-
-
-VarSource = PirVar | StoredVar
 
 
 def _load(builder: ProgramBuilder, word: int | None):
@@ -144,7 +127,7 @@ def _emit_bank(builder: ProgramBuilder, row: int, lines: dict[int, list[int]],
 
 
 def compute_cube_batch(builder: ProgramBuilder, cubes: list[Cube],
-                       bits: list[int], sources: list[list[VarSource]]):
+                       bits: list[int], sources: list[list[Source]]):
     """Compute each cube on its e2 bitline, cube i from the variable
     sources ``sources[i]``; the devices must start at zero.
 
@@ -289,7 +272,7 @@ def xor_reduce(builder: ProgramBuilder, groups: list[list[tuple[int, int]]],
 
 
 def compute_esop(builder: ProgramBuilder,
-                 covers: list[tuple[list[Cube], list[VarSource]]],
+                 covers: list[tuple[list[Cube], list[Source]]],
                  dests: list[tuple[tuple[int, int], bool] | None] | None = None
                  ) -> tuple[int, list[int | None], list[int]]:
     """Compute covers, given as (cubes, sources), side by side on e2 from
@@ -385,7 +368,7 @@ def gen_esop_program(cover: EsopCover, config: CrossbarConfig
     result location, an e2 bit, holds the cover's plain value."""
     if config.s_d < 3:
         raise ValueError("the working area needs three wordlines")
-    sources = [PirVar(v) for v in range(cover.arity)]
+    sources = [Source(None, v) for v in range(cover.arity)]
     builder = ProgramBuilder(config, cover.arity)
     row, (bit,), (p,) = compute_esop(builder, [(cover.cubes, sources)])
     # the result sits at bit 0 and every other working device is zero.  A
@@ -540,8 +523,8 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
                       or used + need[lut.id] > w_d):
             dests = [(placements[l.id], l.id in is_output) for l in batch]
             row, bits, pols = compute_esop(builder, [(cubes[l.id], [
-                PirVar(ref) if kind == PI_REF else
-                StoredVar(*placements[ref], polarity[ref])
+                Source(None, ref) if kind == PI_REF else
+                Source(*placements[ref], polarity[ref])
                 for kind, ref in l.inputs]) for l in batch], dests)
             polarity.update(zip((l.id for l in batch), write_back(
                 builder, row, [(bit, p, *dest)
@@ -555,18 +538,10 @@ def map_lut_graph(graph: LutGraph, s_d: int, w_d: int
 
     for lut_id, name in zip(graph.outputs, graph.output_names):
         builder.result_locations[name] = placements[lut_id]
-    program = builder.finish()
-    report = MappingReport(
-        flow="area",
-        num_pis=graph.num_pis,
-        n_lut=len(graph.luts),
+    return builder.finish(), builder.report(
+        "area", n_lut=len(graph.luts),
         levels=max((l.level for l in graph.luts), default=0),
-        min_dev=sched.min_dev,
-        s_d=s_d, w_d=w_d,
-        **builder.counts(),
-        i_staging=builder.i_staging,
-    )
-    return program, report
+        min_dev=sched.min_dev, i_staging=builder.i_staging)
 
 
 # -- depth-bounded minimal-device mapper ----------------------------------------------
@@ -758,14 +733,5 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
     place(out_edge, TARGET)
     builder.result_locations[mig.output_names[0]] = TARGET
 
-    program = builder.finish()
-    report = MappingReport(
-        flow="minimal",
-        num_pis=len(pis),
-        n_maj=n_maj,
-        levels=k,
-        s_d=config.s_d, w_d=2,
-        **builder.counts(),
-        device_bound=2 * (k + 1),
-    )
-    return program, report
+    return builder.finish(), builder.report(
+        "minimal", n_maj=n_maj, levels=k, device_bound=2 * (k + 1))

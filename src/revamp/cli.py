@@ -83,11 +83,15 @@ def _write(path, data):
 def cmd_cover(args):
     net = load_network(args.netlist)
     if args.rows is not None:
-        if not args.cols:
+        if args.cols is None:
             print("error: --rows needs --cols for the feasibility check",
                   file=sys.stderr)
             return 2
         CrossbarConfig(args.rows, args.cols)  # refuse a bad geometry
+    elif args.cols is not None:
+        print("error: --cols needs --rows for the feasibility check",
+              file=sys.stderr)
+        return 2
     ks = [args.k]  # first, so cover_klut refuses a k out of range either way
     if args.auto_k:
         ks += range(args.k - 1, 1, -1)
@@ -338,7 +342,7 @@ def build_parser():
     c.add_argument("--auto-k", action="store_true",
                    help="sweep k downward until the cover fits the crossbar")
     c.add_argument("--rows", type=int)
-    c.add_argument("--cols", type=int, default=0)
+    c.add_argument("--cols", type=int)
     c.add_argument("netlist")
     c.add_argument("-o", "--output")
     c.set_defaults(func=cmd_cover)

@@ -1,16 +1,16 @@
 """Program construction shared by the area, depth-bounded and delay flows.
 
 Every flow emits the same two-instruction program through one
-:class:`ProgramBuilder`, and reads its instruction counts, cycle count
-and devices used from the same place.  The builder does not validate what
-it builds: ``Program.validate`` checks the program where it is encoded
-(``isa.write_program``) or executed (``simulator.run_vectors``).
+:class:`ProgramBuilder`, which also makes every flow's report (``report``).
+The builder does not validate what it builds: ``Program.validate`` checks
+the program where it is encoded (``isa.write_program``) or executed
+(``simulator.run_vectors``).
 
 The flows' programs are long and repetitive, so the builder interns: equal
-instructions are one shared (immutable) object, and a PIR Apply shares its
-slot tuple too.  The encoder, the validator and the simulator key their
-per-instruction work by object, so each does it once per distinct
-instruction.
+instructions are one shared (immutable) object, made once by ``_apply``,
+and a PIR Apply shares its slot tuple too.  The encoder, the validator and
+the simulator key their per-instruction work by object, so each does it
+once per distinct instruction.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR, ApplyInstr,
-                  BitlinePair, CrossbarConfig, Program, ReadInstr,
-                  WordlineSelect, WsMode)
+                  CrossbarConfig, Program, ReadInstr, WordlineSelect, WsMode)
+from .reports import MappingReport
 from .simulator import PIPELINE_FILL
 
 
@@ -43,11 +43,11 @@ class ProgramBuilder:
         self.pir_schedule = {}
         self.result_locations = {}
         # Read: w -> instruction.  Apply: (w, source, mode, wb, sorted
-        # wires) -> instruction, or (instruction, slots) from the PIR.  The
-        # wires fix the pairs and, in sorted order, the PIR slot positions.
-        # A PIR Apply's slots are not part of it, so each is also kept
-        # under (w, source, mode, None, sorted bitline -> position pairs),
-        # and the values hold each distinct Apply.
+        # bitline -> wire pairs) -> instruction.  A PIR Apply's wires are
+        # slot positions, as its slots are not part of it; the slot codes
+        # it was asked for are kept under (w, SRC_PIR, mode, None, sorted
+        # bitline -> code pairs) -> (instruction, slots), and in that order
+        # they fix the positions.
         self._interned = {}
         self._dmr_word = None  # word a Read would be redundant for
         self._dmr_loaded = False
@@ -67,6 +67,13 @@ class ProgramBuilder:
                 "i_total": i_total, "cycles": i_total + PIPELINE_FILL,
                 "devices_used": len(self.touched)}
 
+    def report(self, flow: str, **fields) -> MappingReport:
+        """The ``flow``'s report of this program: its inputs, geometry and
+        ``counts()``, with the flow's own ``fields``."""
+        return MappingReport(flow=flow, num_pis=self.num_pis,
+                             s_d=self.config.s_d, w_d=self.config.w_d,
+                             **self.counts(), **fields)
+
     @property
     def mirrored_word(self) -> int | None:
         """The word the data register mirrors, whose Read is skipped."""
@@ -83,31 +90,33 @@ class ProgramBuilder:
         self._dmr_word = w
         self._dmr_loaded = True
 
-    def _pairs(self, wires: dict[int, int]) -> tuple[BitlinePair, ...]:
-        lay = self.config.layout
-        pairs = [lay.nop_pair] * self.config.w_d
-        for j, val in wires.items():
-            pairs[j] = lay.valid_pairs[val]
-        return tuple(pairs)
+    def _apply(self, key: tuple, wires: dict[int, int]) -> ApplyInstr:
+        """The Apply of ``key``, (w, source, mode, wb, sorted ``wires``);
+        on its first use it is made and the devices it drives recorded."""
+        instr = self._interned.get(key)
+        if instr is None:
+            w, source, mode, wb, _ = key
+            lay = self.config.layout
+            pairs = [lay.nop_pair] * self.config.w_d
+            for j, val in wires.items():
+                pairs[j] = lay.valid_pairs[val]
+                self.touched.add((w, j))
+            instr = self._interned[key] = ApplyInstr(
+                w, source, _select(mode, wb), tuple(pairs))
+        return instr
 
     def apply_from_dmr(self, w: int, mode: WsMode, wires: dict[int, int],
                        wb: int = 0):
         if not self._dmr_loaded:
             raise RuntimeError("apply from DMR before any readout")
-        key = (w, SRC_DMR, mode, wb, tuple(sorted(wires.items())))
-        instr = self._interned.get(key)
-        if instr is None:
-            instr = self._interned[key] = ApplyInstr(
-                w, SRC_DMR, _select(mode, wb), self._pairs(wires))
-            for j in wires:
-                self.touched.add((w, j))
-        self.instructions.append(instr)
+        self.instructions.append(self._apply(
+            (w, SRC_DMR, mode, wb, tuple(sorted(wires.items()))), wires))
         if w == self._dmr_word:
             self._dmr_word = None
 
     def apply_from_pir(self, w: int, mode: WsMode, wires: dict[int, int]):
         """Apply with PIR wires given as slot codes (PI index or constant)."""
-        key = (w, SRC_PIR, mode, 0, tuple(sorted(wires.items())))
+        key = (w, SRC_PIR, mode, None, tuple(sorted(wires.items())))
         entry = self._interned.get(key)
         if entry is None:
             entry = self._interned[key] = self._pir_apply(w, mode, key[4])
@@ -132,13 +141,8 @@ class ProgramBuilder:
                 slots[position[code]] = code
             wire_vals[j] = position[code]
         # wires of other PIs at the same positions share one instruction
-        key = (w, SRC_PIR, mode, None, tuple(wire_vals.items()))
-        instr = self._interned.get(key)
-        if instr is None:
-            instr = self._interned[key] = ApplyInstr(
-                w, SRC_PIR, _select(mode, 0), self._pairs(wire_vals))
-            for j in wire_vals:
-                self.touched.add((w, j))
+        instr = self._apply((w, SRC_PIR, mode, 0, tuple(wire_vals.items())),
+                            wire_vals)
         return instr, tuple(slots)
 
     def reset_bits(self, w: int, bits):

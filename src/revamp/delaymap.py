@@ -44,12 +44,13 @@ four phases:
    exact branch-and-bound).
 
 4. *Generation.*  One walk over the packed words gives every element its
-   word and bit.  Primary inputs load first: complemented copies write in
-   one cycle through the bitlines, plain copies stage through one scratch
-   wordline that is reset after each use.  Then the levels' sites compute
-   in level order, sites sharing a host word, source word and wordline
-   fold into one instruction, and negated copies are written at the end
-   of the producing level from the node's first site.
+   word and bit, and finds the input copies to load.  Primary inputs load
+   first: complemented copies write in one cycle through the bitlines,
+   plain copies stage through one scratch wordline that is reset after each
+   use.  Then the levels' sites compute in level order, sites sharing a
+   host word, source word and wordline fold into one instruction, and
+   negated copies are written at the end of the producing level from the
+   node's first site.
 """
 
 from __future__ import annotations
@@ -495,28 +496,17 @@ def pack_blocks(blocks: list[Block], w_d: int) -> Packing:
 
 # -- instruction generation -------------------------------------------------------
 
-def gen_pi_load(builder: ProgramBuilder, spots, mig: LogicNetwork,
+def gen_pi_load(builder: ProgramBuilder, direct: dict[int, dict[int, int]],
+                positives: list[tuple[int, int, int]],
                 scratch_word: int | None):
-    """Load every PI/constant-valued device of the placement ``spots``.
+    """Load the PI/constant-valued devices of the placement.
 
-    Complemented PI copies (and constant 1s) write directly through the
-    bitlines.  Plain PI copies stage through the scratch wordline: the
-    complement is written there, read out and re-complemented into place,
-    then the scratch devices reset.
+    Complemented PI copies (and constant 1s), ``direct[word][bit]`` = PIR
+    slot, write directly through the bitlines.  Plain PI copies,
+    ``positives`` as (word, bit, PI line), stage through the scratch
+    wordline: the complement is written there, read out and
+    re-complemented into place, then the scratch devices reset.
     """
-    pi_line = {nid: i for i, nid in enumerate(mig.pis)}
-    direct: dict[int, dict[int, int]] = {}
-    positives: list[tuple[int, int, int]] = []  # (word, bit, pi line)
-    for el, (w, b) in spots.items():
-        nid, inverted = el.value
-        kind = mig.nodes[nid].kind
-        if kind == PI:
-            if inverted:
-                direct.setdefault(w, {})[b] = pi_line[nid]
-            else:
-                positives.append((w, b, pi_line[nid]))
-        elif kind == CONST0 and inverted:
-            direct.setdefault(w, {})[b] = SLOT_CONST0
     for w in sorted(direct):
         builder.apply_from_pir(w, WsMode.ONE, direct[w])
 
@@ -543,29 +533,38 @@ def gen_program_delay(mig: LogicNetwork, formation: BlockFormation,
                       packing: Packing) -> tuple[Program, MappingReport]:
     """Level-synchronous instruction generation over placed blocks.
 
-    One walk over the packed words gives every element its ``(word, bit)``,
-    finds whether a plain PI copy needs the scratch word and collects each
-    internal node's negated elements.
+    One walk over the packed words gives every element its ``(word, bit)``
+    and collects each internal node's negated elements and the PI and
+    constant copies ``gen_pi_load`` writes; a plain PI copy needs the
+    scratch word.
     """
     spots: dict[BlockElement, tuple[int, int]] = {}
     negated: dict[int, list[BlockElement]] = {}
-    staged = False
+    pi_line = {nid: i for i, nid in enumerate(mig.pis)}
+    direct: dict[int, dict[int, int]] = {}
+    positives: list[tuple[int, int, int]] = []
     for w in sorted(packing.word_blocks):
         placed = (el for b in packing.word_blocks[w] for el in b.elements)
         for bit, el in enumerate(placed):
             spots[el] = (w, bit)
             nid, inverted = el.value
             kind = mig.nodes[nid].kind
-            if kind == MAJ and inverted:
-                negated.setdefault(nid, []).append(el)
-            elif kind == PI and not inverted:
-                staged = True
-    scratch = packing.n_words if staged else None
-    s_d = packing.n_words + (1 if staged else 0)
+            if kind == MAJ:
+                if inverted:
+                    negated.setdefault(nid, []).append(el)
+            elif kind == PI:
+                if inverted:
+                    direct.setdefault(w, {})[bit] = pi_line[nid]
+                else:
+                    positives.append((w, bit, pi_line[nid]))
+            elif inverted:  # the constant 1
+                direct.setdefault(w, {})[bit] = SLOT_CONST0
+    scratch = packing.n_words if positives else None
+    s_d = packing.n_words + (1 if positives else 0)
     builder = ProgramBuilder(CrossbarConfig(max(1, s_d), packing.w_d),
                              mig.num_pis)
 
-    gen_pi_load(builder, spots, mig, scratch)
+    gen_pi_load(builder, direct, positives, scratch)
 
     for _, sites in sorted(formation.sites.items()):
         # (source word, host word, constant wordline or -1, wordline bit)
@@ -601,23 +600,15 @@ def gen_program_delay(mig: LogicNetwork, formation: BlockFormation,
     for el, name in zip(formation.output_elements, mig.output_names):
         builder.result_locations[name] = spots[el]
 
-    counts = builder.counts()
     n_maj = len({s.node for level in formation.sites.values() for s in level})
-    d_p_star = 9 * n_maj
     total = packing.n_words * packing.w_d
-    report = MappingReport(
-        flow="delay",
-        num_pis=mig.num_pis,
-        n_maj=n_maj,
-        n_maj_mapped=n_maj,
+    report = builder.report(
+        "delay", n_maj=n_maj, n_maj_mapped=n_maj,
         levels=max(formation.sites, default=0),
-        s_d=builder.config.s_d, w_d=packing.w_d,
-        **counts,
         n_blocks=len(formation.blocks),
         w_util=100.0 * len(spots) / total if total else 100.0,
-        d_p_star=d_p_star,
-        speedup=d_p_star / counts["cycles"],
-    )
+        d_p_star=9 * n_maj)
+    report.speedup = report.d_p_star / report.cycles
     return builder.finish(), report
 
 
@@ -632,8 +623,7 @@ def map_delay(mig: LogicNetwork, w_d: int) -> tuple[Program, MappingReport]:
     """
     if mig.kind != "mig":
         raise NetlistError("map_delay expects a MIG (use aig_to_mig)")
-    if w_d < 2:
-        raise NetlistError("w_D must be at least 2")
+    CrossbarConfig(1, w_d)  # refuse a bad width up front
     lv = levels(mig)
     roles = assign_roles(mig, lv)
     mapped, mapped_lv, mapped_roles = mig, lv, roles

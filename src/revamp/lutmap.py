@@ -184,6 +184,11 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
     graph = LutGraph(k=k, num_pis=network.num_pis)
     lut_of: dict[int, int] = {}  # gate id -> lut id
 
+    def add(inputs: tuple[tuple[str, int], ...], tt: int) -> int:
+        """Append a LUT; its id."""
+        graph.luts.append(Lut(len(graph.luts), inputs, tt))
+        return len(graph.luts) - 1
+
     def ensure_lut(root: int) -> int:
         """LUT of ``root``, creating the LUTs under it first (post-order)."""
         # explicit stack, so that a deep network does not recurse; an entry
@@ -200,16 +205,10 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
                     if leaf not in lut_of and nodes[leaf].kind != PI:
                         stack.append((leaf, None))
                 continue
-            refs = []
-            for leaf in cut:
-                if nodes[leaf].kind == PI:
-                    refs.append((PI_REF, pi_of[leaf]))
-                else:
-                    refs.append((LUT_REF, lut_of[leaf]))
-            lid = len(graph.luts)
-            graph.luts.append(Lut(lid, tuple(refs),
-                                  _cone_tt(network, nid, cut)))
-            lut_of[nid] = lid
+            lut_of[nid] = add(tuple(
+                (PI_REF, pi_of[leaf]) if nodes[leaf].kind == PI
+                else (LUT_REF, lut_of[leaf]) for leaf in cut),
+                _cone_tt(network, nid, cut))
         return lut_of[root]
 
     # one LUT per output edge; a complemented edge folds into the root LUT
@@ -226,19 +225,12 @@ def cover_klut(network: LogicNetwork, k: int) -> LutGraph:
                     lut.tt ^= (1 << (1 << len(lut.inputs))) - 1
                 out_lut[e] = lut.id
             elif gate:
-                src = ensure_lut(e.target)
-                lid = len(graph.luts)
-                graph.luts.append(Lut(lid, ((LUT_REF, src),), 0b01))
-                out_lut[e] = lid
+                out_lut[e] = add(((LUT_REF, ensure_lut(e.target)),), 0b01)
             elif kind == PI:
-                lid = len(graph.luts)
-                tt = 0b01 if e.inverted else 0b10
-                graph.luts.append(Lut(lid, ((PI_REF, pi_of[e.target]),), tt))
-                out_lut[e] = lid
+                out_lut[e] = add(((PI_REF, pi_of[e.target]),),
+                                 0b01 if e.inverted else 0b10)
             else:  # constant output
-                lid = len(graph.luts)
-                graph.luts.append(Lut(lid, (), 1 if e.inverted else 0))
-                out_lut[e] = lid
+                out_lut[e] = add((), 1 if e.inverted else 0)
         graph.outputs.append(out_lut[e])
         graph.output_names.append(name)
 

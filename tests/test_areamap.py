@@ -8,7 +8,7 @@ import pytest
 
 from conftest import LEAF_OUTPUT_MIGS, layered_mig, tree_size
 from revamp import areamap
-from revamp.areamap import (E0, E2, InfeasibleMapping, PirVar, StoredVar,
+from revamp.areamap import (E0, E2, InfeasibleMapping, Source,
                             compute_cube_batch, compute_esop,
                             gen_esop_program, map_area, map_lut_graph,
                             map_minimal, schedule_luts, write_back,
@@ -198,7 +198,7 @@ def test_cube_batch_reference_panels():
                  (a & nb & c, na & b & c)], 10)):
         builder = ProgramBuilder(CrossbarConfig(3, w_d), 3)
         compute_cube_batch(builder, cubes, [0, 1],
-                           [[PirVar(0), PirVar(1), PirVar(2)]] * 2)
+                           [[Source(None, v) for v in range(3)]] * 2)
         assert len(builder.instructions) == count, w_d
         states = [s[:2] for s in _e2_states_after_steps(builder, 3, 8, masks)]
         assert states == panels, w_d
@@ -213,7 +213,8 @@ def test_single_positive_cube():
     cfg = CrossbarConfig(3, 2)
     cover = EsopCover([Cube(pos=0b11)], 2)
     builder = ProgramBuilder(cfg, 2)
-    compute_cube_batch(builder, cover.cubes, [0], [[PirVar(0), PirVar(1)]])
+    compute_cube_batch(builder, cover.cubes, [0],
+                       [[Source(None, 0), Source(None, 1)]])
     from revamp.isa import Program
     prog = Program(cfg, builder.instructions, builder.pir_schedule, {}, 2)
     for a, b in itertools.product((0, 1), repeat=2):
@@ -346,7 +347,7 @@ def test_xor_rounds_store_each_group_at_its_polarity():
         dests = [(dev, rng.random() < 0.5) if rng.random() < 0.8 else None
                  for dev in devices]
         builder = ProgramBuilder(cfg, arity)
-        sources = [PirVar(v) for v in range(arity)]
+        sources = [Source(None, v) for v in range(arity)]
         row, bits, pols = compute_esop(
             builder, [(cubes, sources) for cubes in covers], dests)
         stored = write_back(builder, row, [
@@ -414,7 +415,7 @@ def test_stored_operand_sources():
     from revamp.isa import SLOT_CONST0, SLOT_CONST1, Program
     cfg = CrossbarConfig(5, 2)
     cover = extract_esop(0b0110, 2)  # xor of the two variables
-    sources = [PirVar(0), StoredVar(3, 1, inverted=True)]
+    sources = [Source(None, 0), Source(3, 1, inverted=True)]
     for v1 in (0, 1):
         b = ProgramBuilder(cfg, 1)
         # applying v1 through the bitline stores its complement at (3,1)
@@ -605,8 +606,8 @@ def _one_lut_per_batch(graph, s_d, w_d):
             builder.reset_bits(event[1], [b for b, _ in event[2]])
             continue
         lut = graph.luts[event[1]]
-        sources = [PirVar(ref) if kind == "pi" else
-                   StoredVar(*sched.placements[ref], polarity[ref])
+        sources = [Source(None, ref) if kind == "pi" else
+                   Source(*sched.placements[ref], polarity[ref])
                    for kind, ref in lut.inputs]
         cubes = extract_esop(lut.tt, len(lut.inputs)).cubes
         dest = (event[2:], lut.id in outputs)
@@ -1066,10 +1067,14 @@ def test_esop_programs_byte_identical():
 def test_builder_pairs_are_interned():
     cfg = CrossbarConfig(8, 5)
     builder = ProgramBuilder(cfg, 2)
-    pairs = builder._pairs({1: 4, 3: 0})
+    builder.read(0)
+    builder.apply_from_dmr(2, WsMode.ONE, {1: 4, 3: 0})
+    builder.apply_from_dmr(6, WsMode.ZERO, {3: 0})
+    first, second = builder.instructions[1:]
+    pairs = first.pairs
     assert [(p.valid, p.val) for p in pairs] == [
         (False, 0), (True, 4), (False, 0), (True, 0), (False, 0)]
     lay = cfg.layout
     assert pairs[0] is pairs[2] is lay.nop_pair
     assert pairs[1] is lay.valid_pairs[4] is lay.pairs[lay.valid_bit | 4]
-    assert pairs[3] is builder._pairs({3: 0})[3]
+    assert pairs[3] is second.pairs[3]

@@ -71,16 +71,19 @@ def test_cover_auto_k_refuses_a_k_below_two(workdir, capsys, k):
 @pytest.mark.parametrize("geometry, message", [
     (["--rows", "8", "--cols", "1"], "w_D must be >= 2"),
     (["--rows", "8", "--cols", "-4"], "w_D must be >= 2"),
+    (["--rows", "8", "--cols", "0"], "w_D must be >= 2"),
     (["--rows", "0", "--cols", "4"], "S_D must be >= 1"),
     (["--rows", "8"], "--rows needs --cols for the feasibility check"),
-], ids=["one-bitline", "negative-bitlines", "no-rows", "no-cols"])
+    (["--cols", "1"], "--cols needs --rows for the feasibility check"),
+], ids=["one-bitline", "negative-bitlines", "no-bitlines", "no-rows",
+        "no-cols", "cols-alone"])
 def test_cover_refuses_a_geometry_map_area_refuses(workdir, capsys,
                                                    geometry, message):
     for sweep in ([], ["--auto-k"]):
         rc = main(["cover", "--k", "4", *sweep, *geometry,
                    str(workdir / "fa.mig")])
         assert (rc, capsys.readouterr().err) == (2, "error: %s\n" % message)
-    if "--cols" in geometry:
+    if "--rows" in geometry and "--cols" in geometry:
         rc = main(["map-area", "--k", "4", *geometry, str(workdir / "fa.mig"),
                    "-o", str(workdir / "fa.rvmp")])
         assert (rc, capsys.readouterr().err) == (2, "error: %s\n" % message)
@@ -191,6 +194,16 @@ def test_map_delay_and_disassemble(workdir, capsys):
     rc = main(["disassemble", str(prog)])
     out = capsys.readouterr().out
     assert rc == 0 and out.splitlines()[0].startswith(("Read", "Apply"))
+
+
+@pytest.mark.parametrize("cols", ["1", "0"])
+def test_map_delay_refuses_a_width_map_area_refuses(workdir, capsys, cols):
+    for flow in (["map-delay"], ["map-area", "--k", "4", "--rows", "8"]):
+        rc = main([*flow, "--cols", cols, str(workdir / "fa.mig"),
+                   "-o", str(workdir / "fa.rvmp")])
+        assert (rc, capsys.readouterr().err) == (
+            2, "error: w_D must be >= 2\n")
+    assert not (workdir / "fa.rvmp").exists()
 
 
 def test_map_delay_accepts_aig_input(workdir, capsys):

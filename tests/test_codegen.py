@@ -50,6 +50,13 @@ def test_every_flow_reports_the_simulated_counts():
         assert (report.i_read, report.i_total, report.cycles) == (
             reads, len(program.instructions), state.cycles)
         assert report.i_apply == report.i_total - reads
+        devices = {(i.w, j) for i in program.instructions
+                   if isinstance(i, ApplyInstr)
+                   for j, pair in enumerate(i.pairs) if pair.valid}
+        assert (report.num_pis, report.s_d, report.w_d,
+                report.devices_used) == (
+            program.num_pis, program.config.s_d, program.config.w_d,
+            len(devices)), report.flow
 
 
 def test_finish_leaves_validation_to_encode_and_execute():

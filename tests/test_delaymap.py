@@ -3,6 +3,8 @@ import hashlib
 import random
 import time
 
+import pytest
+
 from conftest import (delay_mapped_mig, example_mig,
                       sharing_pairs_that_overflow)
 from revamp import delaymap
@@ -11,7 +13,7 @@ from revamp.circuits import (comparator, default_corpus, full_adder,
 from revamp.cli import map_network
 from revamp.delaymap import (assign_roles, compute_bound, form_blocks,
                              gen_program_delay, map_delay, pack_blocks)
-from revamp.isa import ApplyInstr, format_asm, write_program
+from revamp.isa import ApplyInstr, IsaError, format_asm, write_program
 from revamp.netlist import (AND, MAJ, PI, Edge, LogicNetwork, aig_to_mig,
                             levels, pi_patterns, random_aig, random_mig,
                             rewrite_majority)
@@ -546,3 +548,12 @@ def test_delay_flow_scales_to_mult8_and_add32():
                                     n=10000)
         assert res.ok, res.counterexample
         assert report.s_d == program.config.s_d
+
+
+def test_map_delay_refuses_a_width_below_two():
+    """Fewer than two bitlines is no crossbar: ``map_delay`` refuses the
+    width before mapping, with the refusal ``CrossbarConfig`` gives."""
+    mig = aig_to_mig(full_adder())
+    for w_d in (1, 0, -3):
+        with pytest.raises(IsaError, match="^w_D must be >= 2$"):
+            map_delay(mig, w_d)

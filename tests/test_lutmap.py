@@ -1,14 +1,16 @@
+import hashlib
+import json
 import random
 import time
 
 import pytest
 
 from revamp.areamap import map_area
-from revamp.circuits import (AigBuilder, default_corpus, full_adder,
-                             multiplier, parity, ripple_adder)
+from revamp.circuits import (AigBuilder, comparator, default_corpus,
+                             full_adder, multiplier, parity, ripple_adder)
 from revamp.lutmap import (PI_REF, Lut, LutGraph, _best_cuts, _cone_tt,
                            _leaves, assign_levels, cover_klut, feasible,
-                           lut_truth_table, min_dev)
+                           lut_graph_to_dict, lut_truth_table, min_dev)
 from revamp.netlist import (AND, CONST0, MAJ, Edge, LogicNetwork, aig_to_mig,
                             evaluate_masks, parse_aiger, parse_mig,
                             pi_patterns, random_aig, rebuild, serialize_mig,
@@ -404,3 +406,21 @@ def test_cover_deep_networks_without_recursion(build):
         masks = [rng.getrandbits(64) for _ in range(net.num_pis)]
         assert (evaluate_lut_graph_masks(graph, masks, full)
                 == evaluate_masks(net, masks, full))
+
+
+# sha256 over the serialized covers of the default corpus, then mult8,
+# cmp16, parity64 and a seeded 24-input random AIG, each at k = 2, 3, 4, 6, 8
+PINNED_LUT_COVERS = (
+    "527edfe467613ac206a0d55057f622c8fbaa2fc3f7b863df2c0dd029787b930f")
+
+
+def test_lut_covers_pinned():
+    nets = [net for _, net in default_corpus()] + [
+        multiplier(8), comparator(16), parity(64),
+        random_aig(24, 120, seed=5, num_outputs=6)]
+    digest = hashlib.sha256()
+    for net in nets:
+        for k in (2, 3, 4, 6, 8):
+            digest.update(json.dumps(lut_graph_to_dict(cover_klut(net, k)),
+                                     sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_LUT_COVERS
