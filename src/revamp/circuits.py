@@ -3,8 +3,8 @@ hand-assembled two-bit XOR reference program."""
 
 from __future__ import annotations
 
-from .isa import (SRC_DMR, SRC_PIR, ApplyInstr, BitlinePair, CrossbarConfig,
-                  Program, ReadInstr, WordlineSelect, WsMode)
+from .isa import (SRC_DMR, SRC_PIR, ApplyInstr, CrossbarConfig, Program,
+                  ReadInstr, WordlineSelect, WsMode)
 from .netlist import AND, Edge, LogicNetwork, random_aig
 
 
@@ -153,16 +153,16 @@ def two_bit_xor_program() -> Program:
     cfg = CrossbarConfig(3, 2)
     one = WordlineSelect(WsMode.ONE, 0)
     zero = WordlineSelect(WsMode.ZERO, 0)
-    both = (BitlinePair(True, 0), BitlinePair(True, 1))
+    both = ((0, 0), (1, 1))  # (bitline, val) of both valid pairs
     instrs = [
-        ApplyInstr(0, SRC_PIR, one, both),   # word0 <- not p
+        ApplyInstr(0, SRC_PIR, one, both, 2),   # word0 <- not p
         ReadInstr(0),
-        ApplyInstr(2, SRC_DMR, one, both),   # word2 <- p
-        ApplyInstr(1, SRC_DMR, one, both),   # word1 <- p
-        ApplyInstr(2, SRC_PIR, zero, both),  # word2 <- p and not q
-        ApplyInstr(1, SRC_PIR, one, both),   # word1 <- p or not q
+        ApplyInstr(2, SRC_DMR, one, both, 2),   # word2 <- p
+        ApplyInstr(1, SRC_DMR, one, both, 2),   # word1 <- p
+        ApplyInstr(2, SRC_PIR, zero, both, 2),  # word2 <- p and not q
+        ApplyInstr(1, SRC_PIR, one, both, 2),   # word1 <- p or not q
         ReadInstr(1),
-        ApplyInstr(2, SRC_DMR, one, both),   # word2 <- xor
+        ApplyInstr(2, SRC_DMR, one, both, 2),   # word2 <- xor
     ]
     schedule = {
         0: (0, 1),  # p1 p0

@@ -8,9 +8,10 @@ the program where it is encoded (``isa.write_program``) or executed
 
 The flows' programs are long and repetitive, so the builder interns: equal
 instructions are one shared (immutable) object, made once by ``_apply``,
-and a PIR Apply shares its slot tuple too.  The encoder, the validator and
-the simulator key their per-instruction work by object, so each does it
-once per distinct instruction.
+and a PIR Apply shares its slot tuple too; an Apply's ``lines`` are its
+intern key's sorted ``(bitline, val)`` pairs.  The encoder, the validator
+and the simulator key their per-instruction work by object, so each does
+it once per distinct instruction.
 """
 
 from __future__ import annotations
@@ -90,19 +91,15 @@ class ProgramBuilder:
         self._dmr_word = w
         self._dmr_loaded = True
 
-    def _apply(self, key: tuple, wires: dict[int, int]) -> ApplyInstr:
-        """The Apply of ``key``, (w, source, mode, wb, sorted ``wires``);
-        on its first use it is made and the devices it drives recorded."""
+    def _apply(self, key: tuple) -> ApplyInstr:
+        """The Apply of ``key``, (w, source, mode, wb, sorted (bitline, val)
+        lines); made, and the devices it drives recorded, on first use."""
         instr = self._interned.get(key)
         if instr is None:
-            w, source, mode, wb, _ = key
-            lay = self.config.layout
-            pairs = [lay.nop_pair] * self.config.w_d
-            for j, val in wires.items():
-                pairs[j] = lay.valid_pairs[val]
-                self.touched.add((w, j))
+            w, source, mode, wb, lines = key
+            self.touched.update((w, j) for j, _ in lines)
             instr = self._interned[key] = ApplyInstr(
-                w, source, _select(mode, wb), tuple(pairs))
+                w, source, _select(mode, wb), lines, self.config.w_d)
         return instr
 
     def apply_from_dmr(self, w: int, mode: WsMode, wires: dict[int, int],
@@ -110,7 +107,7 @@ class ProgramBuilder:
         if not self._dmr_loaded:
             raise RuntimeError("apply from DMR before any readout")
         self.instructions.append(self._apply(
-            (w, SRC_DMR, mode, wb, tuple(sorted(wires.items()))), wires))
+            (w, SRC_DMR, mode, wb, tuple(sorted(wires.items())))))
         if w == self._dmr_word:
             self._dmr_word = None
 
@@ -132,18 +129,16 @@ class ProgramBuilder:
         """A PIR Apply and its slots; slot positions follow wire order."""
         slots = [SLOT_CONST0] * self.config.w_d
         position = {}
-        wire_vals = {}
+        lines = []
         for j, code in wires:
             if code not in position:
                 if len(position) >= self.config.w_d:
                     raise RuntimeError("more distinct PIR wires than lines")
                 position[code] = len(position)
                 slots[position[code]] = code
-            wire_vals[j] = position[code]
+            lines.append((j, position[code]))
         # wires of other PIs at the same positions share one instruction
-        instr = self._apply((w, SRC_PIR, mode, 0, tuple(wire_vals.items())),
-                            wire_vals)
-        return instr, tuple(slots)
+        return self._apply((w, SRC_PIR, mode, 0, tuple(lines))), tuple(slots)
 
     def reset_bits(self, w: int, bits):
         bits = list(bits)

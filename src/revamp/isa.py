@@ -18,14 +18,14 @@ ceil(log2(w_D)) bits.  ``ws`` selects the wordline input: 00 drives logic 0,
 01 drives logic 1, 11 drives bit ``wb`` of the selected source; 10 is
 invalid.  A pair with v=0 leaves its bitline's device untouched.
 
-The codec is table driven.  Each geometry computes a :class:`CodecLayout`
-once, cached on its :class:`CrossbarConfig`: the padding of both
-instructions, the shift of every field and a table from each ``(v val)``
-code to one shared :class:`BitlinePair`, so a field is one shift and mask
-and equal pairs are one object.  :func:`read_program` keeps a per-call memo
-from instruction bytes to the decoded (immutable) instruction, so each
-distinct word is decoded once and repeats share its object.  PIR slot
-tuples are shared the same way, by their bytes.
+An Apply holds only its valid pairs, ``lines``, as ascending ``(bitline,
+val)``, so every layer works per valid pair, not per bitline.  A geometry's
+:class:`CodecLayout`, cached on its :class:`CrossbarConfig`, holds each
+field's shift: the encoder ORs each valid pair in at its shift, and the
+decoder walks the pair field's set bits from the top, in bitline order,
+refusing a v=0 pair with a val.  :func:`read_program` decodes each distinct
+word once, by a per-call memo from its bytes, and repeats share the
+(immutable) instruction; PIR slot tuples are shared the same way.
 
 A program's rules are applied in one place, ``Program.validate``: the
 declared input count, then each distinct instruction object once, then the
@@ -41,8 +41,8 @@ every field, and ends with the table check.
 
 A container header is untrusted until bounded: its input count must not
 exceed ``MAX_PIS``, and the instruction table must fit in the bytes that
-follow it before any instruction is decoded or the codec's pair table
-(``2**(1 + bit_bits)`` entries) is built; an empty program builds none.
+follow it before any instruction is decoded or the codec layout (a shift
+per bitline) is built; an empty program builds none.
 """
 
 from __future__ import annotations
@@ -109,7 +109,16 @@ class ApplyInstr:
     w: int
     source: int  # SRC_PIR or SRC_DMR
     ws: WordlineSelect
-    pairs: tuple[BitlinePair, ...]
+    lines: tuple[tuple[int, int], ...]  # ascending (bitline, val), v=1 only
+    width: int  # w_D, the number of (v val) pairs in the word
+
+    @property
+    def pairs(self) -> tuple[BitlinePair, ...]:
+        """All ``width`` pairs, made on each access; v=0 pairs have val 0."""
+        pairs = [BitlinePair(False)] * self.width
+        for j, val in self.lines:
+            pairs[j] = BitlinePair(True, val)
+        return tuple(pairs)
 
 
 Instruction = ReadInstr | ApplyInstr
@@ -147,7 +156,7 @@ class CrossbarConfig:
 
     @cached_property
     def layout(self) -> CodecLayout:
-        """Codec field layout and interned pairs, built on first use."""
+        """Codec field layout, built on first use."""
         return CodecLayout(self)
 
 
@@ -173,13 +182,17 @@ def validate_instruction(instr: Instruction, config: CrossbarConfig):
         raise IsaError("bad wordline select %r" % (instr.ws.mode,))
     if not 0 <= instr.ws.wb < config.w_d:
         raise IsaError("wb %d out of range" % instr.ws.wb)
-    if len(instr.pairs) != config.w_d:
-        raise IsaError("apply needs exactly %d (v val) pairs, got %d"
-                       % (config.w_d, len(instr.pairs)))
     w_d = config.w_d
-    for p in instr.pairs:
-        if not 0 <= p.val < w_d:
-            raise IsaError("val %d out of range" % p.val)
+    if instr.width != w_d:
+        raise IsaError("apply needs exactly %d (v val) pairs, got %d"
+                       % (w_d, instr.width))
+    last = -1
+    for j, val in instr.lines:
+        if not last < j < w_d:
+            raise IsaError("bitline %d out of order or out of range" % j)
+        if not 0 <= val < w_d:
+            raise IsaError("val %d out of range" % val)
+        last = j
 
 
 def check_num_pis(num_pis: int):
@@ -198,10 +211,8 @@ _WS_MODES = (WsMode.ZERO, WsMode.ONE, None, WsMode.FROM_SOURCE)
 class CodecLayout:
     """Field positions of both instructions for one geometry.
 
-    ``pairs`` maps each ``(v val)`` code, ``v << bit_bits | val``, to one
-    shared :class:`BitlinePair`, or to ``None`` when ``val >= w_D``.  The
-    table has ``2**(1 + bit_bits)`` entries, fewer than ``4 * w_D``.
-    ``valid_pairs[val]`` and ``nop_pair`` are entries of the same table.
+    ``pair_shifts[j]`` is the shift of bitline j's ``(v val)`` pair, and
+    ``tail_mask`` covers the pairs and the padding below the Apply head.
     """
 
     def __init__(self, config: CrossbarConfig):
@@ -216,21 +227,13 @@ class CodecLayout:
         self.word_mask = (1 << sw) - 1
         # opcode | w | s | ws | wb, the fixed head of an Apply
         self.head_shift = config.w_i - (4 + sw + bw)
+        self.tail_mask = (1 << self.head_shift) - 1
         self.bit_mask = (1 << bw) - 1
         self.apply_pad = config.w_i - il_apply
-        self.apply_pad_mask = (1 << self.apply_pad) - 1
         self.pair_bits = 1 + bw
-        self.pair_mask = (1 << self.pair_bits) - 1
         self.pair_shifts = tuple(self.apply_pad + (config.w_d - 1 - j)
                                  * self.pair_bits for j in range(config.w_d))
         self.valid_bit = 1 << bw
-        self.pairs = tuple(
-            BitlinePair(bool(code >> bw), code & self.bit_mask)
-            if code & self.bit_mask < config.w_d else None
-            for code in range(1 << self.pair_bits))
-        self.valid_pairs = self.pairs[self.valid_bit:
-                                      self.valid_bit + config.w_d]
-        self.nop_pair = self.pairs[0]
 
 
 def encode(instr: Instruction, config: CrossbarConfig) -> int:
@@ -245,15 +248,14 @@ def _pack(instr: Instruction, lay: CodecLayout) -> int:
         return instr.w << lay.read_pad
     ws = instr.ws
     word = (((((1 << lay.word_bits | instr.w) << 1 | instr.source) << 2
-              | ws.mode) << lay.bit_bits) | ws.wb)
-    pair_bits, valid_bit = lay.pair_bits, lay.valid_bit
-    for p in instr.pairs:
-        word = word << pair_bits | (valid_bit if p.valid else 0) | p.val
-    return word << lay.apply_pad
+              | ws.mode) << lay.bit_bits) | ws.wb) << lay.head_shift
+    for j, val in instr.lines:
+        word |= (lay.valid_bit | val) << lay.pair_shifts[j]
+    return word
 
 
 def decode(word: int, config: CrossbarConfig) -> Instruction:
-    """Inverse of :func:`encode`; rejects bad ws codes and dirty padding."""
+    """Inverse of :func:`encode`; refuses every word it never writes."""
     if word < 0 or word >> config.w_i:
         raise DecodeError("word wider than w_I")
     lay = config.layout
@@ -271,15 +273,22 @@ def decode(word: int, config: CrossbarConfig) -> Instruction:
     wb = head & lay.bit_mask
     if wb >= lay.w_d:
         raise DecodeError("wb %d out of range" % wb)
-    table, mask = lay.pairs, lay.pair_mask
-    pairs = tuple(table[(word >> s) & mask] for s in lay.pair_shifts)
-    if not all(pairs):  # a pair is None where its val is out of range
-        val = (word >> lay.pair_shifts[pairs.index(None)]) & lay.bit_mask
-        raise DecodeError("val %d out of range" % val)
-    if word & lay.apply_pad_mask:
+    # the tail's top set bit is in its first pair not all 0, else the padding
+    tail, shifts, lines = word & lay.tail_mask, lay.pair_shifts, []
+    while (top := tail.bit_length()) > lay.apply_pad:
+        j = (lay.head_shift - top) // lay.pair_bits
+        code = tail >> shifts[j]
+        tail ^= code << shifts[j]
+        val = code & lay.bit_mask
+        if val >= lay.w_d:
+            raise DecodeError("val %d out of range" % val)
+        if code == val:
+            raise DecodeError("val %d on a pair with v=0" % val)
+        lines.append((j, val))
+    if tail:
         raise DecodeError("nonzero padding after apply")
     return ApplyInstr(w, (head >> (lay.bit_bits + 2)) & 1,
-                      WordlineSelect(mode, wb), pairs)
+                      WordlineSelect(mode, wb), tuple(lines), lay.w_d)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -290,9 +299,7 @@ def format_asm(instr: Instruction) -> str:
         return "Read %d" % instr.w
     parts = ["Apply", str(instr.w), str(instr.source),
              format(int(instr.ws.mode), "02b"), str(instr.ws.wb)]
-    for p in instr.pairs:
-        parts.append("%d %d" % (1 if p.valid else 0, p.val))
-    return " ".join(parts)
+    return " ".join(parts + ["%d %d" % (p.valid, p.val) for p in instr.pairs])
 
 
 # -- programs ------------------------------------------------------------------
@@ -404,7 +411,7 @@ def _write_program(program: Program) -> bytes:
     out += struct.pack("<5I", cfg.s_d, cfg.w_d, cfg.s_i, cfg.w_i,
                        program.num_pis)
     out += struct.pack("<I", len(program.instructions))
-    if distinct:  # an empty program needs no codec table
+    if distinct:  # an empty program needs no codec layout
         lay = cfg.layout
         words = {key: _pack(instr, lay).to_bytes(nbytes, "big")
                  for key, instr in distinct.items()}

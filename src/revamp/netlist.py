@@ -66,7 +66,8 @@ class Edge(NamedTuple):
     inverted: bool = False
 
     def flip(self):
-        return Edge(self.target, not self.inverted)
+        # past NamedTuple's Python-level __new__, which costs twice as much
+        return tuple.__new__(Edge, (self.target, not self.inverted))
 
 
 @dataclass

@@ -20,8 +20,8 @@ program takes T + 2 cycles.
 runs ``Program.validate`` and works from the distinct instructions it
 returns.  The program builder shares one object among all equal
 instructions, and the run makes one op tuple of each distinct instruction
-object: a Read, a DMR Apply ``(w, mode, wb, lines)`` where
-``lines`` lists its valid ``(bitline, val)`` pairs, or a PIR Apply.  The
+object: a Read, a DMR Apply ``(w, mode, wb, lines)`` with the valid
+``(bitline, val)`` pairs the instruction holds, or a PIR Apply.  The
 device update is written out per wordline mode, with ``nbl = full ^ bl``
 and, for FROM_SOURCE, ``wl`` the source's bit ``wb``:
 
@@ -180,13 +180,10 @@ def _op(instr: Instruction) -> tuple:
     """
     if isinstance(instr, ReadInstr):
         return instr.w, _READ, None, None
-    # a pair with v=0 leaves its bitline's device alone
-    lines = tuple((j, pair.val) for j, pair in enumerate(instr.pairs)
-                  if pair.valid)
     mode, wb = int(instr.ws.mode), instr.ws.wb
     if instr.source == SRC_PIR:
-        return instr.w, _PIR, {}, (mode, wb, lines)
-    return instr.w, mode, wb, lines
+        return instr.w, _PIR, {}, (mode, wb, instr.lines)
+    return instr.w, mode, wb, instr.lines
 
 
 def _fold(apply: tuple, slots: tuple[int, ...], masks: dict, inv: dict,

@@ -3,13 +3,14 @@ five-input reference MIG used across the mapping tests, the leaf-output
 MIGs of the depth-bounded flow, a layered MIG whose tree is far larger
 than its network, the tree-size reference the depth-bounded flow's MAJ
 count is held to, an ASCII AIGER writer for the ``.aag`` files the CLI
-tests read, the fixpoint check of delay-flow block merging and the MIG
-the delay flow chooses to map."""
+tests read, the fixpoint check of delay-flow block merging, the MIG the
+delay flow chooses to map and an Apply built from a full pair field."""
 
 import random
 
 from revamp.circuits import two_bit_xor_program  # noqa: F401  (re-export)
 from revamp.delaymap import assign_roles, compute_bound
+from revamp.isa import ApplyInstr
 from revamp.netlist import (AND, CONST0, MAJ, Edge, LogicNetwork,
                             NetlistError, levels, rewrite_majority)
 
@@ -100,6 +101,14 @@ def delay_mapped_mig(mig: LogicNetwork) -> LogicNetwork:
         lv = levels(m)
         return compute_bound(m, assign_roles(m, lv), lv)
     return rewritten if bound(rewritten) <= bound(mig) else mig
+
+
+def apply_from_pairs(w, source, ws, pairs) -> ApplyInstr:
+    """The Apply whose ``(v val)`` field is ``pairs``, one ``BitlinePair``
+    per bitline: its v=1 pairs become ``lines``, and a v=0 pair's val is
+    dropped."""
+    return ApplyInstr(w, source, ws, tuple(
+        (j, p.val) for j, p in enumerate(pairs) if p.valid), len(pairs))
 
 
 def serialize_aig(network: LogicNetwork) -> str:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import example_mig, two_bit_xor_program
+from conftest import apply_from_pairs, example_mig, two_bit_xor_program
 from revamp.areamap import InfeasibleMapping, gen_esop_program, map_area, map_minimal
 from revamp.circuits import default_corpus, multiplier, ripple_adder
 from revamp.delaymap import (assign_roles, form_blocks, gen_program_delay,
@@ -92,7 +92,7 @@ def test_criterion_3_instruction_codec():
                 else:
                     mode = rng.choice([WsMode.ZERO, WsMode.ONE,
                                        WsMode.FROM_SOURCE])
-                    instr = ApplyInstr(
+                    instr = apply_from_pairs(
                         rng.randrange(s_d),
                         rng.choice([SRC_PIR, SRC_DMR]),
                         WordlineSelect(mode, rng.randrange(w_d)),

@@ -1070,11 +1070,12 @@ def test_builder_pairs_are_interned():
     builder.read(0)
     builder.apply_from_dmr(2, WsMode.ONE, {1: 4, 3: 0})
     builder.apply_from_dmr(6, WsMode.ZERO, {3: 0})
-    first, second = builder.instructions[1:]
-    pairs = first.pairs
-    assert [(p.valid, p.val) for p in pairs] == [
+    builder.apply_from_dmr(2, WsMode.ONE, {3: 0, 1: 4})
+    first, second, again = builder.instructions[1:]
+    assert [(p.valid, p.val) for p in first.pairs] == [
         (False, 0), (True, 4), (False, 0), (True, 0), (False, 0)]
-    lay = cfg.layout
-    assert pairs[0] is pairs[2] is lay.nop_pair
-    assert pairs[1] is lay.valid_pairs[4] is lay.pairs[lay.valid_bit | 4]
-    assert pairs[3] is second.pairs[3]
+    # an Apply keeps the sorted lines of its intern key, and equal Applies
+    # are one object
+    assert (first.lines, first.width) == (((1, 4), (3, 0)), 5)
+    assert second.lines == ((3, 0),)
+    assert again is first

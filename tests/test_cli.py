@@ -17,10 +17,12 @@ from revamp.areamap import InfeasibleMapping, map_minimal
 from revamp.circuits import (default_corpus, full_adder, multiplier, parity,
                              ripple_adder, two_bit_xor, two_bit_xor_program)
 from revamp.cli import main
-from revamp.isa import MAX_PIS, CrossbarConfig, Program, write_program
+from revamp.isa import (MAX_PIS, CrossbarConfig, Program, read_program,
+                        write_program)
 from revamp.netlist import aig_to_mig, normalize_mig, serialize_mig
 from revamp.reports import BENCH_COLUMNS
 from revamp.simulator import run
+from revamp.verifier import check_equivalence
 
 
 @pytest.fixture
@@ -720,3 +722,34 @@ def test_corpus_programs_byte_identical():
             count += 1
     assert count == 160
     assert digest.hexdigest() == CORPUS_PROGRAMS
+
+
+# mult8 on 512 bitlines, where an Apply drives few of its pairs: the area
+# flow at k=4 on 64x512 from the AIG, and the delay flow at w_D 512 from
+# the MIG, each with its instruction count and container digest, read back
+# and proven on all 65,536 input vectors
+WIDE_PROGRAMS = {
+    "area": (["map-area", "--k", "4", "--rows", "64", "--cols", "512"],
+             "aag", 555, "b6ce783f9aa6f6594a2ba7c2ac0126e4"
+             "2161ac765576c39789c60e31fc0d1bc1"),
+    "delay": (["map-delay", "--cols", "512"], "mig", 258,
+              "d9aacd8a4b5dc66656908d5eba4026b5"
+              "df25acf33e7aa70235c0ae3485664967"),
+}
+
+
+@pytest.mark.parametrize("flow", sorted(WIDE_PROGRAMS))
+def test_flows_at_512_bitlines_are_pinned(tmp_path, capsys, flow):
+    argv, source, count, digest = WIDE_PROGRAMS[flow]
+    net = multiplier(8)
+    (tmp_path / "mult8.aag").write_text(serialize_aig(net))
+    (tmp_path / "mult8.mig").write_text(serialize_mig(aig_to_mig(net)))
+    out = tmp_path / "mult8.rvmp"
+    assert main(argv + [str(tmp_path / ("mult8." + source)),
+                        "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    back = read_program(data)
+    assert len(back.instructions) == count
+    assert back.config.w_d == 512 and write_program(back) == data
+    assert check_equivalence(net, back).ok

@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from conftest import two_bit_xor_program
+from conftest import apply_from_pairs, two_bit_xor_program
 from revamp.isa import (MAX_PIS, SRC_DMR, SRC_PIR, ApplyInstr, BitlinePair,
                         CrossbarConfig, DecodeError, IsaError, Program,
                         ReadInstr, WordlineSelect, WsMode, decode, encode,
@@ -37,15 +37,16 @@ def test_read_encoding_is_opcode_then_address():
 
 
 def _random_instruction(rng, cfg):
+    """A random Read or Apply; an Apply's v=0 pairs have val 0."""
     if rng.random() < 0.3:
         return ReadInstr(rng.randrange(cfg.s_d))
     mode = rng.choice([WsMode.ZERO, WsMode.ONE, WsMode.FROM_SOURCE])
     pairs = tuple(BitlinePair(rng.random() < 0.5, rng.randrange(cfg.w_d))
                   for _ in range(cfg.w_d))
-    return ApplyInstr(rng.randrange(cfg.s_d),
-                      rng.choice([SRC_PIR, SRC_DMR]),
-                      WordlineSelect(mode, rng.randrange(cfg.w_d)),
-                      pairs)
+    return apply_from_pairs(rng.randrange(cfg.s_d),
+                            rng.choice([SRC_PIR, SRC_DMR]),
+                            WordlineSelect(mode, rng.randrange(cfg.w_d)),
+                            pairs)
 
 
 @pytest.mark.parametrize("s_d,w_d", [(2, 2), (8, 4), (64, 16), (64, 64)])
@@ -67,8 +68,9 @@ def test_codec_roundtrip_non_power_of_two():
 
 # -- bit-by-bit reference codec ------------------------------------------------
 #
-# The codec as first written, one field at a time through put/take closures.
-# The table-driven codec must agree with it on every word.
+# The codec as first written, one field at a time through put/take closures,
+# with one rule added since: a v=0 pair must have val 0.  The sparse codec
+# must agree with it on every word.
 
 def _oracle_encode(instr, config):
     validate_instruction(instr, config)
@@ -132,11 +134,13 @@ def _oracle_decode(word, config):
         val = take(bw)
         if val >= config.w_d:
             raise DecodeError("val %d out of range" % val)
+        if not v and val:
+            raise DecodeError("val %d on a pair with v=0" % val)
         pairs.append(BitlinePair(bool(v), val))
     if pos and word & ((1 << pos) - 1):
         raise DecodeError("nonzero padding after apply")
-    return ApplyInstr(w, source, WordlineSelect(WsMode(ws_code), wb),
-                      tuple(pairs))
+    return apply_from_pairs(w, source, WordlineSelect(WsMode(ws_code), wb),
+                            tuple(pairs))
 
 
 def _outcome(fn, word, cfg):
@@ -197,7 +201,7 @@ def test_encode_matches_bitwise_reference(s_d, w_d, w_i):
 def test_decode_rejects_bad_ws():
     cfg = CrossbarConfig(4, 2)
     instr = ApplyInstr(1, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-                       (BitlinePair(True, 0), BitlinePair(True, 1)))
+                       ((0, 0), (1, 1)), 2)
     word = encode(instr, cfg)
     # flip the ws field (bits after opcode, address and source) to 0b10
     shift = cfg.w_i - 1 - cfg.word_bits - 1 - 2
@@ -211,6 +215,56 @@ def test_decode_rejects_dirty_padding():
     word = encode(ReadInstr(3), cfg)
     with pytest.raises(DecodeError):
         decode(word | 1, cfg)
+
+
+def test_decode_rejects_a_val_on_a_v0_pair_in_bitline_order():
+    """A v=0 pair must have val 0.  Of several faults of a word's pairs
+    and padding, the first pair in bitline order is named, then the
+    padding."""
+    cfg = CrossbarConfig(8, 3, w_i=40)
+    lay = cfg.layout
+    word = encode(ApplyInstr(2, SRC_DMR, WordlineSelect(WsMode.ONE, 0),
+                             ((0, 2),), 3), cfg)
+    dirty_pad, nop_val = 1, 1 << lay.pair_shifts[2]
+    bad_val = (lay.valid_bit | 3) << lay.pair_shifts[1]
+    for extra, message in ((dirty_pad, "nonzero padding after apply"),
+                           (dirty_pad | nop_val, "val 1 on a pair with v=0"),
+                           (dirty_pad | nop_val | bad_val,
+                            "val 3 out of range")):
+        with pytest.raises(DecodeError, match="^%s$" % message):
+            decode(word | extra, cfg)
+    assert decode(word, cfg).lines == ((0, 2),)
+
+
+def test_container_refuses_a_val_on_a_v0_pair():
+    cfg = CrossbarConfig(2, 2)
+    instr = ApplyInstr(1, SRC_PIR, WordlineSelect(WsMode.ONE, 0), ((0, 0),),
+                       2)
+    data = write_program(Program(cfg, [instr], {0: (0, 0)}, {}, 1))
+    nbytes = (cfg.w_i + 7) // 8
+    word = int.from_bytes(data[_COUNT_OFFSET + 4:][:nbytes], "big")
+    assert read_program(data).instructions == [instr]
+    word |= 1 << cfg.layout.pair_shifts[1]  # val 1 on bitline 1, v=0
+    bad = (data[:_COUNT_OFFSET + 4] + word.to_bytes(nbytes, "big")
+           + data[_COUNT_OFFSET + 4 + nbytes:])
+    with pytest.raises(IsaError, match="val 1 on a pair with v=0"):
+        read_program(bad)
+
+
+@pytest.mark.parametrize("lines,width,message", [
+    (((2, 0), (1, 0)), 4, "bitline 1 out of order or out of range"),
+    (((1, 0), (1, 3)), 4, "bitline 1 out of order or out of range"),
+    (((0, 0), (4, 1)), 4, "bitline 4 out of order or out of range"),
+    (((-1, 0),), 4, "bitline -1 out of order or out of range"),
+    (((0, 4),), 4, "val 4 out of range"),
+    (((0, 0),), 5, "apply needs exactly 4 \\(v val\\) pairs, got 5"),
+], ids=["unsorted", "duplicate", "past_w_d", "negative", "val", "width"])
+def test_validate_refuses_lines_out_of_order_or_range(lines, width, message):
+    cfg = CrossbarConfig(8, 4)
+    instr = ApplyInstr(0, SRC_DMR, WordlineSelect(WsMode.ONE, 0), lines,
+                       width)
+    with pytest.raises(IsaError, match="^%s$" % message):
+        validate_instruction(instr, cfg)
 
 
 def test_asm_tokens_match_fields():
@@ -236,7 +290,7 @@ def test_asm_tokens_match_fields():
 
 def test_asm_format_matches_notation():
     instr = ApplyInstr(0, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-                       (BitlinePair(True, 0), BitlinePair(True, 1)))
+                       ((0, 0), (1, 1)), 2)
     assert format_asm(instr) == "Apply 0 0 01 0 1 0 1 1"
     assert format_asm(ReadInstr(2)) == "Read 2"
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import two_bit_xor_program
+from conftest import apply_from_pairs, two_bit_xor_program
 from revamp.isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR,
                         ApplyInstr, BitlinePair, CrossbarConfig, IsaError,
                         Program, ReadInstr, WordlineSelect, WsMode,
@@ -42,17 +42,18 @@ def test_device_step_mask_parallel():
     assert device_step(z, wl, bl, full) == expect
 
 
-def _pairs(*vals):
-    """Apply pairs: an int is a valid pair reading that PIR line, None a nop."""
-    return tuple(BitlinePair(False, 0) if v is None else BitlinePair(True, v)
-                 for v in vals)
+def _lines(*vals):
+    """An Apply's ``(lines, width)``: an int is a valid pair reading that
+    line, None a nop."""
+    lines = tuple((j, v) for j, v in enumerate(vals) if v is not None)
+    return lines, len(vals)
 
 
 def test_read_is_non_destructive():
     cfg = CrossbarConfig(4, 4)
     # a wordline driven to 1 stores the complemented bitlines: word 2 <- not p
     load = ApplyInstr(2, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-                      _pairs(0, 1, 2, 3))
+                      *_lines(0, 1, 2, 3))
     prog = Program(cfg, [load, ReadInstr(2)], {0: (0, 1, 2, 3)}, {}, 4)
     state, trace = run(prog, [0, 1, 0, 0], record_trace=True)
     assert state.dmr == [1, 0, 1, 1]
@@ -65,9 +66,9 @@ def test_apply_touches_only_valid_pairs():
     one = WordlineSelect(WsMode.ONE, 0)
     zeros = (SLOT_CONST0,) * 4
     prog = Program(cfg, [
-        ApplyInstr(0, SRC_PIR, one, _pairs(0, 1, 2, 3)),  # word 0 <- 1111
-        ApplyInstr(1, SRC_PIR, one, _pairs(None, 1, None, 3)),  # 0101
-        ApplyInstr(1, SRC_PIR, one, _pairs(0, None, 1, None)),
+        ApplyInstr(0, SRC_PIR, one, *_lines(0, 1, 2, 3)),  # word 0 <- 1111
+        ApplyInstr(1, SRC_PIR, one, *_lines(None, 1, None, 3)),  # 0101
+        ApplyInstr(1, SRC_PIR, one, *_lines(0, None, 1, None)),
     ], {0: zeros, 1: zeros,
         2: (SLOT_CONST0, SLOT_CONST1, SLOT_CONST0, SLOT_CONST0)}, {}, 0)
     state, trace = run(prog, record_trace=True)
@@ -80,7 +81,7 @@ def test_apply_touches_only_valid_pairs():
 def test_apply_requires_pir_vector():
     cfg = CrossbarConfig(2, 2)
     instr = ApplyInstr(0, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-                       _pairs(0, 1))
+                       *_lines(0, 1))
     with pytest.raises(IsaError, match="no schedule entry"):
         run(Program(cfg, [instr], {}, {}, 0))
 
@@ -133,8 +134,8 @@ def test_only_the_inputs_a_program_looks_up_get_masks():
 
     one = WordlineSelect(WsMode.ONE, 0)
     prog = Program(CrossbarConfig(2, 2), [
-        ApplyInstr(0, SRC_PIR, one, _pairs(0, 1)),
-        ApplyInstr(1, SRC_PIR, one, _pairs(1, None)),
+        ApplyInstr(0, SRC_PIR, one, *_lines(0, 1)),
+        ApplyInstr(1, SRC_PIR, one, *_lines(1, None)),
     ], {0: (3, SLOT_CONST1), 1: (SLOT_CONST0, 7)}, {}, 10)
     masks = _CountedMasks([0b01, 0b10, 0, 0b11, 0, 0, 0, 0b10, 0, 0])
     state, trace = run_vectors(prog, masks, 2, record_trace=True)
@@ -283,9 +284,10 @@ def _random_program(rng):
             pool.append(ReadInstr(w))
             continue
         ws = WordlineSelect(rng.choice(list(WsMode)), rng.randrange(w_d))
-        pool.append(ApplyInstr(w, rng.choice((SRC_PIR, SRC_DMR)), ws, tuple(
-            BitlinePair(rng.random() < 0.7, rng.randrange(w_d))
-            for _ in range(w_d))))
+        pool.append(apply_from_pairs(
+            w, rng.choice((SRC_PIR, SRC_DMR)), ws,
+            tuple(BitlinePair(rng.random() < 0.7, rng.randrange(w_d))
+                  for _ in range(w_d))))
     instrs, schedule = [], {}
     for i in range(rng.randint(1, 60)):
         instr = rng.choice(pool)
@@ -314,9 +316,9 @@ def test_loop_matches_device_step_reference(width):
         for i, instr in enumerate(prog.instructions):
             if isinstance(instr, ApplyInstr) and instr.source == SRC_PIR:
                 slots = prog.pir_schedule[i]
-                const_lines.update((instr.ws.mode, slots[p.val])
-                                   for p in instr.pairs
-                                   if p.valid and slots[p.val] < 0)
+                const_lines.update((instr.ws.mode, slots[val])
+                                   for _, val in instr.lines
+                                   if slots[val] < 0)
     # every wordline mode ran from both sources, and every mode met both
     # constants on a PIR bitline, where the simulator folds the line
     assert kinds == set(itertools.product(WsMode, (SRC_PIR, SRC_DMR)))
@@ -326,7 +328,7 @@ def test_loop_matches_device_step_reference(width):
 
 # -- Program.validate applies every rule, for each of its callers ----------
 
-_BOTH = (BitlinePair(True, 0), BitlinePair(True, 1))
+_BOTH = ((0, 0), (1, 1))
 
 
 def _set_instruction(i, instr):
@@ -362,18 +364,21 @@ _DEFECTS = {
     "read address": (_set_instruction(6, ReadInstr(3)),
                      "instruction 6: read address 3 out of range"),
     "apply address": (_set_instruction(
-        2, ApplyInstr(3, SRC_DMR, WordlineSelect(WsMode.ONE, 0), _BOTH)),
+        2, ApplyInstr(3, SRC_DMR, WordlineSelect(WsMode.ONE, 0), _BOTH,
+                      2)),
         "instruction 2: apply address 3 out of range"),
     "wb": (_set_instruction(7, ApplyInstr(
-        2, SRC_DMR, WordlineSelect(WsMode.FROM_SOURCE, 2), _BOTH)),
+        2, SRC_DMR, WordlineSelect(WsMode.FROM_SOURCE, 2), _BOTH, 2)),
         "instruction 7: wb 2 out of range"),
     "val": (_set_instruction(5, ApplyInstr(
-        1, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-        (BitlinePair(True, 0), BitlinePair(True, 2)))),
+        1, SRC_PIR, WordlineSelect(WsMode.ONE, 0), ((0, 0), (1, 2)), 2)),
         "instruction 5: val 2 out of range"),
     "pair count": (_set_instruction(3, ApplyInstr(
-        1, SRC_DMR, WordlineSelect(WsMode.ONE, 0), _BOTH[:1])),
+        1, SRC_DMR, WordlineSelect(WsMode.ONE, 0), _BOTH[:1], 1)),
         "instruction 3: apply needs exactly 2 (v val) pairs, got 1"),
+    "bitline order": (_set_instruction(3, ApplyInstr(
+        1, SRC_DMR, WordlineSelect(WsMode.ONE, 0), _BOTH[::-1], 2)),
+        "instruction 3: bitline 0 out of order or out of range"),
     "missing entry": (_drop_entry, "instruction 4 sources the PIR but has "
                       "no schedule entry"),
     "short slots": (_set_entry(4, (2,)),
@@ -387,7 +392,7 @@ _DEFECTS = {
     # where the bad entry comes first in the instruction stream
     "bad slot and wb": (_both(_set_entry(4, (2, 4)), _set_instruction(
         7, ApplyInstr(2, SRC_DMR, WordlineSelect(WsMode.FROM_SOURCE, 2),
-                      _BOTH))),
+                      _BOTH, 2))),
         "instruction 7: wb 2 out of range"),
 }
 
@@ -410,7 +415,7 @@ def test_every_check_names_the_defect_alike(defect):
 def _only_entry_program():
     """Reads, one PIR Apply at index 1 and its schedule entry."""
     load = ApplyInstr(1, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-                      _pairs(0, None))
+                      *_lines(0, None))
     return Program(CrossbarConfig(2, 2), [ReadInstr(0), load, ReadInstr(1)],
                    {1: (0, SLOT_CONST0)}, {"f": (1, 0)}, 1)
 

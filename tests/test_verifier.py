@@ -1,11 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from conftest import two_bit_xor_program
 from revamp.circuits import two_bit_xor
-from revamp.isa import (SLOT_CONST0, SRC_PIR, ApplyInstr, BitlinePair,
-                        CrossbarConfig, Program, WordlineSelect, WsMode)
+from revamp.isa import (SLOT_CONST0, SRC_PIR, ApplyInstr, CrossbarConfig,
+                        Program, WordlineSelect, WsMode)
 from revamp.netlist import Edge, LogicNetwork
 from revamp.verifier import check_equivalence, optimal_packing
 
@@ -16,8 +17,7 @@ def _wire_network_and_program():
     net.add_output(Edge(p, True), "f")
     cfg = CrossbarConfig(2, 2)
     prog = Program(cfg, [
-        ApplyInstr(0, SRC_PIR, WordlineSelect(WsMode.ONE, 0),
-                   (BitlinePair(True, 0), BitlinePair(False, 0))),
+        ApplyInstr(0, SRC_PIR, WordlineSelect(WsMode.ONE, 0), ((0, 0),), 2),
     ], {0: (0, SLOT_CONST0)}, {"f": (0, 0)}, num_pis=1)
     return net, prog
 
@@ -37,9 +37,8 @@ def test_flipped_polarity_is_caught():
     prog = two_bit_xor_program()
     instr = prog.instructions[4]
     # turn the AND step's wordline from 0 to 1, breaking the combination
-    prog.instructions[4] = ApplyInstr(instr.w, instr.source,
-                                      WordlineSelect(WsMode.ONE, 0),
-                                      instr.pairs)
+    prog.instructions[4] = dataclasses.replace(
+        instr, ws=WordlineSelect(WsMode.ONE, 0))
     res = check_equivalence(two_bit_xor(), prog)
     assert not res.ok
     assert res.counterexample["output"] in ("x0", "x1")
@@ -61,9 +60,8 @@ def test_random_mode_is_reproducible():
 def test_random_mode_counterexample_reproducible():
     prog = two_bit_xor_program()
     instr = prog.instructions[4]
-    prog.instructions[4] = ApplyInstr(instr.w, instr.source,
-                                      WordlineSelect(WsMode.ONE, 0),
-                                      instr.pairs)
+    prog.instructions[4] = dataclasses.replace(
+        instr, ws=WordlineSelect(WsMode.ONE, 0))
     runs = [check_equivalence(two_bit_xor(), prog, mode="random",
                               seed=123, n=50) for _ in range(2)]
     assert not runs[0].ok
