@@ -53,6 +53,7 @@ docstring); it shares only the builder with the other flows.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
@@ -418,7 +419,7 @@ def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
         # each LUT takes a device, which three rows do not offer
         raise InfeasibleMapping(max(need, 1), capacity)
 
-    free = {w: set(range(w_d)) for w in storage_rows}
+    free = {}  # row -> its free devices, made when the row is first filled
     # (free devices, -row) of every storage row, ascending: the first entry
     # with enough room is the fullest row that fits, ties to the higher row
     rank = sorted((w_d, -w) for w in storage_rows)
@@ -440,8 +441,11 @@ def schedule_luts(graph: LutGraph, s_d: int, w_d: int) -> LutSchedule:
     sched = LutSchedule(min_dev=need)
 
     def place(lut_id: int, w: int):
-        b = min(free[w])
-        free[w].remove(b)
+        row = free.get(w)
+        if row is None:
+            row = free[w] = set(range(w_d))
+        b = min(row)
+        row.remove(b)
         occupant[(w, b)] = lut_id
         sched.placements[lut_id] = (w, b)
         sched.events.append(("place", lut_id, w, b))
@@ -647,36 +651,36 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
         builder.apply_from_pir(dev[0], WsMode.ONE, {dev[1]: pi_line[nid]})
         write(dev, Edge(nid, True))
 
-    def pick_roles(node, neg):
-        """Split the three fanins of ``node``, complemented if ``neg`` (by
-        majority self-duality, each fanin complemented), into bitline /
-        wordline / host roles.
+    @functools.cache
+    def pick_roles(lit):
+        """Split the three fanins of node literal ``lit``, complemented if
+        it is (by majority self-duality, each fanin complemented), into
+        the literal its bitline device stores and its wordline and host
+        operands; made once per literal.
 
-        The bitline role stores the complement of its effective value (the
+        The bitline stores the complement of its effective value (the
         device update re-complements it).  It takes the first complemented
         internal fanin, so the stored value is the child's plain result;
         otherwise a leaf, plain first, since leaves load in either
         polarity; otherwise the lowest-id internal fanin, whose complement
         is then computed the same way.
         """
-        fanins = node.fanins
-        if neg:
-            fanins = [e.flip() for e in fanins]
-        internal = [j for j, e in enumerate(fanins)
-                    if nodes[e.target].kind == MAJ]
-        inv_internal = [j for j in internal if fanins[j].inverted]
-        leaves = [j for j in range(3) if j not in internal]
-        if inv_internal:
-            bl = inv_internal[0]
-        elif leaves:
-            plain = [j for j in leaves if not fanins[j].inverted]
-            bl = min(plain or leaves, key=lambda j: fanins[j].target)
-        else:
-            bl = min(internal, key=lambda j: fanins[j].target)
-        # leaves (level 0) by id, internal fanins of a level by position
-        wl, host = sorted((j for j in range(3) if j != bl), key=lambda j: (
-            lv[fanins[j].target], 0 if j in internal else fanins[j].target, j))
-        return fanins[bl], fanins[wl], fanins[host]
+        nid, neg = lit
+        # (bitline rank, wordline rank, fanin) per fanin, lowest rank first;
+        # the wordline rank takes leaves (level 0) by id, internal fanins of
+        # a level by position
+        ranked = []
+        for j, e in enumerate(nodes[nid].fanins):
+            if neg:
+                e = e.flip()
+            t, inv = e
+            if nodes[t].kind == MAJ:
+                ranked.append(((0, j) if inv else (2, t, j), (lv[t], 0, j), e))
+            else:
+                ranked.append(((1, inv, t, j), (0, t, j), e))
+        ranked.sort()
+        (_, wl), (_, host) = sorted(r[1:] for r in ranked[1:])
+        return ranked[0][2].flip(), wl, host
 
     n_maj = 0
 
@@ -723,9 +727,8 @@ def map_minimal(mig: LogicNetwork) -> tuple[Program, MappingReport]:
                 copy(src, INVERTER)
                 copy(INVERTER, dev)
             else:
-                bl, wl, host = pick_roles(node, neg)
+                bl, wl, host = pick_roles(lit)
                 row = lv[nid]  # operand row for this level
-                bl = bl.flip()  # the bitline stores the complement
                 need[row] = (bl, wl)
                 steps += ((True, lit, dev), (False, host, dev),
                           (False, bl, (row, 0)), (False, wl, (row, 1)))

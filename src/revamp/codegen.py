@@ -4,30 +4,24 @@ Every flow emits the same two-instruction program through one
 :class:`ProgramBuilder`, which also makes every flow's report (``report``).
 The builder does not validate what it builds: ``Program.validate`` checks
 the program where it is encoded (``isa.write_program``) or executed
-(``simulator.run_vectors``).
+(``simulator.run_vectors``), and the program holds what passed, so the
+second of the two checks only its tables.
 
 The flows' programs are long and repetitive, so the builder interns: equal
-instructions are one shared (immutable) object, made once by ``_apply``,
-and a PIR Apply shares its slot tuple too; an Apply's ``lines`` are its
-intern key's sorted ``(bitline, val)`` pairs.  The encoder, the validator
-and the simulator key their per-instruction work by object, so each does
-it once per distinct instruction.
+instructions are one shared (immutable) object, made once by ``_apply``
+with the shared wordline select of ``isa.select``, and a PIR Apply shares
+its slot tuple too; an Apply's ``lines`` are its intern key's sorted
+``(bitline, val)`` pairs.  The encoder, the validator and the simulator key
+their per-instruction work by object, so each does it once per distinct
+instruction, and the validator once per program.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .isa import (SLOT_CONST0, SLOT_CONST1, SRC_DMR, SRC_PIR, ApplyInstr,
-                  CrossbarConfig, Program, ReadInstr, WordlineSelect, WsMode)
+                  CrossbarConfig, Program, ReadInstr, WsMode, select)
 from .reports import MappingReport
 from .simulator import PIPELINE_FILL
-
-
-@lru_cache(maxsize=None)
-def _select(mode: WsMode, wb: int) -> WordlineSelect:
-    """One shared wordline select per (mode, wb), made on first use."""
-    return WordlineSelect(mode, wb)
 
 
 class ProgramBuilder:
@@ -99,7 +93,7 @@ class ProgramBuilder:
             w, source, mode, wb, lines = key
             self.touched.update((w, j) for j, _ in lines)
             instr = self._interned[key] = ApplyInstr(
-                w, source, _select(mode, wb), lines, self.config.w_d)
+                w, source, select(mode, wb), lines, self.config.w_d)
         return instr
 
     def apply_from_dmr(self, w: int, mode: WsMode, wires: dict[int, int],

@@ -28,16 +28,20 @@ word once, by a per-call memo from its bytes, and repeats share the
 (immutable) instruction; PIR slot tuples are shared the same way.
 
 A program's rules are applied in one place, ``Program.validate``: the
-declared input count, then each distinct instruction object once, then the
-tables (:meth:`Program.check_tables`): a schedule entry for every PIR
-Apply, each distinct slot tuple in range and every result location a
-device.  The first broken rule raises, so ``validate``,
-:func:`write_program` and ``simulator.run_vectors`` name the same defect of
-a program.  ``validate`` returns the distinct instructions by id, and the
-other two work from that: :func:`write_program` packs each distinct
-instruction once, and ``run_vectors`` makes one op of each.
+declared input count, then each distinct instruction object it does not
+hold as checked, then the tables (:meth:`Program.check_tables`): a
+schedule entry for every PIR Apply, each distinct slot tuple in range and
+every result location a device.  The first broken rule raises, so
+``validate``, :func:`write_program` and ``simulator.run_vectors`` name the
+same defect of a program.  ``validate`` returns the distinct instructions
+by id, and the other two work from that: :func:`write_program` packs each
+distinct instruction once, and ``run_vectors`` makes one op of each.  A
+program holds the instruction objects that passed, for its config object,
+so a program written and then run checks each instruction once; the input
+count and the mutable tables are checked on every call.
 :func:`read_program` builds its instructions with ``decode``, which checks
-every field, and ends with the table check.
+every field (the decoder's wordline selects come from :func:`select`, as
+the program builder's do), and holds them as checked after its table check.
 
 A container header is untrusted until bounded: its input count must not
 exceed ``MAX_PIS``, and the instruction table must fit in the bytes that
@@ -51,7 +55,7 @@ import itertools
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 MAGIC = b"RVMP"
 
@@ -91,6 +95,12 @@ class WsMode(IntEnum):
 class WordlineSelect:
     mode: WsMode
     wb: int = 0
+
+
+@lru_cache(maxsize=None)
+def select(mode: WsMode, wb: int) -> WordlineSelect:
+    """One shared wordline select per (mode, wb), made on first use."""
+    return WordlineSelect(mode, wb)
 
 
 @dataclass(frozen=True)
@@ -266,29 +276,33 @@ def decode(word: int, config: CrossbarConfig) -> Instruction:
         if word & lay.read_pad_mask:
             raise DecodeError("nonzero padding after read")
         return ReadInstr(w)
-    head = word >> lay.head_shift
-    mode = _WS_MODES[(head >> lay.bit_bits) & 0b11]
+    head_shift, bit_bits, bit_mask, w_d = (lay.head_shift, lay.bit_bits,
+                                          lay.bit_mask, lay.w_d)
+    head = word >> head_shift
+    mode = _WS_MODES[(head >> bit_bits) & 0b11]
     if mode is None:
         raise DecodeError("wordline select code 10 is invalid")
-    wb = head & lay.bit_mask
-    if wb >= lay.w_d:
+    wb = head & bit_mask
+    if wb >= w_d:
         raise DecodeError("wb %d out of range" % wb)
     # the tail's top set bit is in its first pair not all 0, else the padding
     tail, shifts, lines = word & lay.tail_mask, lay.pair_shifts, []
-    while (top := tail.bit_length()) > lay.apply_pad:
-        j = (lay.head_shift - top) // lay.pair_bits
-        code = tail >> shifts[j]
-        tail ^= code << shifts[j]
-        val = code & lay.bit_mask
-        if val >= lay.w_d:
+    pad, pair_bits = lay.apply_pad, lay.pair_bits
+    while (top := tail.bit_length()) > pad:
+        j = (head_shift - top) // pair_bits
+        shift = shifts[j]
+        code = tail >> shift
+        tail ^= code << shift
+        val = code & bit_mask
+        if val >= w_d:
             raise DecodeError("val %d out of range" % val)
         if code == val:
             raise DecodeError("val %d on a pair with v=0" % val)
         lines.append((j, val))
     if tail:
         raise DecodeError("nonzero padding after apply")
-    return ApplyInstr(w, (head >> (lay.bit_bits + 2)) & 1,
-                      WordlineSelect(mode, wb), tuple(lines), lay.w_d)
+    return ApplyInstr(w, (head >> (bit_bits + 2)) & 1, select(mode, wb),
+                      tuple(lines), w_d)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -319,6 +333,10 @@ class Program:
     pir_schedule: dict[int, tuple[int, ...]] = field(default_factory=dict)
     result_locations: dict[str, tuple[int, int]] = field(default_factory=dict)
     num_pis: int = 0
+    # (config, id -> instruction) of the objects that passed every
+    # instruction rule for that config object; see validate
+    _held: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
 
     def validate(self) -> dict[int, Instruction]:
         """Apply every rule of a program; return its distinct instructions.
@@ -329,17 +347,30 @@ class Program:
         ``IsaError``.  The result maps the ``id`` of each instruction object
         to the object, in order of first use, so the encoder and the
         simulator work once per distinct instruction from it.
+
+        The objects that pass are held, with the config object they were
+        checked for, and a later call checks only objects it does not hold
+        (an instruction is immutable; a held one is matched by ``id`` and
+        identity, so a copied program's stale ids match nothing); another
+        config object starts afresh.  The input count and the tables,
+        which are mutable, are checked on every call.
         """
         cfg, instrs = self.config, self.instructions
         check_num_pis(self.num_pis)
         ids = list(map(id, instrs))  # one walk serves every rule below
         distinct = dict(zip(ids, instrs))
-        for instr in distinct.values():
+        held_cfg, held = self._held
+        if held_cfg is not cfg:
+            held = {}
+        for key, instr in distinct.items():
+            if held.get(key) is instr:
+                continue
             try:
                 validate_instruction(instr, cfg)
             except IsaError as exc:
-                i = ids.index(id(instr))
+                i = ids.index(key)
                 raise IsaError("instruction %d: %s" % (i, exc)) from None
+        self._held = cfg, distinct
         self.check_tables(distinct.values(), ids)
         return distinct
 
@@ -506,4 +537,5 @@ def _read_program(data: bytes) -> Program:
                        % (len(data) - off))
     program = Program(cfg, instrs, sched, results, num_pis)
     program.check_tables(memo.values())
+    program._held = cfg, {id(instr): instr for instr in memo.values()}
     return program

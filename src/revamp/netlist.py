@@ -172,13 +172,21 @@ def gate_mask(node: Node, vals, full: int) -> int:
     ``vals`` maps node ids to masks (a list or a dict); ``full`` is the
     all-ones mask for the vector width.
     """
-    ops = [vals[e.target] ^ full if e.inverted else vals[e.target]
-           for e in node.fanins]
-    if node.kind == AND:
-        return ops[0] & ops[1]
-    if node.kind == MAJ:
-        a, b, c = ops
-        return (a & b) | (a & c) | (b & c)
+    kind = node.kind
+    if kind == AND:
+        (a, ia), (b, ib) = node.fanins
+        a, b = vals[a], vals[b]
+        return (a ^ full if ia else a) & (b ^ full if ib else b)
+    if kind == MAJ:
+        (a, ia), (b, ib), (c, ic) = node.fanins
+        a, b, c = vals[a], vals[b], vals[c]
+        if ia:
+            a ^= full
+        if ib:
+            b ^= full
+        if ic:
+            c ^= full
+        return (a & b) | (c & (a | b))
     return 0
 
 

@@ -18,12 +18,14 @@ program takes T + 2 cycles.
 
 :func:`run_vectors` refuses too few inputs and too large a crossbar, then
 runs ``Program.validate`` and works from the distinct instructions it
-returns.  The program builder shares one object among all equal
-instructions, and the run makes one op tuple of each distinct instruction
-object: a Read, a DMR Apply ``(w, mode, wb, lines)`` with the valid
-``(bitline, val)`` pairs the instruction holds, or a PIR Apply.  The
-device update is written out per wordline mode, with ``nbl = full ^ bl``
-and, for FROM_SOURCE, ``wl`` the source's bit ``wb``:
+returns; a program already written or read holds its checked
+instructions, so only its tables are checked again.  The program builder
+shares one object among all equal instructions, and the run makes one op
+tuple of each distinct instruction object: a Read, a DMR Apply ``(w,
+mode, wb, lines)`` with the valid ``(bitline, val)`` pairs the instruction
+holds, or a PIR Apply.  The device update is written out per wordline
+mode, with ``nbl = full ^ bl`` and, for FROM_SOURCE, ``wl`` the source's
+bit ``wb``:
 
     ZERO         z & nbl
     ONE          z | nbl

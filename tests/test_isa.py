@@ -1,14 +1,20 @@
+import dataclasses
 import random
 import struct
 
 import pytest
 
 from conftest import apply_from_pairs, two_bit_xor_program
+from revamp import isa
+from revamp.areamap import map_area
+from revamp.circuits import multiplier
 from revamp.isa import (MAX_PIS, SRC_DMR, SRC_PIR, ApplyInstr, BitlinePair,
                         CrossbarConfig, DecodeError, IsaError, Program,
                         ReadInstr, WordlineSelect, WsMode, decode, encode,
                         format_asm, instruction_lengths, read_program,
                         validate_instruction, write_program)
+from revamp.simulator import run_vectors
+from revamp.verifier import check_equivalence
 
 
 def test_instruction_lengths_reference_points():
@@ -417,3 +423,83 @@ def test_program_validation_catches_missing_schedule():
     del prog.pir_schedule[4]
     with pytest.raises(IsaError):
         prog.validate()
+
+
+# -- checked instructions are held, not re-checked -----------------------------
+
+def _mapped():
+    net = multiplier(3)
+    program, _ = map_area(net, 4, 16, 8)
+    return net, program
+
+
+def _refusals(program):
+    """The message each of the three program checks raises."""
+    got = []
+    for check in (program.validate, lambda: write_program(program),
+                  lambda: run_vectors(program, [0] * program.num_pis, 1)):
+        with pytest.raises(IsaError) as info:
+            check()
+        got.append(str(info.value))
+    return got
+
+
+def test_a_replaced_instruction_is_checked_after_validation():
+    _, program = _mapped()
+    program.validate()
+    at = max(i for i, ins in enumerate(program.instructions)
+             if isinstance(ins, ApplyInstr))
+    s_d = program.config.s_d
+    program.instructions[at] = dataclasses.replace(program.instructions[at],
+                                                   w=s_d)
+    assert _refusals(program) == [
+        "instruction %d: apply address %d out of range" % (at, s_d)] * 3
+
+
+@pytest.mark.parametrize("s_d, w_d, message", [
+    (2, 8, "apply address 2 out of range"),
+    (16, 16, "apply needs exactly 16 (v val) pairs, got 8"),
+])
+def test_a_new_geometry_is_checked_after_validation(s_d, w_d, message):
+    _, program = _mapped()
+    write_program(program)
+    assert program.instructions[0].w == 2
+    program.config = CrossbarConfig(s_d, w_d)
+    assert _refusals(program) == ["instruction 0: " + message] * 3
+
+
+def test_a_read_program_is_checked_after_its_tables_change():
+    _, program = _mapped()
+    back = read_program(write_program(program))
+    first = min(back.pir_schedule)
+    del back.pir_schedule[first]
+    with pytest.raises(IsaError, match="^instruction %d sources the PIR but "
+                                       "has no schedule entry$" % first):
+        run_vectors(back, [0] * back.num_pis, 1)
+
+
+def test_each_instruction_is_checked_once(monkeypatch):
+    calls = []
+    check = isa.validate_instruction
+
+    def counted(instr, config):
+        calls.append(id(instr))
+        return check(instr, config)
+
+    monkeypatch.setattr(isa, "validate_instruction", counted)
+    net, program = _mapped()
+    data = write_program(program)
+    assert check_equivalence(net, program)
+    distinct = {id(ins) for ins in program.instructions}
+    assert sorted(calls) == sorted(distinct)
+    # an equal config that is another object starts afresh
+    calls.clear()
+    program.config = dataclasses.replace(program.config)
+    program.validate()
+    assert sorted(calls) == sorted(distinct)
+    # decode checks every field, so a read program is never re-checked
+    calls.clear()
+    back = read_program(data)
+    assert check_equivalence(net, back)
+    assert write_program(back) == data
+    assert calls == []

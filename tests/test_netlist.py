@@ -8,7 +8,7 @@ import pytest
 from conftest import example_mig, serialize_aig
 from revamp.circuits import (AigBuilder, comparator, default_corpus,
                              full_adder, multiplier, parity, ripple_adder)
-from revamp.netlist import (AND, CONST0, MAJ, PI, Edge, LogicNetwork,
+from revamp.netlist import (AND, CONST0, MAJ, PI, Edge, LogicNetwork, Node,
                             NetlistError, ParseError, aig_to_mig, evaluate,
                             evaluate_masks, gate_mask, levels, normalize_mig,
                             parse_aiger, parse_mig, pi_patterns, random_aig,
@@ -253,6 +253,24 @@ def test_evaluate_majority():
     net.add_output(Edge(m))
     assert evaluate(net, [1, 0, 1]) == [1]
     assert evaluate(net, [1, 0, 0]) == [0]
+
+
+def test_gate_mask_matches_a_per_bit_reference():
+    # every fanin polarity of AND and MAJ, and CONST0, over seeded masks
+    rng = random.Random(169)
+    width = 64
+    full = (1 << width) - 1
+    vals = [rng.getrandbits(width) for _ in range(3)]
+    for kind, arity, op in ((AND, 2, lambda a, b: a & b),
+                            (MAJ, 3, lambda a, b, c: int(a + b + c >= 2))):
+        for flags in itertools.product((False, True), repeat=arity):
+            node = Node(kind, tuple(Edge(t, inv)
+                                    for t, inv in enumerate(flags)))
+            want = sum(op(*((vals[t] >> k & 1) ^ inv
+                            for t, inv in enumerate(flags))) << k
+                       for k in range(width))
+            assert gate_mask(node, vals, full) == want, (kind, flags)
+    assert gate_mask(Node(CONST0), vals, full) == 0
 
 
 def test_evaluate_masks_matches_keeping_every_mask():
